@@ -593,15 +593,6 @@ def load_boundaries(path: PathLike) -> tuple[list[int], list[float]]:
     return taus, proms
 
 
-def save_ssm(S: np.ndarray, path: PathLike) -> None:
-    """Dense similarity matrix for small T, for figure reproduction."""
-    S = np.asarray(S, dtype=np.float64)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in S:
-            writer.writerow([_fmt(v) for v in row])
-
-
 SEGMENTS_HEADER = ["index", "start_frame", "end_frame", "cluster", "action",
                    "duration_s"]
 

@@ -227,27 +227,6 @@ def novelty(S_enh: Union[np.ndarray, SelfSimilarityBand],
     return N
 
 
-def novelty_reference(S_enh_full: np.ndarray,
-                      kernel: CheckerboardKernel) -> np.ndarray:
-    """Literal quadruple-loop novelty for verification; O(T * h^2) python.
-
-    Kept in the library (not the tests) so the CLI can cross-check small
-    cases on demand.
-    """
-    S = np.asarray(S_enh_full, dtype=np.float64)
-    T = S.shape[0]
-    h = kernel.half_width
-    W = kernel.weights
-    N = np.zeros(T)
-    for t in range(h, T - h):
-        acc = 0.0
-        for i in range(-h, h):
-            for j in range(-h, h):
-                acc += W[i + h, j + h] * S[t + i, t + j]
-        N[t] = acc
-    return N
-
-
 @dataclass
 class Boundaries:
     """Picked change points with their prominences and picker config."""

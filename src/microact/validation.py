@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -74,15 +74,6 @@ def check_fitted(estimator, attributes: Sequence[str]) -> None:
         )
 
 
-def check_random_state(seed) -> np.random.Generator:
-    """Accept None, an int seed, or an existing Generator."""
-    if seed is None:
-        return np.random.default_rng()
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
     iv = int(value)
     if iv != value or iv < minimum:
@@ -107,9 +98,3 @@ def check_bbox(bbox, name: str = "bbox") -> tuple[float, float, float, float]:
     if not all(np.isfinite(vals)):
         raise ValueError(f"{name} contains NaN or inf")
     return vals
-
-
-def check_monotone_frames(frames: Sequence[int], name: str = "frames") -> None:
-    arr = np.asarray(frames)
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
-        raise ValueError(f"{name} are not in non-decreasing order")

@@ -7,7 +7,9 @@ from microact import ActionClass, SkillLevel
 from microact.skill import (
     SkillGradientBoosting,
     _fit_tree,
+    _leaf_value,
     _softmax,
+    _sse,
     cross_validate,
     discretize_score,
     predict,
@@ -26,6 +28,56 @@ def separable_dataset(n_per_class=20, gap=10.0, seed=0, d=3):
         X.append(rng.normal(size=(n_per_class, d)) + k * gap)
         y += [k] * n_per_class
     return np.vstack(X), np.asarray(y)
+
+
+def fit_tree_scalar(X, r, depth_left, K, gain_sink):
+    """Reference tree grower: one stable sort per feature and a scalar scan
+    of its split positions, keeping the first strictly better gain."""
+    n = r.shape[0]
+    if depth_left == 0 or n < 2 or np.all(r == r[0]):
+        return {"leaf": _leaf_value(r, K)}
+    best_gain = 1e-12
+    best = None
+    parent = _sse(float(r.sum()), float(np.dot(r, r)), n)
+    for f in range(X.shape[1]):
+        order = np.argsort(X[:, f], kind="stable")
+        xs = X[order, f]
+        rs = r[order]
+        csum = np.cumsum(rs)
+        csum2 = np.cumsum(rs * rs)
+        total, total2 = csum[-1], csum2[-1]
+        for i in np.flatnonzero(xs[:-1] < xs[1:]):
+            nl = i + 1
+            left = _sse(float(csum[i]), float(csum2[i]), nl)
+            right = _sse(float(total - csum[i]), float(total2 - csum2[i]), n - nl)
+            gain = parent - left - right
+            if gain > best_gain:
+                best_gain = gain
+                best = (f, 0.5 * (xs[i] + xs[i + 1]))
+    if best is None:
+        return {"leaf": _leaf_value(r, K)}
+    f, thr = best
+    gain_sink[f] += best_gain
+    go_left = X[:, f] <= thr
+    return {
+        "feature": int(f),
+        "threshold": float(thr),
+        "left": fit_tree_scalar(X[go_left], r[go_left], depth_left - 1, K, gain_sink),
+        "right": fit_tree_scalar(X[~go_left], r[~go_left], depth_left - 1, K, gain_sink),
+    }
+
+
+def tie_heavy_case(seed):
+    """Small integer-valued columns plus a duplicated and a constant column,
+    and residuals taking only the values one-hot minus 1/K."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.choice([2, 3, 5, 12, 40]))
+    K = int(rng.integers(2, 4))
+    X = rng.integers(0, 4, size=(n, 3)).astype(np.float64)
+    X = np.column_stack([X, X[:, 1], np.full(n, 7.0)])
+    X = X[:, rng.permutation(X.shape[1])]
+    r = (rng.integers(0, K, size=n) == 0) - 1.0 / K
+    return X, r, K
 
 
 class TestDiscretize:
@@ -105,6 +157,15 @@ class TestTraining:
         sink = np.zeros(2)
         expect = _fit_tree(X, r[:, 0], 2, K, sink)
         assert model.trees_[0][0] == expect
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_tree_matches_scalar_reference_on_ties(self, depth):
+        for seed in range(40):
+            X, r, K = tie_heavy_case(seed)
+            sink, expect_sink = np.zeros(X.shape[1]), np.zeros(X.shape[1])
+            tree = _fit_tree(X, r, depth, K, sink)
+            assert tree == fit_tree_scalar(X, r, depth, K, expect_sink), f"seed {seed}"
+            assert np.array_equal(sink, expect_sink), f"seed {seed}"
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
@@ -248,6 +309,13 @@ class TestCrossValidation:
         assert set(result["per_class"]) == {0, 1, 2}
         for stats in result["per_class"].values():
             assert set(stats) == {"precision", "recall", "f1", "support"}
+
+    def test_empty_fold_scores_zero(self):
+        # classes of 3 and 2 rows deal nothing to folds 3 and 4
+        with pytest.warns(UserWarning, match="fewer than"):
+            result = cross_validate(np.arange(10.).reshape(5, 2), [0, 0, 0, 1, 1],
+                                    folds=5, n_estimators=3)
+        assert result["fold_accuracy"][3:] == [0.0, 0.0]
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="folds"):
