@@ -4,6 +4,10 @@ All formats are line-oriented text (JSON lines or comma-delimited with a
 header) so intermediates stay auditable and diffable.  Floats are written
 with shortest round-trip repr, which makes save → load bit-exact.
 
+``ARTIFACTS`` is the one description of a procedure directory's layout,
+and each format is read and written here only.  A malformed record
+raises ``ParseError`` naming the file and line.
+
 Loaders are pure functions of file content and never mutate their inputs.
 """
 
@@ -13,7 +17,7 @@ import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,6 +39,34 @@ PathLike = Union[str, Path]
 
 APPEARANCE_NORM_TOL = 1e-6
 
+# procedure-directory layout: key -> (file name, stage that writes it);
+# features.csv also gets its save_matrix sidecar, features.csv.meta.json
+ARTIFACTS: dict[str, tuple[str, str]] = {
+    "meta": ("meta.json", "synth"),
+    "detections": ("detections.jsonl", "synth"),
+    "truth": ("truth.jsonl", "synth"),
+    "tips_truth": ("tips_truth.csv", "synth"),
+    "labels": ("labels.csv", "synth"),
+    "boundaries_truth": ("boundaries_truth.csv", "synth"),
+    "candidates": ("tip_candidates.jsonl", "synth"),
+    "references": ("reference_descriptors.json", "synth"),
+    "scores": ("scores.csv", "synth"),
+    "track_rows": ("track_rows.jsonl", "track"),
+    "refined": ("refined_tracks.jsonl", "track"),
+    "tips": ("tips.csv", "tips"),
+    "tips_classes": ("tips_classes.json", "tips"),
+    "features": ("features.csv", "features"),
+    "presence": ("presence.csv", "features"),
+    "novelty": ("novelty.csv", "segment"),
+    "boundaries": ("boundaries.csv", "segment"),
+    "segments": ("segments.csv", "cluster"),
+    "pred_labels": ("predicted_labels.csv", "cluster"),
+    "eval": ("eval.json", "eval"),
+    "skill_pred": ("skill_predictions.json", "predict-skill"),
+    "report_txt": ("report.txt", "report"),
+    "report_json": ("report.json", "report"),
+}
+
 
 class ParseError(ValueError):
     """Malformed record; carries the 1-based line number."""
@@ -46,13 +78,96 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line_no}: {reason}")
 
 
+# what a record -> value mapping raises on a missing, mistyped or
+# out-of-range field
+_ROW_ERRORS = (KeyError, ValueError, TypeError, IndexError)
+
+
 def _fmt(value: float) -> str:
     # repr of a Python float is the shortest string that round-trips.
     return repr(float(value))
 
 
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(", ", ": "))
+_json_line = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
+
+
+def _read_jsonl(path: PathLike, parse: Callable[[dict], object]) -> list:
+    """``parse(record)`` for each nonblank line of a JSON-lines file."""
+    out = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                out.append(parse(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+            except _ROW_ERRORS as exc:
+                reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                raise ParseError(path, line_no, reason) from exc
+    return out
+
+
+def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_json_line(rec) + "\n" for rec in records)
+
+
+def _read_csv(path: PathLike, header: Optional[list[str]],
+              parse: Callable[[list[str]], object]) -> tuple[list[str], list]:
+    """(header, ``parse(row)`` for each nonblank row) of a delimited file.
+
+    ``header`` is the required first line, or None to accept any; every
+    row must have as many fields as the header.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got is None or (header is not None and got != header):
+            raise ParseError(path, 1, f"expected header {header or 'line'}, got {got}")
+        out, width = [], len(got)
+        for row in reader:
+            if not row:
+                continue
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} fields under a {width}-column header")
+                out.append(parse(row))
+            except _ROW_ERRORS as exc:
+                raise ParseError(path, reader.line_num, f"bad row {row!r}: {exc}") from exc
+    return got, out
+
+
+def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_json(path: PathLike):
+    """One JSON document, as written by :func:`_write_json`."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+
+
+def _write_json(path: PathLike, obj) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
+def _box_fields(bbox: BBox) -> dict:
+    x, y, w, h = bbox
+    return {"x": float(x), "y": float(y), "w": float(w), "h": float(h)}
+
+
+def _bbox_of(rec: dict) -> BBox:
+    return (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
 
 
 # ---------------------------------------------------------------------------
@@ -78,27 +193,17 @@ def load_detections(path: PathLike, *, strict_order: bool = False) -> list[Detec
         On malformed JSON, unknown class names, bound violations, or a
         non-unit appearance vector; the message carries the line number.
     """
-    out: list[Detection] = []
     prev_frame = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            try:
-                det = _detection_from_record(rec)
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            if strict_order and prev_frame is not None and det.frame < prev_frame:
-                raise ParseError(
-                    path, line_no,
-                    f"frame {det.frame} after frame {prev_frame} (non-monotone)")
-            prev_frame = det.frame
-            out.append(det)
+
+    def parse(rec: dict) -> Detection:
+        nonlocal prev_frame
+        det = _detection_from_record(rec)
+        if strict_order and prev_frame is not None and det.frame < prev_frame:
+            raise ValueError(f"frame {det.frame} after frame {prev_frame} (non-monotone)")
+        prev_frame = det.frame
+        return det
+
+    out = _read_jsonl(path, parse)
     out.sort(key=lambda d: d.frame)  # stable: preserves in-frame order
     return out
 
@@ -108,7 +213,7 @@ def _detection_from_record(rec: dict) -> Detection:
     if frame < 0:
         raise ValueError(f"negative frame index {frame}")
     cls = InstrumentClass(rec["class"])
-    bbox = (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
+    bbox = _bbox_of(rec)
     if not all(np.isfinite(bbox)):
         raise ValueError(f"non-finite bbox {bbox}")
     if bbox[2] <= 0 or bbox[3] <= 0:
@@ -129,18 +234,14 @@ def _detection_from_record(rec: dict) -> Detection:
 
 
 def save_detections(detections: Iterable[Detection], path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for det in detections:
-            x, y, w, h = det.bbox
-            rec = {
-                "frame": det.frame,
-                "class": det.class_id.value,
-                "x": float(x), "y": float(y), "w": float(w), "h": float(h),
-                "conf": float(det.confidence),
-            }
-            if det.appearance is not None:
-                rec["appearance"] = [float(v) for v in det.appearance]
-            fh.write(_json_line(rec) + "\n")
+    def record(det: Detection) -> dict:
+        rec = {"frame": det.frame, "class": det.class_id.value,
+               **_box_fields(det.bbox), "conf": float(det.confidence)}
+        if det.appearance is not None:
+            rec["appearance"] = [float(v) for v in det.appearance]
+        return rec
+
+    _write_jsonl(path, map(record, detections))
 
 
 @dataclass
@@ -196,6 +297,8 @@ def validate_stream(stream: Sequence[Detection]) -> StreamReport:
     return report
 
 
+
+
 # ---------------------------------------------------------------------------
 # tip trajectories
 
@@ -204,17 +307,18 @@ TIPS_HEADER = ["frame", "instrument_id", "present", "x", "y"]
 
 def save_tips(trajectories: Sequence[TipTrajectory], path: PathLike) -> None:
     """Write trajectories as `frame, instrument_id, present, x, y` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIPS_HEADER)
-        T = max((len(tr) for tr in trajectories), default=0)
+    T = max((len(tr) for tr in trajectories), default=0)
+
+    def rows():
         for frame in range(T):
             for tr in trajectories:
                 p = tr.points[frame] if frame < len(tr) else None
                 if p is None:
-                    writer.writerow([frame, tr.instrument_id, 0, "0.0", "0.0"])
+                    yield [frame, tr.instrument_id, 0, "0.0", "0.0"]
                 else:
-                    writer.writerow([frame, tr.instrument_id, 1, _fmt(p[0]), _fmt(p[1])])
+                    yield [frame, tr.instrument_id, 1, _fmt(p[0]), _fmt(p[1])]
+
+    _write_csv(path, TIPS_HEADER, rows())
 
 
 def load_tips(path: PathLike, *, fps: float,
@@ -226,29 +330,20 @@ def load_tips(path: PathLike, *, fps: float,
     if fps <= 0:
         raise ValueError(f"fps must be positive, got {fps}")
     points: dict[int, dict[int, Optional[tuple[float, float]]]] = {}
-    max_frame = -1
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TIPS_HEADER:
-            raise ParseError(path, 1, f"expected header {TIPS_HEADER}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                frame = int(row[0])
-                inst = int(row[1])
-                present = int(row[2])
-                x, y = float(row[3]), float(row[4])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(path, line_no, f"bad row {row!r}") from exc
-            if present and not (np.isfinite(x) and np.isfinite(y)):
-                raise ParseError(path, line_no, "non-finite tip position")
-            points.setdefault(inst, {})[frame] = (x, y) if present else None
-            max_frame = max(max_frame, frame)
+
+    def add(row: list[str]) -> int:
+        frame, inst, present = int(row[0]), int(row[1]), int(row[2])
+        x, y = float(row[3]), float(row[4])
+        if present and not (np.isfinite(x) and np.isfinite(y)):
+            raise ValueError("non-finite tip position")
+        points.setdefault(inst, {})[frame] = (x, y) if present else None
+        return frame
+
+    _, frames = _read_csv(path, TIPS_HEADER, add)
+    n_frames = max(frames, default=-1) + 1
     out = []
     for inst in sorted(points):
-        pts: list[Optional[tuple[float, float]]] = [None] * (max_frame + 1)
+        pts: list[Optional[tuple[float, float]]] = [None] * n_frames
         for frame, p in points[inst].items():
             pts[frame] = p
         cls = class_map.get(inst) if class_map else None
@@ -261,28 +356,14 @@ def load_tips(path: PathLike, *, fps: float,
 
 
 def save_labels(labels: Sequence[ActionClass], path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "action"])
-        for frame, action in enumerate(labels):
-            writer.writerow([frame, ActionClass(action).value])
+    _write_csv(path, ["frame", "action"],
+               ([frame, ActionClass(action).value] for frame, action in enumerate(labels)))
 
 
 def load_labels(path: PathLike) -> list[ActionClass]:
     """Read per-frame action labels; frames must cover [0, T) exactly."""
-    rows: list[tuple[int, ActionClass]] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame", "action"]:
-            raise ParseError(path, 1, f"expected header ['frame', 'action'], got {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((int(row[0]), ActionClass(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise ParseError(path, line_no, f"bad row {row!r}") from exc
+    _, rows = _read_csv(path, ["frame", "action"],
+                        lambda row: (int(row[0]), ActionClass(row[1])))
     rows.sort(key=lambda r: r[0])
     frames = [f for f, _ in rows]
     if frames != list(range(len(frames))):
@@ -291,34 +372,20 @@ def load_labels(path: PathLike) -> list[ActionClass]:
 
 
 def save_scores(scores: Iterable[SkillScore], path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["procedure_id", "action_type", "score"])
-        for s in scores:
-            writer.writerow([s.procedure_id, s.action_type.value, _fmt(s.score)])
+    _write_csv(path, ["procedure_id", "action_type", "score"],
+               ([s.procedure_id, s.action_type.value, _fmt(s.score)] for s in scores))
 
 
 def load_scores(path: PathLike) -> list[SkillScore]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["procedure_id", "action_type", "score"]:
-            raise ParseError(path, 1, f"unexpected header {header}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                action = ActionClass(row[1])
-                score = float(row[2])
-            except (ValueError, IndexError) as exc:
-                raise ParseError(path, line_no, f"bad row {row!r}") from exc
-            if action not in (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING):
-                raise ParseError(path, line_no, f"scores not defined for action {action}")
-            if not 1.0 <= score <= 5.0:
-                raise ParseError(path, line_no, f"score {score} outside [1, 5]")
-            out.append(SkillScore(procedure_id=row[0], action_type=action, score=score))
-    return out
+    def parse(row: list[str]) -> SkillScore:
+        action, score = ActionClass(row[1]), float(row[2])
+        if action not in (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING):
+            raise ValueError(f"scores not defined for action {action}")
+        if not 1.0 <= score <= 5.0:
+            raise ValueError(f"score {score} outside [1, 5]")
+        return SkillScore(procedure_id=row[0], action_type=action, score=score)
+
+    return _read_csv(path, ["procedure_id", "action_type", "score"], parse)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -327,119 +394,65 @@ def load_scores(path: PathLike) -> list[SkillScore]:
 
 def save_track_rows(rows: Iterable[TrackObservation], path: PathLike) -> None:
     """Raw tracker output, one observation per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            x, y, w, h = r.bbox
-            rec = {
-                "frame": r.frame, "object_id": r.object_id,
-                "class": r.class_id.value,
-                "x": float(x), "y": float(y), "w": float(w), "h": float(h),
-                "det_index": r.det_index,
-            }
-            fh.write(_json_line(rec) + "\n")
+    _write_jsonl(path, ({"frame": r.frame, "object_id": r.object_id,
+                         "class": r.class_id.value, **_box_fields(r.bbox),
+                         "det_index": r.det_index} for r in rows))
 
 
 def load_track_rows(path: PathLike) -> list[TrackObservation]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                det_index = rec.get("det_index")
-                out.append(TrackObservation(
-                    frame=int(rec["frame"]),
-                    object_id=int(rec["object_id"]),
-                    class_id=InstrumentClass(rec["class"]),
-                    bbox=(float(rec["x"]), float(rec["y"]),
-                          float(rec["w"]), float(rec["h"])),
-                    det_index=None if det_index is None else int(det_index),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+    def parse(rec: dict) -> TrackObservation:
+        det_index = rec.get("det_index")
+        return TrackObservation(
+            frame=int(rec["frame"]), object_id=int(rec["object_id"]),
+            class_id=InstrumentClass(rec["class"]), bbox=_bbox_of(rec),
+            det_index=None if det_index is None else int(det_index))
+
+    out = _read_jsonl(path, parse)
     out.sort(key=lambda r: r.frame)
     return out
 
 
 def save_refined_tracks(tracks: Sequence[RefinedTrack], path: PathLike) -> None:
     """Line-delimited `{frame, object_id, class, x, y, w, h, provenance}`."""
-    rows = []
-    for tr in tracks:
-        for frame in tr.frames():
-            x, y, w, h = tr.boxes[frame]
-            rows.append({
-                "frame": frame, "object_id": tr.object_id,
-                "class": tr.class_id.value,
-                "x": float(x), "y": float(y), "w": float(w), "h": float(h),
-                "provenance": tr.provenance[frame].value,
-            })
+    rows = [{"frame": frame, "object_id": tr.object_id, "class": tr.class_id.value,
+             **_box_fields(tr.boxes[frame]), "provenance": tr.provenance[frame].value}
+            for tr in tracks for frame in tr.frames()]
     rows.sort(key=lambda r: (r["frame"], r["object_id"]))
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in rows:
-            fh.write(_json_line(rec) + "\n")
+    _write_jsonl(path, rows)
 
 
 def load_refined_tracks(path: PathLike) -> list[RefinedTrack]:
     by_id: dict[int, RefinedTrack] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                oid = int(rec["object_id"])
-                cls = InstrumentClass(rec["class"])
-                frame = int(rec["frame"])
-                bbox = (float(rec["x"]), float(rec["y"]),
-                        float(rec["w"]), float(rec["h"]))
-                prov = Provenance(rec["provenance"])
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-            tr = by_id.setdefault(oid, RefinedTrack(object_id=oid, class_id=cls))
-            if tr.class_id != cls:
-                raise ParseError(path, line_no,
-                                 f"object {oid} has conflicting classes "
-                                 f"{tr.class_id.value} and {cls.value}")
-            if frame in tr.boxes:
-                raise ParseError(path, line_no, f"object {oid} repeats frame {frame}")
-            tr.boxes[frame] = bbox
-            tr.provenance[frame] = prov
+
+    def add(rec: dict) -> None:
+        oid = int(rec["object_id"])
+        cls = InstrumentClass(rec["class"])
+        frame = int(rec["frame"])
+        bbox = _bbox_of(rec)
+        prov = Provenance(rec["provenance"])
+        tr = by_id.setdefault(oid, RefinedTrack(object_id=oid, class_id=cls))
+        if tr.class_id != cls:
+            raise ValueError(f"object {oid} has conflicting classes "
+                             f"{tr.class_id.value} and {cls.value}")
+        if frame in tr.boxes:
+            raise ValueError(f"object {oid} repeats frame {frame}")
+        tr.boxes[frame] = bbox
+        tr.provenance[frame] = prov
+
+    _read_jsonl(path, add)
     return [by_id[k] for k in sorted(by_id)]
 
 
 def save_truth_instances(rows: Iterable[TruthInstance], path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            x, y, w, h = r.bbox
-            rec = {
-                "frame": r.frame, "object_id": r.object_id,
-                "class": r.class_id.value,
-                "x": float(x), "y": float(y), "w": float(w), "h": float(h),
-            }
-            fh.write(_json_line(rec) + "\n")
+    _write_jsonl(path, ({"frame": r.frame, "object_id": r.object_id,
+                         "class": r.class_id.value, **_box_fields(r.bbox)}
+                        for r in rows))
 
 
 def load_truth_instances(path: PathLike) -> list[TruthInstance]:
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(TruthInstance(
-                    frame=int(rec["frame"]),
-                    object_id=int(rec["object_id"]),
-                    class_id=InstrumentClass(rec["class"]),
-                    bbox=(float(rec["x"]), float(rec["y"]),
-                          float(rec["w"]), float(rec["h"])),
-                ))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
+    out = _read_jsonl(path, lambda rec: TruthInstance(
+        frame=int(rec["frame"]), object_id=int(rec["object_id"]),
+        class_id=InstrumentClass(rec["class"]), bbox=_bbox_of(rec)))
     out.sort(key=lambda r: (r.frame, r.object_id))
     return out
 
@@ -452,58 +465,38 @@ def save_tip_candidates(candidates: dict[tuple[int, int], TipCandidateSet],
                         path: PathLike) -> None:
     """One record per (frame, object_id); candidates are crop-local and
     the crop box travels with them when known."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (frame, oid) in sorted(candidates):
-            cset = candidates[(frame, oid)]
-            cands = [
-                {"x": float(x), "y": float(y), "descriptor": [float(v) for v in d]}
-                for x, y, d in cset.candidates
-            ]
-            rec = {"frame": frame, "object_id": oid, "candidates": cands}
-            if cset.bbox is not None:
-                bx, by, bw, bh = cset.bbox
-                rec.update(x=float(bx), y=float(by), w=float(bw), h=float(bh))
-            fh.write(_json_line(rec) + "\n")
+    def record(key: tuple[int, int]) -> dict:
+        cset = candidates[key]
+        rec = {"frame": key[0], "object_id": key[1], "candidates": [
+            {"x": float(x), "y": float(y), "descriptor": [float(v) for v in d]}
+            for x, y, d in cset.candidates]}
+        if cset.bbox is not None:
+            rec.update(_box_fields(cset.bbox))
+        return rec
+
+    _write_jsonl(path, map(record, sorted(candidates)))
 
 
 def load_tip_candidates(path: PathLike) -> dict[tuple[int, int], TipCandidateSet]:
-    out: dict[tuple[int, int], TipCandidateSet] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                key = (int(rec["frame"]), int(rec["object_id"]))
-                cands = [
-                    (float(c["x"]), float(c["y"]),
-                     np.asarray(c["descriptor"], dtype=np.float64))
-                    for c in rec["candidates"]
-                ]
-                bbox = None
-                if "x" in rec:
-                    bbox = (float(rec["x"]), float(rec["y"]),
-                            float(rec["w"]), float(rec["h"]))
-                out[key] = TipCandidateSet(candidates=cands, bbox=bbox)
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise ParseError(path, line_no, str(exc)) from exc
-    return out
+    def parse(rec: dict) -> tuple[tuple[int, int], TipCandidateSet]:
+        key = (int(rec["frame"]), int(rec["object_id"]))
+        cands = [(float(c["x"]), float(c["y"]),
+                  np.asarray(c["descriptor"], dtype=np.float64))
+                 for c in rec["candidates"]]
+        bbox = _bbox_of(rec) if "x" in rec else None
+        return key, TipCandidateSet(candidates=cands, bbox=bbox)
+
+    return dict(_read_jsonl(path, parse))
 
 
 def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
                                path: PathLike) -> None:
-    obj = {cls.value: [float(v) for v in vec] for cls, vec in refs.items()}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    _write_json(path, {cls.value: [float(v) for v in vec] for cls, vec in refs.items()})
 
 
 def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
     out = {}
-    for name, vec in obj.items():
+    for name, vec in _read_json(path).items():
         arr = np.asarray(vec, dtype=np.float64)
         if arr.ndim != 1 or not np.any(arr):
             raise ValueError(f"{path}: descriptor for {name!r} must be a nonzero vector")
@@ -522,48 +515,26 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise ValueError(f"matrix shape {X.shape} does not match "
                          f"{len(feature_names)} feature names")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(feature_names))
-        for row in X:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, list(feature_names), ([_fmt(v) for v in row] for row in X))
     if meta is not None:
-        with open(str(path) + ".meta.json", "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        _write_json(str(path) + ".meta.json", meta)
 
 
 def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str], Optional[dict]]:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ParseError(path, 1, "empty matrix file")
-        rows = [[float(v) for v in row] for row in reader if row]
+    header, rows = _read_csv(path, None, lambda row: list(map(float, row)))
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    meta = None
     meta_path = Path(str(path) + ".meta.json")
-    if meta_path.exists():
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    return X, list(header), meta
+    meta = _read_json(meta_path) if meta_path.exists() else None
+    return X, header, meta
 
 
 def save_novelty(novelty: np.ndarray, path: PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["frame", "N"])
-        for frame, value in enumerate(novelty):
-            writer.writerow([frame, _fmt(value)])
+    _write_csv(path, ["frame", "N"],
+               ([frame, _fmt(value)] for frame, value in enumerate(novelty)))
 
 
 def load_novelty(path: PathLike) -> np.ndarray:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["frame", "N"]:
-            raise ParseError(path, 1, f"unexpected header {header}")
-        values = [float(row[1]) for row in reader if row]
+    _, values = _read_csv(path, ["frame", "N"], lambda row: float(row[1]))
     return np.asarray(values, dtype=np.float64)
 
 
@@ -571,26 +542,14 @@ def save_boundaries(taus: Sequence[int], prominences: Sequence[float],
                     path: PathLike) -> None:
     if len(taus) != len(prominences):
         raise ValueError("taus and prominences differ in length")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["tau", "prominence"])
-        for tau, prom in zip(taus, prominences):
-            writer.writerow([int(tau), _fmt(prom)])
+    _write_csv(path, ["tau", "prominence"],
+               ([int(tau), _fmt(prom)] for tau, prom in zip(taus, prominences)))
 
 
 def load_boundaries(path: PathLike) -> tuple[list[int], list[float]]:
-    taus, proms = [], []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["tau", "prominence"]:
-            raise ParseError(path, 1, f"unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            taus.append(int(row[0]))
-            proms.append(float(row[1]))
-    return taus, proms
+    _, rows = _read_csv(path, ["tau", "prominence"],
+                        lambda row: (int(row[0]), float(row[1])))
+    return [tau for tau, _ in rows], [prom for _, prom in rows]
 
 
 SEGMENTS_HEADER = ["index", "start_frame", "end_frame", "cluster", "action",
@@ -599,30 +558,13 @@ SEGMENTS_HEADER = ["index", "start_frame", "end_frame", "cluster", "action",
 
 def save_segments(rows: Sequence[dict], path: PathLike) -> None:
     """`index, start_frame, end_frame, cluster, action, duration_s` rows."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEGMENTS_HEADER)
-        for r in rows:
-            writer.writerow([r["index"], r["start_frame"], r["end_frame"],
-                             r["cluster"], str(r["action"]), _fmt(r["duration_s"])])
+    _write_csv(path, SEGMENTS_HEADER, ([r["index"], r["start_frame"], r["end_frame"],
+                                        r["cluster"], str(r["action"]), _fmt(r["duration_s"])]
+                                       for r in rows))
 
 
 def load_segments(path: PathLike) -> list[dict]:
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != SEGMENTS_HEADER:
-            raise ParseError(path, 1, f"unexpected header {header}")
-        for row in reader:
-            if not row:
-                continue
-            out.append({
-                "index": int(row[0]),
-                "start_frame": int(row[1]),
-                "end_frame": int(row[2]),
-                "cluster": int(row[3]),
-                "action": row[4],
-                "duration_s": float(row[5]),
-            })
-    return out
+    return _read_csv(path, SEGMENTS_HEADER, lambda row: {
+        "index": int(row[0]), "start_frame": int(row[1]), "end_frame": int(row[2]),
+        "cluster": int(row[3]), "action": row[4], "duration_s": float(row[5]),
+    })[1]

@@ -10,7 +10,6 @@ config seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -35,56 +34,6 @@ from .synth import (SLOPPINESS_BY_LEVEL, generate, paper_shaped_script,
 from .tracking import (InstrumentTracker, iou, localize_tip, refine_identity,
                        recovery_correction_rates)
 
-FILES = {
-    "meta": "meta.json",
-    "detections": "detections.jsonl",
-    "truth": "truth.jsonl",
-    "tips_truth": "tips_truth.csv",
-    "labels": "labels.csv",
-    "boundaries_truth": "boundaries_truth.csv",
-    "candidates": "tip_candidates.jsonl",
-    "references": "reference_descriptors.json",
-    "scores": "scores.csv",
-    "track_rows": "track_rows.jsonl",
-    "refined": "refined_tracks.jsonl",
-    "tips": "tips.csv",
-    "tips_classes": "tips_classes.json",
-    "features": "features.csv",
-    "presence": "presence.csv",
-    "novelty": "novelty.csv",
-    "boundaries": "boundaries.csv",
-    "segments": "segments.csv",
-    "pred_labels": "predicted_labels.csv",
-    "eval": "eval.json",
-    "skill_pred": "skill_predictions.json",
-    "report_txt": "report.txt",
-    "report_json": "report.json",
-}
-
-# which stage produces each file, for missing-input diagnostics
-PRODUCER = {
-    "meta": "synth",
-    "detections": "synth",
-    "truth": "synth",
-    "labels": "synth",
-    "boundaries_truth": "synth",
-    "candidates": "synth",
-    "references": "synth",
-    "scores": "synth",
-    "track_rows": "track",
-    "refined": "track",
-    "tips": "tips",
-    "tips_classes": "tips",
-    "features": "features",
-    "presence": "features",
-    "novelty": "segment",
-    "boundaries": "segment",
-    "segments": "cluster",
-    "pred_labels": "cluster",
-    "eval": "eval",
-    "skill_pred": "predict-skill",
-}
-
 # action types that receive expert scores; skill training and prediction
 # are restricted to segments of these classes
 RATED_ACTIONS = (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING)
@@ -92,7 +41,7 @@ RATED_ACTIONS = (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING)
 
 class MissingInput(FileNotFoundError):
     def __init__(self, path, key: str):
-        producer = PRODUCER.get(key, "an upstream")
+        producer = io.ARTIFACTS[key][1]
         super().__init__(
             f"missing {path}; run the '{producer}' stage first "
             "(or supply the file)")
@@ -101,7 +50,7 @@ class MissingInput(FileNotFoundError):
 
 
 def _path(proc_dir, key: str) -> Path:
-    return Path(proc_dir) / FILES[key]
+    return Path(proc_dir) / io.ARTIFACTS[key][0]
 
 
 def _require(proc_dir, key: str) -> Path:
@@ -111,15 +60,8 @@ def _require(proc_dir, key: str) -> Path:
     return p
 
 
-def _write_json(obj, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def _load_meta(proc_dir) -> dict:
-    with open(_require(proc_dir, "meta"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    meta = io._read_json(_require(proc_dir, "meta"))
     for key in ("fps", "n_frames"):
         if key not in meta:
             raise ValueError(f"{_path(proc_dir, 'meta')}: missing {key!r}")
@@ -150,7 +92,7 @@ def stage_synth(out_dir, cfg: PipelineConfig,
         "n_frames": proc.n_frames,
         "seed": cfg.seed,
     }
-    _write_json(meta, _path(out_dir, "meta"))
+    io._write_json(_path(out_dir, "meta"), meta)
     return {"n_frames": proc.n_frames, "n_detections": len(proc.detections),
             "procedure_id": meta["procedure_id"]}
 
@@ -300,17 +242,16 @@ def stage_tips(proc_dir, cfg: PipelineConfig) -> dict:
             fps=float(meta["fps"]), class_id=cls))
 
     io.save_tips(trajectories, _path(proc_dir, "tips"))
-    _write_json({str(tr.instrument_id): tr.class_id.value for tr in trajectories},
-                _path(proc_dir, "tips_classes"))
+    io._write_json(_path(proc_dir, "tips_classes"),
+                   {str(tr.instrument_id): tr.class_id.value for tr in trajectories})
     return {"n_trajectories": len(trajectories), "n_localized": n_localized}
 
 
 def stage_features(proc_dir, cfg: PipelineConfig) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
     meta = _load_meta(proc_dir)
-    with open(_require(proc_dir, "tips_classes"), "r", encoding="utf-8") as fh:
-        class_map = {int(k): InstrumentClass(v)
-                     for k, v in json.load(fh).items()}
+    class_map = {int(k): InstrumentClass(v) for k, v in
+                 io._read_json(_require(proc_dir, "tips_classes")).items()}
     trajectories = io.load_tips(_require(proc_dir, "tips"),
                                 fps=float(meta["fps"]), class_map=class_map)
     f = cfg.features
@@ -449,7 +390,7 @@ def stage_eval(proc_dir, cfg: PipelineConfig) -> dict:
                                            iou_threshold=cfg.tracking.iou_gate)
         result["tracking"] = {"recovery_rate": rr, "correction_rate": cr}
 
-    _write_json(result, _path(proc_dir, "eval"))
+    io._write_json(_path(proc_dir, "eval"), result)
     return result
 
 
@@ -531,7 +472,7 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
         summary["cv_skipped"] = (f"{n_classes} class(es), {len(y)} rows; "
                                  f"need >= 2 classes and >= {k.folds} rows")
     if summary_path is not None:
-        _write_json(summary, summary_path)
+        io._write_json(summary_path, summary)
     return summary
 
 
@@ -563,7 +504,7 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path) -> dict:
         summary[action] = {"level": str(SkillLevel(-votes[0][1])),
                            "n_segments": len(levels)}
     out = {"segments": per_segment, "summary": summary}
-    _write_json(out, _path(proc_dir, "skill_pred"))
+    io._write_json(_path(proc_dir, "skill_pred"), out)
     return out
 
 
@@ -596,14 +537,11 @@ def stage_report(proc_dir, cfg: PipelineConfig) -> dict:
     segs = io.load_segments(_require(proc_dir, "segments"))
     X, _, sidecar = io.load_matrix(_require(proc_dir, "features"))
 
-    eval_result = None
+    eval_result = skill = None
     if _path(proc_dir, "eval").exists():
-        with open(_path(proc_dir, "eval"), "r", encoding="utf-8") as fh:
-            eval_result = json.load(fh)
-    skill = None
+        eval_result = io._read_json(_path(proc_dir, "eval"))
     if _path(proc_dir, "skill_pred").exists():
-        with open(_path(proc_dir, "skill_pred"), "r", encoding="utf-8") as fh:
-            skill = json.load(fh)
+        skill = io._read_json(_path(proc_dir, "skill_pred"))
     pred_ribbon = None
     if _path(proc_dir, "pred_labels").exists():
         pred_ribbon = [a.value for a in
@@ -675,7 +613,7 @@ def stage_report(proc_dir, cfg: PipelineConfig) -> dict:
         "metrics": eval_result,
         "skill": skill,
     }
-    _write_json(report, _path(proc_dir, "report_json"))
+    io._write_json(_path(proc_dir, "report_json"), report)
     return {"report_txt": str(_path(proc_dir, "report_txt")),
             "report_json": str(_path(proc_dir, "report_json"))}
 

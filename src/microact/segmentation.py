@@ -320,7 +320,6 @@ class NoveltyBoundaryDetector(ParamsMixin):
     novelty_floor : below this max|N| the curve counts as flat and no
         boundaries are returned; guards constant inputs whose novelty is
         pure rounding noise
-    full_matrix_cap : dense-matrix size guard for the optional export path
 
     Attributes (after fit)
     ----------------------
@@ -333,14 +332,12 @@ class NoveltyBoundaryDetector(ParamsMixin):
 
     def __init__(self, half_width: int = 10, sigma: Optional[float] = None,
                  prominence_frac: float = 0.3, min_distance: int = 5,
-                 novelty_floor: float = 1e-8,
-                 full_matrix_cap: int = DEFAULT_FULL_MATRIX_CAP):
+                 novelty_floor: float = 1e-8):
         self.half_width = half_width
         self.sigma = sigma
         self.prominence_frac = prominence_frac
         self.min_distance = min_distance
         self.novelty_floor = novelty_floor
-        self.full_matrix_cap = full_matrix_cap
 
     def fit(self, X, y=None):
         X = check_array(X, name="X")

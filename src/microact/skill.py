@@ -172,6 +172,8 @@ class SkillGradientBoosting(ParamsMixin):
 
     def fit(self, X, y):
         X = check_array(X, name="X")
+        if X.shape[1] == 0:
+            raise ValueError("X has no feature columns")
         y = np.asarray(y)
         if y.ndim != 1 or y.shape[0] != X.shape[0]:
             raise ValueError("y must be 1-D and aligned with X")
@@ -362,9 +364,9 @@ def cross_validate(X, y, *, folds: int = 5, seed: int = 0,
                    max_depth: int = 3) -> dict:
     """Stratified k-fold CV of the booster.
 
-    Returns per-fold accuracies, pooled accuracy over all held-out
-    predictions, and pooled per-class precision/recall/F1.  Deterministic
-    given the seed.
+    Returns per-fold accuracies (None for a fold that drew no rows),
+    pooled accuracy over all held-out predictions, and pooled per-class
+    precision/recall/F1.  Deterministic given the seed.
     """
     X = check_array(X, name="X")
     y = np.asarray([int(v) for v in y])
@@ -378,7 +380,7 @@ def cross_validate(X, y, *, folds: int = 5, seed: int = 0,
     for f in range(folds):
         test = assignment == f
         if not test.any():  # tiny classes can leave a fold empty
-            fold_acc.append(0.0)
+            fold_acc.append(None)
             continue
         model = SkillGradientBoosting(
             n_estimators=n_estimators, learning_rate=learning_rate,

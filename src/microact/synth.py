@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -370,21 +371,12 @@ def generate(script: ProcedureScript,
 
 
 def write_procedure(proc: SyntheticProcedure, out_dir) -> dict[str, str]:
-    """Emit every pipeline file format for one procedure."""
-    from pathlib import Path
-
+    """Emit every synth-produced artifact but meta.json for one procedure;
+    returns their paths by artifact key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "detections": out / "detections.jsonl",
-        "truth": out / "truth.jsonl",
-        "tips_truth": out / "tips_truth.csv",
-        "labels": out / "labels.csv",
-        "boundaries_truth": out / "boundaries_truth.csv",
-        "candidates": out / "tip_candidates.jsonl",
-        "references": out / "reference_descriptors.json",
-        "scores": out / "scores.csv",
-    }
+    paths = {key: str(out / name) for key, (name, stage) in io.ARTIFACTS.items()
+             if stage == "synth" and key != "meta"}
     io.save_detections(proc.detections, paths["detections"])
     io.save_truth_instances(proc.truth, paths["truth"])
     io.save_tips(proc.trajectories, paths["tips_truth"])
@@ -395,7 +387,7 @@ def write_procedure(proc: SyntheticProcedure, out_dir) -> dict[str, str]:
     io.save_reference_descriptors(proc.reference_descriptors,
                                   paths["references"])
     io.save_scores(proc.scores, paths["scores"])
-    return {k: str(v) for k, v in paths.items()}
+    return paths
 
 
 def script_for_level(level: SkillLevel, seed: int,

@@ -321,22 +321,6 @@ class InstrumentTracker:
 # --- Identity repair -------------------------------------------------------
 
 @dataclass
-class IdentityLedger:
-    """Summary of object lifetimes used by the repair pass."""
-
-    objects: dict = field(default_factory=dict)       # id -> (class, first, last)
-    active_by_class: dict = field(default_factory=dict)  # class -> last object id
-
-    def record(self, object_id: int, cls: InstrumentClass, frame: int) -> None:
-        if object_id in self.objects:
-            c, first, last = self.objects[object_id]
-            self.objects[object_id] = (cls, first, max(last, frame))
-        else:
-            self.objects[object_id] = (cls, frame, frame)
-        self.active_by_class[cls] = object_id
-
-
-@dataclass
 class _Row:
     frame: int
     object_id: int
@@ -413,11 +397,12 @@ def refine_identity(stream: Union[Sequence[TrackObservation],
             oid = alias[oid]
         return oid
 
-    ledger = IdentityLedger()
+    # surviving object id -> (class, first frame, last detected frame)
+    objects: dict[int, tuple[InstrumentClass, int, int]] = {}
     for oid in sorted(by_object, key=lambda o: (first_seen[o], o)):
         cls = majority[oid]
         candidates = []
-        for other, (ocls, _, olast) in ledger.objects.items():
+        for other, (ocls, _, olast) in objects.items():
             if ocls != cls:
                 continue
             if olast < first_seen[oid] and first_seen[oid] - olast <= max_gap:
@@ -426,12 +411,10 @@ def refine_identity(stream: Union[Sequence[TrackObservation],
             candidates.sort(reverse=True)  # latest loss first, then lowest id
             target = -candidates[0][1]
             alias[oid] = target
-            c, first, _ = ledger.objects[target]
-            ledger.objects[target] = (c, first, last_det[oid])
-            ledger.active_by_class[c] = target
+            c, first, _ = objects[target]
+            objects[target] = (c, first, last_det[oid])
         else:
-            ledger.record(oid, cls, first_seen[oid])
-            ledger.objects[oid] = (cls, first_seen[oid], last_det[oid])
+            objects[oid] = (cls, first_seen[oid], last_det[oid])
 
     merged: dict[int, list[_Row]] = {}
     for oid, rs in by_object.items():

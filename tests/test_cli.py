@@ -46,6 +46,24 @@ def test_run_all_produces_report(base_proc):
     assert len(rep["ribbons"]["predicted"]) == len(rep["ribbons"]["truth"])
 
 
+def test_every_artifact_is_in_the_table(base_proc):
+    names = {name for name, _ in io.ARTIFACTS.values()}
+    names.add("features.csv.meta.json")  # save_matrix sidecar
+    assert set(snapshot(base_proc)) <= names
+
+
+def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    lines = (d / "segments.csv").read_text().splitlines()
+    lines[2] = lines[2].rsplit(",", 2)[0]  # drop the last two fields
+    (d / "segments.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli("report", d) == 1
+    err = capsys.readouterr().err
+    assert "segments.csv:3:" in err
+    assert "Traceback" not in err
+
+
 def test_stagewise_equals_run_all(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("synth", "--out-dir", a, "--seed", 5) == 0

@@ -329,6 +329,32 @@ class TestCandidatesDescriptors:
             load_reference_descriptors(p)
 
 
+BOX = '"y": 0, "w": 2, "h": 2'
+TRUTH = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + '}'
+TRACK_ROW = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + ', "det_index": 0}'
+
+
+@pytest.mark.parametrize("load, text, line_no", [
+    (load_matrix, "a,b\n1.0,2.0\n3.0\n", 3),
+    (load_matrix, "a,b\n1.0,abc\n", 2),
+    (load_novelty, "frame,N\n0,0.5\n\n2\n", 4),
+    (load_boundaries, "tau,prominence\n10,0.5\nx,0.1\n", 3),
+    (load_segments, "index,start_frame,end_frame,cluster,action,duration_s\n"
+                    "0,0,50,2\n", 2),
+    (load_truth_instances, TRUTH + "\n" + TRUTH.replace('"x": 0', '"x": [0]') + "\n", 2),
+    (load_track_rows, TRACK_ROW.replace('"x": 0', '"x": [0, 1]') + "\n", 1),
+], ids=["matrix-truncated", "matrix-non-numeric", "novelty-truncated",
+        "boundaries-non-numeric", "segments-truncated", "truth-list-x",
+        "track-rows-list-x"])
+def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):
+    p = tmp_path / "artifact"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load(p)
+    assert exc.value.line_no == line_no
+    assert str(exc.value).startswith(f"{p}:{line_no}: ")
+
+
 class TestMatrixCurves:
     def test_matrix_round_trip_with_meta(self, tmp_path):
         X = np.array([[1.0, -2.5], [math.pi, 1e-17]])

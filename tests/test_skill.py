@@ -171,6 +171,10 @@ class TestTraining:
         with pytest.raises(ValueError, match="2 classes"):
             train_gbdt(np.zeros((5, 2)), [1, 1, 1, 1, 1])
 
+    def test_zero_feature_columns_rejected(self):
+        with pytest.raises(ValueError, match="no feature columns"):
+            SkillGradientBoosting(n_estimators=2).fit(np.zeros((4, 0)), [0, 1, 0, 1])
+
     def test_log_loss_nonincreasing_random_datasets(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
@@ -310,12 +314,12 @@ class TestCrossValidation:
         for stats in result["per_class"].values():
             assert set(stats) == {"precision", "recall", "f1", "support"}
 
-    def test_empty_fold_scores_zero(self):
+    def test_empty_fold_has_no_score(self):
         # classes of 3 and 2 rows deal nothing to folds 3 and 4
         with pytest.warns(UserWarning, match="fewer than"):
             result = cross_validate(np.arange(10.).reshape(5, 2), [0, 0, 0, 1, 1],
                                     folds=5, n_estimators=3)
-        assert result["fold_accuracy"][3:] == [0.0, 0.0]
+        assert result["fold_accuracy"][3:] == [None, None]
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError, match="folds"):

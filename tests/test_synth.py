@@ -284,6 +284,14 @@ class TestDeterminismAndFiles:
         report = io.validate_stream(dets)
         assert report.n_records == len(dets)
 
+    def test_write_procedure_keys_follow_artifact_table(self, tmp_path):
+        paths = write_procedure(generate(one_step(ActionClass.CUTTING)), tmp_path)
+        synth_keys = [key for key, (_, stage) in io.ARTIFACTS.items()
+                      if stage == "synth" and key != "meta"]
+        assert list(paths) == synth_keys
+        for key, path in paths.items():
+            assert path == str(tmp_path / io.ARTIFACTS[key][0])
+
     def test_scores_track_sloppiness(self):
         means = {}
         for level, s in SLOPPINESS_BY_LEVEL.items():
