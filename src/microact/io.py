@@ -508,6 +508,11 @@ def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarr
 # matrices, curves, boundaries, segments
 
 
+def sidecar_path(path: PathLike) -> Path:
+    """Where :func:`save_matrix` puts the sidecar of the matrix at ``path``."""
+    return Path(str(path) + ".meta.json")
+
+
 def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
                 meta: Optional[dict] = None) -> None:
     """Delimited matrix with a header row; optional `<path>.meta.json` sidecar."""
@@ -517,13 +522,13 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
                          f"{len(feature_names)} feature names")
     _write_csv(path, list(feature_names), ([_fmt(v) for v in row] for row in X))
     if meta is not None:
-        _write_json(str(path) + ".meta.json", meta)
+        _write_json(sidecar_path(path), meta)
 
 
 def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str], Optional[dict]]:
     header, rows = _read_csv(path, None, lambda row: list(map(float, row)))
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    meta_path = Path(str(path) + ".meta.json")
+    meta_path = sidecar_path(path)
     meta = _read_json(meta_path) if meta_path.exists() else None
     return X, header, meta
 

@@ -6,6 +6,12 @@ chaining stages individually is byte-identical to `run_all` and users
 can swap in real detector output at any handoff point.  No stage writes
 timestamps or machine-dependent values; all randomness flows from the
 config seed.
+
+`run_all` parses each artifact at most once and still writes every file:
+its stages share one in-memory ``memo`` (artifact key -> the value its
+``io.load_*`` returns), filled by the stage that writes or first parses
+an artifact.  A value is kept exactly as its loader would return it from
+the file just written, so a stage computes the same bytes either way.
 """
 
 from __future__ import annotations
@@ -60,12 +66,45 @@ def _require(proc_dir, key: str) -> Path:
     return p
 
 
+def _load(proc_dir, key: str, memo: Optional[dict], loader, **kwargs):
+    """Artifact ``key`` as ``loader`` returns it: from ``memo`` when this
+    run already holds it, else parsed from its file (and kept in ``memo``)."""
+    if memo is None:
+        return loader(_require(proc_dir, key), **kwargs)
+    if key not in memo:
+        memo[key] = loader(_require(proc_dir, key), **kwargs)
+    return memo[key]
+
+
+def _keep(memo: Optional[dict], **values) -> None:
+    """Leave just-written artifacts in ``memo``, each exactly as its
+    loader would read it back."""
+    if memo is not None:
+        memo.update(values)
+
+
+def _checked(doc: dict, path, keys: Sequence[str], within: str = "") -> dict:
+    """``doc`` once it has every key; ``within`` prefixes a nested section."""
+    for key in keys:
+        if key not in doc:
+            raise ValueError(f"{path}: missing {within + key!r}")
+    return doc
+
+
 def _load_meta(proc_dir) -> dict:
-    meta = io._read_json(_require(proc_dir, "meta"))
-    for key in ("fps", "n_frames"):
-        if key not in meta:
-            raise ValueError(f"{_path(proc_dir, 'meta')}: missing {key!r}")
-    return meta
+    return _checked(io._read_json(_require(proc_dir, "meta")),
+                    _path(proc_dir, "meta"), ("fps", "n_frames"))
+
+
+def _load_sidecar(proc_dir, memo: Optional[dict],
+                  keys: Sequence[str]) -> Optional[dict]:
+    """features.csv's sidecar checked for ``keys``, or None without one."""
+    path = io.sidecar_path(_require(proc_dir, "features"))
+    if memo is not None and "features" in memo:
+        sidecar = memo["features"][2]
+    else:
+        sidecar = io._read_json(path) if path.exists() else None
+    return None if sidecar is None else _checked(sidecar, path, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -97,10 +136,10 @@ def stage_synth(out_dir, cfg: PipelineConfig,
             "procedure_id": meta["procedure_id"]}
 
 
-def stage_track(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Detections -> per-frame track rows -> identity-repaired tracks."""
     meta = _load_meta(proc_dir)
-    detections = io.load_detections(_require(proc_dir, "detections"))
+    detections = _load(proc_dir, "detections", memo, io.load_detections)
     t = cfg.tracking
     tracker = InstrumentTracker(
         iou_weight=t.iou_weight, appearance_weight=t.appearance_weight,
@@ -120,8 +159,11 @@ def stage_track(proc_dir, cfg: PipelineConfig) -> dict:
             backed[r.object_id] = backed.get(r.object_id, 0) + 1
     confirmed = [r for r in rows
                  if backed.get(r.object_id, 0) >= t.confirm_hits]
+    # sorted by object id, frame-ordered dicts of float boxes: what
+    # load_refined_tracks builds from the file
     refined = refine_identity(confirmed, max_gap=t.max_gap)
     io.save_refined_tracks(refined, _path(proc_dir, "refined"))
+    _keep(memo, refined=refined)
     report = io.validate_stream(detections)
     return {"n_rows": len(rows), "n_objects": len(refined),
             "detection_gaps": len(report.gaps),
@@ -166,7 +208,7 @@ def _confirmed_frames(track, min_hits: int = 1) -> list[int]:
     return out
 
 
-def stage_tips(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Refined tracks -> one tip trajectory per instrument class.
 
     Tracks fold into class slots because an instrument that leaves the
@@ -183,8 +225,10 @@ def stage_tips(proc_dir, cfg: PipelineConfig) -> dict:
     """
     meta = _load_meta(proc_dir)
     n_frames = int(meta["n_frames"])
-    refined = io.load_refined_tracks(_require(proc_dir, "refined"))
+    refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
 
+    # optional inputs that no other stage reads; the candidates are the
+    # largest input, so they stay out of the memo
     cand_path = _path(proc_dir, "candidates")
     ref_path = _path(proc_dir, "references")
     by_frame: dict[int, list] = {}
@@ -242,18 +286,19 @@ def stage_tips(proc_dir, cfg: PipelineConfig) -> dict:
             fps=float(meta["fps"]), class_id=cls))
 
     io.save_tips(trajectories, _path(proc_dir, "tips"))
+    _keep(memo, tips=trajectories)
     io._write_json(_path(proc_dir, "tips_classes"),
                    {str(tr.instrument_id): tr.class_id.value for tr in trajectories})
     return {"n_trajectories": len(trajectories), "n_localized": n_localized}
 
 
-def stage_features(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
     meta = _load_meta(proc_dir)
     class_map = {int(k): InstrumentClass(v) for k, v in
                  io._read_json(_require(proc_dir, "tips_classes")).items()}
-    trajectories = io.load_tips(_require(proc_dir, "tips"),
-                                fps=float(meta["fps"]), class_map=class_map)
+    trajectories = _load(proc_dir, "tips", memo, io.load_tips,
+                         fps=float(meta["fps"]), class_map=class_map)
     f = cfg.features
     extractor = KinematicFeatureExtractor(
         downsample=f.downsample, smooth_window=f.smooth_window,
@@ -268,17 +313,21 @@ def stage_features(proc_dir, cfg: PipelineConfig) -> dict:
         "mask_classes": [class_map[i].value if i in class_map else None
                          for i in km.instrument_ids],
     }
+    mask_names = [f"present_{i}" for i in km.instrument_ids]
     io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"),
                    meta=sidecar)
-    io.save_matrix(km.presence_mask,
-                   [f"present_{i}" for i in km.instrument_ids],
-                   _path(proc_dir, "presence"))
+    io.save_matrix(km.presence_mask, mask_names, _path(proc_dir, "presence"))
+    # both matrices are float64 already; the sidecar's values are
+    # JSON-native and its file has sorted keys
+    _keep(memo, features=(km.X, km.feature_names,
+                          dict(sorted(sidecar.items()))),
+          presence=(km.presence_mask, mask_names, None))
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
 
-def stage_segment(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Feature matrix -> novelty curve -> boundary frames."""
-    X, _, _ = io.load_matrix(_require(proc_dir, "features"))
+    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
     g = cfg.segmentation
     det = NoveltyBoundaryDetector(
         half_width=g.half_width, sigma=g.sigma,
@@ -288,10 +337,13 @@ def stage_segment(proc_dir, cfg: PipelineConfig) -> dict:
     io.save_novelty(det.novelty_, _path(proc_dir, "novelty"))
     io.save_boundaries(det.boundaries_, det.prominences_,
                        _path(proc_dir, "boundaries"))
+    _keep(memo, novelty=det.novelty_,
+          boundaries=([int(t) for t in det.boundaries_],
+                      [float(p) for p in det.prominences_]))
     return {"n_boundaries": int(len(det.boundaries_))}
 
 
-def stage_cluster(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Boundaries -> segments -> K-means -> action-labeled segments.
 
     With K = 4 and known instrument classes the clusters get semantic
@@ -299,11 +351,13 @@ def stage_cluster(proc_dir, cfg: PipelineConfig) -> dict:
     action column falls back to the cluster id and only the optimal
     alignment in `eval` can name frames.
     """
-    X, _, sidecar = io.load_matrix(_require(proc_dir, "features"))
-    mask, _, _ = io.load_matrix(_require(proc_dir, "presence"))
-    taus, _ = io.load_boundaries(_require(proc_dir, "boundaries"))
+    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
+    mask, _, _ = _load(proc_dir, "presence", memo, io.load_matrix)
+    taus, _ = _load(proc_dir, "boundaries", memo, io.load_boundaries)
+    sidecar = _load_sidecar(proc_dir, memo, ("effective_fps", "downsample",
+                                             "n_frames_native"))
     if sidecar is None:
-        raise MissingInput(str(_path(proc_dir, "features")) + ".meta.json",
+        raise MissingInput(io.sidecar_path(_path(proc_dir, "features")),
                            "features")
     eff_fps = float(sidecar["effective_fps"])
     c = cfg.clustering
@@ -327,6 +381,7 @@ def stage_cluster(proc_dir, cfg: PipelineConfig) -> dict:
                      "end_frame": seg.end, "cluster": int(k),
                      "action": action, "duration_s": seg.duration_s})
     io.save_segments(rows, _path(proc_dir, "segments"))
+    _keep(memo, segments=rows)
 
     pred_path = _path(proc_dir, "pred_labels")
     if mapping:
@@ -335,8 +390,12 @@ def stage_cluster(proc_dir, cfg: PipelineConfig) -> dict:
         native = _expand_to_native(labels, int(sidecar["downsample"]),
                                    int(sidecar["n_frames_native"]))
         io.save_labels(native, pred_path)
-    elif pred_path.exists():
-        pred_path.unlink()  # an older semantic run must not feed eval
+        _keep(memo, pred_labels=native)
+    else:
+        # an older semantic run must not feed eval, from disk or memo
+        pred_path.unlink(missing_ok=True)
+        if memo is not None:
+            memo.pop("pred_labels", None)
     return {"n_segments": len(segments), "inertia": model.inertia,
             "semantic": mapping is not None, "tie_flags": flags}
 
@@ -347,18 +406,18 @@ def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:
     return out
 
 
-def stage_eval(proc_dir, cfg: PipelineConfig) -> dict:
+def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Score predictions against the directory's ground truth."""
     meta = _load_meta(proc_dir)
     native_fps = float(meta["fps"])
-    gt_labels = io.load_labels(_require(proc_dir, "labels"))
-    _, _, sidecar = io.load_matrix(_require(proc_dir, "features"))
+    gt_labels = _load(proc_dir, "labels", memo, io.load_labels)
+    sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
     factor = int(sidecar["downsample"]) if sidecar else 1
     n_native = len(gt_labels)
 
     result: dict = {"procedure_id": meta.get("procedure_id")}
 
-    segs = io.load_segments(_require(proc_dir, "segments"))
+    segs = _load(proc_dir, "segments", memo, io.load_segments)
     cluster_stream = []
     for s in segs:
         cluster_stream += [s["cluster"]] * (s["end_frame"] - s["start_frame"])
@@ -368,24 +427,24 @@ def stage_eval(proc_dir, cfg: PipelineConfig) -> dict:
 
     pred_path = _path(proc_dir, "pred_labels")
     if pred_path.exists():
-        pred = io.load_labels(pred_path)
+        pred = _load(proc_dir, "pred_labels", memo, io.load_labels)
         if len(pred) != len(gt_labels):
             raise ValueError(
                 f"predicted labels cover {len(pred)} frames, truth "
                 f"{len(gt_labels)}")
         result["frame"] = frame_metrics(pred, gt_labels).to_dict()
 
-    taus, _ = io.load_boundaries(_require(proc_dir, "boundaries"))
-    gt_taus, _ = io.load_boundaries(_require(proc_dir, "boundaries_truth"))
+    taus, _ = _load(proc_dir, "boundaries", memo, io.load_boundaries)
+    gt_taus, _ = _load(proc_dir, "boundaries_truth", memo, io.load_boundaries)
     tol = int(round(cfg.evaluation.boundary_tolerance_s * native_fps))
     taus_native = [t * factor for t in taus]
     result["boundary"] = boundary_metrics(taus_native, gt_taus, tol).to_dict()
 
     truth_path = _path(proc_dir, "truth")
     if truth_path.exists() and _path(proc_dir, "refined").exists():
-        dets = io.load_detections(_require(proc_dir, "detections"))
-        refined = io.load_refined_tracks(_path(proc_dir, "refined"))
-        truth = io.load_truth_instances(truth_path)
+        dets = _load(proc_dir, "detections", memo, io.load_detections)
+        refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
+        truth = _load(proc_dir, "truth", memo, io.load_truth_instances)
         rr, cr = recovery_correction_rates(dets, refined, truth,
                                            iou_threshold=cfg.tracking.iou_gate)
         result["tracking"] = {"recovery_rate": rr, "correction_rate": cr}
@@ -398,13 +457,13 @@ def stage_eval(proc_dir, cfg: PipelineConfig) -> dict:
 # skill stages (train across directories, predict per directory)
 
 
-def _skill_rows(proc_dir, cfg: PipelineConfig
+def _skill_rows(proc_dir, cfg: PipelineConfig, memo=None
                 ) -> list[tuple[int, ActionClass, int, np.ndarray]]:
     """(segment index, action, repetition ordinal, feature vector) per
     rated-action segment, in segment order."""
-    X, _, _ = io.load_matrix(_require(proc_dir, "features"))
-    mask, _, _ = io.load_matrix(_require(proc_dir, "presence"))
-    seg_rows = io.load_segments(_require(proc_dir, "segments"))
+    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
+    mask, _, _ = _load(proc_dir, "presence", memo, io.load_matrix)
+    seg_rows = _load(proc_dir, "segments", memo, io.load_segments)
     segments = [Segment(index=s["index"], start=s["start_frame"],
                         end=s["end_frame"], duration_s=s["duration_s"])
                 for s in seg_rows]
@@ -430,7 +489,7 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
     """Fit the skill booster on every scored rated-action segment."""
     X_rows, y, counts = [], [], {}
     for proc_dir in proc_dirs:
-        scores = io.load_scores(_require(proc_dir, "scores"))
+        scores = _load(proc_dir, "scores", None, io.load_scores)
         by_action = {s.action_type: s.score for s in scores}
         for _, action, _, vec in _skill_rows(proc_dir, cfg):
             if action not in by_action:
@@ -476,7 +535,8 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
     return summary
 
 
-def predict_skill(proc_dir, cfg: PipelineConfig, model_path) -> dict:
+def predict_skill(proc_dir, cfg: PipelineConfig, model_path, *,
+                  memo=None) -> dict:
     """Grade each rated-action segment and summarize per action type."""
     model_path = Path(model_path)
     if not model_path.exists():
@@ -485,7 +545,7 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path) -> dict:
     model = SkillGradientBoosting.load(model_path)
     per_segment = []
     by_action: dict[str, list[int]] = {}
-    for index, action, rep, vec in _skill_rows(proc_dir, cfg):
+    for index, action, rep, vec in _skill_rows(proc_dir, cfg, memo):
         level, proba = skill_predict(model, vec)
         per_segment.append({
             "segment_index": index,
@@ -524,7 +584,24 @@ def _fmt_ratio(v) -> str:
     return "n/a" if v is None else f"{v:.3f}"
 
 
-def stage_report(proc_dir, cfg: PipelineConfig) -> dict:
+def _load_eval(path) -> dict:
+    """eval.json, checked for every key the report tables read."""
+    result = _checked(io._read_json(path), path, ("boundary",))
+    if "tracking" in result:
+        _checked(result["tracking"], path,
+                 ("recovery_rate", "correction_rate"), "tracking.")
+    tag = "frame" if "frame" in result else "frame_aligned"
+    fm = _checked(_checked(result, path, (tag,))[tag], path,
+                  ("accuracy", "f1", "jaccard", "per_class"), tag + ".")
+    for cls, d in fm["per_class"].items():
+        _checked(d, path, ("precision", "recall", "f1", "jaccard", "support"),
+                 f"{tag}.per_class.{cls}.")
+    _checked(result["boundary"], path,
+             ("precision", "recall", "f1", "tolerance"), "boundary.")
+    return result
+
+
+def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Human-readable summary tables plus plot-ready curves.
 
     report.txt carries the tracking-repair, segmentation-quality and
@@ -532,24 +609,24 @@ def stage_report(proc_dir, cfg: PipelineConfig) -> dict:
     label ribbons and a decimated enhanced SSM for plotting.
     """
     meta = _load_meta(proc_dir)
-    novelty = io.load_novelty(_require(proc_dir, "novelty"))
-    taus, proms = io.load_boundaries(_require(proc_dir, "boundaries"))
-    segs = io.load_segments(_require(proc_dir, "segments"))
-    X, _, sidecar = io.load_matrix(_require(proc_dir, "features"))
+    novelty = _load(proc_dir, "novelty", memo, io.load_novelty)
+    taus, proms = _load(proc_dir, "boundaries", memo, io.load_boundaries)
+    segs = _load(proc_dir, "segments", memo, io.load_segments)
+    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
+    sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
 
     eval_result = skill = None
     if _path(proc_dir, "eval").exists():
-        eval_result = io._read_json(_path(proc_dir, "eval"))
+        eval_result = _load_eval(_path(proc_dir, "eval"))
     if _path(proc_dir, "skill_pred").exists():
         skill = io._read_json(_path(proc_dir, "skill_pred"))
-    pred_ribbon = None
+    pred_ribbon = truth_ribbon = None
     if _path(proc_dir, "pred_labels").exists():
         pred_ribbon = [a.value for a in
-                       io.load_labels(_path(proc_dir, "pred_labels"))]
-    truth_ribbon = None
+                       _load(proc_dir, "pred_labels", memo, io.load_labels)]
     if _path(proc_dir, "labels").exists():
         truth_ribbon = [a.value for a in
-                        io.load_labels(_path(proc_dir, "labels"))]
+                        _load(proc_dir, "labels", memo, io.load_labels)]
 
     lines = []
     push = lines.append
@@ -622,17 +699,24 @@ def stage_report(proc_dir, cfg: PipelineConfig) -> dict:
 # chaining
 
 
-def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
+def run_all(proc_dir, cfg: PipelineConfig, model_path=None, *,
+            memo=None) -> dict:
     """track -> tips -> features -> segment -> cluster [-> eval]
-    [-> predict-skill] -> report, equivalent to running each stage."""
-    out = {"track": stage_track(proc_dir, cfg),
-           "tips": stage_tips(proc_dir, cfg),
-           "features": stage_features(proc_dir, cfg),
-           "segment": stage_segment(proc_dir, cfg),
-           "cluster": stage_cluster(proc_dir, cfg)}
+    [-> predict-skill] -> report, equivalent to running each stage.
+
+    The stages share ``memo`` (a fresh dict by default), so each artifact
+    is parsed at most once; every file is still written.
+    """
+    memo = {} if memo is None else memo
+    out = {"track": stage_track(proc_dir, cfg, memo=memo),
+           "tips": stage_tips(proc_dir, cfg, memo=memo),
+           "features": stage_features(proc_dir, cfg, memo=memo),
+           "segment": stage_segment(proc_dir, cfg, memo=memo),
+           "cluster": stage_cluster(proc_dir, cfg, memo=memo)}
     if _path(proc_dir, "labels").exists():
-        out["eval"] = stage_eval(proc_dir, cfg)
+        out["eval"] = stage_eval(proc_dir, cfg, memo=memo)
     if model_path is not None:
-        out["predict_skill"] = predict_skill(proc_dir, cfg, model_path)
-    out["report"] = stage_report(proc_dir, cfg)
+        out["predict_skill"] = predict_skill(proc_dir, cfg, model_path,
+                                             memo=memo)
+    out["report"] = stage_report(proc_dir, cfg, memo=memo)
     return out

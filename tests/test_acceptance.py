@@ -7,6 +7,7 @@ are synthesized fresh so nothing here depends on checked-in data.
 """
 
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import microact
 from microact import TipTrajectory, load_config
 from microact.clustering import (
     align_clusters,
@@ -267,8 +269,13 @@ def test_criterion_9_desk_scale_budget(announce):
         "mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024\n"
         "print(f'{dt:.3f} {mb:.0f}')\n"
     )
+    # the child imports the same microact as this process, whether it
+    # comes from PYTHONPATH or from pytest's pythonpath setting
+    src = str(Path(microact.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", prog], capture_output=True,
-                         text=True, timeout=300)
+                         text=True, timeout=300, env=env)
     assert out.returncode == 0, out.stderr
     dt, mb = out.stdout.split()
     announce(9, float(dt) < 60.0 and float(mb) < 1024.0,

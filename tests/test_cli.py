@@ -5,6 +5,7 @@ temp dirs, so they cover config layering, stage wiring, and the on-disk
 artifact contract rather than any one module.
 """
 
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -12,7 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from microact import cli, io
+from microact import cli, io, load_config, pipeline
+from microact.records import InstrumentClass
+from microact.synth import generate, paper_shaped_script, write_procedure
 
 
 def run_cli(*argv) -> int:
@@ -64,6 +67,87 @@ def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stage, name, section, key", [
+    ("cluster", "features.csv.meta.json", None, "downsample"),
+    ("eval", "features.csv.meta.json", None, "downsample"),
+    ("report", "eval.json", "boundary", "f1"),
+])
+def test_missing_json_key_is_a_diagnostic(tmp_path, base_proc, capsys,
+                                          stage, name, section, key):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    doc = json.loads((d / name).read_text())
+    del (doc[section] if section else doc)[key]
+    (d / name).write_text(json.dumps(doc))
+    assert run_cli(stage, d) == 1
+    err = capsys.readouterr().err
+    assert name in err and key in err
+    assert "Traceback" not in err
+
+
+def test_eval_reads_the_sidecar_without_parsing_features(tmp_path, base_proc,
+                                                         monkeypatch):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    before = (d / "eval.json").read_bytes()
+
+    def no_parse(path):
+        raise AssertionError(f"parsed {path}")
+
+    monkeypatch.setattr(io, "load_matrix", no_parse)
+    pipeline.stage_eval(d, load_config(environ={}))
+    assert (d / "eval.json").read_bytes() == before
+
+
+def assert_same(a, b, where):
+    """Equal values of the same types, dicts in the same key order."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype and np.array_equal(a, b), where
+    elif dataclasses.is_dataclass(a):
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name),
+                        f"{where}.{f.name}")
+    elif isinstance(a, dict):
+        assert list(a) == list(b), where
+        for k in a:
+            assert_same(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_same(x, y, f"{where}[{i}]")
+    else:
+        assert a == b, where
+
+
+def test_run_all_memo_matches_files(tmp_path):
+    d = tmp_path / "p"
+    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
+    memo: dict = {}
+    pipeline.run_all(d, load_config(environ={}), memo=memo)
+
+    fps = json.loads((d / "meta.json").read_text())["fps"]
+    classes = {int(k): InstrumentClass(v) for k, v in
+               json.loads((d / "tips_classes.json").read_text()).items()}
+    loaders = {
+        "detections": io.load_detections,
+        "refined": io.load_refined_tracks,
+        "tips": lambda p: io.load_tips(p, fps=fps, class_map=classes),
+        "features": io.load_matrix,
+        "presence": io.load_matrix,
+        "novelty": io.load_novelty,
+        "boundaries": io.load_boundaries,
+        "segments": io.load_segments,
+        "pred_labels": io.load_labels,
+        "labels": io.load_labels,
+        "boundaries_truth": io.load_boundaries,
+        "truth": io.load_truth_instances,
+    }
+    assert set(memo) == set(loaders)
+    for key, value in memo.items():
+        assert_same(value, loaders[key](d / io.ARTIFACTS[key][0]), key)
+
+
 def test_stagewise_equals_run_all(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("synth", "--out-dir", a, "--seed", 5) == 0
@@ -73,6 +157,51 @@ def test_stagewise_equals_run_all(tmp_path):
                   "eval", "report"):
         assert run_cli(stage, b) == 0
     assert snapshot(a) == snapshot(b)
+
+
+STAGES = (pipeline.stage_track, pipeline.stage_tips, pipeline.stage_features,
+          pipeline.stage_segment, pipeline.stage_cluster, pipeline.stage_eval,
+          pipeline.stage_report)
+
+
+def test_stagewise_equals_run_all_messy_30fps(tmp_path):
+    # the benchmark's messy 30 fps settings on a half-length script
+    cfg = load_config(environ={}, overrides={
+        "seed": 3, "tracking": {"max_coast": 30},
+        "segmentation": {"half_width": 60, "min_distance": 30}})
+    proc = generate(paper_shaped_script(
+        fps=30.0, seed=3, dropout_rate=0.1, mislabel_rate=0.05,
+        cut_s=2.5, drive_s=4.5, tie_s=3.5, idle_s=1.5))
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_procedure(proc, a)
+    io._write_json(a / "meta.json", {"procedure_id": "messy-30fps",
+                                     "fps": proc.fps,
+                                     "n_frames": proc.n_frames})
+    shutil.copytree(a, b)
+    pipeline.run_all(a, cfg)
+    for stage in STAGES:
+        stage(b, cfg)
+    assert snapshot(a) == snapshot(b)
+    rows = io.load_track_rows(a / "track_rows.jsonl")
+    assert any(r.det_index is None for r in rows)  # the tracker coasted
+    provenance = (a / "refined_tracks.jsonl").read_text()
+    assert '"provenance": "corrected"' in provenance
+
+
+def test_stagewise_equals_run_all_after_semantic_run(tmp_path, base_proc):
+    # K=3 gets no semantic names, so cluster removes the stale
+    # predicted_labels.csv of base_proc's K=4 run and eval must not score it
+    cfg = load_config(environ={}, overrides={"clustering": {"n_clusters": 3}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        shutil.copytree(base_proc, d)
+        assert (d / "predicted_labels.csv").exists()
+    pipeline.run_all(a, cfg)
+    for stage in STAGES:
+        stage(b, cfg)
+    assert snapshot(a) == snapshot(b)
+    assert not (a / "predicted_labels.csv").exists()
+    assert "frame" not in json.loads((a / "eval.json").read_text())
 
 
 def test_rerun_is_byte_identical(tmp_path, base_proc):
