@@ -317,10 +317,9 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"),
                    meta=sidecar)
     io.save_matrix(km.presence_mask, mask_names, _path(proc_dir, "presence"))
-    # both matrices are float64 already; the sidecar's values are
-    # JSON-native and its file has sorted keys
-    _keep(memo, features=(km.X, km.feature_names,
-                          dict(sorted(sidecar.items()))),
+    # both matrices are float64 already and the sidecar's values are
+    # JSON-native; its readers look keys up, so key order does not matter
+    _keep(memo, features=(km.X, km.feature_names, sidecar),
           presence=(km.presence_mask, mask_names, None))
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
@@ -489,7 +488,7 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
     """Fit the skill booster on every scored rated-action segment."""
     X_rows, y, counts = [], [], {}
     for proc_dir in proc_dirs:
-        scores = _load(proc_dir, "scores", None, io.load_scores)
+        scores = io.load_scores(_require(proc_dir, "scores"))
         by_action = {s.action_type: s.score for s in scores}
         for _, action, _, vec in _skill_rows(proc_dir, cfg):
             if action not in by_action:
@@ -699,15 +698,14 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 # chaining
 
 
-def run_all(proc_dir, cfg: PipelineConfig, model_path=None, *,
-            memo=None) -> dict:
+def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     """track -> tips -> features -> segment -> cluster [-> eval]
     [-> predict-skill] -> report, equivalent to running each stage.
 
-    The stages share ``memo`` (a fresh dict by default), so each artifact
-    is parsed at most once; every file is still written.
+    The stages share one memo that lives for this call only, so each
+    artifact is parsed at most once; every file is still written.
     """
-    memo = {} if memo is None else memo
+    memo: dict = {}
     out = {"track": stage_track(proc_dir, cfg, memo=memo),
            "tips": stage_tips(proc_dir, cfg, memo=memo),
            "features": stage_features(proc_dir, cfg, memo=memo),
