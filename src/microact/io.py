@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -30,6 +31,7 @@ from .records import (
     RefinedTrack,
     SkillScore,
     TipCandidateSet,
+    TipCandidateTable,
     TipTrajectory,
     TrackObservation,
     TruthInstance,
@@ -38,6 +40,8 @@ from .records import (
 PathLike = Union[str, Path]
 
 APPEARANCE_NORM_TOL = 1e-6
+
+_NO_BOX = (math.nan,) * 4  # a TipCandidateTable row for a set without one
 
 # procedure-directory layout: key -> (file name, stage that writes it);
 # features.csv also gets its save_matrix sidecar, features.csv.meta.json
@@ -76,6 +80,11 @@ class ParseError(ValueError):
         self.line_no = line_no
         self.reason = reason
         super().__init__(f"{path}:{line_no}: {reason}")
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses a
+        # process boundary (a worker pool, run_all's parse child) intact
+        return type(self), (self.path, self.line_no, self.reason)
 
 
 # what a record -> value mapping raises on a missing, mistyped or
@@ -461,7 +470,7 @@ def load_truth_instances(path: PathLike) -> list[TruthInstance]:
 # tip candidates and reference descriptors
 
 
-def save_tip_candidates(candidates: dict[tuple[int, int], TipCandidateSet],
+def save_tip_candidates(candidates: Mapping[tuple[int, int], TipCandidateSet],
                         path: PathLike) -> None:
     """One record per (frame, object_id); candidates are crop-local and
     the crop box travels with them when known."""
@@ -477,16 +486,41 @@ def save_tip_candidates(candidates: dict[tuple[int, int], TipCandidateSet],
     _write_jsonl(path, map(record, sorted(candidates)))
 
 
-def load_tip_candidates(path: PathLike) -> dict[tuple[int, int], TipCandidateSet]:
-    def parse(rec: dict) -> tuple[tuple[int, int], TipCandidateSet]:
-        key = (int(rec["frame"]), int(rec["object_id"]))
-        cands = [(float(c["x"]), float(c["y"]),
-                  np.asarray(c["descriptor"], dtype=np.float64))
-                 for c in rec["candidates"]]
-        bbox = _bbox_of(rec) if "x" in rec else None
-        return key, TipCandidateSet(candidates=cands, bbox=bbox)
+def load_tip_candidates(path: PathLike) -> TipCandidateTable:
+    """Read every candidate set into one columnar table, in file order.
 
-    return dict(_read_jsonl(path, parse))
+    All descriptors share the first one's length, and a (frame,
+    object_id) pair appears once; a record without ``x`` has no crop box.
+    """
+    keys, boxes, offsets, points, descriptors = [], [], [0], [], []
+    seen: set[tuple[int, int]] = set()
+
+    def add(rec: dict) -> None:
+        key = (int(rec["frame"]), int(rec["object_id"]))
+        if key in seen:
+            raise ValueError(f"repeats frame {key[0]}, object {key[1]}")
+        cands = rec["candidates"]
+        if cands:
+            desc = np.array([c["descriptor"] for c in cands], dtype=np.float64)
+            width = descriptors[0].shape[1] if descriptors else desc.shape[-1]
+            if desc.ndim != 2 or desc.shape[1] != width or width == 0:
+                raise ValueError(f"descriptors must be nonempty flat vectors "
+                                 f"of one length, got shape {desc.shape[1:]}")
+            descriptors.append(desc)
+        points.extend([float(c["x"]), float(c["y"])] for c in cands)
+        boxes.append(_bbox_of(rec) if "x" in rec else _NO_BOX)
+        keys.append(key)
+        seen.add(key)
+        offsets.append(len(points))
+
+    _read_jsonl(path, add)
+    return TipCandidateTable(
+        set_keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
+        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        offsets=np.array(offsets, dtype=np.int64),
+        points=np.array(points, dtype=np.float64).reshape(-1, 2),
+        descriptors=(np.concatenate(descriptors) if descriptors
+                     else np.empty((0, 0))))
 
 
 def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
@@ -520,7 +554,10 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise ValueError(f"matrix shape {X.shape} does not match "
                          f"{len(feature_names)} feature names")
-    _write_csv(path, list(feature_names), ([_fmt(v) for v in row] for row in X))
+    # repr of each Python float from X.tolist() is _fmt's string, with no
+    # float64 scalar made per value
+    _write_csv(path, list(feature_names),
+               (map(repr, row) for row in X.tolist()))
     if meta is not None:
         _write_json(sidecar_path(path), meta)
 
@@ -534,8 +571,8 @@ def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str], Optional[dict]]:
 
 
 def save_novelty(novelty: np.ndarray, path: PathLike) -> None:
-    _write_csv(path, ["frame", "N"],
-               ([frame, _fmt(value)] for frame, value in enumerate(novelty)))
+    values = np.asarray(novelty, dtype=np.float64).tolist()
+    _write_csv(path, ["frame", "N"], enumerate(map(repr, values)))
 
 
 def load_novelty(path: PathLike) -> np.ndarray:

@@ -12,11 +12,23 @@ its stages share one in-memory ``memo`` (artifact key -> the value its
 ``io.load_*`` returns), filled by the stage that writes or first parses
 an artifact.  A value is kept exactly as its loader would return it from
 the file just written, so a stage computes the same bytes either way.
+
+When the procedure has tip candidates and reference descriptors and the
+host has a second usable CPU, `run_all` also forks one child on entry
+that parses ``tip_candidates.jsonl`` while the track stage runs; the tips
+stage receives the table from it.  The child's memory is its own, so it
+does not show in the caller's peak RSS.  With one CPU, without the "fork"
+start method, or in a daemonic process, the tips stage parses the file
+itself, with the same result.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import multiprocessing
+import os
+import signal
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -52,7 +64,13 @@ class MissingInput(FileNotFoundError):
             f"missing {path}; run the '{producer}' stage first "
             "(or supply the file)")
         self.path = str(path)
+        self.key = key
         self.stage = producer
+
+    def __reduce__(self):
+        # rebuilt from the constructor's arguments, so it crosses a
+        # process boundary (a worker pool) intact
+        return type(self), (self.path, self.key)
 
 
 def _path(proc_dir, key: str) -> Path:
@@ -105,6 +123,79 @@ def _load_sidecar(proc_dir, memo: Optional[dict],
     else:
         sidecar = io._read_json(path) if path.exists() else None
     return None if sidecar is None else _checked(sidecar, path, keys)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+class _ChildParse:
+    """``loader(path)`` run in a forked child while the caller works on.
+
+    :meth:`result` receives the value on the calling thread, with no
+    result thread that would allocate in a malloc arena of its own.  It
+    re-raises the child's ``ParseError`` and returns None when the child
+    died without an answer, so the caller parses in-process.  The child
+    decodes JSON and builds arrays: it starts no thread and calls no BLAS,
+    which is what makes "fork" safe here.
+    """
+
+    def __init__(self, loader, path):
+        ctx = multiprocessing.get_context("fork")
+        self._conn, send = ctx.Pipe(duplex=False)
+        self._proc = ctx.Process(target=_parse_and_send, daemon=True,
+                                 args=(loader, path, send, self._conn))
+        self._proc.start()
+        send.close()
+
+    @classmethod
+    def start(cls, loader, path) -> Optional["_ChildParse"]:
+        """A child parsing ``path``, or None where it could not overlap
+        with the caller: one usable CPU, no "fork" start method, a
+        daemonic caller, which may not have children, or a failed fork."""
+        if (_usable_cpus() < 2
+                or "fork" not in multiprocessing.get_all_start_methods()
+                or multiprocessing.current_process().daemon):
+            return None
+        try:
+            return cls(loader, path)
+        except OSError:  # out of processes or memory
+            return None
+
+    def result(self):
+        try:
+            value, error = self._conn.recv()
+        except (EOFError, OSError):
+            return None
+        finally:
+            self.close()
+        if error is not None:
+            raise error
+        return value
+
+    def close(self) -> None:
+        """End the child.  One whose pipe was never read blocks writing to
+        it, so it is terminated before the join."""
+        self._proc.terminate()
+        self._proc.join()
+        self._conn.close()
+
+
+def _parse_and_send(loader, path, conn, parent_end) -> None:
+    """A _ChildParse child: send (value, None) or (None, ParseError)."""
+    parent_end.close()  # a dead parent then breaks the pipe
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+    try:
+        reply = (loader(path), None)
+    except io.ParseError as exc:
+        reply = (None, exc)
+    except Exception:  # the caller parses in-process and meets it there
+        return
+    with contextlib.suppress(OSError):  # the caller has gone
+        conn.send(reply)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +261,6 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             "detection_anomalies": len(report.anomalies)}
 
 
-def _candidate_sets_by_frame(candidates) -> dict[int, list]:
-    by_frame: dict[int, list] = {}
-    for (frame, slot), cset in sorted(candidates.items()):
-        by_frame.setdefault(frame, []).append(cset)
-    return by_frame
-
-
 def _confirmed_frames(track, min_hits: int = 1) -> list[int]:
     """Track frames minus trailing coasted rows and unconfirmed tracks.
 
@@ -227,14 +311,19 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     n_frames = int(meta["n_frames"])
     refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
 
-    # optional inputs that no other stage reads; the candidates are the
-    # largest input, so they stay out of the memo
+    # optional inputs that no other stage reads; run_all may have left a
+    # child parsing the candidates, the largest input, in the memo
+    child = memo.pop("candidates", None) if memo is not None else None
     cand_path = _path(proc_dir, "candidates")
     ref_path = _path(proc_dir, "references")
-    by_frame: dict[int, list] = {}
+    table = None
+    by_frame: dict[int, list[int]] = {}
     references: dict[InstrumentClass, np.ndarray] = {}
     if cand_path.exists() and ref_path.exists():
-        by_frame = _candidate_sets_by_frame(io.load_tip_candidates(cand_path))
+        table = child.result() if child is not None else None
+        if table is None:
+            table = io.load_tip_candidates(cand_path)
+        by_frame = table.sets_by_frame()
         references = io.load_reference_descriptors(ref_path)
 
     # best[(class, frame)] = (rank, object_id, tip); detection-backed rows
@@ -250,18 +339,22 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             box = track.boxes[f]
             tip = None
             if ref is not None:
-                cand, cand_iou = None, 0.0
-                for cset in by_frame.get(f, ()):
-                    if cset.bbox is None:
+                cand, cand_box, cand_iou = None, None, 0.0
+                for i in by_frame.get(f, ()):
+                    cbox = table.crop_boxes[i]
+                    if cbox is None:
                         continue
-                    v = iou(box, cset.bbox)
+                    v = iou(box, cbox)
                     if v > cand_iou:
-                        cand, cand_iou = cset, v
+                        cand, cand_box, cand_iou = i, cbox, v
                 # det-backed rows carry the detection box verbatim, so the
                 # right candidate set matches at IoU 1; 0.5 rejects overlap
                 # with a neighboring instrument's crop
                 if cand is not None and cand_iou >= 0.5:
-                    tip = localize_tip(cand.candidates, ref, bbox=cand.bbox)
+                    rows = table.rows(cand)
+                    tip = localize_tip(table.points[rows],
+                                       table.descriptors[rows], ref,
+                                       bbox=cand_box)
                     n_localized += 1
             if tip is None:
                 x, y, w, h = box
@@ -703,18 +796,28 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     [-> predict-skill] -> report, equivalent to running each stage.
 
     The stages share one memo that lives for this call only, so each
-    artifact is parsed at most once; every file is still written.
+    artifact is parsed at most once; every file is still written.  The
+    tip candidates, which no stage writes, are parsed in a forked child
+    while the track stage runs, where the host has a second CPU.
     """
-    memo: dict = {}
-    out = {"track": stage_track(proc_dir, cfg, memo=memo),
-           "tips": stage_tips(proc_dir, cfg, memo=memo),
-           "features": stage_features(proc_dir, cfg, memo=memo),
-           "segment": stage_segment(proc_dir, cfg, memo=memo),
-           "cluster": stage_cluster(proc_dir, cfg, memo=memo)}
-    if _path(proc_dir, "labels").exists():
-        out["eval"] = stage_eval(proc_dir, cfg, memo=memo)
-    if model_path is not None:
-        out["predict_skill"] = predict_skill(proc_dir, cfg, model_path,
-                                             memo=memo)
-    out["report"] = stage_report(proc_dir, cfg, memo=memo)
+    cand_path = _path(proc_dir, "candidates")
+    child = None
+    if cand_path.exists() and _path(proc_dir, "references").exists():
+        child = _ChildParse.start(io.load_tip_candidates, cand_path)
+    memo: dict = {"candidates": child} if child else {}
+    try:
+        out = {"track": stage_track(proc_dir, cfg, memo=memo),
+               "tips": stage_tips(proc_dir, cfg, memo=memo),
+               "features": stage_features(proc_dir, cfg, memo=memo),
+               "segment": stage_segment(proc_dir, cfg, memo=memo),
+               "cluster": stage_cluster(proc_dir, cfg, memo=memo)}
+        if _path(proc_dir, "labels").exists():
+            out["eval"] = stage_eval(proc_dir, cfg, memo=memo)
+        if model_path is not None:
+            out["predict_skill"] = predict_skill(proc_dir, cfg, model_path,
+                                                 memo=memo)
+        out["report"] = stage_report(proc_dir, cfg, memo=memo)
+    finally:
+        if child is not None:
+            child.close()
     return out

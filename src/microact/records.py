@@ -8,7 +8,10 @@ ingested from upstream detector output.
 from __future__ import annotations
 
 import enum
+import math
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -138,6 +141,61 @@ class TipCandidateSet:
 
     candidates: list
     bbox: Optional[BBox] = None
+
+
+@dataclass(eq=False)
+class TipCandidateTable(Mapping):
+    """Every tip candidate set of a procedure, in columns.
+
+    Set ``i`` is ``set_keys[i]`` = (frame, object_id) with crop box
+    ``boxes[i]`` (a NaN row when the set has none); its candidates are
+    rows ``offsets[i]:offsets[i + 1]`` of ``points`` (crop-local x, y) and
+    ``descriptors``.  As a mapping it reads like the
+    ``{(frame, object_id): TipCandidateSet}`` dict it replaces, building
+    each set on access.
+    """
+
+    set_keys: np.ndarray     # (n, 2) int64
+    boxes: np.ndarray        # (n, 4) float64
+    offsets: np.ndarray      # (n + 1,) int64
+    points: np.ndarray       # (m, 2) float64
+    descriptors: np.ndarray  # (m, d) float64
+
+    def __len__(self) -> int:
+        return len(self.set_keys)
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return map(tuple, self.set_keys.tolist())
+
+    def __getitem__(self, key: tuple[int, int]) -> TipCandidateSet:
+        i = self._index[key]
+        rows = self.rows(i)
+        return TipCandidateSet(
+            candidates=[(x, y, d) for (x, y), d in zip(
+                self.points[rows].tolist(), self.descriptors[rows].copy())],
+            bbox=self.crop_boxes[i])
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, int], int]:
+        return {key: i for i, key in enumerate(self)}
+
+    def rows(self, i: int) -> slice:
+        """Set ``i``'s rows of ``points`` and ``descriptors``."""
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+
+    @cached_property
+    def crop_boxes(self) -> list[Optional[BBox]]:
+        """``boxes`` as tuples of floats, None for a set without one."""
+        return [None if math.isnan(box[0]) else tuple(box)
+                for box in self.boxes.tolist()]
+
+    def sets_by_frame(self) -> dict[int, list[int]]:
+        """Set indices per frame, each frame's sets in object-id order."""
+        out: dict[int, list[int]] = {}
+        frames = self.set_keys[:, 0].tolist()
+        for i in np.lexsort(self.set_keys.T[::-1]).tolist():
+            out.setdefault(frames[i], []).append(i)
+        return out
 
 
 @dataclass

@@ -150,9 +150,6 @@ class CheckerboardKernel:
     w: np.ndarray = field(repr=False)        # (2h,) 1-D factor, index i+h
     weights: np.ndarray = field(repr=False)  # (2h, 2h) outer product
 
-    def index_range(self) -> np.ndarray:
-        return np.arange(-self.half_width, self.half_width)
-
 
 def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
     """Build the half-width-h checkerboard kernel.

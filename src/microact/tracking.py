@@ -445,40 +445,50 @@ def refine_identity(stream: Union[Sequence[TrackObservation],
 
 # --- Tip localization ------------------------------------------------------
 
-def localize_tip(candidates: Sequence[tuple[float, float, np.ndarray]],
+def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[A[i] @ b for i in rows]`` as one call.
+
+    A stack of (1, d) @ (d, 1) products runs the 1-D dot kernel on every
+    row, so each value is bit-identical to ``A[i] @ b``; ``A @ b`` would
+    use a matrix-vector kernel that can round differently.
+    """
+    return np.matmul(A[:, None, :], b[..., None])[:, 0, 0]
+
+
+def localize_tip(points: np.ndarray, descriptors: np.ndarray,
                  reference: np.ndarray,
                  bbox: Optional[BBox] = None) -> tuple[float, float]:
     """Pick the candidate whose descriptor best matches the reference.
 
-    Cosine similarity; exact ties keep the lowest candidate index.  With a
-    bbox the local point is shifted to image coordinates.
+    Row i of ``points`` (n, 2) and ``descriptors`` (n, d) is one
+    candidate.  Cosine similarity, each computed with the same float
+    operations as ``(d @ ref) / (norm(d) * norm(ref))``; exact ties keep
+    the lowest candidate index, and a NaN similarity loses to any number.
+    With a bbox the local point is shifted to image coordinates.
     """
-    if len(candidates) == 0:
+    D = np.asarray(descriptors, dtype=float)
+    if len(D) == 0:
         raise ValueError("no tip candidates")
     ref = np.asarray(reference, dtype=float)
-    rn = float(np.linalg.norm(ref))
+    rn = math.sqrt(ref @ ref)  # np.linalg.norm's own arithmetic
     if rn == 0.0:
         raise ValueError("zero-norm reference descriptor")
-    best_i = -1
-    best_sim = -np.inf
-    for i, (_, _, desc) in enumerate(candidates):
-        d = np.asarray(desc, dtype=float)
-        if d.shape != ref.shape:
-            raise ValueError(
-                f"descriptor dimension mismatch at candidate {i}: "
-                f"{d.shape} vs {ref.shape}")
-        dn = float(np.linalg.norm(d))
-        if dn == 0.0:
-            raise ValueError(f"zero-norm descriptor at candidate {i}")
-        sim = float(d @ ref) / (dn * rn)
-        if sim > best_sim:
-            best_sim = sim
-            best_i = i
-    x, y, _ = candidates[best_i]
+    if D.ndim != 2 or D.shape[1:] != ref.shape:
+        raise ValueError(f"descriptor dimension mismatch: candidates "
+                         f"{D.shape[1:]} vs reference {ref.shape}")
+    dn = np.sqrt(_row_dots(D, D))
+    if np.count_nonzero(dn) < len(dn):
+        raise ValueError(f"zero-norm descriptor at candidate "
+                         f"{np.flatnonzero(dn == 0.0)[0]}")
+    sims = _row_dots(D, ref) / (dn * rn)
+    best = int(sims.argmax())
+    if math.isnan(sims[best]):  # argmax stops at the first NaN
+        best = int(np.where(np.isnan(sims), -np.inf, sims).argmax())
+    x, y = np.asarray(points, dtype=float)[best].tolist()
     if bbox is not None:
         x += bbox[0]
         y += bbox[1]
-    return (float(x), float(y))
+    return (x, y)
 
 
 # --- Repair scoring --------------------------------------------------------

@@ -7,6 +7,8 @@ artifact contract rather than any one module.
 
 import dataclasses
 import json
+import multiprocessing
+import os
 import shutil
 from pathlib import Path
 
@@ -241,6 +243,140 @@ def test_jobs_parallel_matches_sequential(tmp_path):
     for seed in (6, 7):
         assert run_cli("run-all", dirs[seed][1]) == 0
         assert snapshot(dirs[seed][0]) == snapshot(dirs[seed][1])
+
+
+@pytest.mark.parametrize("breakage", ["bad row", "missing file"])
+def test_jobs_parallel_reports_a_worker_error(tmp_path, base_proc, capsys,
+                                              breakage):
+    # the worker's ParseError or MissingInput crosses the process pool and
+    # is printed as the sequential run prints it, not as a BrokenProcessPool
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        shutil.copytree(base_proc, d)
+    if breakage == "bad row":
+        lines = (a / "detections.jsonl").read_text().splitlines()
+        lines[1] = "{not json"
+        (a / "detections.jsonl").write_text("\n".join(lines) + "\n")
+        want = f"error: {a / 'detections.jsonl'}:2: "
+    else:
+        (a / "detections.jsonl").unlink()
+        want = f"error: missing {a / 'detections.jsonl'}; run the 'synth'"
+    assert run_cli("run-all", a, b, "--jobs", 2) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(want)
+    assert "Traceback" not in err
+    assert run_cli("run-all", a) == 1
+    assert capsys.readouterr().err == err
+
+
+def fresh_proc(tmp_path, name="p"):
+    d = tmp_path / name
+    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
+    return d
+
+
+def record_candidate_parses(monkeypatch) -> list:
+    """pids of the io.load_tip_candidates calls this process makes; a
+    forked child's calls land in the child's copy of the list."""
+    calls = []
+    load = io.load_tip_candidates
+
+    def recording(path):
+        calls.append(os.getpid())
+        return load(path)
+
+    monkeypatch.setattr(io, "load_tip_candidates", recording)
+    return calls
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_bad_candidates_fail_like_the_tips_stage(tmp_path, monkeypatch,
+                                                 cpus):
+    # forked or in-process, run_all raises the tips stage's ParseError,
+    # once track has written its files
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    a = fresh_proc(tmp_path, "a")
+    lines = (a / "tip_candidates.jsonl").read_text().splitlines()
+    lines[1] = lines[1].replace('"descriptor": [', '"descriptor": [[', 1)
+    (a / "tip_candidates.jsonl").write_text("\n".join(lines) + "\n")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    cfg = load_config(environ={})
+    calls = record_candidate_parses(monkeypatch)
+    with pytest.raises(io.ParseError) as in_run_all:
+        pipeline.run_all(a, cfg)
+    assert len(calls) == (0 if cpus > 1 else 1)
+    assert (a / "track_rows.jsonl").exists()
+    assert (a / "refined_tracks.jsonl").exists()
+    assert not (a / "tips.csv").exists()
+    pipeline.stage_track(b, cfg)
+    with pytest.raises(io.ParseError) as alone:
+        pipeline.stage_tips(b, cfg)
+    assert in_run_all.value.line_no == alone.value.line_no == 2
+    assert in_run_all.value.reason == alone.value.reason
+    assert str(in_run_all.value) == str(alone.value).replace(str(b), str(a))
+    assert multiprocessing.active_children() == []
+
+
+def test_forked_and_in_process_parse_agree(tmp_path, monkeypatch):
+    a = fresh_proc(tmp_path, "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    cfg = load_config(environ={})
+    calls = record_candidate_parses(monkeypatch)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    pipeline.run_all(a, cfg)
+    assert calls == []  # the child parsed
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    pipeline.run_all(b, cfg)
+    assert calls == [os.getpid()]
+    assert snapshot(a) == snapshot(b)
+
+
+@pytest.mark.parametrize("failure", ["child dies", "fork fails"])
+def test_failed_child_falls_back_to_in_process_parse(tmp_path, monkeypatch,
+                                                    base_proc, failure):
+    d = fresh_proc(tmp_path)
+    parent = os.getpid()
+    load = io.load_tip_candidates
+
+    def die_in_child(path):
+        if os.getpid() != parent:
+            os._exit(3)
+        return load(path)
+
+    def no_fork(self, loader, path):
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    if failure == "child dies":
+        monkeypatch.setattr(io, "load_tip_candidates", die_in_child)
+    else:
+        monkeypatch.setattr(pipeline._ChildParse, "__init__", no_fork)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    calls = record_candidate_parses(monkeypatch)
+    pipeline.run_all(d, load_config(environ={}))
+    assert calls == [parent]
+    assert snapshot(d) == snapshot(base_proc)
+    assert multiprocessing.active_children() == []
+
+
+def test_no_child_outlives_run_all(tmp_path, monkeypatch):
+    d = fresh_proc(tmp_path)
+    cfg = load_config(environ={})
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    pipeline.run_all(d, cfg)
+    assert multiprocessing.active_children() == []
+
+    # track fails while the child is blocked writing a table larger than
+    # the pipe's buffer that nobody will read
+    def failing_track(proc_dir, cfg, *, memo):
+        assert memo["candidates"]._conn.poll(60)
+        raise RuntimeError("track failed")
+
+    monkeypatch.setattr(pipeline, "stage_track", failing_track)
+    with pytest.raises(RuntimeError, match="track failed"):
+        pipeline.run_all(d, cfg)
+    assert multiprocessing.active_children() == []
 
 
 def test_missing_input_names_producer(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from microact import (
     TipTrajectory,
     TruthInstance,
 )
+from microact import io
 from microact.io import (
     ParseError,
     load_boundaries,
@@ -310,6 +312,29 @@ class TestCandidatesDescriptors:
                 assert (x0, y0) == (x1, y1)
                 assert np.array_equal(d0, d1)
 
+    def test_candidates_load_as_columns(self, tmp_path):
+        cands = {
+            (3, 2): TipCandidateSet(
+                candidates=[(1.0, 2.0, np.array([0.5, 0.5])),
+                            (3.0, 4.0, np.array([1.0, 0.0]))],
+                bbox=(10.0, 20.0, 40.0, 40.0)),
+            (3, 1): TipCandidateSet(candidates=[]),
+            (0, 7): TipCandidateSet(
+                candidates=[(0.0, 0.0, np.array([0.0, 1.0]))]),
+        }
+        p = tmp_path / "cands.jsonl"
+        save_tip_candidates(cands, p)
+        table = load_tip_candidates(p)
+        # file order, which is sorted key order
+        assert table.set_keys.tolist() == [[0, 7], [3, 1], [3, 2]]
+        assert table.offsets.tolist() == [0, 1, 1, 3]
+        assert table.points.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]
+        assert table.descriptors.tolist() == [[0.0, 1.0], [0.5, 0.5],
+                                              [1.0, 0.0]]
+        assert table.crop_boxes == [None, None, (10.0, 20.0, 40.0, 40.0)]
+        assert table.sets_by_frame() == {0: [0], 3: [1, 2]}
+        assert table.rows(2) == slice(1, 3)
+
     def test_descriptors_round_trip(self, tmp_path):
         refs = {
             InstrumentClass.NEEDLE: np.array([1.0, 2.0, 3.0]),
@@ -332,6 +357,8 @@ class TestCandidatesDescriptors:
 BOX = '"y": 0, "w": 2, "h": 2'
 TRUTH = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + '}'
 TRACK_ROW = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + ', "det_index": 0}'
+CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
+         '"descriptor": [0.0, 1.0]}, {"x": 1, "y": 1, "descriptor": [1.0, 0.0]}]}')
 
 
 @pytest.mark.parametrize("load, text, line_no", [
@@ -343,9 +370,14 @@ TRACK_ROW = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + '
                     "0,0,50,2\n", 2),
     (load_truth_instances, TRUTH + "\n" + TRUTH.replace('"x": 0', '"x": [0]') + "\n", 2),
     (load_track_rows, TRACK_ROW.replace('"x": 0', '"x": [0, 1]') + "\n", 1),
+    (load_tip_candidates, CANDS + "\n" + CANDS.replace("[1.0, 0.0]", "[1.0]")
+     + "\n", 2),
+    (load_tip_candidates, CANDS + "\n" + CANDS.replace('"frame": 0', '"frame": 1')
+     + "\n" + CANDS + "\n", 3),
 ], ids=["matrix-truncated", "matrix-non-numeric", "novelty-truncated",
         "boundaries-non-numeric", "segments-truncated", "truth-list-x",
-        "track-rows-list-x"])
+        "track-rows-list-x", "candidates-descriptor-length",
+        "candidates-repeated-key"])
 def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):
     p = tmp_path / "artifact"
     p.write_text(text)
@@ -353,6 +385,13 @@ def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):
         load(p)
     assert exc.value.line_no == line_no
     assert str(exc.value).startswith(f"{p}:{line_no}: ")
+
+
+def test_parse_error_pickles_intact():
+    err = pickle.loads(pickle.dumps(ParseError("a/detections.jsonl", 2, "bad")))
+    assert type(err) is ParseError
+    assert (err.path, err.line_no, err.reason) == ("a/detections.jsonl", 2, "bad")
+    assert str(err) == "a/detections.jsonl:2: bad"
 
 
 class TestMatrixCurves:
@@ -364,6 +403,28 @@ class TestMatrixCurves:
         assert np.array_equal(X, X2)
         assert names == ["a", "b"]
         assert meta == {"fps": 5.0, "downsample": 6}
+
+    def test_writers_match_per_value_format(self, tmp_path):
+        # the writers format X.tolist() with repr; the bytes must be what
+        # formatting every float64 with _fmt gave, special values included
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300,
+                  5e-324, -2.5e-320, 2.2250738585072014e-308, 1.0 / 3.0,
+                  0.1, 1e-17, 123456789.0, 2.0 ** 53, -7.0]
+        X = np.array(values).reshape(4, 4)
+        names = ["a", "b", "c", "d"]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        save_matrix(X, names, got)
+        io._write_csv(want, names, ([io._fmt(v) for v in row] for row in X))
+        assert got.read_bytes() == want.read_bytes()
+        back = load_matrix(got)[0]
+        assert np.array_equal(back, X, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(X))
+
+        curve = np.array(values)
+        save_novelty(curve, got)
+        io._write_csv(want, ["frame", "N"],
+                      ([f, io._fmt(v)] for f, v in enumerate(curve)))
+        assert got.read_bytes() == want.read_bytes()
 
     def test_matrix_shape_mismatch(self, tmp_path):
         with pytest.raises(ValueError):

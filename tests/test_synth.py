@@ -251,7 +251,9 @@ class TestDeterminismAndFiles:
             det = dets[(f, slot)]
             assert cset.bbox == det.bbox
             ref = proc.reference_descriptors[det.class_id]
-            x, y = localize_tip(cset.candidates, ref, bbox=cset.bbox)
+            points = np.array([c[:2] for c in cset.candidates])
+            descriptors = np.array([c[2] for c in cset.candidates])
+            x, y = localize_tip(points, descriptors, ref, bbox=cset.bbox)
             tip = tips[(slot, f)]
             assert x == pytest.approx(tip[0], abs=1e-9)
             assert y == pytest.approx(tip[1], abs=1e-9)

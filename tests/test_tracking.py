@@ -6,7 +6,9 @@ Oracles:
     search for random cost matrices;
   * the moving-box Kalman example against closed-form constant-velocity
     extrapolation;
-  * tip localization against exhaustive similarity computation.
+  * tip localization against exhaustive similarity computation, and the
+    columnar ``localize_tip`` against the per-candidate loop it replaced
+    (``localize_tip_scalar``) on tie-heavy sets.
 """
 
 import itertools
@@ -379,16 +381,53 @@ class TestRefineIdentity:
             refine_identity([42])
 
 
+def columns(cands):
+    """(points, descriptors) of (x, y, descriptor) candidates."""
+    points = np.array([(x, y) for x, y, _ in cands], dtype=float)
+    return points.reshape(-1, 2), np.array([d for _, _, d in cands])
+
+
+def localize_tip_scalar(candidates, reference, bbox=None):
+    """The per-candidate loop that ``localize_tip`` replaced: the oracle
+    for its arithmetic and its first-index tie rule."""
+    if len(candidates) == 0:
+        raise ValueError("no tip candidates")
+    ref = np.asarray(reference, dtype=float)
+    rn = float(np.linalg.norm(ref))
+    if rn == 0.0:
+        raise ValueError("zero-norm reference descriptor")
+    best_i = -1
+    best_sim = -np.inf
+    for i, (_, _, desc) in enumerate(candidates):
+        d = np.asarray(desc, dtype=float)
+        if d.shape != ref.shape:
+            raise ValueError(
+                f"descriptor dimension mismatch at candidate {i}: "
+                f"{d.shape} vs {ref.shape}")
+        dn = float(np.linalg.norm(d))
+        if dn == 0.0:
+            raise ValueError(f"zero-norm descriptor at candidate {i}")
+        sim = float(d @ ref) / (dn * rn)
+        if sim > best_sim:
+            best_sim = sim
+            best_i = i
+    x, y, _ = candidates[best_i]
+    if bbox is not None:
+        x += bbox[0]
+        y += bbox[1]
+    return (float(x), float(y))
+
+
 class TestLocalizeTip:
     def test_single_candidate(self):
-        p = localize_tip([(3.0, 4.0, np.array([1.0, 0.0]))],
+        p = localize_tip(*columns([(3.0, 4.0, np.array([1.0, 0.0]))]),
                          np.array([0.5, 0.5]))
         assert p == (3.0, 4.0)
 
     def test_opposite_descriptor_loses(self):
         ref = np.array([1.0, 2.0, 3.0])
         cands = [(0.0, 0.0, ref.copy()), (9.0, 9.0, -ref)]
-        assert localize_tip(cands, ref) == (0.0, 0.0)
+        assert localize_tip(*columns(cands), ref) == (0.0, 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -400,7 +439,8 @@ class TestLocalizeTip:
             sims = [float(d @ ref) / (np.linalg.norm(d) * np.linalg.norm(ref))
                     for _, _, d in cands]
             best = int(np.argmax(sims))
-            assert localize_tip(cands, ref) == (float(best), float(best))
+            assert localize_tip(*columns(cands), ref) == (float(best),
+                                                          float(best))
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.floats(0.001, 1000.0),
@@ -409,30 +449,53 @@ class TestLocalizeTip:
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=5)
         cands = [(float(i), 0.0, rng.normal(size=5)) for i in range(4)]
-        base = localize_tip(cands, ref)
+        base = localize_tip(*columns(cands), ref)
         scaled = [(x, y, d * scale) for x, y, d in cands]
-        assert localize_tip(scaled, ref * scale) == base
+        assert localize_tip(*columns(scaled), ref * scale) == base
 
     def test_tie_keeps_lowest_index(self):
         ref = np.array([1.0, 0.0])
         d = np.array([2.0, 0.0])
         cands = [(0.0, 0.0, d), (5.0, 5.0, d * 3)]  # identical similarity 1
-        assert localize_tip(cands, ref) == (0.0, 0.0)
+        assert localize_tip(*columns(cands), ref) == (0.0, 0.0)
 
     def test_bbox_offset_applied(self):
-        p = localize_tip([(3.0, 4.0, np.array([1.0]))], np.array([2.0]),
-                         bbox=(100.0, 200.0, 50.0, 50.0))
+        p = localize_tip(*columns([(3.0, 4.0, np.array([1.0]))]),
+                         np.array([2.0]), bbox=(100.0, 200.0, 50.0, 50.0))
         assert p == (103.0, 204.0)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="no tip candidates"):
-            localize_tip([], np.array([1.0]))
+            localize_tip(*columns([]), np.array([1.0]))
         with pytest.raises(ValueError, match="zero-norm reference"):
-            localize_tip([(0, 0, np.array([1.0]))], np.array([0.0]))
+            localize_tip(*columns([(0, 0, np.array([1.0]))]), np.array([0.0]))
         with pytest.raises(ValueError, match="zero-norm descriptor"):
-            localize_tip([(0, 0, np.array([0.0]))], np.array([1.0]))
+            localize_tip(*columns([(0, 0, np.array([0.0]))]), np.array([1.0]))
         with pytest.raises(ValueError, match="dimension mismatch"):
-            localize_tip([(0, 0, np.array([1.0, 2.0]))], np.array([1.0]))
+            localize_tip(*columns([(0, 0, np.array([1.0, 2.0]))]),
+                         np.array([1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           d=st.sampled_from([1, 2, 3, 16]))
+    def test_matches_scalar_oracle_on_ties(self, seed, n, d):
+        # duplicated rows, scaled copies and d=1 (every similarity +-1)
+        # make exact and 1-ulp ties; the columnar arithmetic must agree
+        # with the scalar loop's bit for bit, or argmax can move
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(max(1, n // 2), d))
+        pool = [base[i % len(base)] * rng.choice([1.0, 3.0, 0.1, 7.3, 1e-3])
+                for i in range(n)]
+        if rng.random() < 0.3:
+            pool = [np.round(v) + (not np.round(v).any()) for v in pool]
+        order = rng.permutation(n)
+        cands = [(float(i), float(-i), pool[j]) for i, j in enumerate(order)]
+        ref = base[int(rng.integers(len(base)))] * rng.choice([1.0, 2.5])
+        if rng.random() < 0.5:
+            ref = rng.normal(size=d)
+        bbox = (rng.normal(), rng.normal(), 5.0, 5.0)
+        assert localize_tip(*columns(cands), ref, bbox=bbox) == \
+            localize_tip_scalar(cands, ref, bbox=bbox)
 
 
 class TestRecoveryCorrectionRates:
