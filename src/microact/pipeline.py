@@ -18,8 +18,8 @@ host has a second usable CPU, `run_all` also forks one child on entry
 that parses ``tip_candidates.jsonl`` while the track stage runs; the tips
 stage receives the table from it.  The child's memory is its own, so it
 does not show in the caller's peak RSS.  With one CPU, without the "fork"
-start method, or in a daemonic process, the tips stage parses the file
-itself, with the same result.
+start method, in a daemonic process, or when the child cannot start or
+dies, the tips stage parses the file itself, with the same result.
 """
 
 from __future__ import annotations
