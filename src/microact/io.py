@@ -9,13 +9,18 @@ and each format is read and written here only.  A malformed record
 raises ``ParseError`` naming the file and line.
 
 Loaders are pure functions of file content and never mutate their inputs.
+Writers replace a file only once its new content is complete
+(:func:`atomic_write`), so a writer that fails or dies mid-stream leaves
+the previous file, or none, and never a truncated one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -118,8 +123,28 @@ def _read_jsonl(path: PathLike, parse: Callable[[dict], object]) -> list:
     return out
 
 
+@contextlib.contextmanager
+def atomic_write(path: PathLike, newline: Optional[str] = None):
+    """A text file that replaces ``path`` when the block ends.
+
+    The text goes to a temp file in ``path``'s directory, which
+    ``os.replace`` moves over ``path``; if the block raises, the temp file
+    is removed and ``path`` stays as it was.  This guards against a
+    writer that fails or a process that dies, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.writelines(_json_line(rec) + "\n" for rec in records)
 
 
@@ -149,7 +174,7 @@ def _read_csv(path: PathLike, header: Optional[list[str]],
 
 
 def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[list]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -165,7 +190,7 @@ def _read_json(path: PathLike):
 
 
 def _write_json(path: PathLike, obj) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -13,13 +13,11 @@ its stages share one in-memory ``memo`` (artifact key -> the value its
 an artifact.  A value is kept exactly as its loader would return it from
 the file just written, so a stage computes the same bytes either way.
 
-When the procedure has tip candidates and reference descriptors and the
-host has a second usable CPU, `run_all` also forks one child on entry
-that parses ``tip_candidates.jsonl`` while the track stage runs; the tips
-stage receives the table from it.  The child's memory is its own, so it
-does not show in the caller's peak RSS.  With one CPU, without the "fork"
-start method, in a daemonic process, or when the child cannot start or
-dies, the tips stage parses the file itself, with the same result.
+Where the host has a second usable CPU, `run_all` also moves work off
+the stages' path into forked children (:class:`_Child`): the parse of
+``tip_candidates.jsonl`` and each stage's text writes.  Its docstring
+gives the rules that keep the bytes and the errors those of the
+stage-by-stage run.
 """
 
 from __future__ import annotations
@@ -29,9 +27,10 @@ import math
 import multiprocessing
 import os
 import signal
+import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,28 +76,48 @@ def _path(proc_dir, key: str) -> Path:
     return Path(proc_dir) / io.ARTIFACTS[key][0]
 
 
-def _require(proc_dir, key: str) -> Path:
-    p = _path(proc_dir, key)
+def _written(proc_dir, key: str, memo=None) -> Path:
+    """The path of artifact ``key`` once no writer child of ``memo`` is
+    still writing it."""
+    if memo is not None:
+        memo.settle(key)
+    return _path(proc_dir, key)
+
+
+def _require(proc_dir, key: str, memo=None) -> Path:
+    p = _written(proc_dir, key, memo)
     if not p.exists():
         raise MissingInput(p, key)
     return p
 
 
-def _load(proc_dir, key: str, memo: Optional[dict], loader, **kwargs):
+def _exists(proc_dir, key: str, memo=None) -> bool:
+    """Whether artifact ``key`` exists: this run holds it, or its file does."""
+    return ((memo is not None and key in memo)
+            or _written(proc_dir, key, memo).exists())
+
+
+def _load(proc_dir, key: str, memo: Optional["_Memo"], loader, **kwargs):
     """Artifact ``key`` as ``loader`` returns it: from ``memo`` when this
     run already holds it, else parsed from its file (and kept in ``memo``)."""
     if memo is None:
         return loader(_require(proc_dir, key), **kwargs)
     if key not in memo:
-        memo[key] = loader(_require(proc_dir, key), **kwargs)
+        memo[key] = loader(_require(proc_dir, key, memo), **kwargs)
     return memo[key]
 
 
-def _keep(memo: Optional[dict], **values) -> None:
-    """Leave just-written artifacts in ``memo``, each exactly as its
-    loader would read it back."""
-    if memo is not None:
-        memo.update(values)
+def _save(memo: Optional["_Memo"], write: Callable[[], None], *unkept: str,
+          **keep) -> None:
+    """``write()`` the artifacts named by ``keep`` and ``unkept``, and leave
+    ``keep`` in ``memo``, each value exactly as its loader would read it
+    back.  Inside run_all the write runs behind the stages, in a child; a
+    stage run on its own writes in-process."""
+    if memo is None:
+        write()
+    else:
+        memo.update(keep)
+        memo.write_behind(write, (*keep, *unkept))
 
 
 def _checked(doc: dict, path, keys: Sequence[str], within: str = "") -> dict:
@@ -114,13 +133,14 @@ def _load_meta(proc_dir) -> dict:
                     _path(proc_dir, "meta"), ("fps", "n_frames"))
 
 
-def _load_sidecar(proc_dir, memo: Optional[dict],
+def _load_sidecar(proc_dir, memo: Optional["_Memo"],
                   keys: Sequence[str]) -> Optional[dict]:
     """features.csv's sidecar checked for ``keys``, or None without one."""
-    path = io.sidecar_path(_require(proc_dir, "features"))
     if memo is not None and "features" in memo:
+        path = io.sidecar_path(_path(proc_dir, "features"))
         sidecar = memo["features"][2]
     else:
+        path = io.sidecar_path(_require(proc_dir, "features", memo))
         sidecar = io._read_json(path) if path.exists() else None
     return None if sidecar is None else _checked(sidecar, path, keys)
 
@@ -132,36 +152,39 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-class _ChildParse:
-    """``loader(path)`` run in a forked child while the caller works on.
+class _Child:
+    """``fn(*args)`` run in a forked child while the caller works on.
 
-    :meth:`result` receives the value on the calling thread, with no
-    result thread that would allocate in a malloc arena of its own.  It
-    re-raises the child's ``ParseError`` and returns None when the child
-    died without an answer, so the caller parses in-process.  The child
-    decodes JSON and builds arrays: it starts no thread and calls no BLAS,
+    The fork hands the child the caller's values as they are at that
+    moment, without pickling.  :meth:`result` receives ``fn``'s value on
+    the calling thread, with no result thread that would allocate in a
+    malloc arena of its own.  It re-raises the child's ``ParseError`` and
+    returns None when the child died without an answer, so the caller
+    does the work in-process.  :meth:`wait` joins a child whose value is
+    not wanted and says whether ``fn`` returned.  The children parse or
+    format text and build arrays: they start no thread and call no BLAS,
     which is what makes "fork" safe here.
     """
 
-    def __init__(self, loader, path):
+    def __init__(self, fn, *args):
         ctx = multiprocessing.get_context("fork")
         self._conn, send = ctx.Pipe(duplex=False)
-        self._proc = ctx.Process(target=_parse_and_send, daemon=True,
-                                 args=(loader, path, send, self._conn))
+        self._proc = ctx.Process(target=_run_child, daemon=True,
+                                 args=(fn, args, send, self._conn))
         self._proc.start()
         send.close()
 
     @classmethod
-    def start(cls, loader, path) -> Optional["_ChildParse"]:
-        """A child parsing ``path``, or None where it could not overlap
-        with the caller: one usable CPU, no "fork" start method, a
+    def start(cls, fn, *args) -> Optional["_Child"]:
+        """A child running ``fn(*args)``, or None where it could not
+        overlap with the caller: one usable CPU, no "fork" start method, a
         daemonic caller, which may not have children, or a failed fork."""
         if (_usable_cpus() < 2
                 or "fork" not in multiprocessing.get_all_start_methods()
                 or multiprocessing.current_process().daemon):
             return None
         try:
-            return cls(loader, path)
+            return cls(fn, *args)
         except OSError:  # out of processes or memory
             return None
 
@@ -176,6 +199,13 @@ class _ChildParse:
             raise error
         return value
 
+    def wait(self) -> bool:
+        """Join the child; True when ``fn`` returned in it.  A None reply
+        is a few bytes, which the pipe holds unread."""
+        self._proc.join()
+        self._conn.close()
+        return self._proc.exitcode == 0
+
     def close(self) -> None:
         """End the child.  One whose pipe was never read blocks writing to
         it, so it is terminated before the join."""
@@ -184,18 +214,65 @@ class _ChildParse:
         self._conn.close()
 
 
-def _parse_and_send(loader, path, conn, parent_end) -> None:
-    """A _ChildParse child: send (value, None) or (None, ParseError)."""
+def _run_child(fn, args, conn, parent_end) -> None:
+    """A _Child: send (value, None) or (None, ParseError), or exit 1."""
     parent_end.close()  # a dead parent then breaks the pipe
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent ends it
+    # the parent ends or joins it, so a writer that Ctrl-C reaches
+    # still finishes its file
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
-        reply = (loader(path), None)
+        reply = (fn(*args), None)
     except io.ParseError as exc:
         reply = (None, exc)
-    except Exception:  # the caller parses in-process and meets it there
-        return
+    except Exception:  # the caller redoes the work and meets it there
+        sys.exit(1)
     with contextlib.suppress(OSError):  # the caller has gone
         conn.send(reply)
+
+
+class _Memo(dict):
+    """run_all's memo (artifact key -> value, as :func:`_load` keeps it),
+    plus the children still writing artifacts behind the stages."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # artifact key -> (child, the write it runs), in start order
+        self._writers: dict[str, tuple[_Child, Callable[[], None]]] = {}
+
+    def write_behind(self, write: Callable[[], None],
+                     keys: Sequence[str]) -> None:
+        """Run ``write()``, which writes the artifacts ``keys``, in a
+        child, or in-process where none can start."""
+        child = _Child.start(write)
+        if child is None:
+            write()
+        else:
+            self._writers.update(dict.fromkeys(keys, (child, write)))
+
+    def settle(self, key: str) -> None:
+        """Wait for the child writing ``key``.  Where it failed, redo its
+        writes in-process, which raises what the stage run on its own
+        raises."""
+        pending = self._writers.get(key)
+        if pending is None:
+            return
+        for k in [k for k, p in self._writers.items() if p is pending]:
+            del self._writers[k]
+        child, write = pending
+        if not child.wait():
+            write()
+
+    def join(self) -> None:
+        """Settle every writer in start order; once all are joined, raise
+        the first error, which a stage-by-stage run would meet first."""
+        error = None
+        while self._writers:
+            try:
+                self.settle(next(iter(self._writers)))
+            except Exception as exc:  # held until every child is joined
+                error = error or exc
+        if error is not None:
+            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +316,6 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         cross_class_iou=t.cross_class_iou)
     rows = tracker.run(detections, first_frame=0,
                        last_frame=int(meta["n_frames"]) - 1)
-    io.save_track_rows(rows, _path(proc_dir, "track_rows"))
     # objects that never reach confirm_hits detections are detector noise
     # (typically a mislabeled frame rejected by the cross-class gate);
     # repairing identities across them would graft the noise onto real
@@ -253,8 +329,12 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     # sorted by object id, frame-ordered dicts of float boxes: what
     # load_refined_tracks builds from the file
     refined = refine_identity(confirmed, max_gap=t.max_gap)
-    io.save_refined_tracks(refined, _path(proc_dir, "refined"))
-    _keep(memo, refined=refined)
+
+    def write():
+        io.save_track_rows(rows, _path(proc_dir, "track_rows"))
+        io.save_refined_tracks(refined, _path(proc_dir, "refined"))
+
+    _save(memo, write, "track_rows", refined=refined)
     report = io.validate_stream(detections)
     return {"n_rows": len(rows), "n_objects": len(refined),
             "detection_gaps": len(report.gaps),
@@ -378,8 +458,8 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             instrument_id=list(InstrumentClass).index(cls), points=points,
             fps=float(meta["fps"]), class_id=cls))
 
-    io.save_tips(trajectories, _path(proc_dir, "tips"))
-    _keep(memo, tips=trajectories)
+    _save(memo, lambda: io.save_tips(trajectories, _path(proc_dir, "tips")),
+          tips=trajectories)
     io._write_json(_path(proc_dir, "tips_classes"),
                    {str(tr.instrument_id): tr.class_id.value for tr in trajectories})
     return {"n_trajectories": len(trajectories), "n_localized": n_localized}
@@ -392,6 +472,11 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                  io._read_json(_require(proc_dir, "tips_classes")).items()}
     trajectories = _load(proc_dir, "tips", memo, io.load_tips,
                          fps=float(meta["fps"]), class_map=class_map)
+    if not trajectories:
+        raise ValueError(
+            f"{_path(proc_dir, 'tips')}: no tip trajectories, so the "
+            "'features' stage has nothing to compute (an empty or all-idle "
+            "detection stream?)")
     f = cfg.features
     extractor = KinematicFeatureExtractor(
         downsample=f.downsample, smooth_window=f.smooth_window,
@@ -407,12 +492,16 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                          for i in km.instrument_ids],
     }
     mask_names = [f"present_{i}" for i in km.instrument_ids]
-    io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"),
-                   meta=sidecar)
-    io.save_matrix(km.presence_mask, mask_names, _path(proc_dir, "presence"))
+
+    def write():
+        io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"),
+                       meta=sidecar)
+        io.save_matrix(km.presence_mask, mask_names,
+                       _path(proc_dir, "presence"))
+
     # both matrices are float64 already and the sidecar's values are
     # JSON-native; its readers look keys up, so key order does not matter
-    _keep(memo, features=(km.X, km.feature_names, sidecar),
+    _save(memo, write, features=(km.X, km.feature_names, sidecar),
           presence=(km.presence_mask, mask_names, None))
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
@@ -426,10 +515,13 @@ def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         prominence_frac=g.prominence_frac, min_distance=g.min_distance,
         novelty_floor=g.novelty_floor)
     det.fit(X)
-    io.save_novelty(det.novelty_, _path(proc_dir, "novelty"))
-    io.save_boundaries(det.boundaries_, det.prominences_,
-                       _path(proc_dir, "boundaries"))
-    _keep(memo, novelty=det.novelty_,
+
+    def write():
+        io.save_novelty(det.novelty_, _path(proc_dir, "novelty"))
+        io.save_boundaries(det.boundaries_, det.prominences_,
+                           _path(proc_dir, "boundaries"))
+
+    _save(memo, write, novelty=det.novelty_,
           boundaries=([int(t) for t in det.boundaries_],
                       [float(p) for p in det.prominences_]))
     return {"n_boundaries": int(len(det.boundaries_))}
@@ -472,22 +564,25 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         rows.append({"index": seg.index, "start_frame": seg.start,
                      "end_frame": seg.end, "cluster": int(k),
                      "action": action, "duration_s": seg.duration_s})
-    io.save_segments(rows, _path(proc_dir, "segments"))
-    _keep(memo, segments=rows)
-
-    pred_path = _path(proc_dir, "pred_labels")
+    keep = {"segments": rows}
     if mapping:
         stream = frame_clusters(segments, model.assignments, X.shape[0])
         labels = [mapping[int(k)] for k in stream]
-        native = _expand_to_native(labels, int(sidecar["downsample"]),
-                                   int(sidecar["n_frames_native"]))
-        io.save_labels(native, pred_path)
-        _keep(memo, pred_labels=native)
+        keep["pred_labels"] = _expand_to_native(
+            labels, int(sidecar["downsample"]),
+            int(sidecar["n_frames_native"]))
     else:
         # an older semantic run must not feed eval, from disk or memo
-        pred_path.unlink(missing_ok=True)
+        _path(proc_dir, "pred_labels").unlink(missing_ok=True)
         if memo is not None:
             memo.pop("pred_labels", None)
+
+    def write():
+        io.save_segments(rows, _path(proc_dir, "segments"))
+        if mapping:
+            io.save_labels(keep["pred_labels"], _path(proc_dir, "pred_labels"))
+
+    _save(memo, write, **keep)
     return {"n_segments": len(segments), "inertia": model.inertia,
             "semantic": mapping is not None, "tie_flags": flags}
 
@@ -517,8 +612,7 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     _, aligned = align_clusters(cluster_native, gt_labels)
     result["frame_aligned"] = frame_metrics(aligned, gt_labels).to_dict()
 
-    pred_path = _path(proc_dir, "pred_labels")
-    if pred_path.exists():
+    if _exists(proc_dir, "pred_labels", memo):
         pred = _load(proc_dir, "pred_labels", memo, io.load_labels)
         if len(pred) != len(gt_labels):
             raise ValueError(
@@ -532,8 +626,8 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     taus_native = [t * factor for t in taus]
     result["boundary"] = boundary_metrics(taus_native, gt_taus, tol).to_dict()
 
-    truth_path = _path(proc_dir, "truth")
-    if truth_path.exists() and _path(proc_dir, "refined").exists():
+    if (_exists(proc_dir, "truth", memo)
+            and _exists(proc_dir, "refined", memo)):
         dets = _load(proc_dir, "detections", memo, io.load_detections)
         refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
         truth = _load(proc_dir, "truth", memo, io.load_truth_instances)
@@ -708,15 +802,15 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
 
     eval_result = skill = None
-    if _path(proc_dir, "eval").exists():
+    if _exists(proc_dir, "eval", memo):
         eval_result = _load_eval(_path(proc_dir, "eval"))
-    if _path(proc_dir, "skill_pred").exists():
+    if _exists(proc_dir, "skill_pred", memo):
         skill = io._read_json(_path(proc_dir, "skill_pred"))
     pred_ribbon = truth_ribbon = None
-    if _path(proc_dir, "pred_labels").exists():
+    if _exists(proc_dir, "pred_labels", memo):
         pred_ribbon = [a.value for a in
                        _load(proc_dir, "pred_labels", memo, io.load_labels)]
-    if _path(proc_dir, "labels").exists():
+    if _exists(proc_dir, "labels", memo):
         truth_ribbon = [a.value for a in
                         _load(proc_dir, "labels", memo, io.load_labels)]
 
@@ -765,7 +859,7 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                  f"over {d['n_segments']} repetitions")
         push("")
 
-    with open(_path(proc_dir, "report_txt"), "w", encoding="utf-8") as fh:
+    with io.atomic_write(_path(proc_dir, "report_txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 
     downsample = int(sidecar["downsample"]) if sidecar else 1
@@ -796,15 +890,24 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     [-> predict-skill] -> report, equivalent to running each stage.
 
     The stages share one memo that lives for this call only, so each
-    artifact is parsed at most once; every file is still written.  The
-    tip candidates, which no stage writes, are parsed in a forked child
-    while the track stage runs, where the host has a second CPU.
+    artifact is parsed at most once; every file is still written.  Where
+    the host has a second CPU, forked children take work off the stages'
+    path: the tip candidates, which no stage writes, are parsed while the
+    track stage runs, and the text files of track, tips, features,
+    segment and cluster are each written by a child while the next stage
+    runs.  Each file is replaced atomically, every child is joined before
+    this returns or raises, and a writer that died is redone in-process.
+    A later stage never waits for a file: what it reads, or checks for,
+    comes from the memo.  With one CPU, without "fork", or in a daemonic
+    process everything runs in-process, with the same bytes.  If a write
+    fails, the error is the one the stage run on its own raises, though
+    later stages' files may have been written by then.
     """
     cand_path = _path(proc_dir, "candidates")
     child = None
     if cand_path.exists() and _path(proc_dir, "references").exists():
-        child = _ChildParse.start(io.load_tip_candidates, cand_path)
-    memo: dict = {"candidates": child} if child else {}
+        child = _Child.start(io.load_tip_candidates, cand_path)
+    memo = _Memo(candidates=child) if child else _Memo()
     try:
         out = {"track": stage_track(proc_dir, cfg, memo=memo),
                "tips": stage_tips(proc_dir, cfg, memo=memo),
@@ -820,4 +923,5 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     finally:
         if child is not None:
             child.close()
+        memo.join()
     return out

@@ -20,6 +20,7 @@ from typing import Optional
 
 import numpy as np
 
+from .io import atomic_write
 from .records import ActionClass, SkillLevel
 from .validation import ParamsMixin, check_array, check_fitted, check_positive_int
 
@@ -257,7 +258,7 @@ class SkillGradientBoosting(ParamsMixin):
         }
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             json.dump(self.to_dict(), fh, sort_keys=True)
             fh.write("\n")
 

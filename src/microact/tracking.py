@@ -142,20 +142,25 @@ def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
     if nd == 0 or nt == 0:
         return [], list(range(nd)), list(range(nt))
 
+    det_apps = det_apps if det_apps is not None else [None] * nd
+    track_apps = track_apps if track_apps is not None else [None] * nt
+    # each embedding is normed once, for all of its pairs
+    det_norms = [None if a is None else float(np.linalg.norm(a))
+                 for a in det_apps]
+    track_norms = [None if a is None else float(np.linalg.norm(a))
+                   for a in track_apps]
     ious = np.zeros((nd, nt))
     cost = np.zeros((nd, nt))
     for i, db in enumerate(det_boxes):
-        da = det_apps[i] if det_apps is not None else None
+        da, na = det_apps[i], det_norms[i]
         for j, tb in enumerate(track_boxes):
-            ta = track_apps[j] if track_apps is not None else None
+            ta, nb = track_apps[j], track_norms[j]
             ov = iou(db, tb)
             ious[i, j] = ov
             if da is not None and ta is not None:
                 if da.shape != ta.shape:
                     raise ValueError(
                         f"appearance dimension mismatch: {da.shape} vs {ta.shape}")
-                na = float(np.linalg.norm(da))
-                nb = float(np.linalg.norm(ta))
                 cos = float(da @ ta) / (na * nb) if na > 0 and nb > 0 else 0.0
                 cost[i, j] = (iou_weight * (1.0 - ov)
                               + appearance_weight * (1.0 - cos))

@@ -10,6 +10,7 @@ import json
 import multiprocessing
 import os
 import shutil
+import time
 from pathlib import Path
 
 import numpy as np
@@ -345,13 +346,13 @@ def test_failed_child_falls_back_to_in_process_parse(tmp_path, monkeypatch,
             os._exit(3)
         return load(path)
 
-    def no_fork(self, loader, path):
+    def no_fork(self, fn, *args):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     if failure == "child dies":
         monkeypatch.setattr(io, "load_tip_candidates", die_in_child)
     else:
-        monkeypatch.setattr(pipeline._ChildParse, "__init__", no_fork)
+        monkeypatch.setattr(pipeline._Child, "__init__", no_fork)
     monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
     calls = record_candidate_parses(monkeypatch)
     pipeline.run_all(d, load_config(environ={}))
@@ -377,6 +378,131 @@ def test_no_child_outlives_run_all(tmp_path, monkeypatch):
     with pytest.raises(RuntimeError, match="track failed"):
         pipeline.run_all(d, cfg)
     assert multiprocessing.active_children() == []
+
+
+# the io writers whose files run_all writes from a child
+CHILD_WRITERS = ("save_track_rows", "save_refined_tracks", "save_tips",
+                 "save_matrix", "save_novelty", "save_boundaries",
+                 "save_segments", "save_labels")
+
+
+def patch_writers(monkeypatch, in_child=None, everywhere=None) -> list:
+    """Wrap each CHILD_WRITERS function: ``in_child()`` runs first in a
+    forked child, ``everywhere()`` in any process.  Returns the names the
+    parent process writes with; a child's calls land in its own copy."""
+    parent, calls = os.getpid(), []
+
+    def wrap(name, save):
+        def writer(*args, **kwargs):
+            if os.getpid() == parent:
+                calls.append(name)
+            elif in_child is not None:
+                in_child()
+            if everywhere is not None:
+                everywhere()
+            return save(*args, **kwargs)
+        return writer
+
+    for name in CHILD_WRITERS:
+        monkeypatch.setattr(io, name, wrap(name, getattr(io, name)))
+    return calls
+
+
+def no_children_left() -> bool:
+    """This process has no child, running or unreaped, left."""
+    try:
+        os.waitpid(-1, os.WNOHANG)  # raises when there is no child at all
+    except ChildProcessError:
+        return True
+    return False
+
+
+def assert_clean(*dirs):
+    assert no_children_left()
+    assert multiprocessing.active_children() == []
+    for d in dirs:
+        assert not list(Path(d).glob("*.tmp"))
+
+
+@pytest.mark.parametrize("k", [4, 3])
+def test_slow_writers_change_no_output(tmp_path, monkeypatch, base_proc, k):
+    # every child writer lags 0.3 s; a stage gating on a file (eval's and
+    # report's predicted_labels.csv, say) would then see it missing.  With
+    # K=3 the directory starts with a stale predicted_labels.csv of a K=4
+    # run, which cluster removes and eval must not score.
+    cfg = load_config(environ={}, overrides={"clustering": {"n_clusters": k}})
+    a, b = tmp_path / "a", tmp_path / "b"
+    if k == 4:
+        fresh_proc(tmp_path, "a")
+    else:
+        shutil.copytree(base_proc, a)
+    shutil.copytree(a, b)
+    calls = patch_writers(monkeypatch, in_child=lambda: time.sleep(0.3))
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    pipeline.run_all(a, cfg)
+    assert calls == []  # the children wrote every file
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    pipeline.run_all(b, cfg)
+    assert calls
+    assert snapshot(a) == snapshot(b)
+    assert (a / "predicted_labels.csv").exists() == (k == 4)
+    assert ("frame" in json.loads((a / "eval.json").read_text())) == (k == 4)
+    assert_clean(a, b)
+
+
+def test_writer_dying_in_its_child_is_redone(tmp_path, monkeypatch,
+                                             base_proc):
+    d = fresh_proc(tmp_path)
+
+    def fail():
+        raise OSError("child out of disk")
+
+    calls = patch_writers(monkeypatch, in_child=fail)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    pipeline.run_all(d, load_config(environ={}))
+    assert sorted(calls) == sorted(CHILD_WRITERS + ("save_matrix",))
+    assert snapshot(d) == snapshot(base_proc)
+    assert_clean(d)
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+def test_failing_writer_fails_like_its_stage(tmp_path, monkeypatch, cpus):
+    a = fresh_proc(tmp_path, "a")
+    b = tmp_path / "b"
+    shutil.copytree(a, b)
+    cfg = load_config(environ={})
+    for stage in STAGES[:3]:
+        stage(b, cfg)
+    save_novelty = io.save_novelty
+
+    def disk_full(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(io, "save_novelty", disk_full)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    with pytest.raises(OSError) as in_run_all:
+        pipeline.run_all(a, cfg)
+    with pytest.raises(OSError) as alone:
+        pipeline.stage_segment(b, cfg)
+    assert str(in_run_all.value) == str(alone.value)
+    assert not (a / "novelty.csv").exists()
+    assert_clean(a, b)
+    # the directory is whole again once the writer works
+    monkeypatch.setattr(io, "save_novelty", save_novelty)
+    pipeline.run_all(a, cfg)
+    for stage in STAGES[3:]:
+        stage(b, cfg)
+    assert snapshot(a) == snapshot(b)
+
+
+def test_empty_detections_name_the_features_stage(tmp_path, capsys):
+    d = fresh_proc(tmp_path)
+    (d / "detections.jsonl").write_text("")
+    assert run_cli("run-all", d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'tips.csv'}: ")
+    assert "'features' stage" in err
+    assert "Traceback" not in err
 
 
 def test_missing_input_names_producer(tmp_path, capsys):

@@ -48,6 +48,7 @@ from microact.io import (
     validate_stream,
 )
 from microact.records import TipCandidateSet, TrackObservation
+from microact.skill import SkillGradientBoosting
 
 
 def det(frame, cls=InstrumentClass.NEEDLE, bbox=(0.0, 0.0, 10.0, 10.0), conf=0.9,
@@ -451,3 +452,31 @@ class TestMatrixCurves:
         p = tmp_path / "segs.csv"
         save_segments(rows, p)
         assert load_segments(p) == rows
+
+
+def _dies_midway(items):
+    yield from items
+    raise RuntimeError("writer died")
+
+
+def _save_unserializable_model(path):
+    model = SkillGradientBoosting()
+    model.to_dict = lambda: {"a": list(range(5000)), "z": object()}
+    model.save(path)
+
+
+@pytest.mark.parametrize("write", [
+    lambda p: io._write_jsonl(p, _dies_midway([{"a": 1}] * 5000)),
+    lambda p: io._write_csv(p, ["a"], _dies_midway([[1.5]] * 5000)),
+    lambda p: io._write_json(p, {"a": list(range(5000)), "z": object()}),
+    _save_unserializable_model,
+], ids=["jsonl", "csv", "json", "model"])
+def test_failed_write_keeps_the_previous_file(tmp_path, write):
+    # the writer fails after thousands of records; the file it would
+    # replace keeps its bytes, and no temp file is left beside it
+    p = tmp_path / "artifact"
+    p.write_bytes(b"previous\n")
+    with pytest.raises((RuntimeError, TypeError)):
+        write(p)
+    assert p.read_bytes() == b"previous\n"
+    assert [q.name for q in tmp_path.iterdir()] == ["artifact"]

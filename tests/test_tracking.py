@@ -3,7 +3,9 @@
 Oracles:
   * association checked against explicit enumeration of both possible
     assignments for the 2x2 crossed-box case, and brute-force permutation
-    search for random cost matrices;
+    search for random cost matrices; its cost matrix against the per-pair
+    loop that normed both embeddings for every pair
+    (``association_cost_scalar``);
   * the moving-box Kalman example against closed-form constant-velocity
     extrapolation;
   * tip localization against exhaustive similarity computation, and the
@@ -18,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microact import tracking
 from microact.records import (Detection, InstrumentClass, Provenance,
                               RefinedTrack, TrackObservation, TruthInstance)
 from microact.tracking import (InstrumentTracker, KalmanState, associate,
@@ -122,6 +125,63 @@ class TestAssociate:
         with pytest.raises(ValueError, match="dimension mismatch"):
             associate([(0, 0, 1, 1)], [(0, 0, 1, 1)],
                       det_apps=[np.ones(4)], track_apps=[np.ones(8)])
+
+    def test_cost_matches_per_pair_norm_oracle(self, monkeypatch):
+        # None and zero-norm embeddings included; the cost matrix handed
+        # to the solver must equal the per-pair loop's to the bit
+        seen = []
+        solve = tracking.linear_sum_assignment
+
+        def recording(cost):
+            seen.append(cost.copy())
+            return solve(cost)
+
+        monkeypatch.setattr(tracking, "linear_sum_assignment", recording)
+        rng = np.random.default_rng(11)
+
+        def embedding():
+            kind = rng.integers(0, 4)
+            if kind == 0:
+                return None
+            if kind == 1:
+                return np.zeros(6)
+            v = rng.normal(size=6)
+            return v / np.linalg.norm(v) if kind == 2 else v * 1e-3
+
+        for _ in range(200):
+            nd, nt = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            d = [tuple(map(float, (*rng.uniform(0, 20, 2), 10, 10)))
+                 for _ in range(nd)]
+            t = [tuple(map(float, (*rng.uniform(0, 20, 2), 10, 10)))
+                 for _ in range(nt)]
+            da = [embedding() for _ in range(nd)]
+            ta = [embedding() for _ in range(nt)]
+            for det_apps, track_apps in ((da, ta), (da, None), (None, ta)):
+                associate(d, t, det_apps, track_apps)
+                want = association_cost_scalar(d, t, det_apps, track_apps)
+                assert seen[-1].tobytes() == want.tobytes()
+
+
+def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
+                            track_apps=None, iou_weight=0.7,
+                            appearance_weight=0.3):
+    """associate's cost matrix as the loop that normed both embeddings of
+    every pair built it: the oracle for the once-per-call norms."""
+    cost = np.zeros((len(det_boxes), len(track_boxes)))
+    for i, db in enumerate(det_boxes):
+        da = det_apps[i] if det_apps is not None else None
+        for j, tb in enumerate(track_boxes):
+            ta = track_apps[j] if track_apps is not None else None
+            ov = iou(db, tb)
+            if da is not None and ta is not None:
+                na = float(np.linalg.norm(da))
+                nb = float(np.linalg.norm(ta))
+                cos = float(da @ ta) / (na * nb) if na > 0 and nb > 0 else 0.0
+                cost[i, j] = (iou_weight * (1.0 - ov)
+                              + appearance_weight * (1.0 - cos))
+            else:
+                cost[i, j] = 1.0 - ov
+    return cost
 
 
 class TestKalman:
