@@ -1,4 +1,5 @@
-"""Command-line entry point: one subcommand per pipeline stage.
+"""Command-line entry point: one subcommand per pipeline stage, with the
+per-directory ones, their order and their help taken from pipeline.STAGES.
 
 Exit codes: 0 success, 1 pipeline error (diagnostic on stderr),
 2 usage error (argparse).
@@ -9,22 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
 
-from .config import ConfigError, PipelineConfig, load_config, save_config
+from .config import ConfigError, load_config, save_config
 from .io import ParseError
 from .records import SkillLevel
 from . import pipeline
-
-STAGE_COMMANDS = {
-    "track": pipeline.stage_track,
-    "tips": pipeline.stage_tips,
-    "features": pipeline.stage_features,
-    "segment": pipeline.stage_segment,
-    "cluster": pipeline.stage_cluster,
-    "eval": pipeline.stage_eval,
-    "report": pipeline.stage_report,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,10 +44,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", choices=[str(v).lower() for v in SkillLevel],
                    help="preset sloppiness for a skill grade")
 
-    for name, fn in STAGE_COMMANDS.items():
+    for name, fn_name, when in pipeline.STAGES:
+        doc = getattr(pipeline, fn_name).__doc__
         p = sub.add_parser(name, parents=[common],
-                           help=fn.__doc__.splitlines()[0].lower().rstrip("."))
+                           help=doc.splitlines()[0].lower().rstrip("."))
         p.add_argument("proc_dir", metavar="DIR")
+        if when == "model":
+            p.add_argument("--model", required=True, metavar="MODEL")
 
     p = sub.add_parser("train-skill", parents=[common],
                        help="fit the skill classifier on scored procedures")
@@ -66,11 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="where to write the model JSON")
     p.add_argument("--summary", metavar="PATH",
                    help="also write a training summary JSON")
-
-    p = sub.add_parser("predict-skill", parents=[common],
-                       help="grade rated-action segments with a trained model")
-    p.add_argument("proc_dir", metavar="DIR")
-    p.add_argument("--model", required=True, metavar="MODEL")
 
     p = sub.add_parser("run-all", parents=[common],
                        help="run every stage on one or more procedures")
@@ -96,14 +84,9 @@ def _echo(stage: str, result: dict) -> None:
     print(f"[{stage}] " + " ".join(parts))
 
 
-def _run_all_one(proc_dir: str, cfg: PipelineConfig,
-                 model: Optional[str]) -> str:
-    pipeline.run_all(proc_dir, cfg, model_path=model)
-    return proc_dir
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    stages = {name: (fn_name, when) for name, fn_name, when in pipeline.STAGES}
     try:
         overrides = {"seed": args.seed} if args.seed is not None else None
         cfg = load_config(args.config, overrides=overrides)
@@ -111,8 +94,16 @@ def main(argv=None) -> int:
         if args.command == "synth":
             level = SkillLevel.from_name(args.level) if args.level else None
             _echo("synth", pipeline.stage_synth(args.out_dir, cfg, level=level))
-        elif args.command in STAGE_COMMANDS:
-            _echo(args.command, STAGE_COMMANDS[args.command](args.proc_dir, cfg))
+        elif args.command in stages:
+            fn_name, when = stages[args.command]
+            extra = {"model_path": args.model} if when == "model" else {}
+            result = getattr(pipeline, fn_name)(args.proc_dir, cfg, **extra)
+            if args.command == "predict-skill":
+                for action, d in sorted(result["summary"].items()):
+                    print(f"[predict-skill] {action}: {d['level']} "
+                          f"({d['n_segments']} segments)")
+            else:
+                _echo(args.command, result)
         elif args.command == "train-skill":
             result = pipeline.train_skill(args.proc_dirs, cfg, args.out,
                                           summary_path=args.summary)
@@ -120,19 +111,14 @@ def main(argv=None) -> int:
                                   if k != "cv"})
             if result.get("cv"):
                 print(f"[train-skill] cv accuracy={result['cv']['accuracy']:.3f}")
-        elif args.command == "predict-skill":
-            result = pipeline.predict_skill(args.proc_dir, cfg, args.model)
-            for action, d in sorted(result["summary"].items()):
-                print(f"[predict-skill] {action}: {d['level']} "
-                      f"({d['n_segments']} segments)")
         elif args.command == "run-all":
             dirs = args.proc_dirs
             if args.jobs > 1 and len(dirs) > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    for done in pool.map(_run_all_one, dirs,
-                                         [cfg] * len(dirs),
-                                         [args.model] * len(dirs)):
-                        print(f"[run-all] {done} done")
+                    runs = pool.map(pipeline.run_all, dirs, [cfg] * len(dirs),
+                                    [args.model] * len(dirs))
+                    for d, _ in zip(dirs, runs):
+                        print(f"[run-all] {d} done")
             else:
                 for d in dirs:
                     pipeline.run_all(d, cfg, model_path=args.model)

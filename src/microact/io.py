@@ -132,8 +132,7 @@ def atomic_write(path: PathLike, newline: Optional[str] = None):
     is removed and ``path`` stays as it was.  This guards against a
     writer that fails or a process that dies, not against power loss.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = temp_path(path, os.getpid())
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
@@ -141,6 +140,12 @@ def atomic_write(path: PathLike, newline: Optional[str] = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def temp_path(path: PathLike, pid: int) -> Path:
+    """Where :func:`atomic_write` in process ``pid`` writes ``path`` first."""
+    path = Path(path)
+    return path.with_name(f"{path.name}.{pid}.tmp")
 
 
 def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
@@ -193,6 +198,15 @@ def _write_json(path: PathLike, obj) -> None:
     with atomic_write(path) as fh:
         json.dump(obj, fh, sort_keys=True, indent=1)
         fh.write("\n")
+
+
+def load_meta(path: PathLike) -> dict:
+    """meta.json, checked for the keys every stage may read."""
+    meta = _read_json(path)
+    for key in ("fps", "n_frames"):
+        if key not in meta:
+            raise ValueError(f"{path}: missing {key!r}")
+    return meta
 
 
 def _box_fields(bbox: BBox) -> dict:

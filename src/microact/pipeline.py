@@ -128,11 +128,6 @@ def _checked(doc: dict, path, keys: Sequence[str], within: str = "") -> dict:
     return doc
 
 
-def _load_meta(proc_dir) -> dict:
-    return _checked(io._read_json(_require(proc_dir, "meta")),
-                    _path(proc_dir, "meta"), ("fps", "n_frames"))
-
-
 def _load_sidecar(proc_dir, memo: Optional["_Memo"],
                   keys: Sequence[str]) -> Optional[dict]:
     """features.csv's sidecar checked for ``keys``, or None without one."""
@@ -172,6 +167,7 @@ class _Child:
         self._proc = ctx.Process(target=_run_child, daemon=True,
                                  args=(fn, args, send, self._conn))
         self._proc.start()
+        self.pid = self._proc.pid
         send.close()
 
     @classmethod
@@ -232,12 +228,13 @@ def _run_child(fn, args, conn, parent_end) -> None:
 
 class _Memo(dict):
     """run_all's memo (artifact key -> value, as :func:`_load` keeps it),
-    plus the children still writing artifacts behind the stages."""
+    plus the children still writing ``proc_dir``'s artifacts behind it."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        # artifact key -> (child, the write it runs), in start order
-        self._writers: dict[str, tuple[_Child, Callable[[], None]]] = {}
+    def __init__(self, proc_dir, **values):
+        super().__init__(**values)
+        self._dir = proc_dir
+        # key -> (child, its write, the keys it writes), in start order
+        self._writers: dict[str, tuple[_Child, Callable, tuple]] = {}
 
     def write_behind(self, write: Callable[[], None],
                      keys: Sequence[str]) -> None:
@@ -247,19 +244,22 @@ class _Memo(dict):
         if child is None:
             write()
         else:
-            self._writers.update(dict.fromkeys(keys, (child, write)))
+            self._writers.update(dict.fromkeys(keys, (child, write, keys)))
 
     def settle(self, key: str) -> None:
-        """Wait for the child writing ``key``.  Where it failed, redo its
-        writes in-process, which raises what the stage run on its own
-        raises."""
+        """Wait for the child writing ``key``.  Where it failed, remove the
+        temp files it left and redo its writes in-process, which raises
+        what the stage run on its own raises."""
         pending = self._writers.get(key)
         if pending is None:
             return
-        for k in [k for k, p in self._writers.items() if p is pending]:
+        child, write, keys = pending
+        for k in keys:
             del self._writers[k]
-        child, write = pending
         if not child.wait():
+            for path in [_path(self._dir, k) for k in keys]:
+                for p in (path, io.sidecar_path(path)):  # features' sidecar
+                    io.temp_path(p, child.pid).unlink(missing_ok=True)
             write()
 
     def join(self) -> None:
@@ -306,7 +306,7 @@ def stage_synth(out_dir, cfg: PipelineConfig,
 
 def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Detections -> per-frame track rows -> identity-repaired tracks."""
-    meta = _load_meta(proc_dir)
+    meta = _load(proc_dir, "meta", memo, io.load_meta)
     detections = _load(proc_dir, "detections", memo, io.load_detections)
     t = cfg.tracking
     tracker = InstrumentTracker(
@@ -387,7 +387,7 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     the tip.  Frames without a usable candidate set fall back to the box
     center, which is also the whole story for coasted boxes.
     """
-    meta = _load_meta(proc_dir)
+    meta = _load(proc_dir, "meta", memo, io.load_meta)
     n_frames = int(meta["n_frames"])
     refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
 
@@ -467,7 +467,7 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 
 def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
-    meta = _load_meta(proc_dir)
+    meta = _load(proc_dir, "meta", memo, io.load_meta)
     class_map = {int(k): InstrumentClass(v) for k, v in
                  io._read_json(_require(proc_dir, "tips_classes")).items()}
     trajectories = _load(proc_dir, "tips", memo, io.load_tips,
@@ -589,13 +589,12 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 
 def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:
     """Undo feature downsampling by repetition; frame t maps to t // factor."""
-    out = [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
-    return out
+    return [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
 
 
 def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Score predictions against the directory's ground truth."""
-    meta = _load_meta(proc_dir)
+    meta = _load(proc_dir, "meta", memo, io.load_meta)
     native_fps = float(meta["fps"])
     gt_labels = _load(proc_dir, "labels", memo, io.load_labels)
     sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
@@ -794,7 +793,7 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     skill tables; report.json carries the novelty curve, boundaries,
     label ribbons and a decimated enhanced SSM for plotting.
     """
-    meta = _load_meta(proc_dir)
+    meta = _load(proc_dir, "meta", memo, io.load_meta)
     novelty = _load(proc_dir, "novelty", memo, io.load_novelty)
     taus, proms = _load(proc_dir, "boundaries", memo, io.load_boundaries)
     segs = _load(proc_dir, "segments", memo, io.load_segments)
@@ -885,9 +884,25 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 # chaining
 
 
+# the per-directory stages in run order: (CLI subcommand, function name,
+# run condition), where the condition is None (always), "labels"
+# (labels.csv exists) or "model" (a model is given, as ``model_path``)
+STAGES = (
+    ("track", "stage_track", None),
+    ("tips", "stage_tips", None),
+    ("features", "stage_features", None),
+    ("segment", "stage_segment", None),
+    ("cluster", "stage_cluster", None),
+    ("eval", "stage_eval", "labels"),
+    ("predict-skill", "predict_skill", "model"),
+    ("report", "stage_report", None),
+)
+
+
 def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
-    """track -> tips -> features -> segment -> cluster [-> eval]
-    [-> predict-skill] -> report, equivalent to running each stage.
+    """Every stage of :data:`STAGES` whose condition holds, in order,
+    equivalent to running each stage; returns each one's summary under
+    its name, with "_" for "-".
 
     The stages share one memo that lives for this call only, so each
     artifact is parsed at most once; every file is still written.  Where
@@ -907,19 +922,17 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     child = None
     if cand_path.exists() and _path(proc_dir, "references").exists():
         child = _Child.start(io.load_tip_candidates, cand_path)
-    memo = _Memo(candidates=child) if child else _Memo()
+    memo = _Memo(proc_dir, candidates=child) if child else _Memo(proc_dir)
+    out = {}
     try:
-        out = {"track": stage_track(proc_dir, cfg, memo=memo),
-               "tips": stage_tips(proc_dir, cfg, memo=memo),
-               "features": stage_features(proc_dir, cfg, memo=memo),
-               "segment": stage_segment(proc_dir, cfg, memo=memo),
-               "cluster": stage_cluster(proc_dir, cfg, memo=memo)}
-        if _path(proc_dir, "labels").exists():
-            out["eval"] = stage_eval(proc_dir, cfg, memo=memo)
-        if model_path is not None:
-            out["predict_skill"] = predict_skill(proc_dir, cfg, model_path,
-                                                 memo=memo)
-        out["report"] = stage_report(proc_dir, cfg, memo=memo)
+        for name, fn_name, when in STAGES:
+            if ((when == "labels" and not _path(proc_dir, "labels").exists())
+                    or (when == "model" and model_path is None)):
+                continue
+            extra = {"model_path": model_path} if when == "model" else {}
+            # looked up at call time, so a wrapper set on the module runs
+            out[name.replace("-", "_")] = globals()[fn_name](
+                proc_dir, cfg, memo=memo, **extra)
     finally:
         if child is not None:
             child.close()

@@ -126,9 +126,6 @@ class TipTrajectory:
     def __len__(self) -> int:
         return len(self.points)
 
-    def present_mask(self) -> np.ndarray:
-        return np.array([p is not None for p in self.points], dtype=bool)
-
 
 @dataclass
 class TipCandidateSet:

@@ -34,20 +34,10 @@ class SelfSimilarityBand:
     T: int
     half_width: int
     band: np.ndarray
-    is_full: bool = False
 
     @property
     def bandwidth(self) -> int:
         return 2 * self.half_width
-
-    def offset_view(self, o: int) -> np.ndarray:
-        """Values S(t, t+o) for t in [max(0,-o), T - max(0,o))."""
-        bw = self.bandwidth
-        if abs(o) > bw:
-            raise ValueError(f"offset {o} outside band (|o| <= {bw})")
-        if o >= 0:
-            return self.band[: self.T - o, bw + o]
-        return self.band[-o:, bw + o]
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
@@ -116,7 +106,7 @@ def ssm_band(X, h: int) -> SelfSimilarityBand:
         v = _shifted_rowdot(Xu, o)
         band[: T - o, bw + o] = v
         band[o:, bw - o] = v
-    return SelfSimilarityBand(T=T, half_width=h, band=band, is_full=bw >= T - 1)
+    return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 
 def enhance(S: Union[np.ndarray, SelfSimilarityBand], *, inplace: bool = False):
@@ -126,8 +116,7 @@ def enhance(S: Union[np.ndarray, SelfSimilarityBand], *, inplace: bool = False):
         np.square(data, out=data)
         if inplace:
             return S
-        return SelfSimilarityBand(T=S.T, half_width=S.half_width, band=data,
-                                  is_full=S.is_full)
+        return SelfSimilarityBand(T=S.T, half_width=S.half_width, band=data)
     arr = np.asarray(S, dtype=np.float64)
     if inplace and isinstance(S, np.ndarray) and S.dtype == np.float64:
         np.square(S, out=S)
@@ -147,8 +136,7 @@ class CheckerboardKernel:
 
     half_width: int
     sigma: float
-    w: np.ndarray = field(repr=False)        # (2h,) 1-D factor, index i+h
-    weights: np.ndarray = field(repr=False)  # (2h, 2h) outer product
+    w: np.ndarray = field(repr=False)  # (2h,) 1-D factor, index i+h
 
 
 def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
@@ -165,8 +153,7 @@ def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
     w = np.empty(2 * h, dtype=np.float64)
     w[h:] = g
     w[:h] = -g[::-1]
-    return CheckerboardKernel(half_width=h, sigma=sigma, w=w,
-                              weights=np.outer(w, w))
+    return CheckerboardKernel(half_width=h, sigma=sigma, w=w)
 
 
 def _as_band(S: Union[np.ndarray, SelfSimilarityBand],
@@ -183,7 +170,7 @@ def _as_band(S: Union[np.ndarray, SelfSimilarityBand],
         d = np.diagonal(S, offset=o)
         band[: T - o, bw + o] = d
         band[o:, bw - o] = np.diagonal(S, offset=-o)
-    return SelfSimilarityBand(T=T, half_width=h, band=band, is_full=bw >= T - 1)
+    return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 
 def novelty(S_enh: Union[np.ndarray, SelfSimilarityBand],

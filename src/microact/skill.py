@@ -284,16 +284,6 @@ class SkillGradientBoosting(ParamsMixin):
             return cls.from_dict(json.load(fh))
 
 
-def train_gbdt(features, levels, *, n_estimators: int = 200,
-               learning_rate: float = 0.1, max_depth: int = 3,
-               seed: Optional[int] = 0) -> SkillGradientBoosting:
-    """Functional entry: fit a booster on (features, levels)."""
-    levels = np.asarray([int(v) for v in levels])
-    return SkillGradientBoosting(
-        n_estimators=n_estimators, learning_rate=learning_rate,
-        max_depth=max_depth, random_state=seed).fit(features, levels)
-
-
 def predict(model: SkillGradientBoosting, x) -> tuple[SkillLevel, np.ndarray]:
     """Grade one feature vector; returns (level, class probabilities)."""
     x = np.asarray(x, dtype=np.float64)
@@ -321,28 +311,6 @@ def stratified_fold_assignment(y: np.ndarray, folds: int,
         idx = idx[rng.permutation(idx.size)]
         assignment[idx] = np.arange(idx.size) % folds
     return assignment
-
-
-def stratified_split(y, test_frac: float = 0.2,
-                     seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded stratified train/test split; returns (train_idx, test_idx)."""
-    y = np.asarray(y)
-    if not 0.0 < test_frac < 1.0:
-        raise ValueError("test_frac must lie in (0, 1)")
-    rng = np.random.default_rng(seed)
-    train, test = [], []
-    for cls in np.unique(y):
-        idx = np.flatnonzero(y == cls)
-        idx = idx[rng.permutation(idx.size)]
-        n_test = int(round(idx.size * test_frac))
-        if idx.size >= 2:
-            n_test = min(max(n_test, 1), idx.size - 1)
-        else:
-            n_test = 0
-        test.extend(idx[:n_test])
-        train.extend(idx[n_test:])
-    return np.sort(np.asarray(train, dtype=np.int64)), \
-        np.sort(np.asarray(test, dtype=np.int64))
 
 
 def _per_class_prf(y_true: np.ndarray, y_pred: np.ndarray,

@@ -18,7 +18,7 @@ be scored exactly.  Everything is a pure function of (script, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -388,12 +388,3 @@ def write_procedure(proc: SyntheticProcedure, out_dir) -> dict[str, str]:
                                   paths["references"])
     io.save_scores(proc.scores, paths["scores"])
     return paths
-
-
-def script_for_level(level: SkillLevel, seed: int,
-                     base: Optional[ProcedureScript] = None) -> ProcedureScript:
-    """Paper-shaped script at the canonical sloppiness for one grade."""
-    s = SLOPPINESS_BY_LEVEL[level]
-    if base is None:
-        return paper_shaped_script(seed=seed, sloppiness=s)
-    return replace(base, seed=seed, sloppiness=s)

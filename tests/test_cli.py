@@ -5,6 +5,8 @@ temp dirs, so they cover config layering, stage wiring, and the on-disk
 artifact contract rather than any one module.
 """
 
+import argparse
+import contextlib
 import dataclasses
 import json
 import multiprocessing
@@ -142,6 +144,7 @@ def test_run_all_memo_matches_files(tmp_path, monkeypatch):
     classes = {int(k): InstrumentClass(v) for k, v in
                json.loads((d / "tips_classes.json").read_text()).items()}
     loaders = {
+        "meta": io.load_meta,
         "detections": io.load_detections,
         "refined": io.load_refined_tracks,
         "tips": lambda p: io.load_tips(p, fps=fps, class_map=classes),
@@ -165,20 +168,42 @@ def test_run_all_memo_matches_files(tmp_path, monkeypatch):
         assert_same(value, loaded, key)
 
 
+def test_stage_order():
+    assert [name for name, *_ in pipeline.STAGES] == [
+        "track", "tips", "features", "segment", "cluster", "eval",
+        "predict-skill", "report"]
+
+
+def test_artifact_producers_are_stages():
+    names = {name for name, *_ in pipeline.STAGES}
+    producers = {stage for _, stage in io.ARTIFACTS.values()}
+    assert producers <= names | {"synth"}
+    assert names <= producers
+
+
+def test_parser_offers_the_stage_table():
+    parser = cli.build_parser()
+    sub, = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    assert set(sub.choices) == {name for name, *_ in pipeline.STAGES} | {
+        "synth", "train-skill", "run-all", "init-config"}
+
+
+def stages_without_model():
+    """(subcommand, function) of each stage run_all runs without a model,
+    in order; looked up now, so a monkeypatched stage is the one called."""
+    return [(name, getattr(pipeline, fn_name))
+            for name, fn_name, when in pipeline.STAGES if when != "model"]
+
+
 def test_stagewise_equals_run_all(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert run_cli("synth", "--out-dir", a, "--seed", 5) == 0
     assert run_cli("synth", "--out-dir", b, "--seed", 5) == 0
     assert run_cli("run-all", a) == 0
-    for stage in ("track", "tips", "features", "segment", "cluster",
-                  "eval", "report"):
-        assert run_cli(stage, b) == 0
+    for name, _ in stages_without_model():
+        assert run_cli(name, b) == 0
     assert snapshot(a) == snapshot(b)
-
-
-STAGES = (pipeline.stage_track, pipeline.stage_tips, pipeline.stage_features,
-          pipeline.stage_segment, pipeline.stage_cluster, pipeline.stage_eval,
-          pipeline.stage_report)
 
 
 def test_stagewise_equals_run_all_messy_30fps(tmp_path):
@@ -196,7 +221,7 @@ def test_stagewise_equals_run_all_messy_30fps(tmp_path):
                                      "n_frames": proc.n_frames})
     shutil.copytree(a, b)
     pipeline.run_all(a, cfg)
-    for stage in STAGES:
+    for _, stage in stages_without_model():
         stage(b, cfg)
     assert snapshot(a) == snapshot(b)
     rows = io.load_track_rows(a / "track_rows.jsonl")
@@ -214,7 +239,7 @@ def test_stagewise_equals_run_all_after_semantic_run(tmp_path, base_proc):
         shutil.copytree(base_proc, d)
         assert (d / "predicted_labels.csv").exists()
     pipeline.run_all(a, cfg)
-    for stage in STAGES:
+    for _, stage in stages_without_model():
         stage(b, cfg)
     assert snapshot(a) == snapshot(b)
     assert not (a / "predicted_labels.csv").exists()
@@ -465,13 +490,38 @@ def test_writer_dying_in_its_child_is_redone(tmp_path, monkeypatch,
     assert_clean(d)
 
 
+@pytest.mark.parametrize("name", ["novelty.csv", "features.csv.meta.json"])
+def test_writer_child_dying_mid_file_leaves_no_temp_file(
+        tmp_path, monkeypatch, base_proc, name):
+    # the child has written all of ``name``'s temp file and dies before
+    # the rename; the redo in the parent must also remove that file
+    d = fresh_proc(tmp_path)
+    parent = os.getpid()
+    atomic_write = io.atomic_write
+
+    @contextlib.contextmanager
+    def dying_write(path, *args, **kwargs):
+        with atomic_write(path, *args, **kwargs) as fh:
+            yield fh
+            if os.getpid() != parent and Path(path).name == name:
+                fh.flush()
+                os._exit(3)
+
+    monkeypatch.setattr(io, "atomic_write", dying_write)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    pipeline.run_all(d, load_config(environ={}))
+    assert snapshot(d) == snapshot(base_proc)
+    assert_clean(d)
+
+
 @pytest.mark.parametrize("cpus", [2, 1])
 def test_failing_writer_fails_like_its_stage(tmp_path, monkeypatch, cpus):
     a = fresh_proc(tmp_path, "a")
     b = tmp_path / "b"
     shutil.copytree(a, b)
     cfg = load_config(environ={})
-    for stage in STAGES[:3]:
+    stages = stages_without_model()
+    for _, stage in stages[:3]:  # track, tips, features
         stage(b, cfg)
     save_novelty = io.save_novelty
 
@@ -490,7 +540,7 @@ def test_failing_writer_fails_like_its_stage(tmp_path, monkeypatch, cpus):
     # the directory is whole again once the writer works
     monkeypatch.setattr(io, "save_novelty", save_novelty)
     pipeline.run_all(a, cfg)
-    for stage in STAGES[3:]:
+    for _, stage in stages[3:]:
         stage(b, cfg)
     assert snapshot(a) == snapshot(b)
 

@@ -142,19 +142,23 @@ class TestSSMBand:
             bw = band.bandwidth
             for o in range(-min(bw, T - 1), min(bw, T - 1) + 1):
                 expect = np.diagonal(S, offset=o)
-                got = band.offset_view(o)
+                # S(t, t+o) for t in [max(0, -o), T - max(0, o))
+                got = band.band[max(0, -o): T - max(0, o), bw + o]
                 assert np.array_equal(got, expect), (T, h, o)
 
     def test_h_at_least_T_is_full(self):
         X = np.random.default_rng(0).normal(size=(5, 3))
         band = ssm_band(X, 5)
-        assert band.is_full
+        # every offset of the 5x5 matrix is in the band
+        bw = band.bandwidth
+        dense = [[band.band[i, bw + j - i] for j in range(5)] for i in range(5)]
+        assert np.array_equal(np.array(dense), ssm(X))
 
     def test_single_frame(self):
         band = ssm_band(np.array([[3.0, 4.0]]), 1)
-        assert band.offset_view(0)[0] == 1.0
+        assert band.band[0, band.bandwidth] == 1.0
         band0 = ssm_band(np.array([[0.0, 0.0]]), 1)
-        assert band0.offset_view(0)[0] == 0.0
+        assert band0.band[0, band0.bandwidth] == 0.0
 
     def test_memory_is_banded(self):
         X = np.random.default_rng(0).normal(size=(500, 3))
@@ -202,28 +206,30 @@ class TestKernel:
         k = make_kernel(1, sigma)
         g = math.exp(-0.25 / (2 * sigma * sigma))
         expect = np.array([[g * g, -g * g], [-g * g, g * g]])
-        assert np.allclose(k.weights, expect, rtol=1e-15)
+        assert np.allclose(np.outer(k.w, k.w), expect, rtol=1e-15)
 
     def test_h2_sigma1_matches_formula(self):
         k = make_kernel(2, 1.0)
+        W = np.outer(k.w, k.w)
         for i in range(-2, 2):
             for j in range(-2, 2):
                 g = math.exp(-(((i + 0.5) ** 2) + ((j + 0.5) ** 2)) / 2.0)
                 sgn = (1 if i >= 0 else -1) * (1 if j >= 0 else -1)
-                assert k.weights[i + 2, j + 2] == pytest.approx(g * sgn, rel=1e-14)
+                assert W[i + 2, j + 2] == pytest.approx(g * sgn, rel=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(h=st.integers(1, 40), sigma=st.floats(0.1, 50.0))
     def test_weights_sum_to_zero(self, h, sigma):
         k = make_kernel(h, sigma)
-        assert abs(float(k.weights.sum())) < 1e-12
+        assert abs(float(np.outer(k.w, k.w).sum())) < 1e-12
 
     def test_quadrant_sign_pattern(self):
         k = make_kernel(3, 1.5)
+        W = np.outer(k.w, k.w)
         for i in range(-3, 3):
             for j in range(-3, 3):
                 same = (i >= 0) == (j >= 0)
-                assert (k.weights[i + 3, j + 3] > 0) == same
+                assert (W[i + 3, j + 3] > 0) == same
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):

@@ -15,8 +15,6 @@ from microact.skill import (
     predict,
     skill_feature_vector,
     stratified_fold_assignment,
-    stratified_split,
-    train_gbdt,
 )
 from microact.validation import NotFittedError
 
@@ -126,7 +124,7 @@ class TestTraining:
     def test_separable_threshold_perfect_within_10_rounds(self):
         X = np.linspace(0, 1, 30).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(int)
-        model = train_gbdt(X, y, n_estimators=10)
+        model = SkillGradientBoosting(n_estimators=10).fit(X, y)
         assert np.mean(model.predict(X) == y) == 1.0
 
     def test_noise_labels_stay_near_majority_rate(self):
@@ -134,7 +132,7 @@ class TestTraining:
         X = rng.normal(size=(300, 4))
         y = rng.integers(0, 2, size=300)
         y[:180] = 0  # majority rate 0.6 + noise tail
-        model = train_gbdt(X, y, n_estimators=5, max_depth=1)
+        model = SkillGradientBoosting(n_estimators=5, max_depth=1).fit(X, y)
         acc = float(np.mean(model.predict(X) == y))
         majority = max(np.bincount(y)) / len(y)
         assert acc < 1.0
@@ -169,7 +167,7 @@ class TestTraining:
 
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="2 classes"):
-            train_gbdt(np.zeros((5, 2)), [1, 1, 1, 1, 1])
+            SkillGradientBoosting().fit(np.zeros((5, 2)), [1, 1, 1, 1, 1])
 
     def test_zero_feature_columns_rejected(self):
         with pytest.raises(ValueError, match="no feature columns"):
@@ -186,14 +184,14 @@ class TestTraining:
             if len(np.unique(y)) < 2:
                 y[0] = 0
                 y[1] = 1
-            model = train_gbdt(X, y, n_estimators=60)
+            model = SkillGradientBoosting(n_estimators=60).fit(X, y)
             ll = model.train_log_loss_
             assert np.all(np.diff(ll) <= 1e-12), f"seed {seed}"
 
     def test_retrain_bit_identical(self):
         X, y = separable_dataset(gap=2.0, seed=3)
-        m1 = train_gbdt(X, y, n_estimators=40)
-        m2 = train_gbdt(X, y, n_estimators=40)
+        m1 = SkillGradientBoosting(n_estimators=40).fit(X, y)
+        m2 = SkillGradientBoosting(n_estimators=40).fit(X, y)
         assert json.dumps(m1.to_dict(), sort_keys=True) == \
             json.dumps(m2.to_dict(), sort_keys=True)
         Xq = np.random.default_rng(0).normal(size=(10, X.shape[1]))
@@ -201,7 +199,7 @@ class TestTraining:
 
     def test_feature_importances_normalized(self):
         X, y = separable_dataset(gap=3.0)
-        model = train_gbdt(X, y, n_estimators=20)
+        model = SkillGradientBoosting(n_estimators=20).fit(X, y)
         imp = model.feature_importances_
         assert np.all(imp >= 0)
         assert imp.sum() == pytest.approx(1.0, abs=1e-9)
@@ -209,7 +207,7 @@ class TestTraining:
     def test_importances_uniform_when_no_splits(self):
         X = np.zeros((10, 3))  # constant features, nothing to split on
         y = np.arange(10) % 2
-        model = train_gbdt(X, y, n_estimators=3)
+        model = SkillGradientBoosting(n_estimators=3).fit(X, y)
         assert np.allclose(model.feature_importances_, 1 / 3)
 
 
@@ -224,14 +222,14 @@ class TestPredict:
 
     def test_separable_point_recovers_label_confidently(self):
         X, y = separable_dataset(gap=10.0)
-        model = train_gbdt(X, y, n_estimators=50)
+        model = SkillGradientBoosting(n_estimators=50).fit(X, y)
         level, proba = predict(model, X[0])
         assert int(level) == y[0]
         assert proba[y[0]] > 0.9
 
     def test_probabilities_sum_to_one(self):
         X, y = separable_dataset(gap=1.0, seed=9)
-        model = train_gbdt(X, y, n_estimators=30)
+        model = SkillGradientBoosting(n_estimators=30).fit(X, y)
         rng = np.random.default_rng(1)
         P = model.predict_proba(rng.normal(size=(50, X.shape[1])) * 10)
         assert np.allclose(P.sum(axis=1), 1.0, atol=1e-9)
@@ -239,7 +237,7 @@ class TestPredict:
 
     def test_dimension_mismatch(self):
         X, y = separable_dataset()
-        model = train_gbdt(X, y, n_estimators=2)
+        model = SkillGradientBoosting(n_estimators=2).fit(X, y)
         with pytest.raises(ValueError, match="features"):
             model.predict(np.zeros((2, X.shape[1] + 1)))
 
@@ -263,7 +261,7 @@ class TestParams:
 class TestSerialization:
     def test_save_load_round_trip(self, tmp_path):
         X, y = separable_dataset(gap=4.0, seed=5)
-        model = train_gbdt(X, y, n_estimators=25)
+        model = SkillGradientBoosting(n_estimators=25).fit(X, y)
         p = tmp_path / "model.json"
         model.save(p)
         loaded = SkillGradientBoosting.load(p)
@@ -327,21 +325,6 @@ class TestCrossValidation:
 
 
 class TestSplits:
-    def test_stratified_split_proportions(self):
-        y = np.array([0] * 50 + [1] * 30 + [2] * 20)
-        train, test = stratified_split(y, test_frac=0.2, seed=0)
-        assert len(train) + len(test) == 100
-        assert set(train) & set(test) == set()
-        yt = y[test]
-        assert np.sum(yt == 0) == 10
-        assert np.sum(yt == 1) == 6
-        assert np.sum(yt == 2) == 4
-
-    def test_split_deterministic(self):
-        y = np.arange(40) % 3
-        assert np.array_equal(stratified_split(y, seed=5)[0],
-                              stratified_split(y, seed=5)[0])
-
     def test_fold_assignment_balanced(self):
         rng = np.random.default_rng(0)
         y = np.array([0] * 25 + [1] * 25)

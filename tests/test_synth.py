@@ -13,7 +13,7 @@ from microact import io
 from microact.records import ActionClass, InstrumentClass, SkillLevel
 from microact.synth import (ActionSpec, ProcedureScript, SLOPPINESS_BY_LEVEL,
                             SyntheticProcedure, generate, paper_shaped_script,
-                            script_for_level, write_procedure)
+                            write_procedure)
 from microact.tracking import localize_tip
 
 
@@ -25,7 +25,7 @@ class TestRegimes:
     def test_cutting_slots_and_motion(self):
         proc = generate(one_step(ActionClass.CUTTING, noise=0.0))
         present = [tr for tr in proc.trajectories
-                   if tr.present_mask().any()]
+                   if any(p is not None for p in tr.points)]
         assert [tr.instrument_id for tr in present] == [0]
         assert present[0].class_id == InstrumentClass.SCISSORS_C
         pts = np.array(present[0].points, dtype=float)
@@ -39,8 +39,8 @@ class TestRegimes:
         p2 = np.array(proc.trajectories[2].points, dtype=float)
         d = np.linalg.norm(p1 - p2, axis=1)
         assert d == pytest.approx(np.full(len(d), 24.0), abs=1e-9)
-        assert proc.trajectories[3].present_mask().all()
-        assert not proc.trajectories[0].present_mask().any()
+        assert all(p is not None for p in proc.trajectories[3].points)
+        assert all(p is None for p in proc.trajectories[0].points)
 
     def test_knot_tying_opposed_about_center(self):
         proc = generate(one_step(ActionClass.KNOT_TYING, noise=0.0))
@@ -55,7 +55,7 @@ class TestRegimes:
 
     def test_no_action_all_absent(self):
         proc = generate(one_step(ActionClass.NO_ACTION))
-        assert all(not tr.present_mask().any() for tr in proc.trajectories)
+        assert all(p is None for tr in proc.trajectories for p in tr.points)
         assert proc.detections == []
 
     def test_zero_noise_boxes_centered_on_tips(self):
@@ -132,7 +132,8 @@ class TestInjections:
         script = one_step(ActionClass.NEEDLE_DRIVING, seconds=680.0,
                           dropout_rate=0.1, seed=11)
         proc = generate(script)
-        total = sum(tr.present_mask().sum() for tr in proc.trajectories)
+        total = sum(p is not None
+                    for tr in proc.trajectories for p in tr.points)
         assert total >= 10_000
         frac = len(proc.dropped) / total
         assert 0.08 <= frac <= 0.12
@@ -273,8 +274,8 @@ class TestDeterminismAndFiles:
         tips = io.load_tips(paths["tips_truth"], fps=proc.fps)
         assert len(tips) == len(proc.trajectories)
         for got, want in zip(tips, proc.trajectories):
-            assert got.present_mask().tolist() == \
-                want.present_mask().tolist()
+            assert [p is not None for p in got.points] == \
+                [p is not None for p in want.points]
         cands = io.load_tip_candidates(paths["candidates"])
         assert set(cands) == set(proc.tip_candidates)
         refs = io.load_reference_descriptors(paths["references"])
@@ -299,7 +300,7 @@ class TestDeterminismAndFiles:
         for level, s in SLOPPINESS_BY_LEVEL.items():
             vals = []
             for seed in range(6):
-                proc = generate(script_for_level(level, seed=seed))
+                proc = generate(paper_shaped_script(seed=seed, sloppiness=s))
                 vals.extend(sc.score for sc in proc.scores)
             means[level] = float(np.mean(vals))
         assert means[SkillLevel.GOOD] > means[SkillLevel.MODERATE] \
