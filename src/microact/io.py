@@ -399,6 +399,36 @@ def load_tips(path: PathLike, *, fps: float,
     return out
 
 
+def save_tips_classes(classes: Mapping[int, InstrumentClass],
+                      path: PathLike) -> None:
+    """tips_classes.json: the instrument class of each tips.csv slot id."""
+    _write_json(path, {str(k): c.value for k, c in classes.items()})
+
+
+def load_tips_classes(path: PathLike) -> dict[int, InstrumentClass]:
+    """tips_classes.json back as {slot id: class}, in the file's order."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, "expected an object of slot id -> class")
+    out = {}
+    for key, name in doc.items():
+        try:
+            out[int(key)] = InstrumentClass(name)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(path, _line_of(path, key),
+                             f"slot {key!r}: {exc}") from exc
+    return out
+
+
+def _line_of(path: PathLike, key: str) -> int:
+    """The first line of JSON file ``path`` that holds ``key`` as a
+    string, or 1."""
+    needle = json.dumps(key)
+    with open(path, "r", encoding="utf-8") as fh:
+        return next((no for no, line in enumerate(fh, start=1)
+                     if needle in line), 1)
+
+
 # ---------------------------------------------------------------------------
 # frame labels and skill scores
 

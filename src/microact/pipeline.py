@@ -458,18 +458,20 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             instrument_id=list(InstrumentClass).index(cls), points=points,
             fps=float(meta["fps"]), class_id=cls))
 
-    _save(memo, lambda: io.save_tips(trajectories, _path(proc_dir, "tips")),
-          tips=trajectories)
-    io._write_json(_path(proc_dir, "tips_classes"),
-                   {str(tr.instrument_id): tr.class_id.value for tr in trajectories})
+    classes = {tr.instrument_id: tr.class_id for tr in trajectories}
+
+    def write():
+        io.save_tips(trajectories, _path(proc_dir, "tips"))
+        io.save_tips_classes(classes, _path(proc_dir, "tips_classes"))
+
+    _save(memo, write, tips=trajectories, tips_classes=classes)
     return {"n_trajectories": len(trajectories), "n_localized": n_localized}
 
 
 def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
     meta = _load(proc_dir, "meta", memo, io.load_meta)
-    class_map = {int(k): InstrumentClass(v) for k, v in
-                 io._read_json(_require(proc_dir, "tips_classes")).items()}
+    class_map = _load(proc_dir, "tips_classes", memo, io.load_tips_classes)
     trajectories = _load(proc_dir, "tips", memo, io.load_tips,
                          fps=float(meta["fps"]), class_map=class_map)
     if not trajectories:
@@ -533,7 +535,9 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     With K = 4 and known instrument classes the clusters get semantic
     action names from their centroid presence patterns; otherwise the
     action column falls back to the cluster id and only the optimal
-    alignment in `eval` can name frames.
+    alignment in `eval` can name frames.  With fewer segments than
+    ``n_clusters``, K is clamped to the segment count and the summary
+    says ``k_clamped``.
     """
     X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
     mask, _, _ = _load(proc_dir, "presence", memo, io.load_matrix)
@@ -547,14 +551,15 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     c = cfg.clustering
     segments = boundaries_to_segments(taus, X.shape[0], eff_fps)
     F = segment_features(X, mask, segments, mask_weight=c.mask_weight)
-    model = kmeans(F, c.n_clusters, seed=cfg.seed, restarts=c.restarts,
+    k = min(c.n_clusters, len(segments))
+    model = kmeans(F, k, seed=cfg.seed, restarts=c.restarts,
                    max_iter=c.max_iter)
 
     mask_classes = [InstrumentClass(v) if v else None
                     for v in sidecar.get("mask_classes", [])]
     mapping: Optional[dict[int, ActionClass]] = None
     flags: list[str] = []
-    if c.n_clusters == 4 and mask_classes and all(mask_classes):
+    if k == 4 and mask_classes and all(mask_classes):
         mapping, flags = semantic_label(model.centroids, X.shape[1],
                                         mask_classes)
 
@@ -584,7 +589,8 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 
     _save(memo, write, **keep)
     return {"n_segments": len(segments), "inertia": model.inertia,
-            "semantic": mapping is not None, "tie_flags": flags}
+            "semantic": mapping is not None, "tie_flags": flags,
+            "k_clamped": k < c.n_clusters}
 
 
 def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:

@@ -2,7 +2,8 @@
 
 Three layers:
 
-  * a constant-velocity Kalman filter on (cx, cy, area, aspect) plus a
+  * a constant-velocity Kalman filter on (cx, cy, area, aspect), run as
+    one (position, velocity) float filter per coordinate, plus a
     cost-matrix associator (IoU blended with appearance cosine), driven
     frame by frame by ``InstrumentTracker``;
   * ``refine_identity``, the offline repair pass: detections override
@@ -47,33 +48,62 @@ def iou(a: BBox, b: BBox) -> float:
 #
 # State x = (cx, cy, s, r, vcx, vcy, vs, vr) with s = w*h, r = w/h.
 # Measurements are the first four components.  One frame per step.
+#
+# F, H, P0, Q and R are block-diagonal over the four coordinates, so the
+# 8-state filter is four independent (position, velocity) filters, run
+# here on Python floats without a BLAS call.  Each formula below is the
+# 8x8 matrix form's arithmetic in the matrix form's order: in every entry
+# of those products at most two terms are nonzero, at most one of them is
+# an inexact product, and that one comes first, so a BLAS sum in index
+# order rounds exactly as the scalar expression does.
 
-_DIM_X = 8
-_DIM_Z = 4
-
-_F = np.eye(_DIM_X)
-_F[:4, 4:] = np.eye(4)
-_H = np.zeros((_DIM_Z, _DIM_X))
-_H[:, :4] = np.eye(4)
-
-# aspect ratio is near constant, so its noise terms are kept small
-_P0 = np.diag([10.0, 10.0, 100.0, 1e-2, 1e3, 1e3, 1e3, 1e-2])
-_Q = np.diag([1.0, 1.0, 1.0, 1e-4, 1e-2, 1e-2, 1e-2, 1e-5])
-_R = np.diag([1.0, 1.0, 10.0, 1e-3])
+# per coordinate (cx, cy, s, r): initial position and velocity variances,
+# process noise and measurement noise; aspect ratio is near constant, so
+# its noise terms are kept small
+_P0_POS = (10.0, 10.0, 100.0, 1e-2)
+_P0_VEL = (1e3, 1e3, 1e3, 1e-2)
+_Q_POS = (1.0, 1.0, 1.0, 1e-4)
+_Q_VEL = (1e-2, 1e-2, 1e-2, 1e-5)
+_R = (1.0, 1.0, 10.0, 1e-3)
 
 
-@dataclass
 class KalmanState:
-    x: np.ndarray  # (8,)
-    P: np.ndarray  # (8, 8)
+    """One filter per coordinate c of (cx, cy, s, r): ``coords[c]`` is
+    (x, v, a, b, d), the mean (position x, velocity v) and the covariance
+    [[a, b], [b, d]].  ``x`` and ``P`` give the 8-state mean and
+    covariance as arrays."""
+
+    __slots__ = ("coords",)
+
+    def __init__(self, coords):
+        self.coords = tuple(coords)
+
+    @property
+    def x(self) -> np.ndarray:
+        """(8,) mean: the four positions, then the four velocities."""
+        return np.array([c[0] for c in self.coords]
+                        + [c[1] for c in self.coords])
+
+    @property
+    def P(self) -> np.ndarray:
+        """(8, 8) covariance; zero outside the per-coordinate blocks."""
+        P = np.zeros((8, 8))
+        for c, (_, _, a, b, d) in enumerate(self.coords):
+            P[c, c], P[c, c + 4], P[c + 4, c], P[c + 4, c + 4] = a, b, b, d
+        return P
+
+
+def _measure(bbox: BBox) -> tuple[float, float, float, float]:
+    # in the box's own number type, then to float as np.array converts
+    x, y, w, h = bbox
+    return tuple(map(float, (x + w / 2.0, y + h / 2.0, w * h, w / h)))
 
 
 def bbox_to_measurement(bbox: BBox) -> np.ndarray:
-    x, y, w, h = bbox
-    return np.array([x + w / 2.0, y + h / 2.0, w * h, w / h])
+    return np.array(_measure(bbox))
 
 
-def measurement_to_bbox(z: np.ndarray) -> BBox:
+def measurement_to_bbox(z) -> BBox:
     s = max(float(z[2]), 1e-6)
     r = max(float(z[3]), 1e-6)
     w = math.sqrt(s * r)
@@ -81,40 +111,54 @@ def measurement_to_bbox(z: np.ndarray) -> BBox:
     return (float(z[0]) - w / 2.0, float(z[1]) - h / 2.0, w, h)
 
 
+def _check_finite(state: KalmanState) -> None:
+    for x, v, _, _, _ in state.coords:
+        if not (math.isfinite(x) and math.isfinite(v)):
+            raise ValueError("non-finite kalman state")
+
+
 def kalman_init(bbox: BBox) -> KalmanState:
     check_bbox(bbox)
-    x = np.zeros(_DIM_X)
-    x[:4] = bbox_to_measurement(bbox)
-    return KalmanState(x=x, P=_P0.copy())
+    return KalmanState(zip(_measure(bbox), (0.0,) * 4, _P0_POS, (0.0,) * 4,
+                           _P0_VEL))
 
 
 def kalman_predict(state: KalmanState) -> KalmanState:
-    """Advance one frame under constant velocity."""
-    if not np.all(np.isfinite(state.x)):
-        raise ValueError("non-finite kalman state")
-    x = _F @ state.x
-    P = _F @ state.P @ _F.T + _Q
-    return KalmanState(x=x, P=(P + P.T) / 2.0)
+    """Advance one frame under constant velocity: F P F^T + Q, per block."""
+    _check_finite(state)
+    coords = []
+    for (x, v, a, b, d), qp, qv in zip(state.coords, _Q_POS, _Q_VEL):
+        bd = b + d
+        coords.append((x + v, v, ((a + b) + bd) + qp, bd, d + qv))
+    return KalmanState(coords)
 
 
 def kalman_update(state: KalmanState, bbox: BBox) -> KalmanState:
     """Fold in a measured box.  Joseph-form covariance update keeps P
     symmetric positive definite regardless of rounding."""
     check_bbox(bbox)
-    if not np.all(np.isfinite(state.x)):
-        raise ValueError("non-finite kalman state")
-    z = bbox_to_measurement(bbox)
-    y = z - _H @ state.x
-    S = _H @ state.P @ _H.T + _R
-    K = state.P @ _H.T @ np.linalg.inv(S)
-    x = state.x + K @ y
-    IKH = np.eye(_DIM_X) - K @ _H
-    P = IKH @ state.P @ IKH.T + K @ _R @ K.T
-    return KalmanState(x=x, P=(P + P.T) / 2.0)
+    _check_finite(state)
+    coords = []
+    for (x, v, a, b, d), z, r in zip(state.coords, _measure(bbox), _R):
+        si = 1.0 / (a + r)  # S^-1
+        kp, kv = a * si, b * si  # gain K
+        y = z - x  # innovation
+        # I - K H is [[1 - kp, 0], [0 - kv, 1]] (0 - kv as I - KH forms
+        # it: +0 for a zero gain); (I - KH) P, then times (I - KH)^T,
+        # plus K R K^T, then symmetrized
+        ikp, nkv = 1.0 - kp, 0.0 - kv
+        a0, b0 = ikp * a, ikp * b
+        a1, b1 = nkv * a + b, nkv * b + d
+        p01 = (a0 * nkv + b0) + (kp * r) * kv
+        p10 = a1 * ikp + (kv * r) * kp
+        coords.append((x + kp * y, v + kv * y,
+                       a0 * ikp + (kp * r) * kp, (p01 + p10) / 2.0,
+                       (a1 * nkv + b1) + (kv * r) * kv))
+    return KalmanState(coords)
 
 
 def state_bbox(state: KalmanState) -> BBox:
-    return measurement_to_bbox(state.x[:4])
+    return measurement_to_bbox([c[0] for c in state.coords])
 
 
 # --- Association -----------------------------------------------------------
@@ -289,7 +333,7 @@ class InstrumentTracker:
             if t.hits >= self.confirm_hits and t.misses <= self.max_coast:
                 out.append(TrackObservation(frame=frame, object_id=t.object_id,
                                             class_id=t.class_id,
-                                            bbox=state_bbox(t.kalman),
+                                            bbox=trk_boxes[tj],
                                             det_index=None))
         for di in unmatched_d:
             d = detections[di]

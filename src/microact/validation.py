@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import math
 from typing import Sequence
 
 import numpy as np
@@ -95,6 +96,6 @@ def check_bbox(bbox, name: str = "bbox") -> tuple[float, float, float, float]:
         raise ValueError(f"{name} must have 4 entries (x, y, w, h)")
     if vals[2] < 0 or vals[3] < 0:
         raise ValueError(f"{name} has negative width/height: {vals}")
-    if not all(np.isfinite(vals)):
+    if not all(map(math.isfinite, vals)):
         raise ValueError(f"{name} contains NaN or inf")
     return vals

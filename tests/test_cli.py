@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from microact import cli, io, load_config, pipeline
-from microact.records import InstrumentClass
-from microact.synth import generate, paper_shaped_script, write_procedure
+from microact.records import ActionClass
+from microact.synth import (ActionSpec, ProcedureScript, generate,
+                            paper_shaped_script, write_procedure)
 
 
 def run_cli(*argv) -> int:
@@ -141,13 +142,13 @@ def test_run_all_memo_matches_files(tmp_path, monkeypatch):
     pipeline.run_all(d, load_config(environ={}))
 
     fps = json.loads((d / "meta.json").read_text())["fps"]
-    classes = {int(k): InstrumentClass(v) for k, v in
-               json.loads((d / "tips_classes.json").read_text()).items()}
+    classes = io.load_tips_classes(d / "tips_classes.json")
     loaders = {
         "meta": io.load_meta,
         "detections": io.load_detections,
         "refined": io.load_refined_tracks,
         "tips": lambda p: io.load_tips(p, fps=fps, class_map=classes),
+        "tips_classes": io.load_tips_classes,
         "features": io.load_matrix,
         "presence": io.load_matrix,
         "novelty": io.load_novelty,
@@ -244,6 +245,32 @@ def test_stagewise_equals_run_all_after_semantic_run(tmp_path, base_proc):
     assert snapshot(a) == snapshot(b)
     assert not (a / "predicted_labels.csv").exists()
     assert "frame" not in json.loads((a / "eval.json").read_text())
+
+
+def test_fewer_segments_than_clusters_clamps_k(tmp_path):
+    # idle, one cut, idle: three segments for the default four clusters
+    proc = generate(ProcedureScript(steps=[
+        ActionSpec(ActionClass.NO_ACTION, 3.0),
+        ActionSpec(ActionClass.CUTTING, 5.0),
+        ActionSpec(ActionClass.NO_ACTION, 3.0)], seed=2))
+    cfg = load_config(environ={})
+    a, b = tmp_path / "a", tmp_path / "b"
+    write_procedure(proc, a)
+    io._write_json(a / "meta.json", {"procedure_id": "short",
+                                     "fps": proc.fps,
+                                     "n_frames": proc.n_frames})
+    shutil.copytree(a, b)
+    out = pipeline.run_all(a, cfg)["cluster"]
+    assert out["k_clamped"] and not out["semantic"]
+    segments = io.load_segments(a / "segments.csv")
+    assert out["n_segments"] == len(segments) < cfg.clustering.n_clusters
+    # no semantic names: the action column holds the cluster ids
+    assert sorted(s["action"] for s in segments) == \
+        [str(k) for k in range(len(segments))]
+    assert not (a / "predicted_labels.csv").exists()
+    for _, stage in stages_without_model():
+        stage(b, cfg)
+    assert snapshot(a) == snapshot(b)
 
 
 def test_rerun_is_byte_identical(tmp_path, base_proc):

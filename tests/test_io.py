@@ -216,6 +216,25 @@ class TestTips:
         with pytest.raises(ParseError):
             load_tips(p, fps=5.0)
 
+    def test_classes_round_trip(self, tmp_path):
+        p = tmp_path / "tips_classes.json"
+        classes = {0: InstrumentClass.SCISSORS_C, 2: InstrumentClass.NEEDLE}
+        io.save_tips_classes(classes, p)
+        assert p.read_text() == '{\n "0": "scissors_c",\n "2": "needle"\n}\n'
+        assert io.load_tips_classes(p) == classes
+
+    @pytest.mark.parametrize("doc, line_no, reason", [
+        ('{\n "0": "scissors_c",\n "one": "needle"\n}\n', 3, "slot 'one'"),
+        ('{\n "0": "scalpel"\n}\n', 2, "'scalpel'"),
+        ('["scissors_c"]\n', 1, "expected an object"),
+    ], ids=["non-integer-key", "unknown-class", "not-an-object"])
+    def test_classes_rejected(self, tmp_path, doc, line_no, reason):
+        p = tmp_path / "tips_classes.json"
+        p.write_text(doc)
+        with pytest.raises(ParseError, match=reason) as exc:
+            io.load_tips_classes(p)
+        assert str(exc.value).startswith(f"{p}:{line_no}: ")
+
 
 class TestLabelsScores:
     def test_labels_round_trip(self, tmp_path):

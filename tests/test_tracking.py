@@ -7,13 +7,16 @@ Oracles:
     loop that normed both embeddings for every pair
     (``association_cost_scalar``);
   * the moving-box Kalman example against closed-form constant-velocity
-    extrapolation;
+    extrapolation, and the per-coordinate float filter against the 8x8
+    matrix filter it replaced (``kalman_predict_matrix``,
+    ``kalman_update_matrix``), byte for byte, alone and inside the tracker;
   * tip localization against exhaustive similarity computation, and the
     columnar ``localize_tip`` against the per-candidate loop it replaced
     (``localize_tip_scalar``) on tie-heavy sets.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -23,7 +26,9 @@ from hypothesis import strategies as st
 from microact import tracking
 from microact.records import (Detection, InstrumentClass, Provenance,
                               RefinedTrack, TrackObservation, TruthInstance)
-from microact.tracking import (InstrumentTracker, KalmanState, associate,
+from microact.synth import generate, paper_shaped_script
+from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
+                               KalmanState, associate,
                                bbox_to_measurement, iou, kalman_init,
                                kalman_predict, kalman_update, localize_tip,
                                measurement_to_bbox, recovery_correction_rates,
@@ -233,12 +238,132 @@ class TestKalman:
                 assert np.linalg.eigvalsh(s.P).min() > 0
 
     def test_non_finite_state_rejected(self):
-        s = kalman_init((0, 0, 10, 10))
-        s.x[0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            kalman_predict(s)
-        with pytest.raises(ValueError, match="non-finite"):
-            kalman_update(s, (0, 0, 10, 10))
+        # a NaN position or an infinite velocity, in each of the eight
+        # state values
+        good = kalman_init((0, 0, 10, 10)).coords
+        for i in range(8):
+            c, slot = i % 4, i // 4
+            bad = np.nan if slot == 0 else np.inf
+            coord = list(good[c])
+            coord[slot] = bad
+            s = KalmanState([*good[:c], tuple(coord), *good[c + 1:]])
+            assert not np.isfinite(s.x[i])
+            with pytest.raises(ValueError, match="non-finite"):
+                kalman_predict(s)
+            with pytest.raises(ValueError, match="non-finite"):
+                kalman_update(s, (0, 0, 10, 10))
+
+
+# --- the 8x8 matrix Kalman filter: the oracle for the per-coordinate one ---
+
+_F = np.eye(8)
+_F[:4, 4:] = np.eye(4)
+_H = np.zeros((4, 8))
+_H[:, :4] = np.eye(4)
+_P0 = np.diag([10.0, 10.0, 100.0, 1e-2, 1e3, 1e3, 1e3, 1e-2])
+_Q = np.diag([1.0, 1.0, 1.0, 1e-4, 1e-2, 1e-2, 1e-2, 1e-5])
+_R = np.diag([1.0, 1.0, 10.0, 1e-3])
+
+
+@dataclass
+class MatrixState:
+    x: np.ndarray  # (8,)
+    P: np.ndarray  # (8, 8)
+
+
+def kalman_init_matrix(bbox):
+    tracking.check_bbox(bbox)
+    x = np.zeros(8)
+    x[:4] = bbox_to_measurement(bbox)
+    return MatrixState(x=x, P=_P0.copy())
+
+
+def kalman_predict_matrix(state):
+    if not np.all(np.isfinite(state.x)):
+        raise ValueError("non-finite kalman state")
+    x = _F @ state.x
+    P = _F @ state.P @ _F.T + _Q
+    return MatrixState(x=x, P=(P + P.T) / 2.0)
+
+
+def kalman_update_matrix(state, bbox):
+    tracking.check_bbox(bbox)
+    if not np.all(np.isfinite(state.x)):
+        raise ValueError("non-finite kalman state")
+    z = bbox_to_measurement(bbox)
+    y = z - _H @ state.x
+    S = _H @ state.P @ _H.T + _R
+    K = state.P @ _H.T @ np.linalg.inv(S)
+    x = state.x + K @ y
+    IKH = np.eye(8) - K @ _H
+    P = IKH @ state.P @ IKH.T + K @ _R @ K.T
+    return MatrixState(x=x, P=(P + P.T) / 2.0)
+
+
+def state_bbox_matrix(state):
+    return measurement_to_bbox(state.x[:4])
+
+
+def assert_same_state(got, want):
+    assert got.x.tobytes() == want.x.tobytes()
+    assert np.array_equal(got.P, want.P)  # structural zeros may differ in sign
+
+
+# mantissa times a power of ten, from subnormal areas to 1e100-pixel sides;
+# independent draws for w and h make extreme aspect ratios
+_length = st.builds(lambda m, e: m * 10.0 ** e,
+                    st.floats(1.0, 10.0), st.integers(-160, 100))
+_box = st.tuples(st.floats(-1e7, 1e7), st.floats(-1e7, 1e7), _length, _length)
+
+
+class TestKalmanMatchesMatrixForm:
+    @settings(max_examples=300, deadline=None)
+    @given(first=_box, steps=st.lists(
+        st.tuples(st.integers(0, DEFAULT_DELETE_AFTER), _box), max_size=12))
+    def test_random_boxes_and_coasts(self, first, steps):
+        # each step: a coast of 0..delete_after predicts, then a predict
+        # and an update with a new box
+        s, m = kalman_init(first), kalman_init_matrix(first)
+        assert_same_state(s, m)
+        for coast, box in steps:
+            for _ in range(coast + 1):
+                s, m = kalman_predict(s), kalman_predict_matrix(m)
+                assert_same_state(s, m)
+                assert state_bbox(s) == state_bbox_matrix(m)
+            s, m = kalman_update(s, box), kalman_update_matrix(m, box)
+            assert_same_state(s, m)
+
+    def test_update_right_after_init(self):
+        # a zero off-diagonal covariance and a zero velocity gain
+        for box in [(3.0, 4.0, 20.0, 10.0), (0, 0, 1e-300, 1e300)]:
+            s, m = kalman_init(box), kalman_init_matrix(box)
+            for _ in range(3):
+                s = kalman_update(s, (5.0, 1.0, 21.0, 9.5))
+                m = kalman_update_matrix(m, (5.0, 1.0, 21.0, 9.5))
+                assert_same_state(s, m)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tracker_rows_match_matrix_tracker(self, seed, monkeypatch):
+        # short messy 30 fps streams: dropouts make coasts, mislabels make
+        # cross-class rejections and new ids
+        proc = generate(paper_shaped_script(
+            fps=30.0, seed=seed, dropout_rate=0.1, mislabel_rate=0.05,
+            cut_s=1.0, drive_s=1.5, tie_s=1.0, idle_s=0.5))
+
+        def track():
+            rows = InstrumentTracker(max_coast=30).run(
+                proc.detections, first_frame=0, last_frame=proc.n_frames - 1)
+            return [(r.frame, r.object_id, r.class_id, r.det_index,
+                     [float(v).hex() for v in r.bbox]) for r in rows]
+
+        got = track()
+        assert any(r[3] is None for r in got)  # the tracker coasted
+        for name, fn in (("kalman_init", kalman_init_matrix),
+                         ("kalman_predict", kalman_predict_matrix),
+                         ("kalman_update", kalman_update_matrix),
+                         ("state_bbox", state_bbox_matrix)):
+            monkeypatch.setattr(tracking, name, fn)
+        assert got == track()
 
 
 class TestInstrumentTracker:
