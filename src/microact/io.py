@@ -4,9 +4,11 @@ All formats are line-oriented text (JSON lines or comma-delimited with a
 header) so intermediates stay auditable and diffable.  Floats are written
 with shortest round-trip repr, which makes save → load bit-exact.
 
-``ARTIFACTS`` is the one description of a procedure directory's layout,
-and each format is read and written here only.  A malformed record
-raises ``ParseError`` naming the file and line.
+``ARTIFACTS`` is the one description of a procedure directory's layout
+and of the loader that reads each artifact, and each format is read and
+written here only.  A malformed record raises ``ParseError`` naming the
+file and line; a JSON document without a key that a stage reads raises
+``ValueError`` naming the file and the key.
 
 Loaders are pure functions of file content and never mutate their inputs.
 Writers replace a file only once its new content is complete
@@ -48,32 +50,38 @@ APPEARANCE_NORM_TOL = 1e-6
 
 _NO_BOX = (math.nan,) * 4  # a TipCandidateTable row for a set without one
 
-# procedure-directory layout: key -> (file name, stage that writes it);
-# features.csv also gets its save_matrix sidecar, features.csv.meta.json
-ARTIFACTS: dict[str, tuple[str, str]] = {
-    "meta": ("meta.json", "synth"),
-    "detections": ("detections.jsonl", "synth"),
-    "truth": ("truth.jsonl", "synth"),
-    "tips_truth": ("tips_truth.csv", "synth"),
-    "labels": ("labels.csv", "synth"),
-    "boundaries_truth": ("boundaries_truth.csv", "synth"),
-    "candidates": ("tip_candidates.jsonl", "synth"),
-    "references": ("reference_descriptors.json", "synth"),
-    "scores": ("scores.csv", "synth"),
-    "track_rows": ("track_rows.jsonl", "track"),
-    "refined": ("refined_tracks.jsonl", "track"),
-    "tips": ("tips.csv", "tips"),
-    "tips_classes": ("tips_classes.json", "tips"),
-    "features": ("features.csv", "features"),
-    "presence": ("presence.csv", "features"),
-    "novelty": ("novelty.csv", "segment"),
-    "boundaries": ("boundaries.csv", "segment"),
-    "segments": ("segments.csv", "cluster"),
-    "pred_labels": ("predicted_labels.csv", "cluster"),
-    "eval": ("eval.json", "eval"),
-    "skill_pred": ("skill_predictions.json", "predict-skill"),
-    "report_txt": ("report.txt", "report"),
-    "report_json": ("report.json", "report"),
+# procedure-directory layout: key -> (file name, stage that writes it,
+# name of the function here that reads it, or None).  Names, not the
+# functions: a reader looks one up when it calls it, so a wrapper set on
+# this module is the function that runs.
+ARTIFACTS: dict[str, tuple[str, str, Optional[str]]] = {
+    "meta": ("meta.json", "synth", "load_meta"),
+    "detections": ("detections.jsonl", "synth", "load_detections"),
+    "truth": ("truth.jsonl", "synth", "load_truth_instances"),
+    "tips_truth": ("tips_truth.csv", "synth", "load_tips"),
+    "labels": ("labels.csv", "synth", "load_labels"),
+    "boundaries_truth": ("boundaries_truth.csv", "synth", "load_boundaries"),
+    "candidates": ("tip_candidates.jsonl", "synth", "load_tip_candidates"),
+    "references": ("reference_descriptors.json", "synth",
+                   "load_reference_descriptors"),
+    "scores": ("scores.csv", "synth", "load_scores"),
+    "track_rows": ("track_rows.jsonl", "track", "load_track_rows"),
+    "refined": ("refined_tracks.jsonl", "track", "load_refined_tracks"),
+    "tips": ("tips.csv", "tips", "load_tips"),
+    "tips_classes": ("tips_classes.json", "tips", "load_tips_classes"),
+    "features": ("features.csv", "features", "load_matrix"),
+    "features_meta": ("features.csv.meta.json", "features",
+                      "load_features_meta"),
+    "presence": ("presence.csv", "features", "load_matrix"),
+    "novelty": ("novelty.csv", "segment", "load_novelty"),
+    "boundaries": ("boundaries.csv", "segment", "load_boundaries"),
+    "segments": ("segments.csv", "cluster", "load_segments"),
+    "pred_labels": ("predicted_labels.csv", "cluster", "load_labels"),
+    "eval": ("eval.json", "eval", "load_eval"),
+    "skill_pred": ("skill_predictions.json", "predict-skill",
+                   "load_skill_predictions"),
+    "report_txt": ("report.txt", "report", None),
+    "report_json": ("report.json", "report", None),
 }
 
 
@@ -200,13 +208,18 @@ def _write_json(path: PathLike, obj) -> None:
         fh.write("\n")
 
 
+def _checked(doc, path: PathLike, keys: Sequence[str], within: str = ""):
+    """``doc`` once it is an object with every key; ``within`` prefixes a
+    nested section in the message."""
+    for key in keys:
+        if not isinstance(doc, dict) or key not in doc:
+            raise ValueError(f"{path}: missing {within + key!r}")
+    return doc
+
+
 def load_meta(path: PathLike) -> dict:
     """meta.json, checked for the keys every stage may read."""
-    meta = _read_json(path)
-    for key in ("fps", "n_frames"):
-        if key not in meta:
-            raise ValueError(f"{path}: missing {key!r}")
-    return meta
+    return _checked(_read_json(path), path, ("fps", "n_frames"))
 
 
 def _box_fields(bbox: BBox) -> dict:
@@ -611,14 +624,9 @@ def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarr
 # matrices, curves, boundaries, segments
 
 
-def sidecar_path(path: PathLike) -> Path:
-    """Where :func:`save_matrix` puts the sidecar of the matrix at ``path``."""
-    return Path(str(path) + ".meta.json")
-
-
-def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
-                meta: Optional[dict] = None) -> None:
-    """Delimited matrix with a header row; optional `<path>.meta.json` sidecar."""
+def save_matrix(X: np.ndarray, feature_names: Sequence[str],
+                path: PathLike) -> None:
+    """Delimited matrix with a header row."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise ValueError(f"matrix shape {X.shape} does not match "
@@ -627,16 +635,23 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str], path: PathLike,
     # float64 scalar made per value
     _write_csv(path, list(feature_names),
                (map(repr, row) for row in X.tolist()))
-    if meta is not None:
-        _write_json(sidecar_path(path), meta)
 
 
-def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str], Optional[dict]]:
+def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str]]:
     header, rows = _read_csv(path, None, lambda row: list(map(float, row)))
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
-    meta_path = sidecar_path(path)
-    meta = _read_json(meta_path) if meta_path.exists() else None
-    return X, header, meta
+    return X, header
+
+
+def save_features_meta(meta: dict, path: PathLike) -> None:
+    """features.csv.meta.json: the feature matrix's frame rate and layout."""
+    _write_json(path, meta)
+
+
+def load_features_meta(path: PathLike) -> dict:
+    """features.csv.meta.json, checked for the keys the stages read."""
+    return _checked(_read_json(path), path,
+                    ("effective_fps", "downsample", "n_frames_native"))
 
 
 def save_novelty(novelty: np.ndarray, path: PathLike) -> None:
@@ -679,3 +694,32 @@ def load_segments(path: PathLike) -> list[dict]:
         "index": int(row[0]), "start_frame": int(row[1]), "end_frame": int(row[2]),
         "cluster": int(row[3]), "action": row[4], "duration_s": float(row[5]),
     })[1]
+
+
+# ---------------------------------------------------------------------------
+# evaluation and skill grades
+
+
+def load_eval(path: PathLike) -> dict:
+    """eval.json, checked for every key the report tables read."""
+    result = _checked(_read_json(path), path, ("boundary",))
+    if "tracking" in result:
+        _checked(result["tracking"], path,
+                 ("recovery_rate", "correction_rate"), "tracking.")
+    tag = "frame" if "frame" in result else "frame_aligned"
+    fm = _checked(_checked(result, path, (tag,))[tag], path,
+                  ("accuracy", "f1", "jaccard", "per_class"), tag + ".")
+    for cls, d in fm["per_class"].items():
+        _checked(d, path, ("precision", "recall", "f1", "jaccard", "support"),
+                 f"{tag}.per_class.{cls}.")
+    _checked(result["boundary"], path,
+             ("precision", "recall", "f1", "tolerance"), "boundary.")
+    return result
+
+
+def load_skill_predictions(path: PathLike) -> dict:
+    """skill_predictions.json, checked for each action's summary grade."""
+    doc = _checked(_read_json(path), path, ("summary",))
+    for action, d in doc["summary"].items():
+        _checked(d, path, ("level", "n_segments"), f"summary.{action}.")
+    return doc

@@ -9,8 +9,8 @@ config seed.
 
 `run_all` parses each artifact at most once and still writes every file:
 its stages share one in-memory ``memo`` (artifact key -> the value its
-``io.load_*`` returns), filled by the stage that writes or first parses
-an artifact.  A value is kept exactly as its loader would return it from
+``io.ARTIFACTS`` loader returns), filled by the stage that writes or
+first parses an artifact.  A value is kept exactly as its loader would return it from
 the file just written, so a stage computes the same bytes either way.
 
 Where the host has a second usable CPU, `run_all` also moves work off
@@ -97,13 +97,16 @@ def _exists(proc_dir, key: str, memo=None) -> bool:
             or _written(proc_dir, key, memo).exists())
 
 
-def _load(proc_dir, key: str, memo: Optional["_Memo"], loader, **kwargs):
-    """Artifact ``key`` as ``loader`` returns it: from ``memo`` when this
-    run already holds it, else parsed from its file (and kept in ``memo``)."""
+def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
+    """Artifact ``key`` as its ``io.ARTIFACTS`` loader returns it: from
+    ``memo`` when this run already holds it, else parsed from its file (and
+    kept in ``memo``).  The loader is looked up by name at call time, so a
+    wrapper set on ``io`` runs."""
+    load = getattr(io, io.ARTIFACTS[key][2])
     if memo is None:
-        return loader(_require(proc_dir, key), **kwargs)
+        return load(_require(proc_dir, key), **kwargs)
     if key not in memo:
-        memo[key] = loader(_require(proc_dir, key, memo), **kwargs)
+        memo[key] = load(_require(proc_dir, key, memo), **kwargs)
     return memo[key]
 
 
@@ -118,26 +121,6 @@ def _save(memo: Optional["_Memo"], write: Callable[[], None], *unkept: str,
     else:
         memo.update(keep)
         memo.write_behind(write, (*keep, *unkept))
-
-
-def _checked(doc: dict, path, keys: Sequence[str], within: str = "") -> dict:
-    """``doc`` once it has every key; ``within`` prefixes a nested section."""
-    for key in keys:
-        if key not in doc:
-            raise ValueError(f"{path}: missing {within + key!r}")
-    return doc
-
-
-def _load_sidecar(proc_dir, memo: Optional["_Memo"],
-                  keys: Sequence[str]) -> Optional[dict]:
-    """features.csv's sidecar checked for ``keys``, or None without one."""
-    if memo is not None and "features" in memo:
-        path = io.sidecar_path(_path(proc_dir, "features"))
-        sidecar = memo["features"][2]
-    else:
-        path = io.sidecar_path(_require(proc_dir, "features", memo))
-        sidecar = io._read_json(path) if path.exists() else None
-    return None if sidecar is None else _checked(sidecar, path, keys)
 
 
 def _usable_cpus() -> int:
@@ -257,9 +240,9 @@ class _Memo(dict):
         for k in keys:
             del self._writers[k]
         if not child.wait():
-            for path in [_path(self._dir, k) for k in keys]:
-                for p in (path, io.sidecar_path(path)):  # features' sidecar
-                    io.temp_path(p, child.pid).unlink(missing_ok=True)
+            for k in keys:
+                io.temp_path(_path(self._dir, k), child.pid).unlink(
+                    missing_ok=True)
             write()
 
     def join(self) -> None:
@@ -306,8 +289,8 @@ def stage_synth(out_dir, cfg: PipelineConfig,
 
 def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Detections -> per-frame track rows -> identity-repaired tracks."""
-    meta = _load(proc_dir, "meta", memo, io.load_meta)
-    detections = _load(proc_dir, "detections", memo, io.load_detections)
+    meta = _load(proc_dir, "meta", memo)
+    detections = _load(proc_dir, "detections", memo)
     t = cfg.tracking
     tracker = InstrumentTracker(
         iou_weight=t.iou_weight, appearance_weight=t.appearance_weight,
@@ -387,24 +370,24 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     the tip.  Frames without a usable candidate set fall back to the box
     center, which is also the whole story for coasted boxes.
     """
-    meta = _load(proc_dir, "meta", memo, io.load_meta)
+    meta = _load(proc_dir, "meta", memo)
     n_frames = int(meta["n_frames"])
-    refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
+    refined = _load(proc_dir, "refined", memo)
 
-    # optional inputs that no other stage reads; run_all may have left a
-    # child parsing the candidates, the largest input, in the memo
+    # optional inputs that no other stage reads, so neither is kept in the
+    # memo; run_all may have left a child parsing the candidates, the
+    # largest input, there
     child = memo.pop("candidates", None) if memo is not None else None
-    cand_path = _path(proc_dir, "candidates")
-    ref_path = _path(proc_dir, "references")
     table = None
     by_frame: dict[int, list[int]] = {}
     references: dict[InstrumentClass, np.ndarray] = {}
-    if cand_path.exists() and ref_path.exists():
+    if (_path(proc_dir, "candidates").exists()
+            and _path(proc_dir, "references").exists()):
         table = child.result() if child is not None else None
         if table is None:
-            table = io.load_tip_candidates(cand_path)
+            table = _load(proc_dir, "candidates", None)
         by_frame = table.sets_by_frame()
-        references = io.load_reference_descriptors(ref_path)
+        references = _load(proc_dir, "references", None)
 
     # best[(class, frame)] = (rank, object_id, tip); detection-backed rows
     # outrank recovered ones, then the older object wins
@@ -470,10 +453,10 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 
 def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
-    meta = _load(proc_dir, "meta", memo, io.load_meta)
-    class_map = _load(proc_dir, "tips_classes", memo, io.load_tips_classes)
-    trajectories = _load(proc_dir, "tips", memo, io.load_tips,
-                         fps=float(meta["fps"]), class_map=class_map)
+    meta = _load(proc_dir, "meta", memo)
+    class_map = _load(proc_dir, "tips_classes", memo)
+    trajectories = _load(proc_dir, "tips", memo, fps=float(meta["fps"]),
+                         class_map=class_map)
     if not trajectories:
         raise ValueError(
             f"{_path(proc_dir, 'tips')}: no tip trajectories, so the "
@@ -496,21 +479,22 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     mask_names = [f"present_{i}" for i in km.instrument_ids]
 
     def write():
-        io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"),
-                       meta=sidecar)
+        io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"))
+        io.save_features_meta(sidecar, _path(proc_dir, "features_meta"))
         io.save_matrix(km.presence_mask, mask_names,
                        _path(proc_dir, "presence"))
 
     # both matrices are float64 already and the sidecar's values are
-    # JSON-native; its readers look keys up, so key order does not matter
-    _save(memo, write, features=(km.X, km.feature_names, sidecar),
-          presence=(km.presence_mask, mask_names, None))
+    # JSON-native; its file holds the keys sorted
+    _save(memo, write, features=(km.X, km.feature_names),
+          features_meta=dict(sorted(sidecar.items())),
+          presence=(km.presence_mask, mask_names))
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
 
 def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Feature matrix -> novelty curve -> boundary frames."""
-    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
+    X, _ = _load(proc_dir, "features", memo)
     g = cfg.segmentation
     det = NoveltyBoundaryDetector(
         half_width=g.half_width, sigma=g.sigma,
@@ -539,14 +523,10 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     ``n_clusters``, K is clamped to the segment count and the summary
     says ``k_clamped``.
     """
-    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
-    mask, _, _ = _load(proc_dir, "presence", memo, io.load_matrix)
-    taus, _ = _load(proc_dir, "boundaries", memo, io.load_boundaries)
-    sidecar = _load_sidecar(proc_dir, memo, ("effective_fps", "downsample",
-                                             "n_frames_native"))
-    if sidecar is None:
-        raise MissingInput(io.sidecar_path(_path(proc_dir, "features")),
-                           "features")
+    X, _ = _load(proc_dir, "features", memo)
+    mask, _ = _load(proc_dir, "presence", memo)
+    taus, _ = _load(proc_dir, "boundaries", memo)
+    sidecar = _load(proc_dir, "features_meta", memo)
     eff_fps = float(sidecar["effective_fps"])
     c = cfg.clustering
     segments = boundaries_to_segments(taus, X.shape[0], eff_fps)
@@ -598,18 +578,24 @@ def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:
     return [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
 
 
+def _downsample(proc_dir, memo) -> int:
+    """The feature matrix's downsampling factor; 1 without a sidecar."""
+    if not _exists(proc_dir, "features_meta", memo):
+        return 1
+    return int(_load(proc_dir, "features_meta", memo)["downsample"])
+
+
 def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Score predictions against the directory's ground truth."""
-    meta = _load(proc_dir, "meta", memo, io.load_meta)
+    meta = _load(proc_dir, "meta", memo)
     native_fps = float(meta["fps"])
-    gt_labels = _load(proc_dir, "labels", memo, io.load_labels)
-    sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
-    factor = int(sidecar["downsample"]) if sidecar else 1
+    gt_labels = _load(proc_dir, "labels", memo)
+    factor = _downsample(proc_dir, memo)
     n_native = len(gt_labels)
 
     result: dict = {"procedure_id": meta.get("procedure_id")}
 
-    segs = _load(proc_dir, "segments", memo, io.load_segments)
+    segs = _load(proc_dir, "segments", memo)
     cluster_stream = []
     for s in segs:
         cluster_stream += [s["cluster"]] * (s["end_frame"] - s["start_frame"])
@@ -618,24 +604,24 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     result["frame_aligned"] = frame_metrics(aligned, gt_labels).to_dict()
 
     if _exists(proc_dir, "pred_labels", memo):
-        pred = _load(proc_dir, "pred_labels", memo, io.load_labels)
+        pred = _load(proc_dir, "pred_labels", memo)
         if len(pred) != len(gt_labels):
             raise ValueError(
                 f"predicted labels cover {len(pred)} frames, truth "
                 f"{len(gt_labels)}")
         result["frame"] = frame_metrics(pred, gt_labels).to_dict()
 
-    taus, _ = _load(proc_dir, "boundaries", memo, io.load_boundaries)
-    gt_taus, _ = _load(proc_dir, "boundaries_truth", memo, io.load_boundaries)
+    taus, _ = _load(proc_dir, "boundaries", memo)
+    gt_taus, _ = _load(proc_dir, "boundaries_truth", memo)
     tol = int(round(cfg.evaluation.boundary_tolerance_s * native_fps))
     taus_native = [t * factor for t in taus]
     result["boundary"] = boundary_metrics(taus_native, gt_taus, tol).to_dict()
 
     if (_exists(proc_dir, "truth", memo)
             and _exists(proc_dir, "refined", memo)):
-        dets = _load(proc_dir, "detections", memo, io.load_detections)
-        refined = _load(proc_dir, "refined", memo, io.load_refined_tracks)
-        truth = _load(proc_dir, "truth", memo, io.load_truth_instances)
+        dets = _load(proc_dir, "detections", memo)
+        refined = _load(proc_dir, "refined", memo)
+        truth = _load(proc_dir, "truth", memo)
         rr, cr = recovery_correction_rates(dets, refined, truth,
                                            iou_threshold=cfg.tracking.iou_gate)
         result["tracking"] = {"recovery_rate": rr, "correction_rate": cr}
@@ -652,9 +638,9 @@ def _skill_rows(proc_dir, cfg: PipelineConfig, memo=None
                 ) -> list[tuple[int, ActionClass, int, np.ndarray]]:
     """(segment index, action, repetition ordinal, feature vector) per
     rated-action segment, in segment order."""
-    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
-    mask, _, _ = _load(proc_dir, "presence", memo, io.load_matrix)
-    seg_rows = _load(proc_dir, "segments", memo, io.load_segments)
+    X, _ = _load(proc_dir, "features", memo)
+    mask, _ = _load(proc_dir, "presence", memo)
+    seg_rows = _load(proc_dir, "segments", memo)
     segments = [Segment(index=s["index"], start=s["start_frame"],
                         end=s["end_frame"], duration_s=s["duration_s"])
                 for s in seg_rows]
@@ -680,7 +666,7 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
     """Fit the skill booster on every scored rated-action segment."""
     X_rows, y, counts = [], [], {}
     for proc_dir in proc_dirs:
-        scores = io.load_scores(_require(proc_dir, "scores"))
+        scores = _load(proc_dir, "scores", None)
         by_action = {s.action_type: s.score for s in scores}
         for _, action, _, vec in _skill_rows(proc_dir, cfg):
             if action not in by_action:
@@ -775,23 +761,6 @@ def _fmt_ratio(v) -> str:
     return "n/a" if v is None else f"{v:.3f}"
 
 
-def _load_eval(path) -> dict:
-    """eval.json, checked for every key the report tables read."""
-    result = _checked(io._read_json(path), path, ("boundary",))
-    if "tracking" in result:
-        _checked(result["tracking"], path,
-                 ("recovery_rate", "correction_rate"), "tracking.")
-    tag = "frame" if "frame" in result else "frame_aligned"
-    fm = _checked(_checked(result, path, (tag,))[tag], path,
-                  ("accuracy", "f1", "jaccard", "per_class"), tag + ".")
-    for cls, d in fm["per_class"].items():
-        _checked(d, path, ("precision", "recall", "f1", "jaccard", "support"),
-                 f"{tag}.per_class.{cls}.")
-    _checked(result["boundary"], path,
-             ("precision", "recall", "f1", "tolerance"), "boundary.")
-    return result
-
-
 def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Human-readable summary tables plus plot-ready curves.
 
@@ -799,25 +768,23 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     skill tables; report.json carries the novelty curve, boundaries,
     label ribbons and a decimated enhanced SSM for plotting.
     """
-    meta = _load(proc_dir, "meta", memo, io.load_meta)
-    novelty = _load(proc_dir, "novelty", memo, io.load_novelty)
-    taus, proms = _load(proc_dir, "boundaries", memo, io.load_boundaries)
-    segs = _load(proc_dir, "segments", memo, io.load_segments)
-    X, _, _ = _load(proc_dir, "features", memo, io.load_matrix)
-    sidecar = _load_sidecar(proc_dir, memo, ("downsample",))
+    meta = _load(proc_dir, "meta", memo)
+    novelty = _load(proc_dir, "novelty", memo)
+    taus, proms = _load(proc_dir, "boundaries", memo)
+    segs = _load(proc_dir, "segments", memo)
+    X, _ = _load(proc_dir, "features", memo)
+    downsample = _downsample(proc_dir, memo)
 
     eval_result = skill = None
     if _exists(proc_dir, "eval", memo):
-        eval_result = _load_eval(_path(proc_dir, "eval"))
+        eval_result = _load(proc_dir, "eval", memo)
     if _exists(proc_dir, "skill_pred", memo):
-        skill = io._read_json(_path(proc_dir, "skill_pred"))
+        skill = _load(proc_dir, "skill_pred", memo)
     pred_ribbon = truth_ribbon = None
     if _exists(proc_dir, "pred_labels", memo):
-        pred_ribbon = [a.value for a in
-                       _load(proc_dir, "pred_labels", memo, io.load_labels)]
+        pred_ribbon = [a.value for a in _load(proc_dir, "pred_labels", memo)]
     if _exists(proc_dir, "labels", memo):
-        truth_ribbon = [a.value for a in
-                        _load(proc_dir, "labels", memo, io.load_labels)]
+        truth_ribbon = [a.value for a in _load(proc_dir, "labels", memo)]
 
     lines = []
     push = lines.append
@@ -867,7 +834,6 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     with io.atomic_write(_path(proc_dir, "report_txt")) as fh:
         fh.write("\n".join(lines) + "\n")
 
-    downsample = int(sidecar["downsample"]) if sidecar else 1
     report = {
         "procedure_id": meta.get("procedure_id"),
         "fps": meta["fps"],

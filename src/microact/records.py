@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -78,10 +77,6 @@ class Detection:
     confidence: float
     appearance: Optional[np.ndarray] = None
 
-    def center(self) -> tuple[float, float]:
-        x, y, w, h = self.bbox
-        return (x + w / 2.0, y + h / 2.0)
-
 
 @dataclass
 class TrackObservation:
@@ -141,15 +136,13 @@ class TipCandidateSet:
 
 
 @dataclass(eq=False)
-class TipCandidateTable(Mapping):
+class TipCandidateTable:
     """Every tip candidate set of a procedure, in columns.
 
     Set ``i`` is ``set_keys[i]`` = (frame, object_id) with crop box
     ``boxes[i]`` (a NaN row when the set has none); its candidates are
     rows ``offsets[i]:offsets[i + 1]`` of ``points`` (crop-local x, y) and
-    ``descriptors``.  As a mapping it reads like the
-    ``{(frame, object_id): TipCandidateSet}`` dict it replaces, building
-    each set on access.
+    ``descriptors``.
     """
 
     set_keys: np.ndarray     # (n, 2) int64
@@ -157,24 +150,6 @@ class TipCandidateTable(Mapping):
     offsets: np.ndarray      # (n + 1,) int64
     points: np.ndarray       # (m, 2) float64
     descriptors: np.ndarray  # (m, d) float64
-
-    def __len__(self) -> int:
-        return len(self.set_keys)
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return map(tuple, self.set_keys.tolist())
-
-    def __getitem__(self, key: tuple[int, int]) -> TipCandidateSet:
-        i = self._index[key]
-        rows = self.rows(i)
-        return TipCandidateSet(
-            candidates=[(x, y, d) for (x, y), d in zip(
-                self.points[rows].tolist(), self.descriptors[rows].copy())],
-            bbox=self.crop_boxes[i])
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        return {key: i for i, key in enumerate(self)}
 
     def rows(self, i: int) -> slice:
         """Set ``i``'s rows of ``points`` and ``descriptors``."""

@@ -375,7 +375,8 @@ def write_procedure(proc: SyntheticProcedure, out_dir) -> dict[str, str]:
     returns their paths by artifact key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {key: str(out / name) for key, (name, stage) in io.ARTIFACTS.items()
+    paths = {key: str(out / name)
+             for key, (name, stage, _) in io.ARTIFACTS.items()
              if stage == "synth" and key != "meta"}
     io.save_detections(proc.detections, paths["detections"])
     io.save_truth_instances(proc.truth, paths["truth"])

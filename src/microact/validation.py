@@ -94,8 +94,9 @@ def check_bbox(bbox, name: str = "bbox") -> tuple[float, float, float, float]:
     vals = tuple(float(v) for v in bbox)
     if len(vals) != 4:
         raise ValueError(f"{name} must have 4 entries (x, y, w, h)")
-    if vals[2] < 0 or vals[3] < 0:
-        raise ValueError(f"{name} has negative width/height: {vals}")
+    if vals[2] <= 0 or vals[3] <= 0:
+        raise ValueError(f"{name} must have positive width and height, "
+                         f"got {vals}")
     if not all(map(math.isfinite, vals)):
         raise ValueError(f"{name} contains NaN or inf")
     return vals

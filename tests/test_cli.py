@@ -56,9 +56,15 @@ def test_run_all_produces_report(base_proc):
 
 
 def test_every_artifact_is_in_the_table(base_proc):
-    names = {name for name, _ in io.ARTIFACTS.values()}
-    names.add("features.csv.meta.json")  # save_matrix sidecar
+    names = {name for name, *_ in io.ARTIFACTS.values()}
     assert set(snapshot(base_proc)) <= names
+
+
+def test_every_loader_name_is_an_io_function():
+    for key, (_, _, loader) in io.ARTIFACTS.items():
+        if loader is not None:
+            assert callable(getattr(io, loader, None)), key
+            assert loader.startswith("load_"), key
 
 
 def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
@@ -76,6 +82,7 @@ def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
 @pytest.mark.parametrize("stage, name, section, key", [
     ("cluster", "features.csv.meta.json", None, "downsample"),
     ("eval", "features.csv.meta.json", None, "downsample"),
+    ("eval", "features.csv.meta.json", None, "effective_fps"),
     ("report", "eval.json", "boundary", "f1"),
 ])
 def test_missing_json_key_is_a_diagnostic(tmp_path, base_proc, capsys,
@@ -89,6 +96,38 @@ def test_missing_json_key_is_a_diagnostic(tmp_path, base_proc, capsys,
     err = capsys.readouterr().err
     assert name in err and key in err
     assert "Traceback" not in err
+
+
+def test_skill_predictions_without_summary_is_a_diagnostic(tmp_path,
+                                                           base_proc, capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    (d / "skill_predictions.json").write_text(
+        json.dumps({"segments": []}) + "\n")
+    assert run_cli("report", d) == 1
+    err = capsys.readouterr().err
+    assert f"{d / 'skill_predictions.json'}: missing 'summary'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage, parses", [
+    ("segment", 0), ("cluster", 1), ("report", 1)])
+def test_stand_alone_stage_parses_the_sidecar_at_most_once(
+        tmp_path, base_proc, monkeypatch, stage, parses):
+    # counted through a wrapper set on io, which _load must look up
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    calls = []
+    load = io.load_features_meta
+
+    def counting(path):
+        calls.append(Path(path).name)
+        return load(path)
+
+    monkeypatch.setattr(io, "load_features_meta", counting)
+    fn_name, = [fn for name, fn, _ in pipeline.STAGES if name == stage]
+    getattr(pipeline, fn_name)(d, load_config(environ={}))
+    assert calls == ["features.csv.meta.json"] * parses
 
 
 def test_eval_reads_the_sidecar_without_parsing_features(tmp_path, base_proc,
@@ -141,31 +180,16 @@ def test_run_all_memo_matches_files(tmp_path, monkeypatch):
     monkeypatch.setattr(pipeline, "stage_report", keep_memo)
     pipeline.run_all(d, load_config(environ={}))
 
-    fps = json.loads((d / "meta.json").read_text())["fps"]
-    classes = io.load_tips_classes(d / "tips_classes.json")
-    loaders = {
-        "meta": io.load_meta,
-        "detections": io.load_detections,
-        "refined": io.load_refined_tracks,
-        "tips": lambda p: io.load_tips(p, fps=fps, class_map=classes),
-        "tips_classes": io.load_tips_classes,
-        "features": io.load_matrix,
-        "presence": io.load_matrix,
-        "novelty": io.load_novelty,
-        "boundaries": io.load_boundaries,
-        "segments": io.load_segments,
-        "pred_labels": io.load_labels,
-        "labels": io.load_labels,
-        "boundaries_truth": io.load_boundaries,
-        "truth": io.load_truth_instances,
-    }
-    assert set(seen) == set(loaders)
+    assert set(seen) == {
+        "meta", "detections", "refined", "tips", "tips_classes", "features",
+        "features_meta", "presence", "novelty", "boundaries", "segments",
+        "pred_labels", "labels", "boundaries_truth", "truth", "eval"}
+    tips_args = {"fps": seen["meta"]["fps"],
+                 "class_map": io.load_tips_classes(d / "tips_classes.json")}
     for key, value in seen.items():
-        loaded = loaders[key](d / io.ARTIFACTS[key][0])
-        if key == "features":
-            # the sidecar's readers look keys up, so its key order is free
-            value, loaded = [(*m[:2], dict(sorted(m[2].items())))
-                             for m in (value, loaded)]
+        # parsed by the table's loader, as a stage run on its own reads it
+        loaded = pipeline._load(d, key, None,
+                                **(tips_args if key == "tips" else {}))
         assert_same(value, loaded, key)
 
 
@@ -177,7 +201,7 @@ def test_stage_order():
 
 def test_artifact_producers_are_stages():
     names = {name for name, *_ in pipeline.STAGES}
-    producers = {stage for _, stage in io.ARTIFACTS.values()}
+    producers = {stage for _, stage, _ in io.ARTIFACTS.values()}
     assert producers <= names | {"synth"}
     assert names <= producers
 

@@ -324,11 +324,15 @@ class TestCandidatesDescriptors:
         p = tmp_path / "cands.jsonl"
         save_tip_candidates(cands, p)
         loaded = load_tip_candidates(p)
-        assert set(loaded) == set(cands)
-        for key in cands:
-            assert loaded[key].bbox == cands[key].bbox
-            for (x0, y0, d0), (x1, y1, d1) in zip(cands[key].candidates,
-                                                  loaded[key].candidates):
+        keys = [tuple(key) for key in loaded.set_keys.tolist()]
+        assert keys == sorted(cands)
+        for i, key in enumerate(keys):
+            assert loaded.crop_boxes[i] == cands[key].bbox
+            rows = loaded.rows(i)
+            got = list(zip(loaded.points[rows].tolist(),
+                           loaded.descriptors[rows]))
+            assert len(got) == len(cands[key].candidates)
+            for (x0, y0, d0), ((x1, y1), d1) in zip(cands[key].candidates, got):
                 assert (x0, y0) == (x1, y1)
                 assert np.array_equal(d0, d1)
 
@@ -417,12 +421,18 @@ def test_parse_error_pickles_intact():
 class TestMatrixCurves:
     def test_matrix_round_trip_with_meta(self, tmp_path):
         X = np.array([[1.0, -2.5], [math.pi, 1e-17]])
-        p = tmp_path / "X.csv"
-        save_matrix(X, ["a", "b"], p, meta={"fps": 5.0, "downsample": 6})
-        X2, names, meta = load_matrix(p)
+        p = tmp_path / "features.csv"
+        save_matrix(X, ["a", "b"], p)
+        X2, names = load_matrix(p)
         assert np.array_equal(X, X2)
         assert names == ["a", "b"]
-        assert meta == {"fps": 5.0, "downsample": 6}
+        meta = {"native_fps": 30.0, "effective_fps": 5.0, "downsample": 6,
+                "n_frames_native": 12, "instrument_ids": [0, 4],
+                "mask_classes": ["scissors_c", None]}
+        io.save_features_meta(meta, tmp_path / "features.csv.meta.json")
+        loaded = io.load_features_meta(tmp_path / "features.csv.meta.json")
+        assert loaded == meta
+        assert list(loaded) == sorted(meta)  # the file holds keys sorted
 
     def test_writers_match_per_value_format(self, tmp_path):
         # the writers format X.tolist() with repr; the bytes must be what

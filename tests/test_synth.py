@@ -277,7 +277,13 @@ class TestDeterminismAndFiles:
             assert [p is not None for p in got.points] == \
                 [p is not None for p in want.points]
         cands = io.load_tip_candidates(paths["candidates"])
-        assert set(cands) == set(proc.tip_candidates)
+        assert {tuple(key) for key in cands.set_keys.tolist()} == \
+            set(proc.tip_candidates)
+        for i, key in enumerate(cands.set_keys.tolist()):
+            cset = proc.tip_candidates[tuple(key)]
+            assert cands.crop_boxes[i] == cset.bbox
+            assert cands.points[cands.rows(i)].tolist() == \
+                [[x, y] for x, y, _ in cset.candidates]
         refs = io.load_reference_descriptors(paths["references"])
         assert set(refs) == set(proc.reference_descriptors)
         truth = io.load_truth_instances(paths["truth"])
@@ -289,7 +295,7 @@ class TestDeterminismAndFiles:
 
     def test_write_procedure_keys_follow_artifact_table(self, tmp_path):
         paths = write_procedure(generate(one_step(ActionClass.CUTTING)), tmp_path)
-        synth_keys = [key for key, (_, stage) in io.ARTIFACTS.items()
+        synth_keys = [key for key, (_, stage, _) in io.ARTIFACTS.items()
                       if stage == "synth" and key != "meta"]
         assert list(paths) == synth_keys
         for key, path in paths.items():

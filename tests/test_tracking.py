@@ -253,6 +253,21 @@ class TestKalman:
             with pytest.raises(ValueError, match="non-finite"):
                 kalman_update(s, (0, 0, 10, 10))
 
+    @pytest.mark.parametrize("bbox", [(0.0, 0.0, 1.0, 0.0),
+                                      (0.0, 0.0, 0.0, 1.0)],
+                             ids=["zero height", "zero width"])
+    def test_degenerate_box_rejected(self, bbox):
+        # io.load_detections' rule, for boxes given through the API too
+        want = f"bbox must have positive width and height, got {bbox}"
+        for call in (lambda: kalman_init(bbox),
+                     lambda: kalman_update(kalman_init((0, 0, 10, 10)), bbox),
+                     lambda: InstrumentTracker().run([Detection(
+                         frame=0, class_id=InstrumentClass.NEEDLE, bbox=bbox,
+                         confidence=0.9)])):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == want
+
 
 # --- the 8x8 matrix Kalman filter: the oracle for the per-coordinate one ---
 
