@@ -544,10 +544,11 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                                         mask_classes)
 
     rows = []
-    for seg, k in zip(segments, model.assignments):
-        action = mapping[int(k)].value if mapping else str(int(k))
+    for seg, cluster in zip(segments, model.assignments):
+        cluster = int(cluster)
+        action = mapping[cluster].value if mapping else str(cluster)
         rows.append({"index": seg.index, "start_frame": seg.start,
-                     "end_frame": seg.end, "cluster": int(k),
+                     "end_frame": seg.end, "cluster": cluster,
                      "action": action, "duration_s": seg.duration_s})
     keep = {"segments": rows}
     if mapping:

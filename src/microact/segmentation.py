@@ -195,13 +195,12 @@ def novelty(S_enh: Union[np.ndarray, SelfSimilarityBand],
     w = kernel.w
     # M[c, a] places w(j) so that (P @ M)[u, a] = sum_j w(j) P[u, j - i + bw]
     # with i = a - h, i.e. the inner sum of the separated kernel.
-    ncols = band.band.shape[1]
-    M = np.zeros((ncols, 2 * h), dtype=np.float64)
-    for a in range(2 * h):
-        for c in range(ncols):
-            jj = c + a - bw
-            if 0 <= jj < 2 * h:
-                M[c, a] = w[jj]
+    # One tap j at a time; row c = j - a + bw stays inside the band's
+    # 2bw + 1 columns, as bw >= 2h.
+    M = np.zeros((band.band.shape[1], 2 * h), dtype=np.float64)
+    cols = np.arange(2 * h)
+    for j in range(2 * h):
+        M[j - cols + bw, cols] = w[j]
     R = band.band @ M
     valid = slice(h, T - h)
     n_valid = (T - h) - h

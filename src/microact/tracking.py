@@ -99,10 +99,6 @@ def _measure(bbox: BBox) -> tuple[float, float, float, float]:
     return tuple(map(float, (x + w / 2.0, y + h / 2.0, w * h, w / h)))
 
 
-def bbox_to_measurement(bbox: BBox) -> np.ndarray:
-    return np.array(_measure(bbox))
-
-
 def measurement_to_bbox(z) -> BBox:
     s = max(float(z[2]), 1e-6)
     r = max(float(z[3]), 1e-6)

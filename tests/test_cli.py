@@ -271,7 +271,7 @@ def test_stagewise_equals_run_all_after_semantic_run(tmp_path, base_proc):
     assert "frame" not in json.loads((a / "eval.json").read_text())
 
 
-def test_fewer_segments_than_clusters_clamps_k(tmp_path):
+def test_fewer_segments_than_clusters_clamps_k(tmp_path, capsys):
     # idle, one cut, idle: three segments for the default four clusters
     proc = generate(ProcedureScript(steps=[
         ActionSpec(ActionClass.NO_ACTION, 3.0),
@@ -285,7 +285,7 @@ def test_fewer_segments_than_clusters_clamps_k(tmp_path):
                                      "n_frames": proc.n_frames})
     shutil.copytree(a, b)
     out = pipeline.run_all(a, cfg)["cluster"]
-    assert out["k_clamped"] and not out["semantic"]
+    assert out["k_clamped"] is True and not out["semantic"]
     segments = io.load_segments(a / "segments.csv")
     assert out["n_segments"] == len(segments) < cfg.clustering.n_clusters
     # no semantic names: the action column holds the cluster ids
@@ -295,6 +295,21 @@ def test_fewer_segments_than_clusters_clamps_k(tmp_path):
     for _, stage in stages_without_model():
         stage(b, cfg)
     assert snapshot(a) == snapshot(b)
+    assert run_cli("cluster", b) == 0
+    assert "k_clamped=True" in capsys.readouterr().out
+
+
+def test_more_segments_than_clusters_keeps_k(tmp_path, base_proc, capsys):
+    # the README's default seed-5 procedure has far more segments than K=4;
+    # the flag must not compare the last segment's cluster id with K
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    cfg = load_config(environ={})
+    out = pipeline.stage_cluster(d, cfg)
+    assert out["k_clamped"] is False and out["semantic"]
+    assert out["n_segments"] > cfg.clustering.n_clusters
+    assert run_cli("cluster", d) == 0
+    assert "k_clamped=False" in capsys.readouterr().out
 
 
 def test_rerun_is_byte_identical(tmp_path, base_proc):

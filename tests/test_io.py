@@ -483,6 +483,89 @@ class TestMatrixCurves:
         assert load_segments(p) == rows
 
 
+# load_matrix parses with numpy's C reader and falls back to the checked
+# row-by-row reader, _load_matrix_checked, which is the oracle here.
+_matrix_value = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, -math.nan, math.inf, -math.inf, -0.0, 0.0,
+                     5e-324, -2.5e-320, 2.2250738585072014e-308, 1e308,
+                     -1.7976931348623157e308, 1e-308]))
+# tokens on which float() and numpy's reader could disagree: whitespace,
+# case, digit separators, quotes, comments, other scripts' digits
+_odd_token = st.sampled_from([
+    "1_0", '"1"', "", " ", "#", "#1", "\u0661", "\uff11", "1\u0663",
+    "0x10", "nan(1)", "+inf", "-Infinity", "NAN", "1e-400", "1e400", " 1 ",
+    "\t2", "\x0c1", "1\x0b", "\xa03", "4\u2003", "1\x1c", "\x1f1",
+    "1\x1c\xa0", "1\x00", "1.", ".5", "1e5", "1E+05", "- 1", "1 2", "--1",
+    "1,", "\r", "\"1\n2\"", "\u22121", "1d5", "1e", "e1", ".", "inf1"])
+_matrix_line = st.one_of(
+    st.just(""),
+    st.sampled_from([" ", "\t", "#", "#x,y", '""']),
+    st.lists(st.one_of(_matrix_value.map(repr), _odd_token),
+             min_size=0, max_size=5).map(",".join))
+
+
+@st.composite
+def _matrix_files(draw, valid_only=False):
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(
+        st.lists(_matrix_value, min_size=width, max_size=width).map(
+            lambda row: ",".join(map(repr, row))), max_size=6))
+    if not valid_only:
+        for _ in range(draw(st.integers(0, 3))):
+            rows.insert(draw(st.integers(0, len(rows))), draw(_matrix_line))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    end = draw(st.sampled_from([newline, ""]))
+    header = ",".join(f"c{i}" for i in range(width))
+    return newline.join([header] + rows) + end
+
+
+def _check_matrix_against_oracle(path, text):
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        want = io._load_matrix_checked(path)
+    except Exception as exc:  # a ParseError, or what csv itself raises
+        with pytest.raises(type(exc)) as got:
+            load_matrix(path)
+        assert str(got.value) == str(exc)
+        assert getattr(got.value, "line_no", None) == getattr(exc, "line_no",
+                                                              None)
+        return
+    X, header = load_matrix(path)
+    assert header == want[1]
+    assert X.shape == want[0].shape and X.dtype == want[0].dtype
+    assert X.tobytes() == want[0].tobytes()
+
+
+class TestMatrixFastPath:
+    @settings(max_examples=300, deadline=None)
+    @given(text=_matrix_files())
+    def test_agrees_with_the_checked_reader(self, tmp_path_factory, text):
+        _check_matrix_against_oracle(
+            tmp_path_factory.mktemp("matrix") / "X.csv", text)
+
+    @settings(max_examples=100, deadline=None)
+    @given(text=_matrix_files(valid_only=True))
+    def test_valid_files_never_fall_back(self, tmp_path_factory, text):
+        p = tmp_path_factory.mktemp("matrix") / "X.csv"
+        p.write_bytes(text.encode("utf-8"))
+        want = io._load_matrix_checked(p)
+        if len(want[0]) == 0:
+            return  # a header alone has no data for numpy's reader
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(io, "_load_matrix_checked", None)
+            X, header = load_matrix(p)
+        assert header == want[1] and X.tobytes() == want[0].tobytes()
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "a,b\n", "a,b\n1\n", "a,b\n1\n2\n", "a\n1_0\n",
+        "a\n1\x1c\n", "a\n\x1e1\n", "a,b\n1,2\n#3,4\n",
+        "a\n" + "0" * 140_000 + "1\n", "a\n1\n\n \n", "a\r\n1\r\n\r\n",
+        "\n1\n", '"a,b"\n1,2\n', "a\n\uff11\n", "a\n1\x85\n"])
+    def test_edge_files(self, tmp_path, text):
+        _check_matrix_against_oracle(tmp_path / "X.csv", text)
+
+
 def _dies_midway(items):
     yield from items
     raise RuntimeError("writer died")

@@ -28,8 +28,7 @@ from microact.records import (Detection, InstrumentClass, Provenance,
                               RefinedTrack, TrackObservation, TruthInstance)
 from microact.synth import generate, paper_shaped_script
 from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
-                               KalmanState, associate,
-                               bbox_to_measurement, iou, kalman_init,
+                               KalmanState, associate, iou, kalman_init,
                                kalman_predict, kalman_update, localize_tip,
                                measurement_to_bbox, recovery_correction_rates,
                                refine_identity, state_bbox)
@@ -278,6 +277,13 @@ _H[:, :4] = np.eye(4)
 _P0 = np.diag([10.0, 10.0, 100.0, 1e-2, 1e3, 1e3, 1e3, 1e-2])
 _Q = np.diag([1.0, 1.0, 1.0, 1e-4, 1e-2, 1e-2, 1e-2, 1e-5])
 _R = np.diag([1.0, 1.0, 10.0, 1e-3])
+
+
+def bbox_to_measurement(bbox):
+    """The (cx, cy, s, r) measurement of a box, as the 8x8 filter reads it."""
+    x, y, w, h = bbox
+    return np.array([x + w / 2.0, y + h / 2.0, w * h, w / h],
+                    dtype=np.float64)
 
 
 @dataclass

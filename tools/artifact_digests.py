@@ -1,0 +1,66 @@
+#!/usr/bin/env python3
+"""SHA-256 of every artifact the pipeline writes, over a fixed seed set.
+
+    python3 tools/artifact_digests.py SRC_DIR OUT_DIR > digests.json
+
+SRC_DIR is the ``src`` directory of the checkout to run; its microact
+package and the ``perfbench/workloads.py`` beside it are imported.  For
+each seed 1 to 20, two procedures are made under OUT_DIR: one at the
+5 fps defaults and one at ``workloads.MESSY_30FPS``.  Each gets
+``run_all``, then segment, cluster and report at half-widths 60 and 150.
+After each pass the digest of every file in the directory is recorded.
+The output is one JSON map of ``seed/fps/pass/file`` to its digest, with
+sorted keys, where pass is ``run_all`` or ``h60``/``h150``.  Two checkouts
+give the same bytes exactly when every artifact matches, so compare the
+two outputs with ``cmp``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+import sys
+from pathlib import Path
+
+SEEDS = range(1, 21)
+HALF_WIDTHS = (60, 150)
+
+
+def record(d: Path, prefix: str, digests: dict) -> None:
+    for f in sorted(d.iterdir()):
+        digests[f"{prefix}/{f.name}"] = hashlib.sha256(
+            f.read_bytes()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: artifact_digests.py SRC_DIR OUT_DIR", file=sys.stderr)
+        return 2
+    src, out = Path(argv[0]).resolve(), Path(argv[1])
+    sys.path[:0] = [str(src), str(src.parent / "perfbench")]
+    from microact import pipeline
+    from workloads import MESSY_30FPS, config
+
+    digests: dict[str, str] = {}
+    for seed in SEEDS:
+        for fps, sections in ((5, None), (30, MESSY_30FPS)):
+            d = out / f"seed{seed}_{fps}fps"
+            shutil.rmtree(d, ignore_errors=True)
+            cfg = config(seed, sections)
+            pipeline.stage_synth(d, cfg)
+            pipeline.run_all(d, cfg)
+            record(d, f"{seed}/{fps}/run_all", digests)
+            for h in HALF_WIDTHS:
+                cfg_h = config(seed, sections, segmentation={"half_width": h})
+                for stage in (pipeline.stage_segment, pipeline.stage_cluster,
+                              pipeline.stage_report):
+                    stage(d, cfg_h)
+                record(d, f"{seed}/{fps}/h{h}", digests)
+    json.dump(digests, sys.stdout, sort_keys=True, indent=1)
+    sys.stdout.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
