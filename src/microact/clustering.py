@@ -18,7 +18,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .records import ActionClass, InstrumentClass
-from .validation import ParamsMixin, check_array, check_fitted, check_positive_int
+from .validation import check_array, check_positive_int
 
 
 @dataclass
@@ -199,44 +199,6 @@ def kmeans(F, K: int, *, seed: int = 0, restarts: int = 10,
     return ClusterModel(K=K, centroids=centers, assignments=labels,
                         inertia=inertia, seed=seed, restarts=restarts,
                         n_iter=n_iter)
-
-
-class SegmentKMeans(ParamsMixin):
-    """Estimator wrapper around :func:`kmeans`.
-
-    Parameters mirror the function: n_clusters (default 4, the action
-    inventory), n_init restarts, max_iter per run, random_state seed.
-
-    Attributes after fit: cluster_centers_, labels_, inertia_, n_iter_.
-    """
-
-    def __init__(self, n_clusters: int = 4, n_init: int = 10,
-                 max_iter: int = 300, random_state: int = 0):
-        self.n_clusters = n_clusters
-        self.n_init = n_init
-        self.max_iter = max_iter
-        self.random_state = random_state
-
-    def fit(self, F, y=None):
-        model = kmeans(F, self.n_clusters, seed=self.random_state,
-                       restarts=self.n_init, max_iter=self.max_iter)
-        self.cluster_centers_ = model.centroids
-        self.labels_ = model.assignments
-        self.inertia_ = model.inertia
-        self.n_iter_ = model.n_iter
-        return self
-
-    def fit_predict(self, F, y=None) -> np.ndarray:
-        return self.fit(F).labels_
-
-    def predict(self, F) -> np.ndarray:
-        check_fitted(self, ["cluster_centers_"])
-        F = check_array(F, name="F")
-        if F.shape[1] != self.cluster_centers_.shape[1]:
-            raise ValueError(
-                f"F has {F.shape[1]} features; fitted on "
-                f"{self.cluster_centers_.shape[1]}")
-        return _nearest(F, self.cluster_centers_)
 
 
 def frame_clusters(segments: Sequence[Segment], assignments: Sequence[int],

@@ -168,23 +168,28 @@ def _read_csv(path: PathLike, header: Optional[list[str]],
     """(header, ``parse(row)`` for each nonblank row) of a delimited file.
 
     ``header`` is the required first line, or None to accept any; every
-    row must have as many fields as the header.
+    row must have as many fields as the header.  What the csv module
+    itself rejects, such as a field over ``csv.field_size_limit()``, is a
+    ParseError at the line it stopped on.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or (header is not None and got != header):
-            raise ParseError(path, 1, f"expected header {header or 'line'}, got {got}")
-        out, width = [], len(got)
-        for row in reader:
-            if not row:
-                continue
-            try:
-                if len(row) != width:
-                    raise ValueError(f"{len(row)} fields under a {width}-column header")
-                out.append(parse(row))
-            except _ROW_ERRORS as exc:
-                raise ParseError(path, reader.line_num, f"bad row {row!r}: {exc}") from exc
+        try:
+            got = next(reader, None)
+            if got is None or (header is not None and got != header):
+                raise ParseError(path, 1, f"expected header {header or 'line'}, got {got}")
+            out, width = [], len(got)
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    if len(row) != width:
+                        raise ValueError(f"{len(row)} fields under a {width}-column header")
+                    out.append(parse(row))
+                except _ROW_ERRORS as exc:
+                    raise ParseError(path, reader.line_num, f"bad row {row!r}: {exc}") from exc
+        except csv.Error as exc:
+            raise ParseError(path, reader.line_num, f"unreadable row: {exc}") from exc
     return got, out
 
 

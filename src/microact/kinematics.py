@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .records import TipTrajectory
-from .validation import ParamsMixin, check_positive_int
+from .validation import check_positive_int
 
 
 @dataclass
@@ -271,11 +271,8 @@ def normalize(X: np.ndarray) -> np.ndarray:
     return out
 
 
-class KinematicFeatureExtractor(ParamsMixin):
-    """Transformer wrapping build_feature_matrix + normalize.
-
-    Stateless: fit only records the column inventory (``feature_names_``,
-    ``n_features_``); transform does not read it.
+class KinematicFeatureExtractor:
+    """Transformer wrapping build_feature_matrix + normalize; stateless.
 
     Parameters
     ----------
@@ -289,13 +286,6 @@ class KinematicFeatureExtractor(ParamsMixin):
         self.downsample = downsample
         self.smooth_window = smooth_window
         self.zscore = zscore
-
-    def fit(self, trajectories, y=None):
-        km = build_feature_matrix(trajectories, downsample=self.downsample,
-                                  smooth_window=self.smooth_window)
-        self.feature_names_ = km.feature_names
-        self.n_features_ = len(km.feature_names)
-        return self
 
     def transform(self, trajectories) -> KinematicMatrix:
         km = build_feature_matrix(trajectories, downsample=self.downsample,

@@ -17,9 +17,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .validation import ParamsMixin, check_array, check_fitted, check_positive_int
+from .validation import check_array, check_fraction, check_positive_int
 
-DEFAULT_FULL_MATRIX_CAP = 10_000
+FULL_MATRIX_CAP = 10_000  # largest T the dense ssm builds
 
 
 @dataclass
@@ -61,19 +61,19 @@ def _shifted_rowdot(Xu: np.ndarray, o: int) -> np.ndarray:
     return np.clip(v, -1.0, 1.0, out=v)
 
 
-def ssm(X, *, full_matrix_cap: int = DEFAULT_FULL_MATRIX_CAP) -> np.ndarray:
+def ssm(X) -> np.ndarray:
     """Dense self-similarity matrix S with S_ij = cos(X_i, X_j).
 
     Symmetric; diagonal exactly 1 for nonzero rows and 0 for zero rows
     (zero rows have similarity 0 against everything by convention).
 
-    Refuses T beyond ``full_matrix_cap``; use :func:`ssm_band` there.
+    Refuses T beyond ``FULL_MATRIX_CAP``; use :func:`ssm_band` there.
     """
     X = check_array(X, name="X")
     T = X.shape[0]
-    if T > full_matrix_cap:
+    if T > FULL_MATRIX_CAP:
         raise ValueError(
-            f"T={T} exceeds the dense-matrix cap {full_matrix_cap}; "
+            f"T={T} exceeds the dense-matrix cap {FULL_MATRIX_CAP}; "
             "use ssm_band for long sequences")
     Xu = _unit_rows(X)
     S = np.zeros((T, T), dtype=np.float64)
@@ -212,12 +212,10 @@ def novelty(S_enh: Union[np.ndarray, SelfSimilarityBand],
 
 @dataclass
 class Boundaries:
-    """Picked change points with their prominences and picker config."""
+    """Picked change points with their prominences."""
 
     taus: np.ndarray          # strictly increasing frame indices
     prominences: np.ndarray
-    threshold: float
-    d_min: int
 
     def __len__(self) -> int:
         return len(self.taus)
@@ -283,11 +281,10 @@ def peak_pick(N, prominence_threshold: float, d_min: int) -> Boundaries:
     kept.sort(key=lambda tp: tp[0])
     taus = np.array([t for t, _ in kept], dtype=np.int64)
     proms = np.array([p for _, p in kept], dtype=np.float64)
-    return Boundaries(taus=taus, prominences=proms,
-                      threshold=float(prominence_threshold), d_min=d_min)
+    return Boundaries(taus=taus, prominences=proms)
 
 
-class NoveltyBoundaryDetector(ParamsMixin):
+class NoveltyBoundaryDetector:
     """Feature matrix in, action boundaries out.
 
     Runs the banded SSM -> contrast enhancement -> checkerboard novelty ->
@@ -322,11 +319,10 @@ class NoveltyBoundaryDetector(ParamsMixin):
         self.min_distance = min_distance
         self.novelty_floor = novelty_floor
 
-    def fit(self, X, y=None):
+    def fit(self, X):
         X = check_array(X, name="X")
         h = check_positive_int(self.half_width, "half_width")
-        if not 0.0 <= self.prominence_frac <= 1.0:
-            raise ValueError("prominence_frac must lie in [0, 1]")
+        check_fraction(self.prominence_frac, "prominence_frac")
         self.sigma_ = float(self.sigma) if self.sigma is not None else h / 2.0
         kernel = make_kernel(h, self.sigma_)
         band = ssm_band(X, h)
@@ -344,10 +340,3 @@ class NoveltyBoundaryDetector(ParamsMixin):
         self.boundaries_ = picked.taus
         self.prominences_ = picked.prominences
         return self
-
-    def fit_predict(self, X, y=None) -> np.ndarray:
-        return self.fit(X).boundaries_
-
-    def predict(self, X=None) -> np.ndarray:
-        check_fitted(self, ["boundaries_"])
-        return self.boundaries_

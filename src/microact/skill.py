@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .io import atomic_write
+from .io import _checked, _read_json, atomic_write
 from .records import ActionClass, SkillLevel
-from .validation import ParamsMixin, check_array, check_fitted, check_positive_int
+from .validation import check_array, check_positive_int
 
 DEFAULT_THRESHOLDS = (2.5, 3.5)
 LEAF_VALUE_CAP = 10.0  # damps Newton blowup when residual curvature vanishes
@@ -144,7 +144,7 @@ def _log_loss(P: np.ndarray, y_idx: np.ndarray) -> float:
     return float(-np.mean(np.log(p)))
 
 
-class SkillGradientBoosting(ParamsMixin):
+class SkillGradientBoosting:
     """Multiclass gradient boosting over shallow regression trees.
 
     Parameters
@@ -152,8 +152,9 @@ class SkillGradientBoosting(ParamsMixin):
     n_estimators : boosting rounds (default 200)
     learning_rate : shrinkage on leaf values (default 0.1)
     max_depth : per-tree depth cap (default 3)
-    random_state : accepted for API symmetry; fitting is deterministic and
-        never draws from it
+    random_state : never drawn from, as fitting is deterministic; kept
+        because ``to_dict`` writes it into ``model.json``, so dropping it
+        would change that file's bytes
 
     Attributes after fit
     --------------------
@@ -217,7 +218,6 @@ class SkillGradientBoosting(ParamsMixin):
         return self
 
     def decision_function(self, X) -> np.ndarray:
-        check_fitted(self, ["trees_"])
         X = check_array(X, name="X")
         if X.shape[1] != self.n_features_in_:
             raise ValueError(
@@ -241,7 +241,6 @@ class SkillGradientBoosting(ParamsMixin):
     # -- serialization ----------------------------------------------------
 
     def to_dict(self) -> dict:
-        check_fitted(self, ["trees_"])
         return {
             "format_version": 1,
             "hyperparameters": {
@@ -263,10 +262,17 @@ class SkillGradientBoosting(ParamsMixin):
             fh.write("\n")
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "SkillGradientBoosting":
-        if obj.get("format_version") != 1:
-            raise ValueError(f"unsupported model format {obj.get('format_version')!r}")
-        hp = obj["hyperparameters"]
+    def from_dict(cls, obj: dict, path="model") -> "SkillGradientBoosting":
+        """The model ``to_dict`` describes; a missing key is a ValueError
+        naming ``path`` and the key."""
+        version = obj.get("format_version") if isinstance(obj, dict) else None
+        if version != 1:
+            raise ValueError(f"{path}: unsupported model format {version!r}")
+        _checked(obj, path, ("hyperparameters", "classes", "n_features",
+                             "trees", "train_log_loss", "feature_importances"))
+        hp = _checked(obj["hyperparameters"], path,
+                      ("n_estimators", "learning_rate", "max_depth"),
+                      "hyperparameters.")
         model = cls(n_estimators=hp["n_estimators"],
                     learning_rate=hp["learning_rate"],
                     max_depth=hp["max_depth"],
@@ -280,8 +286,8 @@ class SkillGradientBoosting(ParamsMixin):
 
     @classmethod
     def load(cls, path) -> "SkillGradientBoosting":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        """Read a model file; invalid JSON is a ``file:line`` ParseError."""
+        return cls.from_dict(_read_json(path), path)
 
 
 def predict(model: SkillGradientBoosting, x) -> tuple[SkillLevel, np.ndarray]:

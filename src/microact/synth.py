@@ -44,13 +44,6 @@ SLOT_CLASSES = [
     InstrumentClass.NEEDLE,
 ]
 
-PRESENT_SLOTS = {
-    ActionClass.CUTTING: (0,),
-    ActionClass.NEEDLE_DRIVING: (1, 2, 3),
-    ActionClass.KNOT_TYING: (1, 2),
-    ActionClass.NO_ACTION: (),
-}
-
 SLOPPINESS_BY_LEVEL = {
     SkillLevel.GOOD: 0.1,
     SkillLevel.MODERATE: 0.5,

@@ -1,78 +1,28 @@
-"""Input validation helpers shared by the estimators and stage functions."""
+"""Input validation helpers shared by the model classes and stage functions."""
 
 from __future__ import annotations
 
-import inspect
 import math
-from typing import Sequence
 
 import numpy as np
 
 
-class NotFittedError(ValueError, AttributeError):
-    """Raised when an estimator is used before ``fit``."""
+def check_array(X, *, name: str = "X") -> np.ndarray:
+    """Coerce to a contiguous 2-D float64 array and reject NaN/inf.
 
-
-class ParamsMixin:
-    """``get_params``/``set_params`` read off the ``__init__`` signature.
-
-    Follows the scikit-learn estimator contract: every keyword parameter of
-    ``__init__`` is stored unchanged as an attribute of the same name.
+    A 1-D input becomes one column; an empty array is rejected.  ``name``
+    labels the error messages.
     """
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        return list(inspect.signature(cls.__init__).parameters)[1:]  # drop self
-
-    def get_params(self, deep: bool = True) -> dict:
-        """``{name: value}`` in signature order; ``deep`` is accepted for
-        compatibility, no parameter here is itself an estimator."""
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        """Set the named parameters and return self; an unknown name raises
-        ValueError before anything is set."""
-        valid = self._param_names()
-        unknown = [name for name in params if name not in valid]
-        if unknown:
-            raise ValueError(f"invalid parameter(s) {unknown} for "
-                             f"{type(self).__name__}; valid: {valid}")
-        for name, value in params.items():
-            setattr(self, name, value)
-        return self
-
-
-def check_array(X, *, ndim: int = 2, dtype=np.float64, name: str = "X",
-                allow_empty: bool = False) -> np.ndarray:
-    """Coerce to a contiguous float array and reject NaN/inf.
-
-    Parameters
-    ----------
-    X : array-like
-    ndim : expected number of dimensions (1 or 2)
-    name : label used in error messages
-    allow_empty : permit a zero-length first axis
-    """
-    arr = np.ascontiguousarray(X, dtype=dtype)
-    if arr.ndim != ndim:
-        if ndim == 2 and arr.ndim == 1:
-            arr = arr.reshape(-1, 1)
-        else:
-            raise ValueError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not allow_empty and arr.shape[0] == 0:
+    arr = np.ascontiguousarray(X, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    elif arr.ndim != 2:
+        raise ValueError(f"{name} must be 2-dimensional, got shape {arr.shape}")
+    if arr.shape[0] == 0:
         raise ValueError(f"{name} is empty")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or inf")
     return arr
-
-
-def check_fitted(estimator, attributes: Sequence[str]) -> None:
-    missing = [a for a in attributes if not hasattr(estimator, a)]
-    if missing:
-        raise NotFittedError(
-            f"{type(estimator).__name__} is not fitted yet; "
-            f"call 'fit' before using this method (missing {missing})."
-        )
 
 
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
@@ -82,10 +32,9 @@ def check_positive_int(value, name: str, minimum: int = 1) -> int:
     return iv
 
 
-def check_fraction(value, name: str, *, closed: bool = True) -> float:
+def check_fraction(value, name: str) -> float:
     fv = float(value)
-    ok = (0.0 <= fv <= 1.0) if closed else (0.0 < fv < 1.0)
-    if not ok:
+    if not 0.0 <= fv <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
     return fv
 

@@ -8,6 +8,7 @@ artifact contract rather than any one module.
 import argparse
 import contextlib
 import dataclasses
+import importlib.util
 import json
 import multiprocessing
 import os
@@ -67,6 +68,19 @@ def test_every_loader_name_is_an_io_function():
             assert loader.startswith("load_"), key
 
 
+def test_every_tracer_patch_point_resolves():
+    # perfbench's tracer wraps these names from outside the package, so a
+    # rename under src/ would leave its --trace 1 run blind
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.POINTS
+    for name, (target, _) in tracer.POINTS.items():
+        _, _, original = tracer.resolve(target)
+        assert callable(original), name
+
+
 def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
     d = tmp_path / "p"
     shutil.copytree(base_proc, d)
@@ -76,6 +90,19 @@ def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
     assert run_cli("report", d) == 1
     err = capsys.readouterr().err
     assert "segments.csv:3:" in err
+    assert "Traceback" not in err
+
+
+def test_field_over_the_csv_limit_is_a_diagnostic(tmp_path, base_proc,
+                                                   capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    lines = (d / "boundaries.csv").read_text().splitlines()
+    lines[1] = "0" * 140_000 + lines[1]
+    (d / "boundaries.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli("cluster", d) == 1
+    err = capsys.readouterr().err
+    assert f"{d / 'boundaries.csv'}:2: " in err and "field" in err
     assert "Traceback" not in err
 
 
@@ -716,6 +743,25 @@ def test_train_and_predict_flow(tmp_path):
     assert (c2 / "skill_predictions.json").exists()
     rep = json.loads((c2 / "report.json").read_text())
     assert rep.get("skill")
+
+
+@pytest.mark.parametrize("text, expect", [
+    ('{"format_version": 1}', ": missing 'hyperparameters'"),
+    ('{"format_version": 1, "hyperparameters": {}, "classes": [0, 1], '
+     '"n_features": 1, "trees": [], "train_log_loss": [], '
+     '"feature_importances": [1.0]}',
+     ": missing 'hyperparameters.n_estimators'"),
+    ('{"format_version": 1,', ":1: invalid JSON"),
+], ids=["top-level-key", "hyperparameter", "invalid-json"])
+def test_malformed_model_is_a_diagnostic(tmp_path, base_proc, capsys, text,
+                                         expect):
+    model = tmp_path / "m.json"
+    model.write_text(text)
+    # the model is read before the procedure, so base_proc stays as it is
+    assert run_cli("predict-skill", base_proc, "--model", model) == 1
+    err = capsys.readouterr().err
+    assert f"{model}{expect}" in err
+    assert "Traceback" not in err
 
 
 def test_predict_without_model_names_trainer(tmp_path, base_proc, capsys):

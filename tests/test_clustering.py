@@ -8,7 +8,6 @@ from microact import ActionClass, InstrumentClass
 from microact.clustering import (
     ClusterModel,
     Segment,
-    SegmentKMeans,
     align_clusters,
     boundaries_to_segments,
     frame_clusters,
@@ -17,7 +16,6 @@ from microact.clustering import (
     semantic_label,
     _lloyd,
 )
-from microact.validation import NotFittedError
 
 
 # --- oracles -------------------------------------------------------------
@@ -239,39 +237,6 @@ class TestKMeans:
         F = np.array([[0.0, 0.0]] * 5 + [[1.0, 1.0]] * 2)
         model = kmeans(F, 3, seed=0)
         assert model.inertia == pytest.approx(0.0, abs=1e-18)
-
-
-class TestSegmentKMeansEstimator:
-    def test_fit_attributes(self):
-        rng = np.random.default_rng(0)
-        F = np.vstack([rng.normal(size=(10, 2)) + off
-                       for off in (0.0, 10.0, 20.0, 30.0)])
-        est = SegmentKMeans(n_clusters=4, random_state=0).fit(F)
-        assert est.cluster_centers_.shape == (4, 2)
-        assert est.labels_.shape == (40,)
-        assert est.inertia_ > 0
-        assert est.n_iter_ >= 1
-
-    def test_predict_nearest(self):
-        F = np.array([[0.0, 0.0], [0.1, 0.0], [10.0, 10.0], [10.1, 10.0]])
-        est = SegmentKMeans(n_clusters=2, random_state=1).fit(F)
-        pred = est.predict(np.array([[0.05, 0.0], [9.9, 10.0]]))
-        assert pred[0] == est.labels_[0]
-        assert pred[1] == est.labels_[2]
-
-    def test_unfitted_predict_raises(self):
-        with pytest.raises(NotFittedError):
-            SegmentKMeans().predict(np.zeros((2, 2)))
-
-    def test_feature_dim_mismatch(self):
-        est = SegmentKMeans(n_clusters=2).fit(np.random.default_rng(0).normal(size=(8, 3)))
-        with pytest.raises(ValueError, match="features"):
-            est.predict(np.zeros((2, 5)))
-
-    def test_get_params(self):
-        est = SegmentKMeans(n_clusters=3, n_init=5, random_state=9)
-        p = est.get_params()
-        assert p["n_clusters"] == 3 and p["n_init"] == 5 and p["random_state"] == 9
 
 
 # --- alignment and naming ------------------------------------------------

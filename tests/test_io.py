@@ -388,6 +388,10 @@ CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
 @pytest.mark.parametrize("load, text, line_no", [
     (load_matrix, "a,b\n1.0,2.0\n3.0\n", 3),
     (load_matrix, "a,b\n1.0,abc\n", 2),
+    # a field over csv.field_size_limit(); load_matrix falls back to the
+    # checked reader for a line that long
+    (load_matrix, "a,b\n1.0,2.0\n" + "0" * 140_000 + "1,2\n", 3),
+    (load_boundaries, "tau,prominence\n" + "0" * 140_000 + "10,0.5\n", 2),
     (load_novelty, "frame,N\n0,0.5\n\n2\n", 4),
     (load_boundaries, "tau,prominence\n10,0.5\nx,0.1\n", 3),
     (load_segments, "index,start_frame,end_frame,cluster,action,duration_s\n"
@@ -398,7 +402,8 @@ CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
      + "\n", 2),
     (load_tip_candidates, CANDS + "\n" + CANDS.replace('"frame": 0', '"frame": 1')
      + "\n" + CANDS + "\n", 3),
-], ids=["matrix-truncated", "matrix-non-numeric", "novelty-truncated",
+], ids=["matrix-truncated", "matrix-non-numeric", "matrix-field-too-long",
+        "boundaries-field-too-long", "novelty-truncated",
         "boundaries-non-numeric", "segments-truncated", "truth-list-x",
         "track-rows-list-x", "candidates-descriptor-length",
         "candidates-repeated-key"])
@@ -524,7 +529,7 @@ def _check_matrix_against_oracle(path, text):
     path.write_bytes(text.encode("utf-8"))
     try:
         want = io._load_matrix_checked(path)
-    except Exception as exc:  # a ParseError, or what csv itself raises
+    except Exception as exc:  # a ParseError
         with pytest.raises(type(exc)) as got:
             load_matrix(path)
         assert str(got.value) == str(exc)

@@ -246,19 +246,10 @@ class TestNormalize:
 class TestExtractor:
     def test_transformer_api(self):
         trs = [linear_traj(40, inst=0), linear_traj(40, vy=1.5, inst=1)]
-        ext = KinematicFeatureExtractor(zscore=True)
-        km = ext.fit(trs).transform(trs)
-        assert ext.n_features_ == 10
+        km = KinematicFeatureExtractor(zscore=True).transform(trs)
         assert km.X.shape == (40, 10)
         # z-scored: nonconstant columns have mean ~0
         assert np.allclose(km.X.mean(axis=0), 0.0, atol=1e-9)
-
-    def test_get_params_round_trip(self):
-        ext = KinematicFeatureExtractor(downsample=4, smooth_window=3, zscore=False)
-        params = ext.get_params()
-        assert params == {"downsample": 4, "smooth_window": 3, "zscore": False}
-        ext2 = KinematicFeatureExtractor(**params)
-        assert ext2.get_params() == params
 
 
 class TestDownsample:

