@@ -235,7 +235,13 @@ def _box_fields(bbox: BBox) -> dict:
 
 
 def _bbox_of(rec: dict) -> BBox:
-    return (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
+    """The record's box: finite, with positive width and height."""
+    bbox = (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
+    if not all(map(math.isfinite, bbox)):
+        raise ValueError(f"non-finite bbox {bbox}")
+    if bbox[2] <= 0 or bbox[3] <= 0:
+        raise ValueError(f"bbox must have positive width and height, got {bbox}")
+    return bbox
 
 
 # ---------------------------------------------------------------------------
@@ -282,10 +288,6 @@ def _detection_from_record(rec: dict) -> Detection:
         raise ValueError(f"negative frame index {frame}")
     cls = InstrumentClass(rec["class"])
     bbox = _bbox_of(rec)
-    if not all(np.isfinite(bbox)):
-        raise ValueError(f"non-finite bbox {bbox}")
-    if bbox[2] <= 0 or bbox[3] <= 0:
-        raise ValueError(f"bbox must have positive width and height, got {bbox}")
     conf = float(rec["conf"])
     if not 0.0 <= conf <= 1.0:
         raise ValueError(f"confidence {conf} outside [0, 1]")
@@ -294,8 +296,8 @@ def _detection_from_record(rec: dict) -> Detection:
         appearance = np.asarray(rec["appearance"], dtype=np.float64)
         if appearance.ndim != 1 or appearance.size == 0:
             raise ValueError("appearance must be a nonempty flat vector")
-        norm = float(np.linalg.norm(appearance))
-        if abs(norm - 1.0) > APPEARANCE_NORM_TOL:
+        norm = math.sqrt(appearance @ appearance)
+        if not abs(norm - 1.0) <= APPEARANCE_NORM_TOL:  # NaN fails too
             raise ValueError(f"appearance norm {norm} not within {APPEARANCE_NORM_TOL} of 1")
     return Detection(frame=frame, class_id=cls, bbox=bbox, confidence=conf,
                      appearance=appearance)

@@ -48,8 +48,8 @@ from .skill import (SkillGradientBoosting, cross_validate, discretize_score,
                     predict as skill_predict, skill_feature_vector)
 from .synth import (SLOPPINESS_BY_LEVEL, generate, paper_shaped_script,
                     write_procedure)
-from .tracking import (InstrumentTracker, iou, localize_tip, refine_identity,
-                       recovery_correction_rates)
+from .tracking import (InstrumentTracker, frame_pairs, iou_pairs, localize_tip,
+                       recovery_correction_rates, refine_identity)
 
 # action types that receive expert scores; skill training and prediction
 # are restricted to segments of these classes
@@ -379,15 +379,16 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     # largest input, there
     child = memo.pop("candidates", None) if memo is not None else None
     table = None
-    by_frame: dict[int, list[int]] = {}
     references: dict[InstrumentClass, np.ndarray] = {}
     if (_path(proc_dir, "candidates").exists()
             and _path(proc_dir, "references").exists()):
         table = child.result() if child is not None else None
         if table is None:
             table = _load(proc_dir, "candidates", None)
-        by_frame = table.sets_by_frame()
         references = _load(proc_dir, "references", None)
+        sets = table.boxed_sets()
+        set_frames = table.set_keys[sets, 0]
+        set_boxes = table.boxes[sets]
 
     # best[(class, frame)] = (rank, object_id, tip); detection-backed rows
     # outrank recovered ones, then the older object wins
@@ -396,30 +397,29 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     n_localized = 0
     for track in sorted(refined, key=lambda t: t.object_id):
         ref = references.get(track.class_id)
-        for f in _confirmed_frames(track, cfg.tracking.confirm_hits):
-            if not 0 <= f < n_frames:
-                continue
-            box = track.boxes[f]
-            tip = None
-            if ref is not None:
-                cand, cand_box, cand_iou = None, None, 0.0
-                for i in by_frame.get(f, ()):
-                    cbox = table.crop_boxes[i]
-                    if cbox is None:
-                        continue
-                    v = iou(box, cbox)
-                    if v > cand_iou:
-                        cand, cand_box, cand_iou = i, cbox, v
-                # det-backed rows carry the detection box verbatim, so the
-                # right candidate set matches at IoU 1; 0.5 rejects overlap
-                # with a neighboring instrument's crop
-                if cand is not None and cand_iou >= 0.5:
-                    rows = table.rows(cand)
-                    tip = localize_tip(table.points[rows],
-                                       table.descriptors[rows], ref,
-                                       bbox=cand_box)
-                    n_localized += 1
-            if tip is None:
+        frames = [f for f in _confirmed_frames(track, cfg.tracking.confirm_hits)
+                  if 0 <= f < n_frames]
+        boxes = [track.boxes[f] for f in frames]
+        cand = np.full(len(frames), -1)
+        if ref is not None and frames:
+            # each frame's candidate set: the first of its crops with the
+            # highest IoU with the box; det-backed rows carry the detection
+            # box verbatim, so the right set matches at IoU 1, and 0.5
+            # rejects overlap with a neighboring instrument's crop
+            k, j, counts = frame_pairs(np.array(frames), set_frames)
+            v = iou_pairs(np.array(boxes)[k], set_boxes[j])
+            # pairs by frame, then highest IoU first, then set order
+            order = np.lexsort((-v, k))
+            top = order[(np.cumsum(counts) - counts)[counts > 0]]
+            won = top[v[top] >= 0.5]
+            cand[k[won]] = sets[j[won]]
+        for f, box, i in zip(frames, boxes, cand.tolist()):
+            if i >= 0:
+                rows = table.rows(i)
+                tip = localize_tip(table.points[rows], table.descriptors[rows],
+                                   ref, bbox=table.crop_boxes[i])
+                n_localized += 1
+            else:
                 x, y, w, h = box
                 tip = (x + w / 2.0, y + h / 2.0)
             rank = 1 if track.provenance[f] == Provenance.RECOVERED else 0

@@ -161,13 +161,11 @@ class TipCandidateTable:
         return [None if math.isnan(box[0]) else tuple(box)
                 for box in self.boxes.tolist()]
 
-    def sets_by_frame(self) -> dict[int, list[int]]:
-        """Set indices per frame, each frame's sets in object-id order."""
-        out: dict[int, list[int]] = {}
-        frames = self.set_keys[:, 0].tolist()
-        for i in np.lexsort(self.set_keys.T[::-1]).tolist():
-            out.setdefault(frames[i], []).append(i)
-        return out
+    def boxed_sets(self) -> np.ndarray:
+        """Indices of the sets that have a crop box, sorted by frame, then
+        object id."""
+        order = np.lexsort(self.set_keys.T[::-1])
+        return order[~np.isnan(self.boxes[order, 0])]
 
 
 @dataclass

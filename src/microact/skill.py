@@ -277,6 +277,7 @@ class SkillGradientBoosting:
                     learning_rate=hp["learning_rate"],
                     max_depth=hp["max_depth"],
                     random_state=hp.get("random_state"))
+        _check_trees(obj["trees"], obj["classes"], obj["n_features"], path)
         model.classes_ = np.asarray(obj["classes"])
         model.trees_ = obj["trees"]
         model.train_log_loss_ = np.asarray(obj["train_log_loss"])
@@ -288,6 +289,62 @@ class SkillGradientBoosting:
     def load(cls, path) -> "SkillGradientBoosting":
         """Read a model file; invalid JSON is a ``file:line`` ParseError."""
         return cls.from_dict(_read_json(path), path)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _node_problem(node, n_features: int) -> Optional[str]:
+    """Why ``node`` is neither a leaf nor a split ``_tree_predict`` can
+    follow, or None."""
+    if not isinstance(node, dict):
+        return "not an object"
+    if "leaf" in node:
+        return None if _is_number(node["leaf"]) else "leaf is not a number"
+    for key in ("feature", "threshold", "left", "right"):
+        if key not in node:
+            return f"missing {key!r}"
+    f = node["feature"]
+    if not (isinstance(f, int) and not isinstance(f, bool)
+            and 0 <= f < n_features):
+        return f"feature {f!r} not in [0, {n_features})"
+    if not _is_number(node["threshold"]):
+        return "threshold is not a number"
+    return None
+
+
+def _check_trees(trees, classes, n_features, path) -> None:
+    """Every round of ``trees`` holds one tree per class, and every node is
+    a leaf or a split on a feature in [0, n_features) with both children;
+    otherwise a ValueError names ``path``, the node and what is wrong."""
+    if not (isinstance(n_features, int) and not isinstance(n_features, bool)
+            and n_features > 0):
+        raise ValueError(f"{path}: n_features {n_features!r} is not a "
+                         "positive integer")
+    if not isinstance(classes, list):
+        raise ValueError(f"{path}: 'classes' is not a list")
+    if not isinstance(trees, list):
+        raise ValueError(f"{path}: 'trees' is not a list")
+    for r, round_trees in enumerate(trees):
+        if not (isinstance(round_trees, list)
+                and len(round_trees) == len(classes)):
+            raise ValueError(f"{path}: trees[{r}] is not a list of "
+                             f"{len(classes)} trees, one per class")
+        stack = [(f"trees[{r}][{k}]", tree)
+                 for k, tree in enumerate(round_trees)][::-1]
+        while stack:
+            where, node = stack.pop()
+            problem = _node_problem(node, n_features)
+            if problem is not None:
+                shown = ({k: v for k, v in node.items()
+                          if k not in ("left", "right")}
+                         if isinstance(node, dict) else node)
+                raise ValueError(f"{path}: {where}: {problem} "
+                                 f"(node {shown!r})")
+            if "leaf" not in node:
+                stack += [(where + ".right", node["right"]),
+                          (where + ".left", node["left"])]
 
 
 def predict(model: SkillGradientBoosting, x) -> tuple[SkillLevel, np.ndarray]:

@@ -13,6 +13,12 @@ Three layers:
   * ``localize_tip``, descriptor matching of tip candidates inside a box,
     and ``recovery_correction_rates`` to score the repair against truth.
 
+Box overlap comes in two forms with the same bits: ``iou`` for one pair,
+and ``iou_pairs``, one elementwise pass over many pairs, which the
+repair scoring and the tips stage's candidate match use.  ``associate``
+decides a lone detection and track by the IoU gate alone, since the
+solver can only pair them.
+
 Appearance embeddings are ingested, never computed here.
 """
 
@@ -42,6 +48,40 @@ def iou(a: BBox, b: BBox) -> float:
     inter = ix * iy
     union = aw * ah + bw * bh - inter
     return inter / union if union > 0 else 0.0
+
+
+def iou_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou(a[k], b[k])`` for every row k of two (n, 4) float64 arrays.
+
+    ``iou``'s formula in its order, one elementwise pass per operation:
+    float64 ``+ - * /``, ``minimum`` and ``maximum`` round as the scalar
+    code does, so each value has the scalar's bits.  The clamp at zero is
+    written as ``max(0.0, v)`` behaves, +0.0 unless v > 0, because
+    ``np.maximum(0.0, -0.0)`` can be -0.0.
+    """
+    ax, ay, aw, ah = a.T
+    bx, by, bw, bh = b.T
+    ix = np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx)
+    iy = np.minimum(ay + ah, by + bh) - np.maximum(ay, by)
+    inter = np.where(ix > 0.0, ix, 0.0) * np.where(iy > 0.0, iy, 0.0)
+    union = aw * ah + bw * bh - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)
+
+
+def frame_pairs(a_frames: np.ndarray, b_frames: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every (i, j) with ``a_frames[i] == b_frames[j]``, ``b_frames``
+    sorted: i ascending, then j ascending.
+
+    Returns the i and j index arrays and, per i, its number of pairs, so
+    row i's pairs start at ``cumsum(counts)[i] - counts[i]``.
+    """
+    lo = np.searchsorted(b_frames, a_frames, "left")
+    counts = np.searchsorted(b_frames, a_frames, "right") - lo
+    first = np.cumsum(counts) - counts
+    i = np.repeat(np.arange(len(a_frames)), counts)
+    j = np.arange(int(counts.sum())) + np.repeat(lo - first, counts)
+    return i, j, counts
 
 
 # --- Kalman filter ---------------------------------------------------------
@@ -159,6 +199,12 @@ def state_bbox(state: KalmanState) -> BBox:
 
 # --- Association -----------------------------------------------------------
 
+def _check_dims(da: Optional[np.ndarray], ta: Optional[np.ndarray]) -> None:
+    if da is not None and ta is not None and da.shape != ta.shape:
+        raise ValueError(
+            f"appearance dimension mismatch: {da.shape} vs {ta.shape}")
+
+
 def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
               det_apps: Optional[Sequence[Optional[np.ndarray]]] = None,
               track_apps: Optional[Sequence[Optional[np.ndarray]]] = None,
@@ -184,38 +230,37 @@ def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
 
     det_apps = det_apps if det_apps is not None else [None] * nd
     track_apps = track_apps if track_apps is not None else [None] * nt
-    # each embedding is normed once, for all of its pairs
-    det_norms = [None if a is None else float(np.linalg.norm(a))
-                 for a in det_apps]
-    track_norms = [None if a is None else float(np.linalg.norm(a))
-                   for a in track_apps]
-    ious = np.zeros((nd, nt))
-    cost = np.zeros((nd, nt))
-    for i, db in enumerate(det_boxes):
-        da, na = det_apps[i], det_norms[i]
-        for j, tb in enumerate(track_boxes):
-            ta, nb = track_apps[j], track_norms[j]
-            ov = iou(db, tb)
-            ious[i, j] = ov
-            if da is not None and ta is not None:
-                if da.shape != ta.shape:
-                    raise ValueError(
-                        f"appearance dimension mismatch: {da.shape} vs {ta.shape}")
-                cos = float(da @ ta) / (na * nb) if na > 0 and nb > 0 else 0.0
-                cost[i, j] = (iou_weight * (1.0 - ov)
-                              + appearance_weight * (1.0 - cos))
-            else:
-                cost[i, j] = 1.0 - ov
+    if nd == nt == 1:
+        # the solver's only assignment of one pair is (0, 0), so the gate
+        # alone decides
+        _check_dims(det_apps[0], track_apps[0])
+        if iou(det_boxes[0], track_boxes[0]) < iou_gate:
+            return [], [0], [0]
+        return [(0, 0)], [], []
 
-    rows, cols = linear_sum_assignment(cost)
-    matches = []
-    matched_d, matched_t = set(), set()
-    for i, j in zip(rows, cols):
-        if ious[i, j] < iou_gate:
-            continue
-        matches.append((int(i), int(j)))
-        matched_d.add(int(i))
-        matched_t.add(int(j))
+    # each embedding is normed once, for all of its pairs; math.sqrt(a @ a)
+    # is np.linalg.norm's own arithmetic on a float64 vector
+    det_norms = [None if a is None else math.sqrt(a @ a) for a in det_apps]
+    track_norms = [None if a is None else math.sqrt(a @ a)
+                   for a in track_apps]
+    ious = [[iou(db, tb) for tb in track_boxes] for db in det_boxes]
+    cost = []
+    for da, na, row in zip(det_apps, det_norms, ious):
+        cost.append([])
+        for ta, nb, ov in zip(track_apps, track_norms, row):
+            if da is not None and ta is not None:
+                _check_dims(da, ta)
+                cos = float(da @ ta) / (na * nb) if na > 0 and nb > 0 else 0.0
+                cost[-1].append(iou_weight * (1.0 - ov)
+                                + appearance_weight * (1.0 - cos))
+            else:
+                cost[-1].append(1.0 - ov)
+
+    rows, cols = linear_sum_assignment(np.array(cost))
+    matches = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
+               if ious[i][j] >= iou_gate]
+    matched_d = {i for i, _ in matches}
+    matched_t = {j for _, j in matches}
     unmatched_d = [i for i in range(nd) if i not in matched_d]
     unmatched_t = [j for j in range(nt) if j not in matched_t]
     return matches, unmatched_d, unmatched_t
@@ -538,16 +583,60 @@ def localize_tip(points: np.ndarray, descriptors: np.ndarray,
 
 # --- Repair scoring --------------------------------------------------------
 
-def _match_frame(truth_boxes: Sequence[BBox], boxes: Sequence[BBox],
-                 threshold: float) -> dict[int, int]:
-    """Best one-to-one IoU matching within one frame; pairs below the
-    threshold are dropped."""
-    if not truth_boxes or not boxes:
-        return {}
-    gains = np.array([[iou(tb, b) for b in boxes] for tb in truth_boxes])
-    rows, cols = linear_sum_assignment(gains, maximize=True)
-    return {int(i): int(j) for i, j in zip(rows, cols)
-            if gains[i, j] >= threshold}
+def _match_frames(truth_frames: np.ndarray, truth_boxes: np.ndarray,
+                  frames: np.ndarray, boxes: np.ndarray,
+                  threshold: float) -> np.ndarray:
+    """Best one-to-one IoU matching of truth boxes to boxes, frame by frame.
+
+    Both sides are sorted by frame, each frame's rows in the caller's
+    order.  Returns, per truth row, the row of ``boxes`` it matched, or -1;
+    pairs below the threshold are dropped.  Every IoU is computed in one
+    pass; a frame with one truth and one box needs no solver, larger ones
+    give their block of the gains to it.
+    """
+    ti, bj, counts = frame_pairs(truth_frames, frames)
+    gains = iou_pairs(truth_boxes[ti], boxes[bj])
+    # a frame's truth rows start at s, its gains at pair g and its boxes
+    # at row b; it has nt truths and nb boxes
+    new_frame = np.ones(len(truth_frames), dtype=bool)
+    new_frame[1:] = truth_frames[1:] != truth_frames[:-1]
+    s = np.flatnonzero(new_frame)
+    nt = np.diff(s, append=len(truth_frames))
+    nb = counts[s]
+    g = (np.cumsum(counts) - counts)[s]
+    b = np.searchsorted(frames, truth_frames[s])
+    # (frame, truth, box) of every assignment; one truth and one box need
+    # no solver, whose only answer there is (0, 0)
+    one = nt * nb == 1
+    solve = (nb > 0) & ~one
+    solved = [linear_sum_assignment(gains[g0: g0 + t * n].reshape(t, n),
+                                    maximize=True)
+              for g0, t, n in zip(*(a[solve].tolist() for a in (g, nt, nb)))]
+    frame = np.concatenate([np.flatnonzero(one), np.repeat(
+        np.flatnonzero(solve), np.minimum(nt, nb)[solve])])
+    zeros = np.zeros(np.count_nonzero(one), dtype=np.intp)
+    rows = np.concatenate([zeros, *(r for r, _ in solved)])
+    cols = np.concatenate([zeros, *(c for _, c in solved)])
+    keep = gains[g[frame] + rows * nb[frame] + cols] >= threshold
+    match = np.full(len(truth_frames), -1)
+    match[(s[frame] + rows)[keep]] = (b[frame] + cols)[keep]
+    return match
+
+
+_CLASS_CODE = {c: k for k, c in enumerate(InstrumentClass)}
+
+
+def _frame_sorted(frames: Sequence[int], boxes: Sequence[BBox],
+                  classes: Sequence[InstrumentClass]):
+    """(frames, boxes, class codes) of parallel rows, stably sorted by
+    frame.  The codes get a -1 appended, so that indexing them with -1, no
+    match, gives a code no class has."""
+    frames = np.array(frames, dtype=np.int64)
+    order = np.argsort(frames, kind="stable")
+    codes = np.array([_CLASS_CODE[c] for c in classes] + [-1])
+    return (frames[order],
+            np.array(boxes, dtype=np.float64).reshape(-1, 4)[order],
+            codes[np.append(order, len(order))])
 
 
 def recovery_correction_rates(
@@ -560,39 +649,31 @@ def recovery_correction_rates(
     the fraction present in the refined tracks (IoU and class both
     matching).  Correction rate: of the truth instances the detector
     found with the wrong class, the fraction whose refined class is
-    right.  A zero denominator yields None, not 0.
+    right.  A zero denominator yields None, not 0.  In each frame truths
+    are matched to detections and, separately, to refined boxes by best
+    one-to-one IoU, with rows in the order given.
     """
-    raw_by_frame: dict[int, list[Detection]] = {}
-    for d in raw:
-        raw_by_frame.setdefault(d.frame, []).append(d)
-    ref_by_frame: dict[int, list[tuple[InstrumentClass, BBox]]] = {}
+    tf, tb, tc = _frame_sorted([t.frame for t in truth],
+                               [t.bbox for t in truth],
+                               [t.class_id for t in truth])
+    df, db, dc = _frame_sorted([d.frame for d in raw], [d.bbox for d in raw],
+                               [d.class_id for d in raw])
+    frames, boxes, classes = [], [], []
     for track in refined:
-        for f in track.frames():
-            ref_by_frame.setdefault(f, []).append((track.class_id,
-                                                   track.boxes[f]))
-    truth_by_frame: dict[int, list[TruthInstance]] = {}
-    for t in truth:
-        truth_by_frame.setdefault(t.frame, []).append(t)
-
-    misses = recovered = mislabels = corrected = 0
-    for f, truths in truth_by_frame.items():
-        t_boxes = [t.bbox for t in truths]
-        dets = raw_by_frame.get(f, [])
-        det_match = _match_frame(t_boxes, [d.bbox for d in dets],
-                                 iou_threshold)
-        refs = ref_by_frame.get(f, [])
-        ref_match = _match_frame(t_boxes, [b for _, b in refs], iou_threshold)
-        for i, t in enumerate(truths):
-            in_refined = (i in ref_match
-                          and refs[ref_match[i]][0] == t.class_id)
-            if i not in det_match:
-                misses += 1
-                if in_refined:
-                    recovered += 1
-            elif dets[det_match[i]].class_id != t.class_id:
-                mislabels += 1
-                if in_refined:
-                    corrected += 1
+        fs = track.frames()
+        frames += fs
+        boxes += map(track.boxes.__getitem__, fs)
+        classes += [track.class_id] * len(fs)
+    rf, rb, rc = _frame_sorted(frames, boxes, classes)
+    tc = tc[:-1]
+    in_refined = rc[_match_frames(tf, tb, rf, rb, iou_threshold)] == tc
+    det_cls = dc[_match_frames(tf, tb, df, db, iou_threshold)]
+    missed = det_cls == -1
+    mislabeled = ~missed & (det_cls != tc)
+    misses = int(np.count_nonzero(missed))
+    recovered = int(np.count_nonzero(missed & in_refined))
+    mislabels = int(np.count_nonzero(mislabeled))
+    corrected = int(np.count_nonzero(mislabeled & in_refined))
     rr = recovered / misses if misses else None
     cr = corrected / mislabels if mislabels else None
     return rr, cr

@@ -20,9 +20,11 @@ import numpy as np
 import pytest
 
 from microact import cli, io, load_config, pipeline
-from microact.records import ActionClass
+from microact.records import (ActionClass, InstrumentClass, Provenance,
+                              RefinedTrack, TipCandidateSet)
 from microact.synth import (ActionSpec, ProcedureScript, generate,
                             paper_shaped_script, write_procedure)
+from microact.tracking import iou, localize_tip
 
 
 def run_cli(*argv) -> int:
@@ -752,7 +754,13 @@ def test_train_and_predict_flow(tmp_path):
      '"feature_importances": [1.0]}',
      ": missing 'hyperparameters.n_estimators'"),
     ('{"format_version": 1,', ":1: invalid JSON"),
-], ids=["top-level-key", "hyperparameter", "invalid-json"])
+    ('{"format_version": 1, "hyperparameters": {"n_estimators": 1, '
+     '"learning_rate": 0.1, "max_depth": 1}, "classes": [0, 1], '
+     '"n_features": 1, "trees": [[{"feature": 0, "left": {"leaf": 0.0}, '
+     '"right": {"leaf": 0.0}}, {"leaf": 0.0}]], "train_log_loss": [0.5], '
+     '"feature_importances": [1.0]}',
+     ": trees[0][0]: missing 'threshold'"),
+], ids=["top-level-key", "hyperparameter", "invalid-json", "tree-node"])
 def test_malformed_model_is_a_diagnostic(tmp_path, base_proc, capsys, text,
                                          expect):
     model = tmp_path / "m.json"
@@ -769,3 +777,62 @@ def test_predict_without_model_names_trainer(tmp_path, base_proc, capsys):
     shutil.copytree(base_proc, c)
     assert run_cli("predict-skill", c, "--model", tmp_path / "nope.json") == 1
     assert "train-skill" in capsys.readouterr().err
+
+
+def _tip_sets_scalar(tracks, cands, n_frames, min_hits):
+    """The candidate set each confirmed track frame takes, by the per-pair
+    ``iou`` loop the tips stage ran before its IoUs were batched: the first
+    crop in object-id order with the highest IoU, if that is 0.5 or more."""
+    out = []
+    for track in sorted(tracks, key=lambda t: t.object_id):
+        for f in pipeline._confirmed_frames(track, min_hits):
+            if not 0 <= f < n_frames:
+                continue
+            best, best_iou = None, 0.0
+            for key in sorted(k for k in cands if k[0] == f):
+                cbox = cands[key].bbox
+                if cbox is not None and iou(track.boxes[f], cbox) > best_iou:
+                    best, best_iou = key, iou(track.boxes[f], cbox)
+            if best is not None and best_iou >= 0.5:
+                out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
+    # few box shapes, so crops repeat, tie, touch and meet IoU 0.5 exactly
+    rng = np.random.default_rng(seed)
+    grid = [(x, y, w, 10.0) for x in (0.0, 5.0, 10.0) for y in (0.0, 10.0)
+            for w in (5.0, 10.0)]
+    n_frames, classes = 12, list(InstrumentClass)[:3]
+    tracks = []
+    for oid in range(4):
+        fs = sorted(rng.choice(np.arange(-1, n_frames + 1), size=8,
+                               replace=False).tolist())
+        tracks.append(RefinedTrack(
+            object_id=oid, class_id=classes[oid % 3],
+            boxes={f: grid[rng.integers(len(grid))] for f in fs},
+            provenance={f: list(Provenance)[rng.integers(3)] for f in fs}))
+    cands = {}
+    for f in range(n_frames):
+        for oid in rng.choice(6, size=rng.integers(0, 5), replace=False):
+            # the set's own key in its point, to tell which set was taken
+            cands[(f, int(oid))] = TipCandidateSet(
+                candidates=[(float(f), float(oid), np.array([1.0, 0.5]))],
+                bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
+    io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
+    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_reference_descriptors({c: np.array([1.0, 0.0]) for c in classes},
+                                  tmp_path / "reference_descriptors.json")
+    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
+    taken = []
+
+    def recording(points, descriptors, reference, bbox=None):
+        taken.append(tuple(int(v) for v in points[0]))
+        return localize_tip(points, descriptors, reference, bbox)
+
+    monkeypatch.setattr(pipeline, "localize_tip", recording)
+    cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
+    summary = pipeline.stage_tips(tmp_path, cfg)
+    want = _tip_sets_scalar(tracks, cands, n_frames, 2)
+    assert taken == want and summary["n_localized"] == len(want) > 0

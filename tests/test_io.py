@@ -121,6 +121,15 @@ class TestLoadDetections:
         with pytest.raises(ParseError, match="norm"):
             load_detections(p)
 
+    @pytest.mark.parametrize("vec", ["[NaN, 0.0]", "[Infinity, 0.0]"])
+    def test_non_finite_appearance_rejected(self, tmp_path, vec):
+        # a NaN norm fails no "> tolerance" test, so it must fail "<="
+        p = tmp_path / "dets.jsonl"
+        p.write_text('{"frame": 0, "class": "needle", "x": 0, "y": 0, "w": 5, "h": 5, '
+                     '"conf": 0.5, "appearance": ' + vec + '}\n')
+        with pytest.raises(ParseError, match=":1: appearance norm"):
+            load_detections(p)
+
 
 finite_coord = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False,
                          allow_infinity=False)
@@ -356,7 +365,7 @@ class TestCandidatesDescriptors:
         assert table.descriptors.tolist() == [[0.0, 1.0], [0.5, 0.5],
                                               [1.0, 0.0]]
         assert table.crop_boxes == [None, None, (10.0, 20.0, 40.0, 40.0)]
-        assert table.sets_by_frame() == {0: [0], 3: [1, 2]}
+        assert table.boxed_sets().tolist() == [2]
         assert table.rows(2) == slice(1, 3)
 
     def test_descriptors_round_trip(self, tmp_path):
@@ -414,6 +423,32 @@ def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):
         load(p)
     assert exc.value.line_no == line_no
     assert str(exc.value).startswith(f"{p}:{line_no}: ")
+
+
+@pytest.mark.parametrize("load, line", [
+    (load_detections, '{"frame": 0, "class": "needle", "conf": 0.5, BOX}'),
+    (load_truth_instances, TRUTH.replace('"x": 0, ' + BOX, "BOX")),
+    (load_track_rows, TRACK_ROW.replace('"x": 0, ' + BOX, "BOX")),
+    (load_refined_tracks, '{"frame": 0, "object_id": 1, "class": "needle", '
+                          'BOX, "provenance": "detected"}'),
+    (load_tip_candidates, CANDS[:-1] + ", BOX}"),
+], ids=["detections", "truth", "track-rows", "refined", "candidate-crop"])
+@pytest.mark.parametrize("box", [
+    '"x": NaN, "y": 0, "w": 2, "h": 2', '"x": 0, "y": Infinity, "w": 2, "h": 2',
+    '"x": 0, "y": 0, "w": NaN, "h": 2', '"x": 0, "y": 0, "w": 0, "h": 2',
+    '"x": 0, "y": 0, "w": 2, "h": -1',
+], ids=["nan-x", "inf-y", "nan-w", "zero-w", "negative-h"])
+def test_every_box_loader_applies_the_box_rule(tmp_path, load, line, box):
+    # the good line first, so the error must name line 2
+    p = tmp_path / "artifact"
+    good = line.replace("BOX", '"x": 0, "y": 0, "w": 2, "h": 2')
+    p.write_text(good + "\n" + line.replace("BOX", box).replace(
+        '"frame": 0', '"frame": 1') + "\n")
+    with pytest.raises(ParseError, match="bbox") as exc:
+        load(p)
+    assert exc.value.line_no == 2
+    p.write_text(good + "\n")
+    load(p)
 
 
 def test_parse_error_pickles_intact():

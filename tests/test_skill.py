@@ -263,6 +263,41 @@ class TestSerialization:
             SkillGradientBoosting.load(p)
 
 
+    @pytest.mark.parametrize("edit, where, problem", [
+        (lambda d: d["trees"][0][0].pop("threshold"), "trees[0][0]",
+         "missing 'threshold'"),
+        (lambda d: d["trees"][0][0].update(feature=3), "trees[0][0]",
+         "feature 3 not in [0, 3)"),
+        (lambda d: d["trees"][0][0].update(feature=True), "trees[0][0]",
+         "feature True not in [0, 3)"),
+        (lambda d: d["trees"][0][0].update(threshold="0.5"), "trees[0][0]",
+         "threshold is not a number"),
+        (lambda d: d["trees"][1][2]["left"].update(leaf=None),
+         "trees[1][2].left", "leaf is not a number"),
+        (lambda d: d["trees"][1][2].update(right=[]), "trees[1][2].right",
+         "not an object"),
+        (lambda d: d["trees"][1].pop(), "trees[1]",
+         "is not a list of 3 trees, one per class"),
+    ], ids=["no-threshold", "feature-range", "bool-feature", "str-threshold",
+            "null-leaf", "list-child", "short-round"])
+    def test_bad_tree_node_named(self, tmp_path, edit, where, problem):
+        X, y = separable_dataset(gap=4.0, seed=5)
+        doc = SkillGradientBoosting(n_estimators=2, max_depth=1).fit(
+            X, y).to_dict()
+        for round_trees in doc["trees"]:
+            for tree in round_trees:  # every tree a split, whatever the fit
+                tree.clear()
+                tree.update(feature=0, threshold=0.5, left={"leaf": 0.0},
+                            right={"leaf": 1.0})
+        edit(doc)
+        p = tmp_path / "model.json"
+        p.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            SkillGradientBoosting.load(p)
+        assert str(exc.value).startswith(f"{p}: {where}")
+        assert problem in str(exc.value)
+
+
 class TestCrossValidation:
     def test_separable_all_folds_perfect(self):
         X, y = separable_dataset(n_per_class=10, gap=10.0)

@@ -5,7 +5,13 @@ Oracles:
     assignments for the 2x2 crossed-box case, and brute-force permutation
     search for random cost matrices; its cost matrix against the per-pair
     loop that normed both embeddings for every pair
-    (``association_cost_scalar``);
+    (``association_cost_scalar``); its results, and the tracker's rows,
+    against ``associate`` without its one-pair fast path
+    (``associate_scalar``);
+  * ``iou_pairs`` against ``iou`` bit for bit, and eval's batched
+    per-frame matching and rates against the per-frame loop with one
+    ``iou`` call per pair and the solver on every frame
+    (``match_frame_scalar``, ``rates_scalar``), on tie-heavy boxes;
   * the moving-box Kalman example against closed-form constant-velocity
     extrapolation, and the per-coordinate float filter against the 8x8
     matrix filter it replaced (``kalman_predict_matrix``,
@@ -22,13 +28,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from microact import tracking
 from microact.records import (Detection, InstrumentClass, Provenance,
                               RefinedTrack, TrackObservation, TruthInstance)
 from microact.synth import generate, paper_shaped_script
 from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
-                               KalmanState, associate, iou, kalman_init,
+                               KalmanState, associate, iou, iou_pairs,
+                               kalman_init,
                                kalman_predict, kalman_update, localize_tip,
                                measurement_to_bbox, recovery_correction_rates,
                                refine_identity, state_bbox)
@@ -161,9 +169,13 @@ class TestAssociate:
             da = [embedding() for _ in range(nd)]
             ta = [embedding() for _ in range(nt)]
             for det_apps, track_apps in ((da, ta), (da, None), (None, ta)):
+                n_seen = len(seen)
                 associate(d, t, det_apps, track_apps)
-                want = association_cost_scalar(d, t, det_apps, track_apps)
-                assert seen[-1].tobytes() == want.tobytes()
+                # one pair is decided by the gate alone, without the solver
+                assert len(seen) == n_seen + (nd * nt > 1)
+                if len(seen) > n_seen:
+                    want = association_cost_scalar(d, t, det_apps, track_apps)
+                    assert seen[-1].tobytes() == want.tobytes()
 
 
 def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
@@ -186,6 +198,68 @@ def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
             else:
                 cost[i, j] = 1.0 - ov
     return cost
+
+
+def associate_scalar(det_boxes, track_boxes, det_apps=None, track_apps=None,
+                     iou_weight=0.7, appearance_weight=0.3,
+                     iou_gate=tracking.DEFAULT_IOU_GATE):
+    """``associate`` as it was before its one-pair fast path: the solver
+    on every call, a per-pair cost loop.  The oracle for ``associate``."""
+    nd, nt = len(det_boxes), len(track_boxes)
+    if nd == 0 or nt == 0:
+        return [], list(range(nd)), list(range(nt))
+    cost = association_cost_scalar(det_boxes, track_boxes, det_apps,
+                                   track_apps, iou_weight, appearance_weight)
+    ious = np.array([[iou(db, tb) for tb in track_boxes] for db in det_boxes])
+    rows, cols = linear_sum_assignment(cost)
+    matches = [(int(i), int(j)) for i, j in zip(rows, cols)
+               if ious[i, j] >= iou_gate]
+    return (matches, [i for i in range(nd) if i not in {m[0] for m in matches}],
+            [j for j in range(nt) if j not in {m[1] for m in matches}])
+
+
+# few coordinates and sizes, so that boxes repeat, edges touch (an IoU of
+# exactly zero) and equal IoUs tie
+_grid_box = st.tuples(st.sampled_from([-0.0, 0.0, 1.0, 5.0, 10.0]),
+                      st.sampled_from([-0.0, 0.0, 2.0, 5.0]),
+                      st.sampled_from([1.0, 5.0, 10.0]),
+                      st.sampled_from([2.0, 10.0]))
+_unit = st.sampled_from([None, np.zeros(2), np.array([1.0, 0.0]),
+                         np.array([0.0, 1.0]), np.array([0.6, 0.8])])
+
+
+class TestAssociateMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(d=st.lists(st.tuples(_grid_box, _unit), max_size=4),
+           t=st.lists(st.tuples(_grid_box, _unit), max_size=4),
+           gate=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+           weights=st.sampled_from([(0.7, 0.3), (1.0, 0.0), (0.0, 1.0)]))
+    def test_tie_heavy(self, d, t, gate, weights):
+        args = ([b for b, _ in d], [b for b, _ in t], [a for _, a in d],
+                [a for _, a in t], *weights, gate)
+        assert associate(*args) == associate_scalar(*args)
+
+    def test_random(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            nd, nt = rng.integers(0, 5, size=2)
+            d = [tuple(map(float, (*rng.uniform(0, 30, 2), *rng.uniform(5, 15, 2))))
+                 for _ in range(nd)]
+            t = [tuple(map(float, (*rng.uniform(0, 30, 2), *rng.uniform(5, 15, 2))))
+                 for _ in range(nt)]
+            da = [rng.normal(size=4) if rng.random() < 0.8 else None
+                  for _ in range(nd)]
+            ta = [rng.normal(size=4) if rng.random() < 0.8 else None
+                  for _ in range(nt)]
+            for gate in (0.0, 0.3):
+                assert associate(d, t, da, ta, iou_gate=gate) == \
+                    associate_scalar(d, t, da, ta, iou_gate=gate)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tracker_rows_match_oracle_tracker(self, seed, monkeypatch):
+        got = messy_tracker_rows(seed)
+        monkeypatch.setattr(tracking, "associate", associate_scalar)
+        assert got == messy_tracker_rows(seed)
 
 
 class TestKalman:
@@ -365,26 +439,27 @@ class TestKalmanMatchesMatrixForm:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_tracker_rows_match_matrix_tracker(self, seed, monkeypatch):
-        # short messy 30 fps streams: dropouts make coasts, mislabels make
-        # cross-class rejections and new ids
-        proc = generate(paper_shaped_script(
-            fps=30.0, seed=seed, dropout_rate=0.1, mislabel_rate=0.05,
-            cut_s=1.0, drive_s=1.5, tie_s=1.0, idle_s=0.5))
-
-        def track():
-            rows = InstrumentTracker(max_coast=30).run(
-                proc.detections, first_frame=0, last_frame=proc.n_frames - 1)
-            return [(r.frame, r.object_id, r.class_id, r.det_index,
-                     [float(v).hex() for v in r.bbox]) for r in rows]
-
-        got = track()
+        got = messy_tracker_rows(seed)
         assert any(r[3] is None for r in got)  # the tracker coasted
         for name, fn in (("kalman_init", kalman_init_matrix),
                          ("kalman_predict", kalman_predict_matrix),
                          ("kalman_update", kalman_update_matrix),
                          ("state_bbox", state_bbox_matrix)):
             monkeypatch.setattr(tracking, name, fn)
-        assert got == track()
+        assert got == messy_tracker_rows(seed)
+
+
+def messy_tracker_rows(seed):
+    """Tracker rows, box bits included, on a short messy 30 fps stream:
+    dropouts make coasts, mislabels make cross-class rejections and new
+    ids."""
+    proc = generate(paper_shaped_script(
+        fps=30.0, seed=seed, dropout_rate=0.1, mislabel_rate=0.05,
+        cut_s=1.0, drive_s=1.5, tie_s=1.0, idle_s=0.5))
+    rows = InstrumentTracker(max_coast=30).run(
+        proc.detections, first_frame=0, last_frame=proc.n_frames - 1)
+    return [(r.frame, r.object_id, r.class_id, r.det_index,
+             [float(v).hex() for v in r.bbox]) for r in rows]
 
 
 class TestInstrumentTracker:
@@ -787,3 +862,119 @@ class TestRecoveryCorrectionRates:
         rr, cr = recovery_correction_rates(raw, refined, truth)
         assert rr == 1.0
         assert cr == 1.0
+
+
+# finite boxes whatever the sign of their size, which no loader passes:
+# with a -0.0 width an overlap can be -0.0, which the clamp must make +0.0
+_signed_box = st.tuples(*[st.sampled_from([-0.0, 0.0, -1.0, 1.0, 5.0])] * 4)
+
+
+class TestIoUPairs:
+    @settings(max_examples=500, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.one_of(_grid_box, _box, _signed_box),
+                                    st.one_of(_grid_box, _box, _signed_box)),
+                          min_size=1, max_size=20))
+    def test_bits_equal_the_scalar_iou(self, pairs):
+        got = iou_pairs(np.array([a for a, _ in pairs]),
+                        np.array([b for _, b in pairs]))
+        # hex tells -0.0 from 0.0
+        assert [v.hex() for v in got.tolist()] == \
+            [iou(a, b).hex() for a, b in pairs]
+
+
+def match_frame_scalar(truth_boxes, boxes, threshold):
+    """One frame's best one-to-one IoU matching, one scalar ``iou`` per
+    pair and the solver on every frame: the oracle for ``_match_frames``."""
+    if not truth_boxes or not boxes:
+        return {}
+    gains = np.array([[iou(tb, b) for b in boxes] for tb in truth_boxes])
+    rows, cols = linear_sum_assignment(gains, maximize=True)
+    return {int(i): int(j) for i, j in zip(rows, cols)
+            if gains[i, j] >= threshold}
+
+
+def rates_scalar(raw, refined, truth, iou_threshold):
+    """``recovery_correction_rates`` as a per-frame loop over
+    ``match_frame_scalar``: the oracle for its counting."""
+    raw_by_frame, ref_by_frame, truth_by_frame = {}, {}, {}
+    for d in raw:
+        raw_by_frame.setdefault(d.frame, []).append(d)
+    for track in refined:
+        for f in track.frames():
+            ref_by_frame.setdefault(f, []).append((track.class_id,
+                                                   track.boxes[f]))
+    for t in truth:
+        truth_by_frame.setdefault(t.frame, []).append(t)
+    misses = recovered = mislabels = corrected = 0
+    for f, truths in truth_by_frame.items():
+        t_boxes = [t.bbox for t in truths]
+        dets = raw_by_frame.get(f, [])
+        det_match = match_frame_scalar(t_boxes, [d.bbox for d in dets],
+                                       iou_threshold)
+        refs = ref_by_frame.get(f, [])
+        ref_match = match_frame_scalar(t_boxes, [b for _, b in refs],
+                                       iou_threshold)
+        for i, t in enumerate(truths):
+            in_refined = i in ref_match and refs[ref_match[i]][0] == t.class_id
+            if i not in det_match:
+                misses += 1
+                recovered += in_refined
+            elif dets[det_match[i]].class_id != t.class_id:
+                mislabels += 1
+                corrected += in_refined
+    return (recovered / misses if misses else None,
+            corrected / mislabels if mislabels else None)
+
+
+@st.composite
+def _frames(draw):
+    """Frames 0, 2, 4, ... of 1-3 truth boxes and 0-4 boxes each, plus
+    boxes on odd frames that no truth shares."""
+    out = []
+    for f in range(draw(st.integers(1, 6))):
+        out.append((2 * f, draw(st.lists(_grid_box, min_size=1, max_size=3)),
+                    draw(st.lists(_grid_box, max_size=4))))
+        out.append((2 * f + 1, [], draw(st.lists(_grid_box, max_size=2))))
+    return out
+
+
+class TestMatchFramesMatchesOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(frames=_frames(), data=st.data())
+    def test_per_frame_matches(self, frames, data):
+        gains = [iou(t, b) for _, ts, bs in frames for t in ts for b in bs]
+        # thresholds an IoU meets exactly, as well as fixed ones
+        threshold = data.draw(st.sampled_from(gains + [0.0, 0.3, 0.5, 1.0]))
+        tf = np.array([f for f, ts, _ in frames for _ in ts], dtype=np.int64)
+        tb = np.array([t for _, ts, _ in frames for t in ts]).reshape(-1, 4)
+        bf = np.array([f for f, _, bs in frames for _ in bs], dtype=np.int64)
+        bb = np.array([b for _, _, bs in frames for b in bs]).reshape(-1, 4)
+        match = tracking._match_frames(tf, tb, bf, bb, threshold).tolist()
+        t0 = 0
+        for f, ts, bs in frames:
+            b0 = int(np.searchsorted(bf, f))
+            got = {i: match[t0 + i] - b0 for i in range(len(ts))
+                   if match[t0 + i] >= 0}
+            assert got == match_frame_scalar(ts, bs, threshold)
+            t0 += len(ts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(frames=_frames(), data=st.data())
+    def test_rates_in_any_input_order(self, frames, data):
+        cls = st.sampled_from([SC, ND])
+        truth = [TruthInstance(frame=f, object_id=i, class_id=data.draw(cls),
+                               bbox=b)
+                 for f, ts, _ in frames for i, b in enumerate(ts)]
+        raw = [det(f, data.draw(cls), b) for f, _, bs in frames for b in bs]
+        refined = []
+        for f, _, bs in frames:
+            for b in data.draw(st.lists(st.sampled_from(bs), max_size=3)
+                               if bs else st.just([])):
+                refined.append(RefinedTrack(
+                    object_id=len(refined), class_id=data.draw(cls),
+                    boxes={f: b}, provenance={f: Provenance.DETECTED}))
+        truth, raw, refined = (data.draw(st.permutations(x))
+                               for x in (truth, raw, refined))
+        threshold = data.draw(st.sampled_from([0.0, 0.3, 0.5]))
+        assert recovery_correction_rates(raw, refined, truth, threshold) == \
+            rates_scalar(raw, refined, truth, threshold)
