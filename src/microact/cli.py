@@ -17,6 +17,18 @@ from .records import SkillLevel
 from . import pipeline
 
 
+def _at_least_one(text: str) -> int:
+    """``text`` as a whole number of at least 1, else a usage error."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of at least 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     # --config/--seed are accepted before or after the subcommand; the
     # SUPPRESS defaults keep an absent trailing flag from clobbering a
@@ -63,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-all", parents=[common],
                        help="run every stage on one or more procedures")
     p.add_argument("proc_dirs", nargs="+", metavar="DIR")
-    p.add_argument("--jobs", type=int, default=1, metavar="N",
+    p.add_argument("--jobs", type=_at_least_one, default=1, metavar="N",
                    help="procedures processed concurrently")
     p.add_argument("--model", metavar="MODEL",
                    help="skill model; adds the predict-skill stage")

@@ -14,16 +14,29 @@ Loaders are pure functions of file content and never mutate their inputs.
 Writers replace a file only once its new content is complete
 (:func:`atomic_write`), so a writer that fails or dies mid-stream leaves
 the previous file, or none, and never a truncated one.
+
+So :func:`load_matrix` keeps one process-wide memo, keyed by the SHA-256
+of the bytes it read: the same bytes, under any path, are parsed once per
+process, and a rewritten file is parsed again.  Each call returns its own
+copy of the array and header.  A failed parse is never kept, so every
+call raises the same ``ParseError``.  The memo holds at most
+``_MATRIX_MEMO_BYTES`` of arrays and headers and drops the least recently
+used matrix first.  No other loader has one: their values are lists and
+dicts that callers may change.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
 import json
 import math
 import os
+import sys
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
@@ -88,18 +101,22 @@ ARTIFACTS: dict[str, tuple[str, str, Optional[str]]] = {
 
 
 class ParseError(ValueError):
-    """Malformed record; carries the 1-based line number."""
+    """Malformed record; carries the 1-based line number and, once a
+    pipeline stage has read the file, the stage that writes it."""
 
-    def __init__(self, path, line_no: int, reason: str):
+    def __init__(self, path, line_no: int, reason: str,
+                 stage: Optional[str] = None):
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
-        super().__init__(f"{path}:{line_no}: {reason}")
+        self.stage = stage
+        written = f" (written by the '{stage}' stage)" if stage else ""
+        super().__init__(f"{path}:{line_no}: {reason}{written}")
 
     def __reduce__(self):
         # rebuilt from the constructor's arguments, so it crosses a
         # process boundary (a worker pool, run_all's parse child) intact
-        return type(self), (self.path, self.line_no, self.reason)
+        return type(self), (self.path, self.line_no, self.reason, self.stage)
 
 
 # what a record -> value mapping raises on a missing, mistyped or
@@ -163,16 +180,24 @@ def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
         fh.writelines(_json_line(rec) + "\n" for rec in records)
 
 
+def _text(raw: bytes) -> TextIOWrapper:
+    """``raw`` as the text stream that opening its file would give."""
+    return TextIOWrapper(BytesIO(raw), encoding="utf-8", newline="")
+
+
 def _read_csv(path: PathLike, header: Optional[list[str]],
-              parse: Callable[[list[str]], object]) -> tuple[list[str], list]:
+              parse: Callable[[list[str]], object],
+              raw: Optional[bytes] = None) -> tuple[list[str], list]:
     """(header, ``parse(row)`` for each nonblank row) of a delimited file.
 
     ``header`` is the required first line, or None to accept any; every
     row must have as many fields as the header.  What the csv module
     itself rejects, such as a field over ``csv.field_size_limit()``, is a
-    ParseError at the line it stopped on.
+    ParseError at the line it stopped on.  ``raw``, when given, is the
+    bytes already read from ``path``, and the file is not opened again.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with (open(path, "r", encoding="utf-8", newline="") if raw is None
+          else _text(raw)) as fh:
         reader = csv.reader(fh)
         try:
             got = next(reader, None)
@@ -650,25 +675,92 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str],
 # does not
 _NUMPY_ONLY_SPACE = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
+# what load_matrix's memo may keep alive, and its charge per entry beyond
+# the array's data and the header's strings: the array and list objects,
+# the key, the tuples and the links.  The largest benchmark working set is
+# about 5 MB, two procedures' features.csv and presence.csv.
+_MATRIX_MEMO_BYTES = 32 << 20
+_ENTRY_BYTES = 512
+
+
+class _LruMemo:
+    """Values by key, each with its size in bytes; once the sizes add up
+    to more than ``cap``, the least recently used values are dropped.  A
+    lock guards each call, so threads may share one."""
+
+    def __init__(self, cap: int):
+        self.cap = cap
+        self.size = 0
+        self._entries: OrderedDict[bytes, tuple[object, int]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: bytes):
+        """The value kept under ``key``, now the most recently used, or
+        None."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return None
+            self._entries.move_to_end(key)
+            return entry[0]
+
+    def put(self, key: bytes, value, size: int) -> None:
+        """Keep ``value`` under ``key``; one larger than ``cap`` is not
+        kept."""
+        with self._lock:
+            if size > self.cap or key in self._entries:
+                return
+            self._entries[key] = (value, size)
+            self.size += size
+            while self.size > self.cap:
+                _, (_, dropped) = self._entries.popitem(last=False)
+                self.size -= dropped
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+            self.size = 0
+
+
+_MATRIX_MEMO = _LruMemo(_MATRIX_MEMO_BYTES)
+
 
 def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str]]:
     """(X, header) of a file written by :func:`save_matrix`.
 
-    numpy's C reader parses the rows.  A file it does not take whole, with
-    one value per header field on each row, or one that the two readers
-    could split or strip differently, is read again by
-    :func:`_load_matrix_checked`, which gives the same value or the
-    ``file:line`` ParseError.  Both parsers round every decimal
-    correctly, so the bits agree.
+    Bytes this process has parsed before, under any path, are answered
+    from the module's memo with a fresh copy of the array and header.
+    Otherwise numpy's C reader parses the rows.  A file it does not take
+    whole, with one value per header field on each row, or one that the
+    two readers could split or strip differently, is parsed again by
+    :func:`_load_matrix_checked`, from the same bytes, which gives the
+    same value or the ``file:line`` ParseError.  Both parsers round every
+    decimal correctly, so the bits agree.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    key = hashlib.sha256(raw).digest()
+    kept = _MATRIX_MEMO.get(key)
+    if kept is None:
+        kept = X, header = _parse_matrix(path, raw)
+        X.flags.writeable = False  # the memo's copy; callers get their own
+        _MATRIX_MEMO.put(key, kept, X.nbytes + sys.getsizeof(header)
+                         + sum(map(sys.getsizeof, header)) + _ENTRY_BYTES)
+    X, header = kept
+    return X.copy(), list(header)
+
+
+def _parse_matrix(path: PathLike, raw: bytes) -> tuple[np.ndarray, list[str]]:
+    """:func:`load_matrix`'s parse of the bytes ``raw`` read from ``path``."""
     # csv refuses a field longer than its limit, and no field is longer
     # than its line
     if (any(c in raw for c in _NUMPY_ONLY_SPACE)
             or max(map(len, raw.split(b"\n"))) > csv.field_size_limit()):
-        return _load_matrix_checked(path)
-    text = TextIOWrapper(BytesIO(raw), encoding="utf-8", newline="")
+        return _load_matrix_checked(path, raw)
+    text = _text(raw)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # loadtxt warns on no data
@@ -676,16 +768,20 @@ def load_matrix(path: PathLike) -> tuple[np.ndarray, list[str]]:
             X = np.loadtxt(text, delimiter=",", comments=None, ndmin=2,
                            dtype=np.float64)
     except (ValueError, Warning, csv.Error):
-        return _load_matrix_checked(path)
+        return _load_matrix_checked(path, raw)
     # loadtxt takes rows that all share one width other than the header's
     if X.shape[1] == len(header):
         return X, header
-    return _load_matrix_checked(path)
+    return _load_matrix_checked(path, raw)
 
 
-def _load_matrix_checked(path: PathLike) -> tuple[np.ndarray, list[str]]:
-    """:func:`load_matrix` row by row with ``float()``; the test oracle."""
-    header, rows = _read_csv(path, None, lambda row: list(map(float, row)))
+def _load_matrix_checked(path: PathLike, raw: Optional[bytes] = None
+                         ) -> tuple[np.ndarray, list[str]]:
+    """:func:`load_matrix`'s parse row by row with ``float()``, of ``raw``
+    when given (the bytes read from ``path``), else of the file; the test
+    oracle."""
+    header, rows = _read_csv(path, None, lambda row: list(map(float, row)),
+                             raw)
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     return X, header
 

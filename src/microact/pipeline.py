@@ -101,13 +101,19 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
     """Artifact ``key`` as its ``io.ARTIFACTS`` loader returns it: from
     ``memo`` when this run already holds it, else parsed from its file (and
     kept in ``memo``).  The loader is looked up by name at call time, so a
-    wrapper set on ``io`` runs."""
-    load = getattr(io, io.ARTIFACTS[key][2])
-    if memo is None:
-        return load(_require(proc_dir, key), **kwargs)
-    if key not in memo:
-        memo[key] = load(_require(proc_dir, key, memo), **kwargs)
-    return memo[key]
+    wrapper set on ``io`` runs.  A ``ParseError`` names the stage that
+    writes the file."""
+    if memo is not None and key in memo:
+        return memo[key]
+    _, producer, loader = io.ARTIFACTS[key]
+    try:
+        value = getattr(io, loader)(_require(proc_dir, key, memo), **kwargs)
+    except io.ParseError as exc:
+        raise io.ParseError(exc.path, exc.line_no, exc.reason,
+                            producer) from exc
+    if memo is not None:
+        memo[key] = value
+    return value
 
 
 def _save(memo: Optional["_Memo"], write: Callable[[], None], *unkept: str,
@@ -891,10 +897,10 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     fails, the error is the one the stage run on its own raises, though
     later stages' files may have been written by then.
     """
-    cand_path = _path(proc_dir, "candidates")
     child = None
-    if cand_path.exists() and _path(proc_dir, "references").exists():
-        child = _Child.start(io.load_tip_candidates, cand_path)
+    if (_path(proc_dir, "candidates").exists()
+            and _path(proc_dir, "references").exists()):
+        child = _Child.start(_load, proc_dir, "candidates", None)
     memo = _Memo(proc_dir, candidates=child) if child else _Memo(proc_dir)
     out = {}
     try:

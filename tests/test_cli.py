@@ -84,15 +84,19 @@ def test_every_tracer_patch_point_resolves():
 
 
 def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
-    d = tmp_path / "p"
-    shutil.copytree(base_proc, d)
-    lines = (d / "segments.csv").read_text().splitlines()
-    lines[2] = lines[2].rsplit(",", 2)[0]  # drop the last two fields
-    (d / "segments.csv").write_text("\n".join(lines) + "\n")
-    assert run_cli("report", d) == 1
-    err = capsys.readouterr().err
-    assert "segments.csv:3:" in err
-    assert "Traceback" not in err
+    # the message starts with file:line and ends with the writing stage
+    for stage, name, producer in (("report", "segments.csv", "cluster"),
+                                  ("cluster", "features.csv", "features")):
+        d = tmp_path / stage
+        shutil.copytree(base_proc, d)
+        lines = (d / name).read_text().splitlines()
+        lines[2] = lines[2].rsplit(",", 2)[0]  # drop the last two fields
+        (d / name).write_text("\n".join(lines) + "\n")
+        assert run_cli(stage, d) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {d / name}:3: bad row ")
+        assert err.endswith(f" (written by the '{producer}' stage)\n")
+        assert "Traceback" not in err
 
 
 def test_field_over_the_csv_limit_is_a_diagnostic(tmp_path, base_proc,
@@ -390,6 +394,41 @@ def test_jobs_parallel_reports_a_worker_error(tmp_path, base_proc, capsys,
     assert capsys.readouterr().err == err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    # a run would fail with exit 1 on the missing directory
+    with pytest.raises(SystemExit) as ei:
+        run_cli("run-all", tmp_path / "none", f"--jobs={jobs}")
+    assert ei.value.code == 2
+    assert "--jobs: expected a whole number of at least 1" in (
+        capsys.readouterr().err)
+
+
+def test_resegment_sweep_parses_each_matrix_once(tmp_path, base_proc,
+                                                 matrix_parses):
+    # segment, cluster and report at two half-widths in one process, as a
+    # user tunes the kernel; the same sweep with io's memo emptied before
+    # every stage parses at each read and writes the same bytes
+    def sweep(d, forget):
+        shutil.copytree(base_proc, d)
+        for h in (60, 150):
+            cfg = load_config(environ={},
+                              overrides={"segmentation": {"half_width": h}})
+            for stage in (pipeline.stage_segment, pipeline.stage_cluster,
+                          pipeline.stage_report):
+                if forget:
+                    io._MATRIX_MEMO.clear()
+                stage(d, cfg)
+        names = [p.name for p in matrix_parses]
+        del matrix_parses[:]
+        return names
+
+    assert sweep(tmp_path / "a", False) == ["features.csv", "presence.csv"]
+    assert sweep(tmp_path / "b", True) == 2 * [
+        "features.csv", "features.csv", "presence.csv", "features.csv"]
+    assert snapshot(tmp_path / "a") == snapshot(tmp_path / "b")
+
+
 def fresh_proc(tmp_path, name="p"):
     d = tmp_path / name
     assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
@@ -435,6 +474,7 @@ def test_bad_candidates_fail_like_the_tips_stage(tmp_path, monkeypatch,
         pipeline.stage_tips(b, cfg)
     assert in_run_all.value.line_no == alone.value.line_no == 2
     assert in_run_all.value.reason == alone.value.reason
+    assert str(alone.value).endswith(" (written by the 'synth' stage)")
     assert str(in_run_all.value) == str(alone.value).replace(str(b), str(a))
     assert multiprocessing.active_children() == []
 
@@ -719,7 +759,7 @@ def test_init_config_roundtrip(tmp_path):
     assert json.loads((d / "meta.json").read_text())["seed"] == 3
 
 
-def test_train_and_predict_flow(tmp_path):
+def test_train_and_predict_flow(tmp_path, matrix_parses):
     # one sloppy and one clean procedure so the grades span 2+ classes
     c1, c2 = tmp_path / "c1", tmp_path / "c2"
     assert run_cli("synth", "--out-dir", c1, "--seed", 5, "--level", "poor") == 0
@@ -734,6 +774,10 @@ def test_train_and_predict_flow(tmp_path):
     assert s["n_procedures"] == 2 and s["n_rows"] > 0
 
     assert run_cli("predict-skill", c1, "--model", model) == 0
+    # training read every matrix, and predicting reads them again from
+    # io's memo; run-all parses none
+    assert matrix_parses == [c1 / "features.csv", c1 / "presence.csv",
+                             c2 / "features.csv", c2 / "presence.csv"]
     pred = json.loads((c1 / "skill_predictions.json").read_text())
     assert pred["segments"] and pred["summary"]
     for d in pred["summary"].values():

@@ -455,7 +455,13 @@ def test_parse_error_pickles_intact():
     err = pickle.loads(pickle.dumps(ParseError("a/detections.jsonl", 2, "bad")))
     assert type(err) is ParseError
     assert (err.path, err.line_no, err.reason) == ("a/detections.jsonl", 2, "bad")
+    assert err.stage is None
     assert str(err) == "a/detections.jsonl:2: bad"
+    err = pickle.loads(pickle.dumps(ParseError("a/features.csv", 3, "bad",
+                                               "features")))
+    assert err.stage == "features"
+    assert str(err) == ("a/features.csv:3: bad "
+                        "(written by the 'features' stage)")
 
 
 class TestMatrixCurves:
@@ -561,6 +567,7 @@ def _matrix_files(draw, valid_only=False):
 
 
 def _check_matrix_against_oracle(path, text):
+    io._MATRIX_MEMO.clear()  # per hypothesis example: parse, not recall
     path.write_bytes(text.encode("utf-8"))
     try:
         want = io._load_matrix_checked(path)
@@ -587,6 +594,7 @@ class TestMatrixFastPath:
     @settings(max_examples=100, deadline=None)
     @given(text=_matrix_files(valid_only=True))
     def test_valid_files_never_fall_back(self, tmp_path_factory, text):
+        io._MATRIX_MEMO.clear()  # per hypothesis example: parse, not recall
         p = tmp_path_factory.mktemp("matrix") / "X.csv"
         p.write_bytes(text.encode("utf-8"))
         want = io._load_matrix_checked(p)
@@ -604,6 +612,112 @@ class TestMatrixFastPath:
         "\n1\n", '"a,b"\n1,2\n', "a\n\uff11\n", "a\n1\x85\n"])
     def test_edge_files(self, tmp_path, text):
         _check_matrix_against_oracle(tmp_path / "X.csv", text)
+
+
+def test_fallback_parses_the_bytes_it_read(tmp_path, monkeypatch):
+    # numpy's reader rejects the quotes, so the checked reader parses; the
+    # file is replaced before it does, and the matrix is still the one read
+    p = tmp_path / "X.csv"
+    p.write_text('a\n"1"\n')
+    checked = io._load_matrix_checked
+
+    def replaced_first(path, raw=None):
+        p.write_text('a\n"2"\n')
+        return checked(path, raw)
+
+    monkeypatch.setattr(io, "_load_matrix_checked", replaced_first)
+    X, header = load_matrix(p)
+    assert header == ["a"] and X.tolist() == [[1.0]]
+
+
+class TestMatrixMemo:
+    """io.load_matrix parses each distinct content once per process."""
+
+    def test_returns_copies(self, tmp_path, matrix_parses):
+        p = tmp_path / "X.csv"
+        save_matrix(np.arange(6.0).reshape(3, 2), ["a", "b"], p)
+        X, header = load_matrix(p)
+        X[0, 0] = 99.0
+        header[0] = "z"
+        header.append("c")
+        X, header = load_matrix(p)
+        assert X.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+        assert header == ["a", "b"] and X.flags.writeable
+        X[0, 0] = 99.0
+        assert load_matrix(p)[0][0, 0] == 0.0
+        assert matrix_parses == [p]
+
+    def test_same_bytes_under_two_paths_parse_once(self, tmp_path,
+                                                   matrix_parses):
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        save_matrix(np.eye(3), ["a", "b", "c"], p)
+        q.write_bytes(p.read_bytes())
+        X, header = load_matrix(p)
+        Y, header_q = load_matrix(q)
+        assert matrix_parses == [p]
+        assert header == header_q and X.tobytes() == Y.tobytes()
+
+    def test_rewritten_file_parses_again(self, tmp_path, matrix_parses):
+        p = tmp_path / "X.csv"
+        save_matrix(np.zeros((2, 2)), ["a", "b"], p)
+        load_matrix(p)
+        save_matrix(np.ones((2, 2)), ["a", "b"], p)
+        assert load_matrix(p)[0].tolist() == [[1.0, 1.0], [1.0, 1.0]]
+        assert matrix_parses == [p, p]
+
+    @pytest.mark.parametrize("text", ["a,b\n1.0,abc\n", "a\n1\x1c\n"],
+                             ids=["numpy-rejects", "checked-only"])
+    def test_parse_error_is_never_kept(self, tmp_path, matrix_parses, text):
+        p, q = tmp_path / "p.csv", tmp_path / "q.csv"
+        for path in (p, q):
+            path.write_text(text)
+        errors = []
+        for path in (p, q, p):
+            with pytest.raises(ParseError) as exc:
+                load_matrix(path)
+            assert str(exc.value).startswith(f"{path}:2: ")
+            errors.append(exc.value)
+        assert matrix_parses == [p, q, p]
+        assert len(io._MATRIX_MEMO) == 0 and io._MATRIX_MEMO.size == 0
+        assert str(errors[0]) == str(errors[2])
+        assert {e.reason for e in errors} == {errors[0].reason}
+
+    def test_least_recently_used_goes_at_the_cap(self, tmp_path, monkeypatch,
+                                                 matrix_parses):
+        a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+        for value, path in enumerate((a, b, c)):
+            save_matrix(np.full((50, 4), float(value)), list("wxyz"), path)
+        load_matrix(a)
+        one = io._MATRIX_MEMO.size  # the three entries are one size
+        monkeypatch.setattr(io, "_MATRIX_MEMO",
+                            io._LruMemo(2 * one + one // 2))
+        load_matrix(a)
+        load_matrix(b)
+        load_matrix(a)  # now b is the least recently used
+        load_matrix(c)  # and is dropped
+        assert len(io._MATRIX_MEMO) == 2
+        assert io._MATRIX_MEMO.size == 2 * one
+        del matrix_parses[:]
+        for path in (a, c, b):
+            assert load_matrix(path)[0][0, 0] == "abc".index(path.stem)
+        assert matrix_parses == [b]
+
+    def test_tiny_files_are_capped_too(self, tmp_path, monkeypatch):
+        # a header-only file has no data, yet each entry counts against the
+        # cap; and a matrix larger than the cap is not kept at all
+        monkeypatch.setattr(io, "_MATRIX_MEMO",
+                            io._LruMemo(3 * io._ENTRY_BYTES))
+        for i in range(10):
+            p = tmp_path / f"{i}.csv"
+            p.write_text(f"c{i}\n")
+            assert load_matrix(p)[0].shape == (0, 1)
+        assert 0 < len(io._MATRIX_MEMO) < 3
+        assert io._MATRIX_MEMO.size <= 3 * io._ENTRY_BYTES
+        io._MATRIX_MEMO.clear()
+        p = tmp_path / "big.csv"
+        save_matrix(np.zeros((100, 4)), list("wxyz"), p)
+        load_matrix(p)
+        assert len(io._MATRIX_MEMO) == 0
 
 
 def _dies_midway(items):
