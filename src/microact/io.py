@@ -132,21 +132,41 @@ def _fmt(value: float) -> str:
 _json_line = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
 
 
+def _not_utf8(path: PathLike, exc: UnicodeDecodeError,
+              raw: Optional[bytes] = None) -> ParseError:
+    """The ParseError for text file ``path`` (whose bytes are ``raw``, when
+    read already) that failed to decode with ``exc``: at the line of its
+    first byte that is not UTF-8."""
+    if raw is None:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as whole:  # offsets into the file, not a chunk
+        exc = whole
+    return ParseError(path, raw.count(b"\n", 0, exc.start) + 1,
+                      f"not UTF-8: byte 0x{exc.object[exc.start]:02x} "
+                      f"({exc.reason})")
+
+
 def _read_jsonl(path: PathLike, parse: Callable[[dict], object]) -> list:
     """``parse(record)`` for each nonblank line of a JSON-lines file."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                out.append(parse(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from exc
-            except _ROW_ERRORS as exc:
-                reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-                raise ParseError(path, line_no, reason) from exc
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if not line:
+                    continue
+                try:
+                    out.append(parse(json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ParseError(path, line_no, f"invalid JSON ({exc.msg})") from exc
+                except _ROW_ERRORS as exc:
+                    reason = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+                    raise ParseError(path, line_no, reason) from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
     return out
 
 
@@ -215,6 +235,8 @@ def _read_csv(path: PathLike, header: Optional[list[str]],
                     raise ParseError(path, reader.line_num, f"bad row {row!r}: {exc}") from exc
         except csv.Error as exc:
             raise ParseError(path, reader.line_num, f"unreadable row: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc, raw) from exc
     return got, out
 
 
@@ -232,12 +254,74 @@ def _read_json(path: PathLike):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(path, exc.lineno, f"invalid JSON ({exc.msg})") from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(path, exc) from exc
 
 
 def _write_json(path: PathLike, obj) -> None:
+    """``obj`` as the stdlib encoder writes it with sorted keys and a
+    one-space indent, then a newline: every JSON document the pipeline
+    writes."""
     with atomic_write(path) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=1)
+        fh.writelines(_json_chunks(obj, 0, set()))
         fh.write("\n")
+
+
+# json.dump always runs the pure-Python encoder, and json.dumps with an
+# indent does too; this one-line encoder is the C one.  Both write a
+# scalar, and the items of a list, the same way.
+_json_flat = json.JSONEncoder(sort_keys=True).encode
+_JSON_SCALARS = (str, int, float, type(None))  # bool is an int
+
+
+def _json_chunks(obj, level: int, active: set) -> Iterable[str]:
+    """The text of ``obj``, nested ``level`` deep in an indent-1 document,
+    in pieces: one per item of a dict or list, or the whole scalar.
+    ``active`` holds the ids of the containers ``obj`` is inside, as the
+    stdlib encoder's markers do, to refuse a cycle the way it does."""
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))):
+        yield _json_flat(obj)  # raises TypeError on what JSON cannot hold
+        return
+    if not obj:
+        yield "{}" if is_dict else "[]"
+        return
+    if id(obj) in active:
+        raise ValueError("Circular reference detected")
+    indent = "\n" + " " * (level + 1)
+    if not is_dict and all(issubclass(t, _JSON_SCALARS)
+                           for t in set(map(type, obj))):
+        flat = _json_flat(obj)
+        # the C encoder puts one ", " between items, and a string holding
+        # ", " adds more; split only where each is a separator
+        if flat.count(", ") == len(obj) - 1:
+            yield "[" + indent + flat[1:-1].replace(", ", "," + indent)
+            yield indent[:-1] + "]"
+            return
+    active.add(id(obj))
+    sep = ("{" if is_dict else "[") + indent
+    for item in (sorted(obj.items()) if is_dict else obj):
+        if is_dict:
+            key, item = item
+            yield sep + _json_flat(_json_key(key)) + ": "
+        else:
+            yield sep
+        yield from _json_chunks(item, level + 1, active)
+        sep = "," + indent
+    active.discard(id(obj))
+    yield indent[:-1] + ("}" if is_dict else "]")
+
+
+def _json_key(key):
+    """A dict key as the stdlib encoder turns it into a JSON string."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float) or key is True or key is False or key is None:
+        return _json_flat(key)
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
 
 
 def _checked(doc, path: PathLike, keys: Sequence[str], within: str = ""):
@@ -485,10 +569,19 @@ def save_labels(labels: Sequence[ActionClass], path: PathLike) -> None:
                ([frame, ActionClass(action).value] for frame, action in enumerate(labels)))
 
 
+_ACTIONS = {a.value: a for a in ActionClass}
+
+
+def _action(name: str) -> ActionClass:
+    """``ActionClass(name)``, raising its ValueError, by one dict lookup."""
+    action = _ACTIONS.get(name)
+    return ActionClass(name) if action is None else action
+
+
 def load_labels(path: PathLike) -> list[ActionClass]:
     """Read per-frame action labels; frames must cover [0, T) exactly."""
     _, rows = _read_csv(path, ["frame", "action"],
-                        lambda row: (int(row[0]), ActionClass(row[1])))
+                        lambda row: (int(row[0]), _action(row[1])))
     rows.sort(key=lambda r: r[0])
     frames = [f for f, _ in rows]
     if frames != list(range(len(frames))):

@@ -756,12 +756,32 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path, *,
 # report
 
 
+def _rounded(values, digits: int) -> list:
+    """``round(float(v), digits)`` of each value, as nested lists.
+
+    ``rint(v * 10**digits) / 10**digits`` is round()'s float wherever the
+    product's own rounding cannot move it across a half-integer: both are
+    then the nearest double to the same correctly rounded decimal, with
+    the sign of v kept on a zero.  The rest (within a few ulps of a tie,
+    beyond 2**52 or not finite) go through round() itself.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    scale = 10.0 ** digits
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = x * scale
+        out = np.rint(scaled) / scale
+        doubt = ~(np.abs(scaled) < 2.0 ** 52) | (
+            np.abs(scaled - np.floor(scaled) - 0.5)
+            <= 4 * np.abs(np.spacing(scaled)))
+    out[doubt] = [round(v, digits) for v in x[doubt].tolist()]
+    return out.tolist()
+
+
 def _ssm_preview(X: np.ndarray, max_side: int = 256) -> dict:
     stride = max(1, math.ceil(X.shape[0] / max_side))
     S = ssm(X[::stride])
     enhance(S, inplace=True)
-    return {"stride": stride,
-            "values": [[round(float(v), 4) for v in row] for row in S]}
+    return {"stride": stride, "values": _rounded(S, 4)}
 
 
 def _fmt_ratio(v) -> str:
@@ -787,11 +807,12 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         eval_result = _load(proc_dir, "eval", memo)
     if _exists(proc_dir, "skill_pred", memo):
         skill = _load(proc_dir, "skill_pred", memo)
+    # ActionClass is a str enum, so JSON writes each label as its value
     pred_ribbon = truth_ribbon = None
     if _exists(proc_dir, "pred_labels", memo):
-        pred_ribbon = [a.value for a in _load(proc_dir, "pred_labels", memo)]
+        pred_ribbon = _load(proc_dir, "pred_labels", memo)
     if _exists(proc_dir, "labels", memo):
-        truth_ribbon = [a.value for a in _load(proc_dir, "labels", memo)]
+        truth_ribbon = _load(proc_dir, "labels", memo)
 
     lines = []
     push = lines.append
@@ -845,9 +866,9 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         "procedure_id": meta.get("procedure_id"),
         "fps": meta["fps"],
         "feature_downsample": downsample,
-        "novelty": [round(float(v), 6) for v in novelty],
+        "novelty": _rounded(novelty, 6),
         "boundaries": [int(t) for t in taus],
-        "prominences": [round(float(p), 6) for p in proms],
+        "prominences": _rounded(proms, 6),
         "segments": segs,
         "ribbons": {"predicted": pred_ribbon, "truth": truth_ribbon},
         "ssm_preview": _ssm_preview(X),

@@ -12,6 +12,7 @@ memory; the dense matrix exists for small inputs and figure export.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -221,40 +222,68 @@ class Boundaries:
         return len(self.taus)
 
 
-def _local_maxima(N: np.ndarray) -> list[int]:
-    """Interior local maxima; a flat plateau reports its leftmost index."""
+def _local_maxima(N: np.ndarray) -> np.ndarray:
+    """Interior local maxima: the first index of each run of equal samples
+    that rises from the sample before it and falls to the sample after."""
     T = len(N)
-    out = []
-    t = 1
-    while t < T - 1:
-        if N[t] > N[t - 1]:
-            k = t
-            while k + 1 < T and N[k + 1] == N[t]:
-                k += 1
-            if k < T - 1 and N[k + 1] < N[t]:
-                out.append(t)
-            t = k + 1
-        else:
-            t += 1
-    return out
+    starts = np.flatnonzero(np.concatenate(([True], N[1:] != N[:-1])))
+    ends = np.append(starts[1:], T) - 1  # last index of each run
+    inner = (starts > 0) & (ends < T - 1)
+    starts, ends = starts[inner], ends[inner]
+    peak = (N[starts] > N[starts - 1]) & (N[ends + 1] < N[starts])
+    return starts[peak]
 
 
-def _prominence(N: np.ndarray, t: int) -> float:
-    """Peak height minus the highest of the two flanking window minima.
+def _sparse_table(x: np.ndarray, op) -> np.ndarray:
+    """``table[j, i] = op.reduce(x[i: i + 2**j])`` for each 2**j <= len(x)
+    and i <= len(x) - 2**j; the entries past that are filler."""
+    T = len(x)
+    table = np.empty((max(T, 1).bit_length(), T), dtype=x.dtype)
+    table[0] = x
+    for j in range(1, len(table)):
+        half, n = 1 << (j - 1), T - (1 << j) + 1
+        op(table[j - 1, :n], table[j - 1, half: half + n], out=table[j, :n])
+    return table
 
-    Each window runs from the peak to the nearest strictly higher sample
-    on that side, or to the signal edge when none exists.
+
+def _prominences(N: np.ndarray, peaks: np.ndarray) -> np.ndarray:
+    """Each peak's height minus the higher of its two flanking minima.
+
+    A flank runs from the peak to the nearest sample on that side that is
+    not ``<=`` the peak (strictly higher, or NaN), or to the signal edge.
+    Both flanks of a local maximum hold a lower sample.  The nearest such
+    sample is found by binary lifting on a sparse table of window maxima
+    of ranks, and each flank's minimum by two overlapping windows of a
+    sparse table of minima.
     """
     T = len(N)
-    s = t - 1
-    while s >= 0 and N[s] <= N[t]:
-        s -= 1
-    left_min = np.min(N[s + 1: t]) if s + 1 < t else N[t]
-    e = t + 1
-    while e < T and N[e] <= N[t]:
-        e += 1
-    right_min = np.min(N[t + 1: e]) if t + 1 < e else N[t]
-    return float(N[t] - max(left_min, right_min))
+    if not len(peaks):
+        return np.empty(0, dtype=np.float64)
+    # ranks compare like N, with NaN above everything
+    uniq, rank = np.unique(N, return_inverse=True)
+    rank = rank.astype(np.int32)
+    rank[np.isnan(N)] = len(uniq)
+    top = _sparse_table(rank, np.maximum)
+    low = _sparse_table(N, np.minimum)
+    height = rank[peaks]
+    left = peaks.copy()    # N[left: peak] <= the peak
+    right = peaks + 1      # N[peak + 1: right] <= the peak
+    for j in range(len(top) - 1, -1, -1):
+        step = 1 << j
+        at = left - step
+        go = at >= 0
+        go[go] = top[j, at[go]] <= height[go]
+        left[go] = at[go]
+        go = right + step <= T
+        go[go] = top[j, right[go]] <= height[go]
+        right[go] += step
+
+    def window_min(a, b):  # min of N[a: b], each b > a
+        j = np.frexp(b - a)[1] - 1  # floor(log2(b - a)), exactly
+        return np.minimum(low[j, a], low[j, b - (1 << j)])
+
+    return N[peaks] - np.maximum(window_min(left, peaks),
+                                 window_min(peaks + 1, right))
 
 
 def peak_pick(N, prominence_threshold: float, d_min: int) -> Boundaries:
@@ -270,18 +299,21 @@ def peak_pick(N, prominence_threshold: float, d_min: int) -> Boundaries:
     if prominence_threshold < 0:
         raise ValueError("prominence_threshold must be >= 0")
     d_min = check_positive_int(d_min, "d_min")
-    cands = [(t, _prominence(N, t)) for t in _local_maxima(N)]
-    cands = [(t, p) for t, p in cands if p >= prominence_threshold]
+    taus = _local_maxima(N)
+    proms = _prominences(N, taus)
+    keep = proms >= prominence_threshold
+    taus, proms = taus[keep], proms[keep]
     # higher peaks claim their neighborhood first
-    order = sorted(cands, key=lambda tp: (-N[tp[0]], tp[0]))
-    kept: list[tuple[int, float]] = []
-    for t, p in order:
-        if all(abs(t - kt) >= d_min for kt, _ in kept):
-            kept.append((t, p))
-    kept.sort(key=lambda tp: tp[0])
-    taus = np.array([t for t, _ in kept], dtype=np.int64)
-    proms = np.array([p for _, p in kept], dtype=np.float64)
-    return Boundaries(taus=taus, prominences=proms)
+    kept: list[int] = []
+    for i in np.lexsort((taus, -N[taus])).tolist():
+        t = int(taus[i])
+        at = bisect.bisect(kept, t)
+        if ((at == 0 or t - kept[at - 1] >= d_min)
+                and (at == len(kept) or kept[at] - t >= d_min)):
+            kept.insert(at, t)
+    chosen = np.searchsorted(taus, kept)
+    return Boundaries(taus=taus[chosen].astype(np.int64),
+                      prominences=proms[chosen])
 
 
 class NoveltyBoundaryDetector:

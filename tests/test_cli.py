@@ -112,6 +112,22 @@ def test_field_over_the_csv_limit_is_a_diagnostic(tmp_path, base_proc,
     assert "Traceback" not in err
 
 
+def test_invalid_utf8_is_a_diagnostic(tmp_path, base_proc, capsys):
+    # one byte of the third line is not UTF-8
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    raw = bytearray((d / "features.csv").read_bytes())
+    at = raw.index(b"\n", raw.index(b"\n") + 1) + 3
+    raw[at] = 0xFF
+    (d / "features.csv").write_bytes(bytes(raw))
+    assert run_cli("cluster", d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'features.csv'}:3: not UTF-8: "
+                          f"byte 0xff ")
+    assert err.endswith(" (written by the 'features' stage)\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("stage, name, section, key", [
     ("cluster", "features.csv.meta.json", None, "downsample"),
     ("eval", "features.csv.meta.json", None, "downsample"),

@@ -1,3 +1,5 @@
+import enum
+import json
 import math
 import pickle
 
@@ -16,7 +18,7 @@ from microact import (
     TipTrajectory,
     TruthInstance,
 )
-from microact import io
+from microact import io, pipeline
 from microact.io import (
     ParseError,
     load_boundaries,
@@ -47,7 +49,7 @@ from microact.io import (
     save_truth_instances,
     validate_stream,
 )
-from microact.records import TipCandidateSet, TrackObservation
+from microact.records import SkillLevel, TipCandidateSet, TrackObservation
 from microact.skill import SkillGradientBoosting
 
 
@@ -451,6 +453,43 @@ def test_every_box_loader_applies_the_box_rule(tmp_path, load, line, box):
     load(p)
 
 
+@pytest.mark.parametrize("load, text", [
+    (load_detections, '{"frame": 0, "class": "needle", "conf": 0.5, '
+                      '"x": 0, "y": 0, "w": 2, "h": 2}\n' * 400),
+    (load_labels, "frame,action\n" + "".join(f"{i},Cutting\n"
+                                              for i in range(400))),
+    (load_matrix, "a,b\n" + "1.0,2.0\n" * 400),
+    (load_reference_descriptors,
+     json.dumps({"needle": [1.0] + [0.0] * 400}, indent=1)),
+], ids=["jsonl", "csv", "matrix", "json"])
+@pytest.mark.parametrize("line_no", [3, 300])
+def test_invalid_utf8_names_file_and_line(tmp_path, load, text, line_no):
+    # a lone 0xff, or a multi-byte sequence cut short; at line 300 it lies
+    # past the first 8 KiB that a streaming decoder takes in one chunk
+    p = tmp_path / "artifact"
+    lines = text.encode("utf-8").split(b"\n")
+    at = line_no - 1
+    for bad, reason in ((b"\xff", "invalid start byte"),
+                        (b"\xc3(", "invalid continuation byte")):
+        lines_bad = lines[:at] + [lines[at][:1] + bad + lines[at][1:]]
+        p.write_bytes(b"\n".join(lines_bad + lines[at + 1:]))
+        with pytest.raises(ParseError) as exc:
+            load(p)
+        assert str(exc.value) == (f"{p}:{line_no}: not UTF-8: "
+                                  f"byte 0x{bad[0]:02x} ({reason})")
+
+
+def test_unknown_action_is_the_enum_error(tmp_path):
+    p = tmp_path / "labels.csv"
+    p.write_text("frame,action\n0,Cutting\n1,Sewing\n")
+    with pytest.raises(ParseError) as exc:
+        load_labels(p)
+    with pytest.raises(ValueError) as enum_error:
+        ActionClass("Sewing")
+    assert str(exc.value) == (f"{p}:3: bad row ['1', 'Sewing']: "
+                              f"{enum_error.value}")
+
+
 def test_parse_error_pickles_intact():
     err = pickle.loads(pickle.dumps(ParseError("a/detections.jsonl", 2, "bad")))
     assert type(err) is ParseError
@@ -746,3 +785,101 @@ def test_failed_write_keeps_the_previous_file(tmp_path, write):
         write(p)
     assert p.read_bytes() == b"previous\n"
     assert [q.name for q in tmp_path.iterdir()] == ["artifact"]
+
+
+class _Sep(str, enum.Enum):
+    COMMA = "a, b"  # the C encoder's item separator inside a value
+
+
+_json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 5e-324, 1e300, -1e300, math.nan, -math.inf]),
+    st.text(), st.sampled_from(["a, b", ", ", '"', "\\", "é, ü", " "]),
+    st.sampled_from([*ActionClass, *SkillLevel, *_Sep]))
+_json_key = st.one_of(st.text(), st.sampled_from(["a, b", ": ", '"']))
+_json_doc = st.recursive(
+    _json_scalar,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=6), st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(_json_key, kids, max_size=5),
+        st.dictionaries(st.integers() | st.floats() | st.booleans(), kids,
+                        max_size=3),
+        # what JSON cannot hold: a set, bytes, mixed or tuple keys
+        st.sets(st.integers(), min_size=1, max_size=2),
+        st.just(b"bytes"), st.just({1: 1, "a": 1}), st.just({(1,): 1})),
+    max_leaves=25)
+
+
+class TestJsonWriter:
+    @staticmethod
+    def _stdlib(obj):
+        try:
+            return json.dumps(obj, sort_keys=True, indent=1) + "\n"
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+
+    @staticmethod
+    def _written(path, obj):
+        try:
+            io._write_json(path, obj)
+        except (TypeError, ValueError) as exc:
+            return type(exc)
+        return path.read_text(encoding="utf-8")
+
+    @settings(max_examples=400, deadline=None)
+    @given(obj=_json_doc)
+    def test_matches_the_stdlib_encoder(self, tmp_path_factory, obj):
+        p = tmp_path_factory.mktemp("json") / "doc.json"
+        assert self._written(p, obj) == self._stdlib(obj)
+
+    def test_cycle_is_refused_like_the_stdlib(self, tmp_path):
+        loop = {"a": [1]}
+        loop["a"].append(loop)
+        assert self._written(tmp_path / "doc.json", loop) is ValueError
+        assert self._stdlib(loop) is ValueError
+
+
+def _round_cases(digits: int):
+    # near-ties: k + 1/2 units of the last kept digit, nudged by a few ulps
+    tie = st.builds(lambda k, ulps: np.nextafter(
+                        (k + 0.5) / 10 ** digits, math.inf * ulps)
+                    if ulps else (k + 0.5) / 10 ** digits,
+                    st.integers(-10 ** 9, 10 ** 9), st.integers(-1, 1))
+    return st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                              allow_subnormal=True) | tie
+                    | st.sampled_from([0.0, -0.0, 2.0 ** 52, -2.0 ** 60,
+                                       1e300, -5e-324]),
+                    max_size=40)
+
+
+class TestReportRounding:
+    @staticmethod
+    def _check(values, digits):
+        got = pipeline._rounded(np.asarray(values, dtype=np.float64), digits)
+        want = [round(float(v), digits) for v in values]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert type(g) is float
+            assert (g == w and math.copysign(1, g) == math.copysign(1, w)
+                    or math.isnan(g) and math.isnan(w)), (g, w)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_round_cases(4))
+    def test_four_digits_match_round(self, values):
+        self._check(values, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=_round_cases(6))
+    def test_six_digits_match_round(self, values):
+        self._check(values, 6)
+
+    def test_dense_ties_and_rows(self):
+        rng = np.random.default_rng(5)
+        for digits in (4, 6):
+            ties = (rng.integers(-10 ** 7, 10 ** 7, 20_000) + 0.5) / 10 ** digits
+            near = np.nextafter(ties, rng.choice([-np.inf, np.inf], ties.size))
+            self._check(np.concatenate([ties, near, -ties]), digits)
+        S = rng.random((40, 40)) ** 2
+        assert pipeline._rounded(S, 4) == [[round(float(v), 4) for v in row]
+                                           for row in S]

@@ -53,29 +53,45 @@ def novelty_quadruple_loop(S_enh, h, sigma):
     return N
 
 
-def peak_oracle(N, threshold, d_min):
-    """Exhaustive local-maxima + prominence + suppression reimplementation."""
+def local_maxima_loop(N):
+    """Interior local maxima, one sample at a time; a flat plateau reports
+    its leftmost index."""
     T = len(N)
-    candidates = []
-    for t in range(1, T - 1):
-        if not N[t] > N[t - 1]:
-            continue
-        k = t
-        while k + 1 < T and N[k + 1] == N[t]:
-            k += 1
-        if k == T - 1 or not N[k + 1] < N[t]:
-            continue
-        s = t - 1
-        while s >= 0 and N[s] <= N[t]:
-            s -= 1
-        left = min(N[s + 1: t]) if s + 1 < t else N[t]
-        e = t + 1
-        while e < T and N[e] <= N[t]:
-            e += 1
-        right = min(N[t + 1: e]) if t + 1 < e else N[t]
-        prom = N[t] - max(left, right)
-        if prom >= threshold:
-            candidates.append((t, prom))
+    out = []
+    t = 1
+    while t < T - 1:
+        if N[t] > N[t - 1]:
+            k = t
+            while k + 1 < T and N[k + 1] == N[t]:
+                k += 1
+            if k < T - 1 and N[k + 1] < N[t]:
+                out.append(t)
+            t = k + 1
+        else:
+            t += 1
+    return out
+
+
+def prominence_loop(N, t):
+    """Peak height minus the highest of the two flanking window minima;
+    each window runs from the peak to the nearest strictly higher sample
+    on that side, or to the signal edge when none exists."""
+    T = len(N)
+    s = t - 1
+    while s >= 0 and N[s] <= N[t]:
+        s -= 1
+    left = min(N[s + 1: t]) if s + 1 < t else N[t]
+    e = t + 1
+    while e < T and N[e] <= N[t]:
+        e += 1
+    right = min(N[t + 1: e]) if t + 1 < e else N[t]
+    return N[t] - max(left, right)
+
+
+def peak_oracle(N, threshold, d_min):
+    """Per-sample local-maxima and prominence scans, then suppression."""
+    candidates = [(t, p) for t in local_maxima_loop(N)
+                  if (p := prominence_loop(N, t)) >= threshold]
     kept = []
     for t, p in sorted(candidates, key=lambda tp: (-N[tp[0]], tp[0])):
         if all(abs(t - u) >= d_min for u, _ in kept):
@@ -356,6 +372,26 @@ class TestPeakPick:
         oracle = dict(peak_oracle(N, 0.0, 1))
         for t, p in zip(b.taus, b.prominences):
             assert p == oracle[int(t)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(levels=st.lists(st.integers(-3, 3), max_size=60),
+           special=st.lists(st.tuples(st.integers(0, 59), st.sampled_from(
+               [math.nan, math.inf, -math.inf, -0.0])), max_size=2),
+           threshold=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+           d_min=st.integers(1, 12))
+    def test_matches_loops_on_plateaus_and_ties(self, levels, special,
+                                                threshold, d_min):
+        # few distinct heights: long plateaus, equal peaks, equal flanks
+        N = np.array(levels, dtype=np.float64)
+        for at, value in special:
+            if at < len(N):
+                N[at] = value
+        got = peak_pick(N, threshold, d_min)
+        expect = peak_oracle(N, threshold, d_min)
+        assert got.taus.dtype == np.int64
+        assert got.prominences.dtype == np.float64
+        assert got.taus.tolist() == [t for t, _ in expect]
+        assert got.prominences.tolist() == [p for _, p in expect]
 
     def test_empty_and_flat(self):
         assert len(peak_pick([0.0, 0.0, 0.0, 0.0], 0.0, 1)) == 0

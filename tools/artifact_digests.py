@@ -10,9 +10,14 @@ each seed 1 to 20, two procedures are made under OUT_DIR: one at the
 ``run_all``, then segment, cluster and report at half-widths 60 and 150.
 After each pass the digest of every file in the directory is recorded.
 The output is one JSON map of ``seed/fps/pass/file`` to its digest, with
-sorted keys, where pass is ``run_all`` or ``h60``/``h150``.  Two checkouts
-give the same bytes exactly when every artifact matches, so compare the
-two outputs with ``cmp``.
+sorted keys, where pass is ``run_all`` or ``h60``/``h150``.  Last, the
+skill pass: the 5 fps procedures of ``SKILL_PROCS``, made at a given skill
+level so that the grades differ, get ``run_all``; one model is trained on
+them with ``SKILL_ROUNDS`` boosting rounds, and each gets
+``predict_skill`` and a new report.  The model and the training summary
+are recorded under ``skill``, each directory under ``seed/skill``.  Two
+checkouts give the same bytes exactly when every artifact matches, so
+compare the two outputs with ``cmp``.
 """
 
 from __future__ import annotations
@@ -25,6 +30,8 @@ from pathlib import Path
 
 SEEDS = range(1, 21)
 HALF_WIDTHS = (60, 150)
+SKILL_PROCS = (("POOR", 1), ("MODERATE", 2), ("GOOD", 3), ("POOR", 4))
+SKILL_ROUNDS = 10
 
 
 def record(d: Path, prefix: str, digests: dict) -> None:
@@ -40,6 +47,7 @@ def main(argv: list[str]) -> int:
     src, out = Path(argv[0]).resolve(), Path(argv[1])
     sys.path[:0] = [str(src), str(src.parent / "perfbench")]
     from microact import pipeline
+    from microact.records import SkillLevel
     from workloads import MESSY_30FPS, config
 
     digests: dict[str, str] = {}
@@ -57,6 +65,22 @@ def main(argv: list[str]) -> int:
                               pipeline.stage_report):
                     stage(d, cfg_h)
                 record(d, f"{seed}/{fps}/h{h}", digests)
+    dirs = [out / f"skill_seed{seed}" for _, seed in SKILL_PROCS]
+    for d, (level, seed) in zip(dirs, SKILL_PROCS):
+        shutil.rmtree(d, ignore_errors=True)
+        pipeline.stage_synth(d, config(seed), level=SkillLevel[level])
+        pipeline.run_all(d, config(seed))
+    model_dir = out / "skill"
+    shutil.rmtree(model_dir, ignore_errors=True)
+    model_dir.mkdir(parents=True)
+    cfg = config(0, skill={"n_estimators": SKILL_ROUNDS})
+    pipeline.train_skill(dirs, cfg, model_dir / "model.json",
+                         model_dir / "train_summary.json")
+    record(model_dir, "skill", digests)
+    for d, (_, seed) in zip(dirs, SKILL_PROCS):
+        pipeline.predict_skill(d, config(seed), model_dir / "model.json")
+        pipeline.stage_report(d, config(seed))
+        record(d, f"{seed}/skill", digests)
     json.dump(digests, sys.stdout, sort_keys=True, indent=1)
     sys.stdout.write("\n")
     return 0
