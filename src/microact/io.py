@@ -247,6 +247,15 @@ def _write_csv(path: PathLike, header: Sequence[str], rows: Iterable[list]) -> N
         writer.writerows(rows)
 
 
+def _write_lines(path: PathLike, header: Sequence[str],
+                 lines: Iterable[str]) -> None:
+    """:func:`_write_csv`'s file from rows already formatted as csv.writer
+    would, each ending "\\r\\n"."""
+    with atomic_write(path, newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines)
+
+
 def _read_json(path: PathLike):
     """One JSON document, as written by :func:`_write_json`."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -488,16 +497,15 @@ def save_tips(trajectories: Sequence[TipTrajectory], path: PathLike) -> None:
     """Write trajectories as `frame, instrument_id, present, x, y` rows."""
     T = max((len(tr) for tr in trajectories), default=0)
 
-    def rows():
+    def lines():
         for frame in range(T):
             for tr in trajectories:
                 p = tr.points[frame] if frame < len(tr) else None
-                if p is None:
-                    yield [frame, tr.instrument_id, 0, "0.0", "0.0"]
-                else:
-                    yield [frame, tr.instrument_id, 1, _fmt(p[0]), _fmt(p[1])]
+                yield (f"{frame},{tr.instrument_id},0,0.0,0.0\r\n" if p is None
+                       else f"{frame},{tr.instrument_id},1,"
+                            f"{float(p[0])!r},{float(p[1])!r}\r\n")
 
-    _write_csv(path, TIPS_HEADER, rows())
+    _write_lines(path, TIPS_HEADER, lines())
 
 
 def load_tips(path: PathLike, *, fps: float,
@@ -612,9 +620,16 @@ def load_scores(path: PathLike) -> list[SkillScore]:
 
 def save_track_rows(rows: Iterable[TrackObservation], path: PathLike) -> None:
     """Raw tracker output, one observation per line."""
-    _write_jsonl(path, ({"frame": r.frame, "object_id": r.object_id,
-                         "class": r.class_id.value, **_box_fields(r.bbox),
-                         "det_index": r.det_index} for r in rows))
+    with atomic_write(path) as fh:
+        for r in rows:
+            x, y, w, h = map(float, r.bbox)
+            # NaN and the infinities are spelled as the JSON encoder does
+            num = repr if math.isfinite(x + y + w + h) else _json_flat
+            cls, d = _json_flat(r.class_id.value), r.det_index
+            fh.write(f'{{"class": {cls}, "det_index": '
+                     f'{"null" if d is None else d}, "frame": {r.frame}, '
+                     f'"h": {num(h)}, "object_id": {r.object_id}, '
+                     f'"w": {num(w)}, "x": {num(x)}, "y": {num(y)}}}\n')
 
 
 def load_track_rows(path: PathLike) -> list[TrackObservation]:
@@ -631,12 +646,22 @@ def load_track_rows(path: PathLike) -> list[TrackObservation]:
 
 
 def save_refined_tracks(tracks: Sequence[RefinedTrack], path: PathLike) -> None:
-    """Line-delimited `{frame, object_id, class, x, y, w, h, provenance}`."""
-    rows = [{"frame": frame, "object_id": tr.object_id, "class": tr.class_id.value,
-             **_box_fields(tr.boxes[frame]), "provenance": tr.provenance[frame].value}
-            for tr in tracks for frame in tr.frames()]
-    rows.sort(key=lambda r: (r["frame"], r["object_id"]))
-    _write_jsonl(path, rows)
+    """Line-delimited `{frame, object_id, class, x, y, w, h, provenance}`,
+    ordered by frame, then object id."""
+    lines = []
+    for tr in tracks:
+        cls, oid = _json_flat(tr.class_id.value), tr.object_id
+        for frame in tr.frames():
+            x, y, w, h = map(float, tr.boxes[frame])
+            num = repr if math.isfinite(x + y + w + h) else _json_flat
+            prov = _json_flat(tr.provenance[frame].value)
+            lines.append((frame, oid, f'{{"class": {cls}, "frame": {frame}, '
+                          f'"h": {num(h)}, "object_id": {oid}, '
+                          f'"provenance": {prov}, "w": {num(w)}, '
+                          f'"x": {num(x)}, "y": {num(y)}}}\n'))
+    lines.sort(key=lambda item: item[:2])  # stable: ties keep track order
+    with atomic_write(path) as fh:
+        fh.writelines(line for _, _, line in lines)
 
 
 def load_refined_tracks(path: PathLike) -> list[RefinedTrack]:
@@ -758,10 +783,10 @@ def save_matrix(X: np.ndarray, feature_names: Sequence[str],
     if X.ndim != 2 or X.shape[1] != len(feature_names):
         raise ValueError(f"matrix shape {X.shape} does not match "
                          f"{len(feature_names)} feature names")
-    # repr of each Python float from X.tolist() is _fmt's string, with no
-    # float64 scalar made per value
-    _write_csv(path, list(feature_names),
-               (map(repr, row) for row in X.tolist()))
+    # repr of each Python float from a row's tolist() is _fmt's string,
+    # with no float64 scalar made per value, and no list of every row
+    _write_lines(path, feature_names,
+                 (",".join(map(repr, row.tolist())) + "\r\n" for row in X))
 
 
 # ASCII characters that numpy's reader strips around a number and float()

@@ -14,10 +14,10 @@ first parses an artifact.  A value is kept exactly as its loader would return it
 the file just written, so a stage computes the same bytes either way.
 
 Where the host has a second usable CPU, `run_all` also moves work off
-the stages' path into forked children (:class:`_Child`): the parse of
-``tip_candidates.jsonl`` and each stage's text writes.  Its docstring
-gives the rules that keep the bytes and the errors those of the
-stage-by-stage run.
+the stages' path into two forked children (:class:`_Child`): the parse
+of ``tip_candidates.jsonl`` and the writes of track through cluster.
+Its docstring gives the rules that keep the bytes and the errors those
+of the stage-by-stage run.
 """
 
 from __future__ import annotations
@@ -76,25 +76,10 @@ def _path(proc_dir, key: str) -> Path:
     return Path(proc_dir) / io.ARTIFACTS[key][0]
 
 
-def _written(proc_dir, key: str, memo=None) -> Path:
-    """The path of artifact ``key`` once no writer child of ``memo`` is
-    still writing it."""
-    if memo is not None:
-        memo.settle(key)
-    return _path(proc_dir, key)
-
-
-def _require(proc_dir, key: str, memo=None) -> Path:
-    p = _written(proc_dir, key, memo)
-    if not p.exists():
-        raise MissingInput(p, key)
-    return p
-
-
 def _exists(proc_dir, key: str, memo=None) -> bool:
     """Whether artifact ``key`` exists: this run holds it, or its file does."""
     return ((memo is not None and key in memo)
-            or _written(proc_dir, key, memo).exists())
+            or _path(proc_dir, key).exists())
 
 
 def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
@@ -106,8 +91,11 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
     if memo is not None and key in memo:
         return memo[key]
     _, producer, loader = io.ARTIFACTS[key]
+    path = _path(proc_dir, key)
+    if not path.exists():
+        raise MissingInput(path, key)
     try:
-        value = getattr(io, loader)(_require(proc_dir, key, memo), **kwargs)
+        value = getattr(io, loader)(path, **kwargs)
     except io.ParseError as exc:
         raise io.ParseError(exc.path, exc.line_no, exc.reason,
                             producer) from exc
@@ -116,17 +104,16 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
     return value
 
 
-def _save(memo: Optional["_Memo"], write: Callable[[], None], *unkept: str,
-          **keep) -> None:
-    """``write()`` the artifacts named by ``keep`` and ``unkept``, and leave
-    ``keep`` in ``memo``, each value exactly as its loader would read it
-    back.  Inside run_all the write runs behind the stages, in a child; a
-    stage run on its own writes in-process."""
+def _save(memo: Optional["_Memo"], write: Callable[[], None], **keep) -> None:
+    """``write()`` the stage's artifacts, and leave ``keep`` in ``memo``,
+    each value exactly as its loader would read it back.  Inside run_all
+    the write joins the memo's queue, which run_all runs later; a stage
+    run on its own writes in-process."""
     if memo is None:
         write()
     else:
         memo.update(keep)
-        memo.write_behind(write, (*keep, *unkept))
+        memo.writes.append(write)
 
 
 def _usable_cpus() -> int:
@@ -217,51 +204,18 @@ def _run_child(fn, args, conn, parent_end) -> None:
 
 class _Memo(dict):
     """run_all's memo (artifact key -> value, as :func:`_load` keeps it),
-    plus the children still writing ``proc_dir``'s artifacts behind it."""
+    plus the writes its stages queued, in stage order."""
 
-    def __init__(self, proc_dir, **values):
+    def __init__(self, **values):
         super().__init__(**values)
-        self._dir = proc_dir
-        # key -> (child, its write, the keys it writes), in start order
-        self._writers: dict[str, tuple[_Child, Callable, tuple]] = {}
+        self.writes: list[Callable[[], None]] = []
 
-    def write_behind(self, write: Callable[[], None],
-                     keys: Sequence[str]) -> None:
-        """Run ``write()``, which writes the artifacts ``keys``, in a
-        child, or in-process where none can start."""
-        child = _Child.start(write)
-        if child is None:
+    def flush(self) -> None:
+        """Run the queued writes in order, each once; one that raises ends
+        the run, as it ends its stage."""
+        writes, self.writes = self.writes, []
+        for write in writes:
             write()
-        else:
-            self._writers.update(dict.fromkeys(keys, (child, write, keys)))
-
-    def settle(self, key: str) -> None:
-        """Wait for the child writing ``key``.  Where it failed, remove the
-        temp files it left and redo its writes in-process, which raises
-        what the stage run on its own raises."""
-        pending = self._writers.get(key)
-        if pending is None:
-            return
-        child, write, keys = pending
-        for k in keys:
-            del self._writers[k]
-        if not child.wait():
-            for k in keys:
-                io.temp_path(_path(self._dir, k), child.pid).unlink(
-                    missing_ok=True)
-            write()
-
-    def join(self) -> None:
-        """Settle every writer in start order; once all are joined, raise
-        the first error, which a stage-by-stage run would meet first."""
-        error = None
-        while self._writers:
-            try:
-                self.settle(next(iter(self._writers)))
-            except Exception as exc:  # held until every child is joined
-                error = error or exc
-        if error is not None:
-            raise error
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +277,7 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         io.save_track_rows(rows, _path(proc_dir, "track_rows"))
         io.save_refined_tracks(refined, _path(proc_dir, "refined"))
 
-    _save(memo, write, "track_rows", refined=refined)
+    _save(memo, write, refined=refined)
     report = io.validate_stream(detections)
     return {"n_rows": len(rows), "n_objects": len(refined),
             "detection_gaps": len(report.gaps),
@@ -899,42 +853,60 @@ STAGES = (
 )
 
 
+# the stages that write their own files in-process
+_OWN_WRITERS = ("eval", "predict-skill", "report")
+
+
 def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     """Every stage of :data:`STAGES` whose condition holds, in order,
     equivalent to running each stage; returns each one's summary under
     its name, with "_" for "-".
 
     The stages share one memo that lives for this call only, so each
-    artifact is parsed at most once; every file is still written.  Where
-    the host has a second CPU, forked children take work off the stages'
-    path: the tip candidates, which no stage writes, are parsed while the
-    track stage runs, and the text files of track, tips, features,
-    segment and cluster are each written by a child while the next stage
-    runs.  Each file is replaced atomically, every child is joined before
-    this returns or raises, and a writer that died is redone in-process.
-    A later stage never waits for a file: what it reads, or checks for,
-    comes from the memo.  With one CPU, without "fork", or in a daemonic
-    process everything runs in-process, with the same bytes.  If a write
-    fails, the error is the one the stage run on its own raises, though
-    later stages' files may have been written by then.
+    artifact is parsed at most once, and no stage waits for a file: what
+    it reads, or checks for, comes from the memo.  Track through cluster
+    queue their writes on it.  With a second usable CPU, two forked
+    children at most take work off the stages' path: one parses the tip
+    candidates while track runs, and one runs the write queue in order
+    from the first of :data:`_OWN_WRITERS` that runs.  Where no child can
+    start (:meth:`_Child.start`), the queue runs in-process there, with
+    the same bytes.  Each file is replaced atomically.
+
+    Every child is joined before this returns or raises.  A writer child
+    that did not finish has its temp files removed and the queue run
+    again in-process; a stage that raises before the writer starts has
+    the queue run in-process first.  So a failing write raises what the
+    stage run on its own raises, though later stages' files may have
+    been written by then.
     """
-    child = None
+    parse = None
     if (_path(proc_dir, "candidates").exists()
             and _path(proc_dir, "references").exists()):
-        child = _Child.start(_load, proc_dir, "candidates", None)
-    memo = _Memo(proc_dir, candidates=child) if child else _Memo(proc_dir)
+        parse = _Child.start(_load, proc_dir, "candidates", None)
+    memo = _Memo(candidates=parse) if parse else _Memo()
+    writer = None
     out = {}
     try:
         for name, fn_name, when in STAGES:
             if ((when == "labels" and not _path(proc_dir, "labels").exists())
                     or (when == "model" and model_path is None)):
                 continue
+            if name in _OWN_WRITERS and writer is None and memo.writes:
+                writer = _Child.start(memo.flush)
+                if writer is None:
+                    memo.flush()
             extra = {"model_path": model_path} if when == "model" else {}
             # looked up at call time, so a wrapper set on the module runs
             out[name.replace("-", "_")] = globals()[fn_name](
                 proc_dir, cfg, memo=memo, **extra)
     finally:
-        if child is not None:
-            child.close()
-        memo.join()
+        if parse is not None:
+            parse.close()
+        if writer is not None and not writer.wait():
+            # every queued write writes into proc_dir
+            for tmp in Path(proc_dir).glob(io.temp_path("*", writer.pid).name):
+                tmp.unlink(missing_ok=True)
+            writer = None
+        if writer is None:
+            memo.flush()
     return out

@@ -257,9 +257,10 @@ class SkillGradientBoosting:
         }
 
     def save(self, path) -> None:
+        # json.dump's bytes, from the C encoder, which json.dump never runs
+        text = json.dumps(self.to_dict(), sort_keys=True) + "\n"
         with atomic_write(path) as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(text)
 
     @classmethod
     def from_dict(cls, obj: dict, path="model") -> "SkillGradientBoosting":

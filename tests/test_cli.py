@@ -537,6 +537,26 @@ def test_failed_child_falls_back_to_in_process_parse(tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("cpus, forks", [(2, 2), (1, 0)])
+def test_run_all_forks_two_children_at_most(tmp_path, monkeypatch, base_proc,
+                                            cpus, forks):
+    # one child parses the tip candidates, one runs every queued write
+    d = fresh_proc(tmp_path)
+    built = []
+    init = pipeline._Child.__init__
+
+    def counting(self, fn, *args):
+        built.append(fn)
+        init(self, fn, *args)
+
+    monkeypatch.setattr(pipeline._Child, "__init__", counting)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: cpus)
+    pipeline.run_all(d, load_config(environ={}))
+    assert len(built) == forks
+    assert snapshot(d) == snapshot(base_proc)
+    assert_clean(d)
+
+
 def test_no_child_outlives_run_all(tmp_path, monkeypatch):
     d = fresh_proc(tmp_path)
     cfg = load_config(environ={})

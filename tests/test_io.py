@@ -568,6 +568,151 @@ class TestMatrixCurves:
         assert load_segments(p) == rows
 
 
+# The writers below format their lines themselves.  Each oracle is the
+# writer's earlier body, which built a record per row and handed it to
+# the stdlib JSON encoder or csv.writer; the bytes must be the same.
+
+
+def _oracle_save_track_rows(rows, path):
+    io._write_jsonl(path, ({"frame": r.frame, "object_id": r.object_id,
+                            "class": r.class_id.value,
+                            **io._box_fields(r.bbox),
+                            "det_index": r.det_index} for r in rows))
+
+
+def _oracle_save_refined_tracks(tracks, path):
+    rows = [{"frame": frame, "object_id": tr.object_id,
+             "class": tr.class_id.value, **io._box_fields(tr.boxes[frame]),
+             "provenance": tr.provenance[frame].value}
+            for tr in tracks for frame in tr.frames()]
+    rows.sort(key=lambda r: (r["frame"], r["object_id"]))
+    io._write_jsonl(path, rows)
+
+
+def _oracle_save_tips(trajectories, path):
+    T = max((len(tr) for tr in trajectories), default=0)
+
+    def rows():
+        for frame in range(T):
+            for tr in trajectories:
+                p = tr.points[frame] if frame < len(tr) else None
+                if p is None:
+                    yield [frame, tr.instrument_id, 0, "0.0", "0.0"]
+                else:
+                    yield [frame, tr.instrument_id, 1, io._fmt(p[0]),
+                           io._fmt(p[1])]
+
+    io._write_csv(path, io.TIPS_HEADER, rows())
+
+
+def _oracle_save_matrix(X, feature_names, path):
+    X = np.asarray(X, dtype=np.float64)
+    io._write_csv(path, list(feature_names),
+                  (map(repr, row) for row in X.tolist()))
+
+
+_edge_float = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0 / 3.0,
+                     math.nan, math.inf, -math.inf, 1e308, 2.0 ** 53]))
+# a box component as the pipeline may hold it: a float, a float64 or an int
+_box_value = st.one_of(_edge_float, _edge_float.map(np.float64),
+                       st.integers(-10 ** 6, 10 ** 6))
+_box = st.tuples(_box_value, _box_value, _box_value, _box_value)
+_ids = st.integers(-5, 10 ** 9)
+_track_row = st.builds(
+    TrackObservation, frame=_ids, object_id=_ids,
+    class_id=st.sampled_from(list(InstrumentClass)), bbox=_box,
+    det_index=st.one_of(st.none(), st.just(0), st.integers(0, 10 ** 6)))
+
+
+@st.composite
+def _refined_tracks(draw):
+    tracks = []
+    # object ids repeat, so the sort's tie order is checked too
+    for oid in draw(st.lists(st.integers(0, 4), max_size=4)):
+        frames = draw(st.lists(st.integers(0, 12), unique=True, max_size=6))
+        tracks.append(RefinedTrack(
+            oid, draw(st.sampled_from(list(InstrumentClass))),
+            boxes={f: draw(_box) for f in frames},
+            provenance={f: draw(st.sampled_from(list(Provenance)))
+                        for f in frames}))
+    return tracks
+
+
+_tip_point = st.one_of(st.none(), st.tuples(_box_value, _box_value))
+_trajectories = st.lists(st.builds(
+    TipTrajectory, instrument_id=st.integers(0, 20),
+    points=st.lists(_tip_point, max_size=8), fps=st.just(30.0)),
+    max_size=4)
+# header names holding what csv quotes
+_name = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)),
+                          max_size=6),
+                  st.sampled_from(["a,b", 'say "x"', '"', ",", "a\nb", ""]))
+
+
+@st.composite
+def _named_matrices(draw):
+    n, k = draw(st.integers(0, 5)), draw(st.integers(0, 4))
+    X = np.array(draw(st.lists(_edge_float, min_size=n * k, max_size=n * k)),
+                 dtype=np.float64).reshape(n, k)
+    return X, draw(st.lists(_name, min_size=k, max_size=k))
+
+
+class TestWritersMatchTheirOracles:
+    @staticmethod
+    def _same_bytes(tmp_path_factory, write, oracle, *args):
+        d = tmp_path_factory.mktemp("writer")
+        write(*args, d / "got")
+        oracle(*args, d / "want")
+        assert (d / "got").read_bytes() == (d / "want").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=st.lists(_track_row, max_size=8))
+    def test_track_rows(self, tmp_path_factory, rows):
+        self._same_bytes(tmp_path_factory, save_track_rows,
+                         _oracle_save_track_rows, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tracks=_refined_tracks())
+    def test_refined_tracks(self, tmp_path_factory, tracks):
+        self._same_bytes(tmp_path_factory, save_refined_tracks,
+                         _oracle_save_refined_tracks, tracks)
+
+    @settings(max_examples=200, deadline=None)
+    @given(trajectories=_trajectories)
+    def test_tips(self, tmp_path_factory, trajectories):
+        self._same_bytes(tmp_path_factory, save_tips, _oracle_save_tips,
+                         trajectories)
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix=_named_matrices())
+    def test_matrix(self, tmp_path_factory, matrix):
+        self._same_bytes(tmp_path_factory, save_matrix, _oracle_save_matrix,
+                         *matrix)
+
+    def test_every_enum_value_and_no_rows(self, tmp_path_factory):
+        box = (-0.0, 5e-324, 1e300, 1.0 / 3.0)
+        rows = [TrackObservation(i, i, cls, box, det)
+                for i, cls in enumerate(InstrumentClass)
+                for det in (None, 0)]
+        tracks = [RefinedTrack(i, cls, boxes={0: box, 1: box},
+                               provenance={0: prov, 1: prov})
+                  for i, (cls, prov) in enumerate(
+                      zip(InstrumentClass, [*Provenance, *Provenance]))]
+        for write, oracle, value in [
+                (save_track_rows, _oracle_save_track_rows, rows),
+                (save_track_rows, _oracle_save_track_rows, []),
+                (save_refined_tracks, _oracle_save_refined_tracks, tracks),
+                (save_refined_tracks, _oracle_save_refined_tracks, []),
+                (save_tips, _oracle_save_tips, []),
+                (save_tips, _oracle_save_tips,
+                 [TipTrajectory(0, [], 30.0)])]:
+            self._same_bytes(tmp_path_factory, write, oracle, value)
+        self._same_bytes(tmp_path_factory, save_matrix, _oracle_save_matrix,
+                         np.zeros((0, 2)), ["a,b", 'c"d'])
+
+
 # load_matrix parses with numpy's C reader and falls back to the checked
 # row-by-row reader, _load_matrix_checked, which is the oracle here.
 _matrix_value = st.one_of(

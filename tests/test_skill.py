@@ -256,6 +256,18 @@ class TestSerialization:
         Xq = np.random.default_rng(2).normal(size=(20, X.shape[1]))
         assert np.array_equal(loaded.predict_proba(Xq), model.predict_proba(Xq))
 
+    def test_save_writes_the_bytes_of_json_dump(self, tmp_path):
+        # save encodes with json.dumps (the C encoder); json.dump, the
+        # pure-Python one, is the oracle
+        X, y = separable_dataset(gap=1.0, seed=7)
+        model = SkillGradientBoosting(n_estimators=12, max_depth=3).fit(X, y)
+        p, want = tmp_path / "model.json", tmp_path / "want.json"
+        model.save(p)
+        with open(want, "w", encoding="utf-8") as fh:
+            json.dump(model.to_dict(), fh, sort_keys=True)
+            fh.write("\n")
+        assert p.read_bytes() == want.read_bytes()
+
     def test_unsupported_version_rejected(self, tmp_path):
         p = tmp_path / "model.json"
         p.write_text('{"format_version": 99}')
