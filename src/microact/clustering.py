@@ -76,17 +76,25 @@ def segment_features(X: np.ndarray, mask: np.ndarray,
         raise ValueError("mask must be T×m aligned with X")
     if mask_weight <= 0:
         raise ValueError("mask_weight must be > 0")
-    rows = []
-    for seg in segments:
+    d = X.shape[1]
+    F = np.empty((len(segments), 2 * d + mask.shape[1]), dtype=np.float64)
+    # numpy's own mean and std arithmetic, written into F's rows: sum, then
+    # divide by n; square the deviations from that mean, sum, divide, root
+    for row, seg in zip(F, segments):
         if not 0 <= seg.start < seg.end <= X.shape[0]:
             raise ValueError(f"segment {seg.index} [{seg.start}, {seg.end}) "
                              f"outside [0, {X.shape[0]})")
+        n = seg.end - seg.start
         block = X[seg.start: seg.end]
-        mblock = mask[seg.start: seg.end]
-        rows.append(np.concatenate([
-            block.mean(axis=0), block.std(axis=0),
-            mask_weight * mblock.mean(axis=0)]))
-    return np.asarray(rows, dtype=np.float64)
+        mean, std, frac = row[:d], row[d: 2 * d], row[2 * d:]
+        np.true_divide(np.add.reduce(block, axis=0, out=mean), n, out=mean)
+        dev = block - mean
+        np.square(dev, out=dev)
+        np.true_divide(np.add.reduce(dev, axis=0, out=std), n, out=std)
+        np.sqrt(std, out=std)
+        np.add.reduce(mask[seg.start: seg.end], axis=0, out=frac)
+        np.multiply(mask_weight, np.true_divide(frac, n, out=frac), out=frac)
+    return F
 
 
 @dataclass

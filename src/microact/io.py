@@ -283,11 +283,25 @@ _json_flat = json.JSONEncoder(sort_keys=True).encode
 _JSON_SCALARS = (str, int, float, type(None))  # bool is an int
 
 
+@dataclass(frozen=True)
+class EncodedList:
+    """A nonempty JSON list already encoded on one line as the C encoder
+    writes it, ``"[0.5, 1.0]"``, where each ``", "`` separates two items.
+    :func:`_write_json` lays it out as it would the list itself."""
+
+    text: str
+
+
 def _json_chunks(obj, level: int, active: set) -> Iterable[str]:
     """The text of ``obj``, nested ``level`` deep in an indent-1 document,
     in pieces: one per item of a dict or list, or the whole scalar.
     ``active`` holds the ids of the containers ``obj`` is inside, as the
     stdlib encoder's markers do, to refuse a cycle the way it does."""
+    indent = "\n" + " " * (level + 1)
+    if isinstance(obj, EncodedList):
+        yield "[" + indent + obj.text[1:-1].replace(", ", "," + indent)
+        yield indent[:-1] + "]"
+        return
     is_dict = isinstance(obj, dict)
     if not (is_dict or isinstance(obj, (list, tuple))):
         yield _json_flat(obj)  # raises TypeError on what JSON cannot hold
@@ -297,15 +311,13 @@ def _json_chunks(obj, level: int, active: set) -> Iterable[str]:
         return
     if id(obj) in active:
         raise ValueError("Circular reference detected")
-    indent = "\n" + " " * (level + 1)
     if not is_dict and all(issubclass(t, _JSON_SCALARS)
                            for t in set(map(type, obj))):
         flat = _json_flat(obj)
         # the C encoder puts one ", " between items, and a string holding
         # ", " adds more; split only where each is a separator
         if flat.count(", ") == len(obj) - 1:
-            yield "[" + indent + flat[1:-1].replace(", ", "," + indent)
-            yield indent[:-1] + "]"
+            yield from _json_chunks(EncodedList(flat), level, active)
             return
     active.add(id(obj))
     sep = ("{" if is_dict else "[") + indent
@@ -572,12 +584,11 @@ def _line_of(path: PathLike, key: str) -> int:
 # frame labels and skill scores
 
 
-def save_labels(labels: Sequence[ActionClass], path: PathLike) -> None:
-    _write_csv(path, ["frame", "action"],
-               ([frame, ActionClass(action).value] for frame, action in enumerate(labels)))
+LABELS_HEADER = ["frame", "action"]
 
-
+# a member hashes and compares as its value, so each finds the other
 _ACTIONS = {a.value: a for a in ActionClass}
+_VALUES = {a: a.value for a in ActionClass}
 
 
 def _action(name: str) -> ActionClass:
@@ -586,10 +597,57 @@ def _action(name: str) -> ActionClass:
     return ActionClass(name) if action is None else action
 
 
+def save_labels(labels: Sequence[ActionClass], path: PathLike) -> None:
+    """`frame, action` rows, one per frame; an action may be given as its
+    value."""
+    names = list(map(_VALUES.get, labels))
+    if None in names:  # ActionClass raises its ValueError on the first
+        names = [ActionClass(action).value for action in labels]
+    _write_lines(path, LABELS_HEADER,
+                 [f"{frame},{name}\r\n" for frame, name in enumerate(names)])
+
+
+def _frame_values(raw: bytes, header: Sequence[str]) -> Optional[list[str]]:
+    """The second field of each row of a two-column file whose bytes are
+    ``header``'s line, then ``f"{frame},{value}\\r\\n"`` for frames 0..T-1
+    in order, exactly as :func:`_write_lines` writes them; None for any
+    other bytes.  Such a file holds no quote, no other line break, no
+    blank line and no field over the csv module's limit, so the csv module
+    splits it the same way."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    head = ",".join(header) + "\r\n"
+    if not text.startswith(head):
+        return None
+    body = text[len(head):]
+    fields = body.replace("\r\n", ",")
+    if '"' in fields or "\r" in fields or "\n" in fields:
+        return None
+    values = fields.split(",")[1::2]
+    if (body != "".join([f"{i},{v}\r\n" for i, v in enumerate(values)])
+            or max(map(len, values), default=0) > csv.field_size_limit()):
+        return None
+    return values
+
+
 def load_labels(path: PathLike) -> list[ActionClass]:
-    """Read per-frame action labels; frames must cover [0, T) exactly."""
-    _, rows = _read_csv(path, ["frame", "action"],
-                        lambda row: (int(row[0]), _action(row[1])))
+    """Read per-frame action labels; frames must cover [0, T) exactly.
+
+    A file as :func:`save_labels` writes it is split at C speed.  Any
+    other, and one naming an unknown action, is read again by the csv
+    module, which gives the same labels or the ``file:line`` ParseError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    names = _frame_values(raw, LABELS_HEADER)
+    if names is not None:
+        labels = list(map(_ACTIONS.get, names))
+        if None not in labels:
+            return labels
+    _, rows = _read_csv(path, LABELS_HEADER,
+                        lambda row: (int(row[0]), _action(row[1])), raw)
     rows.sort(key=lambda r: r[0])
     frames = [f for f, _ in rows]
     if frames != list(range(len(frames))):
@@ -915,13 +973,41 @@ def load_features_meta(path: PathLike) -> dict:
                     ("effective_fps", "downsample", "n_frames_native"))
 
 
+NOVELTY_HEADER = ["frame", "N"]
+
+
 def save_novelty(novelty: np.ndarray, path: PathLike) -> None:
+    """`frame, N` rows, one per frame."""
     values = np.asarray(novelty, dtype=np.float64).tolist()
-    _write_csv(path, ["frame", "N"], enumerate(map(repr, values)))
+    _write_lines(path, NOVELTY_HEADER,
+                 [f"{frame},{v!r}\r\n" for frame, v in enumerate(values)])
 
 
 def load_novelty(path: PathLike) -> np.ndarray:
-    _, values = _read_csv(path, ["frame", "N"], lambda row: float(row[1]))
+    """The novelty curve; its frames must run 0..T-1 in order.
+
+    A file as :func:`save_novelty` writes it is split at C speed.  Any
+    other, and one holding a value that ``float()`` refuses, is read again
+    by the csv module, which gives the same curve or the ``file:line``
+    ParseError.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    texts = _frame_values(raw, NOVELTY_HEADER)
+    if texts is not None:
+        try:
+            return np.array(list(map(float, texts)), dtype=np.float64)
+        except ValueError:
+            pass
+    values: list[float] = []
+
+    def parse(row: list[str]) -> None:
+        if int(row[0]) != len(values):
+            raise ValueError(f"frame {row[0]} where frame {len(values)} "
+                             f"belongs")
+        values.append(float(row[1]))
+
+    _read_csv(path, NOVELTY_HEADER, parse, raw)
     return np.asarray(values, dtype=np.float64)
 
 

@@ -23,6 +23,7 @@ of the stage-by-stage run.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import multiprocessing
 import os
@@ -536,6 +537,8 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 
 def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:
     """Undo feature downsampling by repetition; frame t maps to t // factor."""
+    if factor == 1 and len(labels) >= n_native:
+        return list(labels[:n_native])
     return [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
 
 
@@ -710,8 +713,8 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path, *,
 # report
 
 
-def _rounded(values, digits: int) -> list:
-    """``round(float(v), digits)`` of each value, as nested lists.
+def _rounded(values, digits: int) -> np.ndarray:
+    """``round(float(v), digits)`` of each value, as an array.
 
     ``rint(v * 10**digits) / 10**digits`` is round()'s float wherever the
     product's own rounding cannot move it across a half-integer: both are
@@ -728,14 +731,48 @@ def _rounded(values, digits: int) -> list:
             np.abs(scaled - np.floor(scaled) - 0.5)
             <= 4 * np.abs(np.spacing(scaled)))
     out[doubt] = [round(v, digits) for v in x[doubt].tolist()]
-    return out.tolist()
+    return out
+
+
+@functools.cache
+def _preview_grid() -> np.ndarray:
+    """``repr(k / 1e4)`` for each k in [0, 10**4], as ASCII bytes
+    zero-padded to one width; none is longer than "0.0001"."""
+    return np.array([repr(k / 1e4) for k in range(10 ** 4 + 1)], dtype="S6")
+
+
+def _preview_rows(S: np.ndarray) -> list:
+    """The rows of ``_rounded(S, 4)`` as the report's JSON holds them.
+
+    Each value of a rounded enhanced SSM is k / 1e4 for some k in
+    [0, 10**4], so each row is joined from the repr table of
+    :func:`_preview_grid` and comes as an ``io.EncodedList``.  A matrix
+    holding any value whose bits k / 1e4 does not give back comes as
+    nested lists, for the encoder.
+    """
+    R = _rounded(S, 4)
+    k = np.rint(R * 1e4)
+    if not np.all((k >= 0) & (k <= 1e4)):  # NaN fails too
+        return R.tolist()
+    k = k.astype(np.intp)
+    if not np.array_equal((k / 1e4).view(np.int64), R.view(np.int64)):
+        return R.tolist()
+    # each value's repr and then ", " in a fixed-width cell; the zero bytes
+    # that pad the cells drop out, and "\n" ends a row instead of ", "
+    n, m = R.shape
+    cells = np.zeros((n, m, 8), dtype=np.uint8)
+    cells[:, :, :6] = _preview_grid()[k].view(np.uint8).reshape(n, m, 6)
+    cells[:, :-1, 6:] = np.frombuffer(b", ", dtype=np.uint8)
+    cells[:, -1, 6] = ord("\n")
+    text = cells[cells != 0].tobytes().decode("ascii")
+    return [io.EncodedList(f"[{row}]") for row in text.split("\n")[:-1]]
 
 
 def _ssm_preview(X: np.ndarray, max_side: int = 256) -> dict:
     stride = max(1, math.ceil(X.shape[0] / max_side))
     S = ssm(X[::stride])
     enhance(S, inplace=True)
-    return {"stride": stride, "values": _rounded(S, 4)}
+    return {"stride": stride, "values": _preview_rows(S)}
 
 
 def _fmt_ratio(v) -> str:
@@ -820,9 +857,9 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         "procedure_id": meta.get("procedure_id"),
         "fps": meta["fps"],
         "feature_downsample": downsample,
-        "novelty": _rounded(novelty, 6),
+        "novelty": _rounded(novelty, 6).tolist(),
         "boundaries": [int(t) for t in taus],
-        "prominences": _rounded(proms, 6),
+        "prominences": _rounded(proms, 6).tolist(),
         "segments": segs,
         "ribbons": {"predicted": pred_ribbon, "truth": truth_ribbon},
         "ssm_preview": _ssm_preview(X),

@@ -8,6 +8,12 @@ homogeneous blocks, i.e. action boundaries.
 Only entries within |i - j| <= 2h of the diagonal are ever consumed by the
 kernel, so the default representation is a banded matrix with O(T*h)
 memory; the dense matrix exists for small inputs and figure export.
+
+Both are built in one pass of numpy's ``einsum`` over the unit rows, not
+one call per diagonal offset: the band from a sliding window over a few
+rows at a time, the dense matrix as one product.  Each entry is the same
+dot-product kernel over the same d products, so the band and the dense
+matrix agree bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +23,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .validation import check_array, check_fraction, check_positive_int
 
 FULL_MATRIX_CAP = 10_000  # largest T the dense ssm builds
+_BAND_ROWS = 256  # rows of the band filled per einsum call
 
 
 @dataclass
@@ -50,23 +58,13 @@ def _unit_rows(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _shifted_rowdot(Xu: np.ndarray, o: int) -> np.ndarray:
-    """Dot products of row t with row t+o, for all valid t.
-
-    Shared by the banded and dense builders so both produce identical
-    floating-point values.  Clipped to [-1, 1]: rounding can push a unit
-    dot product one ulp past the cosine range.
-    """
-    T = Xu.shape[0]
-    v = np.einsum("td,td->t", Xu[: T - o], Xu[o:])
-    return np.clip(v, -1.0, 1.0, out=v)
-
-
 def ssm(X) -> np.ndarray:
     """Dense self-similarity matrix S with S_ij = cos(X_i, X_j).
 
     Symmetric; diagonal exactly 1 for nonzero rows and 0 for zero rows
     (zero rows have similarity 0 against everything by convention).
+    Clipped to [-1, 1]: rounding can push a unit dot product one ulp past
+    the cosine range.
 
     Refuses T beyond ``FULL_MATRIX_CAP``; use :func:`ssm_band` there.
     """
@@ -77,36 +75,44 @@ def ssm(X) -> np.ndarray:
             f"T={T} exceeds the dense-matrix cap {FULL_MATRIX_CAP}; "
             "use ssm_band for long sequences")
     Xu = _unit_rows(X)
-    S = np.zeros((T, T), dtype=np.float64)
-    nz = np.einsum("td,td->t", Xu, Xu) > 0
-    S[np.diag_indices(T)] = nz.astype(np.float64)
-    idx = np.arange(T)
-    for o in range(1, T):
-        v = _shifted_rowdot(Xu, o)
-        S[idx[: T - o], idx[: T - o] + o] = v
-        S[idx[: T - o] + o, idx[: T - o]] = v
+    S = np.einsum("id,jd->ij", Xu, Xu)
+    np.clip(S, -1.0, 1.0, out=S)
+    S[np.diag_indices(T)] = np.einsum("td,td->t", Xu, Xu) > 0
     return S
 
 
 def ssm_band(X, h: int) -> SelfSimilarityBand:
     """Banded self-similarity covering offsets |i - j| <= 2h.
 
-    Entries are computed with the same arithmetic as :func:`ssm`, so the
-    band agrees with the dense matrix exactly, not merely to tolerance.
-    Memory is O(T*h).
+    One pass: ``_BAND_ROWS`` rows at a time, one ``einsum`` over a sliding
+    window of the rows t..t+2h fills the upper half S(t, t + o), o >= 0,
+    which is then clipped as :func:`ssm` clips; a zero-padded copy of the
+    chunk's rows stands in past T.  The lower half is the upper half's
+    mirror, one column copy per offset.  Each entry is :func:`ssm`'s dot
+    product, so the band agrees with the dense matrix exactly, not merely
+    to tolerance.  Memory is O(T*h), plus O(_BAND_ROWS + h) rows of X.
     """
     X = check_array(X, name="X")
     h = check_positive_int(h, "h")
-    T = X.shape[0]
+    T, d = X.shape
     Xu = _unit_rows(X)
     bw = 2 * h
     band = np.zeros((T, 2 * bw + 1), dtype=np.float64)
-    nz = np.einsum("td,td->t", Xu, Xu) > 0
-    band[:, bw] = nz.astype(np.float64)
+    upper = band[:, bw:]
+    pad = np.zeros((min(T, _BAND_ROWS) + bw, d), dtype=np.float64)
+    for t0 in range(0, T, _BAND_ROWS):
+        n = min(_BAND_ROWS, T - t0)
+        m = min(n + bw, T - t0)  # rows of Xu the window reaches
+        pad[:m] = Xu[t0: t0 + m]
+        pad[m:] = 0.0
+        rows = upper[t0: t0 + n]
+        np.einsum("tkd,td->tk",
+                  sliding_window_view(pad[: n + bw], (bw + 1, d))[:, 0],
+                  Xu[t0: t0 + n], out=rows)
+        np.clip(rows, -1.0, 1.0, out=rows)
+    band[:, bw] = np.einsum("td,td->t", Xu, Xu) > 0
     for o in range(1, min(bw, T - 1) + 1):
-        v = _shifted_rowdot(Xu, o)
-        band[: T - o, bw + o] = v
-        band[o:, bw - o] = v
+        band[o:, bw - o] = band[: T - o, bw + o]
     return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 

@@ -916,3 +916,16 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
     summary = pipeline.stage_tips(tmp_path, cfg)
     want = _tip_sets_scalar(tracks, cands, n_frames, 2)
     assert taken == want and summary["n_localized"] == len(want) > 0
+
+
+@pytest.mark.parametrize("n_labels, factor, n_native", [
+    (5, 1, 5), (5, 1, 3), (5, 1, 8), (5, 1, 0), (0, 1, 0), (5, 6, 30),
+    (5, 6, 27), (5, 6, 34), (1, 3, 2)])
+def test_expand_to_native_repeats_each_label(n_labels, factor, n_native):
+    # the one-line expansion for every factor, as the oracle of the
+    # factor-1 copy
+    labels = [ActionClass.CUTTING, ActionClass.NO_ACTION,
+              ActionClass.KNOT_TYING] * 2
+    labels = labels[:n_labels]
+    want = [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
+    assert pipeline._expand_to_native(labels, factor, n_native) == want

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from microact import ActionClass, InstrumentClass
 from microact.clustering import (
@@ -143,6 +145,28 @@ class TestSegmentFeatures:
         with pytest.raises(ValueError, match="outside"):
             segment_features(np.zeros((5, 1)), np.zeros((5, 1)),
                              [Segment(0, 0, 9, 9.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 90),
+           d=st.integers(1, 8), m=st.integers(0, 3),
+           n_bounds=st.integers(0, 6),
+           mask_weight=st.sampled_from([1.0, 3.0, 0.1, 7]))
+    def test_bits_match_mean_and_std(self, seed, T, d, m, n_bounds,
+                                     mask_weight):
+        # numpy's mean and std, one segment at a time, as the oracle
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(T, d)) * rng.choice([1e-8, 1.0, 1e8], size=d)
+        X[:, rng.random(d) < 0.2] = -0.0
+        X[rng.random(T) < 0.1] = 0.0
+        mask = (rng.random((T, m)) < 0.5).astype(float)
+        taus = sorted(set(rng.integers(1, T, n_bounds).tolist())) if T > 1 else []
+        segs = boundaries_to_segments(taus, T, fps=5.0)
+        want = np.asarray([np.concatenate([
+            X[s.start: s.end].mean(axis=0), X[s.start: s.end].std(axis=0),
+            mask_weight * mask[s.start: s.end].mean(axis=0)]) for s in segs])
+        got = segment_features(X, mask, segs, mask_weight=mask_weight)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # --- kmeans --------------------------------------------------------------

@@ -50,6 +50,7 @@ from microact.io import (
     validate_stream,
 )
 from microact.records import SkillLevel, TipCandidateSet, TrackObservation
+from microact.segmentation import enhance, ssm
 from microact.skill import SkillGradientBoosting
 
 
@@ -798,6 +799,199 @@ class TestMatrixFastPath:
         _check_matrix_against_oracle(tmp_path / "X.csv", text)
 
 
+# load_labels and load_novelty split a file as their writers lay it out at
+# C speed and fall back to the csv module's reader; the oracles are their
+# csv bodies.  The writers' oracles are their csv.writer bodies.
+
+
+def _oracle_save_labels(labels, path):
+    io._write_csv(path, ["frame", "action"],
+                  ([frame, ActionClass(action).value]
+                   for frame, action in enumerate(labels)))
+
+
+def _oracle_save_novelty(novelty, path):
+    values = np.asarray(novelty, dtype=np.float64).tolist()
+    io._write_csv(path, ["frame", "N"], enumerate(map(repr, values)))
+
+
+def _oracle_load_labels(path):
+    _, rows = io._read_csv(path, ["frame", "action"],
+                           lambda row: (int(row[0]), ActionClass(row[1])))
+    rows.sort(key=lambda r: r[0])
+    frames = [f for f, _ in rows]
+    if frames != list(range(len(frames))):
+        raise ValueError(f"{path}: labels must cover frames 0..T-1 exactly once")
+    return [a for _, a in rows]
+
+
+def _oracle_load_novelty(path):
+    values = []
+
+    def parse(row):
+        if int(row[0]) != len(values):
+            raise ValueError(f"frame {row[0]} where frame {len(values)} "
+                             f"belongs")
+        values.append(float(row[1]))
+
+    io._read_csv(path, ["frame", "N"], parse)
+    return np.asarray(values, dtype=np.float64)
+
+
+_label_text = st.one_of(
+    st.sampled_from([a.value for a in ActionClass]),
+    st.sampled_from(["Sewing", "", " Cutting", "cutting", "NoAction ",
+                     '"KnotTying"', "Cutting\x00", "No,Action", "\xe9"]))
+_novelty_text = st.one_of(_matrix_value.map(repr), _odd_token)
+_frame_text = st.sampled_from(["01", " 1", "+1", "1_0", "x", "-1", "", "1.0",
+                               "\uff11", "1 "])
+
+
+@st.composite
+def _frame_files(draw, header, value):
+    """Bytes of a `frame, value` file: mostly as its writer lays it out,
+    sometimes with rows out of order, odd frames or fields, blank lines,
+    another header or line ending, or a byte that is not UTF-8."""
+    rows = [[str(i), draw(value)] for i in range(draw(st.integers(0, 8)))]
+    if rows and draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    for _ in range(draw(st.integers(0, 2))):
+        if rows:
+            at = draw(st.integers(0, len(rows) - 1))
+            change = draw(st.sampled_from(["frame", "extra", "short", "blank",
+                                           "quote"]))
+            if change == "frame":
+                rows[at][:1] = [draw(_frame_text)]
+            elif change == "extra":
+                rows[at].append(draw(value))
+            elif change == "short":
+                rows[at] = rows[at][:1]
+            elif change == "blank":
+                rows.insert(at, [])
+            else:
+                rows[at] = [f'"{f}"' for f in rows[at]]
+    head = draw(st.sampled_from([",".join(header), " ,".join(header),
+                                 ",".join(header).upper(), header[0]]))
+    newline = draw(st.sampled_from(["\r\n", "\r\n", "\n", "\r"]))
+    end = draw(st.sampled_from([newline, newline, "", "\n\r\n"]))
+    raw = (newline.join([head] + [",".join(r) for r in rows]) + end
+           ).encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from([b"\xff", b"\xc3("])) + raw[at:]
+    return raw
+
+
+def _same_outcome(load, oracle, path, raw, same):
+    path.write_bytes(raw)
+    try:
+        want = oracle(path)
+    except ValueError as exc:  # a ParseError, or labels not covering 0..T-1
+        with pytest.raises(ValueError) as got:
+            load(path)
+        assert type(got.value) is type(exc)
+        assert str(got.value) == str(exc)
+        return
+    assert same(load(path), want)
+
+
+def _same_curve(got, want):
+    return (got.dtype == want.dtype and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+class TestFrameTables:
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_frame_files(["frame", "action"], _label_text))
+    def test_labels_reader_agrees_with_csv(self, tmp_path_factory, raw):
+        _same_outcome(load_labels, _oracle_load_labels,
+                      tmp_path_factory.mktemp("labels") / "labels.csv", raw,
+                      lambda got, want: got == want and all(
+                          type(a) is ActionClass for a in got))
+
+    @settings(max_examples=400, deadline=None)
+    @given(raw=_frame_files(["frame", "N"], _novelty_text))
+    def test_novelty_reader_agrees_with_csv(self, tmp_path_factory, raw):
+        _same_outcome(load_novelty, _oracle_load_novelty,
+                      tmp_path_factory.mktemp("novelty") / "novelty.csv", raw,
+                      _same_curve)
+
+    @pytest.mark.parametrize("load, oracle, text", [
+        (load_labels, _oracle_load_labels, "frame,action\n0,Cutting\n"),
+        (load_labels, _oracle_load_labels,
+         "frame,action\r\n1,Cutting\r\n0,NoAction\r\n"),
+        (load_labels, _oracle_load_labels,
+         "frame,action\r\n0,Cutting\r\n1,Sewing\r\n"),
+        (load_labels, _oracle_load_labels,
+         "frame,action\r\n0,Cutting,1\r\nNoAction\r\n"),
+        (load_labels, _oracle_load_labels, "frame,action\r\n"),
+        (load_novelty, _oracle_load_novelty, "frame,N\r\n0,0.5\r\n2,1.0\r\n"),
+        (load_novelty, _oracle_load_novelty, "frame,N\r\n0,0.5,1\r\n2\r\n"),
+        (load_novelty, _oracle_load_novelty, "frame,N\r\n0,1.5\n\r\n"),
+        (load_novelty, _oracle_load_novelty, "frame,N\r\n0,\n1.5\r\n"),
+        (load_novelty, _oracle_load_novelty,
+         "frame,N\r\n0," + "0" * 140_000 + "1\r\n"),
+        (load_novelty, _oracle_load_novelty, "frame,N\r\n0,x\r\n"),
+    ], ids=["labels-lf", "labels-shuffled", "labels-unknown-action",
+            "labels-width-realigned", "labels-empty", "novelty-gap",
+            "novelty-width-realigned", "novelty-bare-lf", "novelty-split-row",
+            "novelty-field-too-long", "novelty-not-a-float"])
+    def test_edge_files(self, tmp_path, load, oracle, text):
+        same = _same_curve if load is load_novelty else (
+            lambda got, want: got == want)
+        _same_outcome(load, oracle, tmp_path / "artifact",
+                      text.encode("utf-8"), same)
+
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.sampled_from(
+               [*ActionClass, *(a.value for a in ActionClass)]), max_size=30),
+           curve=st.lists(_matrix_value, max_size=30))
+    def test_written_files_never_fall_back(self, tmp_path_factory, labels,
+                                           curve):
+        d = tmp_path_factory.mktemp("frames")
+        save_labels(labels, d / "labels.csv")
+        save_novelty(curve, d / "novelty.csv")
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(io, "_read_csv", None)
+            got_labels = load_labels(d / "labels.csv")
+            got_curve = load_novelty(d / "novelty.csv")
+        assert got_labels == [ActionClass(a) for a in labels]
+        assert _same_curve(got_curve, _oracle_load_novelty(d / "novelty.csv"))
+
+    @settings(max_examples=200, deadline=None)
+    @given(labels=st.lists(st.sampled_from(
+               [*ActionClass, *(a.value for a in ActionClass)]), max_size=30),
+           curve=st.lists(_matrix_value, max_size=30))
+    def test_writers_match_csv_writer(self, tmp_path_factory, labels, curve):
+        for write, oracle, value in [
+                (save_labels, _oracle_save_labels, labels),
+                (save_novelty, _oracle_save_novelty, curve),
+                (save_novelty, _oracle_save_novelty,
+                 np.array(curve, dtype=np.float64))]:
+            TestWritersMatchTheirOracles._same_bytes(
+                tmp_path_factory, write, oracle, value)
+
+    def test_unknown_label_is_the_enum_error(self, tmp_path):
+        for write in (save_labels, _oracle_save_labels):
+            with pytest.raises(ValueError) as exc:
+                write([ActionClass.CUTTING, "Sewing"], tmp_path / "labels.csv")
+            assert "'Sewing' is not a valid ActionClass" in str(exc.value)
+        assert not (tmp_path / "labels.csv").exists()
+
+
+def test_novelty_frames_out_of_order_name_the_segment_stage(tmp_path):
+    # frames are checked, so a curve shifted by a lost row is refused, at
+    # the row that shows it, as the 'segment' stage's file
+    p = tmp_path / "novelty.csv"
+    p.write_bytes(b"frame,N\r\n0,0.5\r\n2,0.25\r\n1,0.75\r\n")
+    with pytest.raises(ParseError) as exc:
+        pipeline._load(tmp_path, "novelty", None)
+    assert (exc.value.line_no, exc.value.stage) == (3, "segment")
+    assert str(exc.value) == (f"{p}:3: bad row ['2', '0.25']: frame 2 where "
+                              f"frame 1 belongs (written by the 'segment' "
+                              f"stage)")
+
+
 def test_fallback_parses_the_bytes_it_read(tmp_path, monkeypatch):
     # numpy's reader rejects the quotes, so the checked reader parses; the
     # file is replaced before it does, and the matrix is still the one read
@@ -1001,7 +1195,8 @@ def _round_cases(digits: int):
 class TestReportRounding:
     @staticmethod
     def _check(values, digits):
-        got = pipeline._rounded(np.asarray(values, dtype=np.float64), digits)
+        got = pipeline._rounded(np.asarray(values, dtype=np.float64),
+                                digits).tolist()
         want = [round(float(v), digits) for v in values]
         assert len(got) == len(want)
         for g, w in zip(got, want):
@@ -1026,5 +1221,53 @@ class TestReportRounding:
             near = np.nextafter(ties, rng.choice([-np.inf, np.inf], ties.size))
             self._check(np.concatenate([ties, near, -ties]), digits)
         S = rng.random((40, 40)) ** 2
-        assert pipeline._rounded(S, 4) == [[round(float(v), 4) for v in row]
-                                           for row in S]
+        assert pipeline._rounded(S, 4).tolist() == [
+            [round(float(v), 4) for v in row] for row in S]
+
+
+class TestSsmPreview:
+    """The report's SSM preview, joined from a repr table, against the
+    stdlib encoder writing the rounded values."""
+
+    @staticmethod
+    def _check(tmp_path, S, encoded):
+        rows = pipeline._preview_rows(S)
+        assert all(isinstance(r, io.EncodedList) for r in rows) is encoded
+        doc = {"ssm_preview": {"stride": 1, "values": rows}, "z": [0.5]}
+        want = {"ssm_preview": {"stride": 1, "values": [
+            [round(float(v), 4) for v in row] for row in S]}, "z": [0.5]}
+        io._write_json(tmp_path / "report.json", doc)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
+            json.dumps(want, indent=1, sort_keys=True) + "\n")
+
+    def test_grid_is_every_repr(self):
+        grid = pipeline._preview_grid()
+        assert [g.decode("ascii") for g in grid.tolist()] == [
+            repr(k / 1e4) for k in range(10 ** 4 + 1)]
+
+    @pytest.mark.parametrize("values, encoded", [
+        ([0.0, 1e-4, 0.5, 1.0], True),
+        ([0.0, 1e-4, 0.5, 1.0 + 1e-4], False),  # off the [0, 1] grid
+        ([0.0, 1e-4, 0.5, -0.0], False),
+        ([0.0, 1e-4, 0.5, math.nan], False),
+        ([0.12344999999999999, 0.00005, 0.99995, 0.3], True),
+    ], ids=["grid", "above-one", "negative-zero", "nan", "ties"])
+    def test_edge_values(self, tmp_path, values, encoded):
+        self._check(tmp_path, np.array(values).reshape(2, 2), encoded)
+        self._check(tmp_path, np.array(values).reshape(1, 4), encoded)
+        self._check(tmp_path, np.array(values).reshape(4, 1), encoded)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 12),
+           m=st.integers(1, 12))
+    def test_random_squares(self, tmp_path_factory, seed, n, m):
+        S = np.random.default_rng(seed).uniform(-1, 1, (n, m)) ** 2
+        self._check(tmp_path_factory.mktemp("preview"), S, True)
+
+    def test_enhanced_ssm(self, tmp_path):
+        X = np.cumsum(np.random.default_rng(8).normal(size=(300, 6)), axis=0)
+        X[::7] = 0.0
+        preview = pipeline._ssm_preview(X, max_side=64)
+        assert preview["stride"] == 5
+        S = enhance(ssm(X[::5]))
+        self._check(tmp_path, S, True)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from microact import segmentation
 from microact.segmentation import (
     NoveltyBoundaryDetector,
     SelfSimilarityBand,
@@ -179,6 +181,105 @@ class TestSSMBand:
         X = np.random.default_rng(0).normal(size=(500, 3))
         band = ssm_band(X, 4)
         assert band.band.shape == (500, 17)
+
+    def test_peak_memory_is_the_band_and_a_few_rows(self):
+        # the resegment-sweep shape: 8010 frames, 36 features, h = 150;
+        # only the band, a unit-row copy of X and one chunk's window may
+        # be alive at once
+        X = np.cumsum(np.random.default_rng(3).normal(size=(8010, 36)),
+                      axis=0)
+        tracemalloc.start()
+        try:
+            band = ssm_band(X, 150)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= band.band.nbytes + (4 << 20), (peak, band.band.nbytes)
+
+
+# --- one-pass builds against the per-offset code they replaced ------------
+
+
+def _shifted_rowdot(Xu, o):
+    T = Xu.shape[0]
+    v = np.einsum("td,td->t", Xu[: T - o], Xu[o:])
+    return np.clip(v, -1.0, 1.0, out=v)
+
+
+def per_offset_ssm(X):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    T = X.shape[0]
+    Xu = segmentation._unit_rows(X)
+    S = np.zeros((T, T), dtype=np.float64)
+    nz = np.einsum("td,td->t", Xu, Xu) > 0
+    S[np.diag_indices(T)] = nz.astype(np.float64)
+    idx = np.arange(T)
+    for o in range(1, T):
+        v = _shifted_rowdot(Xu, o)
+        S[idx[: T - o], idx[: T - o] + o] = v
+        S[idx[: T - o] + o, idx[: T - o]] = v
+    return S
+
+
+def per_offset_band(X, h):
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    T = X.shape[0]
+    Xu = segmentation._unit_rows(X)
+    bw = 2 * h
+    band = np.zeros((T, 2 * bw + 1), dtype=np.float64)
+    nz = np.einsum("td,td->t", Xu, Xu) > 0
+    band[:, bw] = nz.astype(np.float64)
+    for o in range(1, min(bw, T - 1) + 1):
+        v = _shifted_rowdot(Xu, o)
+        band[: T - o, bw + o] = v
+        band[o:, bw - o] = v
+    return band
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64),
+                                                 b.view(np.int64))
+
+
+@st.composite
+def feature_matrices(draw, max_T=120, max_d=12):
+    T = draw(st.integers(1, max_T))
+    d = draw(st.integers(0, max_d))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    X = rng.normal(size=(T, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    # scaled copies of one row, whose unit dot products can round past 1
+    X[rng.random(T) < 0.3] = X[0] * draw(st.sampled_from([3.0, 0.1, 7e5]))
+    X[rng.random(T) < draw(st.sampled_from([0.0, 0.2, 1.0]))] = 0.0
+    X[:, rng.random(d) < 0.2] *= -0.0  # columns of -0.0 and 0.0
+    return X
+
+
+class TestOnePassAgainstPerOffset:
+    @settings(max_examples=150, deadline=None)
+    @given(X=feature_matrices(), h=st.integers(1, 40),
+           rows=st.integers(1, 300))
+    def test_band_bits(self, X, h, rows):
+        saved = segmentation._BAND_ROWS
+        segmentation._BAND_ROWS = rows  # chunk edges anywhere
+        try:
+            got = ssm_band(X, h).band
+        finally:
+            segmentation._BAND_ROWS = saved
+        assert same_bits(got, per_offset_band(X, h))
+
+    @settings(max_examples=100, deadline=None)
+    @given(X=feature_matrices())
+    def test_dense_bits(self, X):
+        assert same_bits(ssm(X), per_offset_ssm(X))
+
+    @pytest.mark.parametrize("h", [1, 60, 150])
+    def test_band_bits_over_many_chunks(self, h):
+        # random-walk features, as the kinematic ones drift; T spans
+        # several chunks of the default size
+        rng = np.random.default_rng(h)
+        X = np.cumsum(rng.normal(size=(1100, 36)), axis=0)
+        X[rng.random(1100) < 0.05] = 0.0
+        assert same_bits(ssm_band(X, h).band, per_offset_band(X, h))
 
 
 class TestEnhance:
