@@ -684,10 +684,19 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path, *,
         raise FileNotFoundError(
             f"missing model {model_path}; run 'train-skill' first")
     model = SkillGradientBoosting.load(model_path)
+    rows = _skill_rows(proc_dir, cfg, memo)
+    graded = []
+    if rows:
+        X = np.vstack([vec for *_, vec in rows])
+        if X.shape[1] != model.n_features_in_:
+            raise ValueError(
+                f"{model_path}: model fitted on {model.n_features_in_} "
+                f"features, but {proc_dir} has {X.shape[1]}; retrain or "
+                "use the config the model was trained with")
+        graded = zip(*skill_predict(model, X))
     per_segment = []
     by_action: dict[str, list[int]] = {}
-    for index, action, rep, vec in _skill_rows(proc_dir, cfg, memo):
-        level, proba = skill_predict(model, vec)
+    for (index, action, rep, _), (level, proba) in zip(rows, graded):
         per_segment.append({
             "segment_index": index,
             "action": action.value,

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .validation import check_array, check_fraction, check_positive_int
 
@@ -88,9 +88,10 @@ def ssm_band(X, h: int) -> SelfSimilarityBand:
     window of the rows t..t+2h fills the upper half S(t, t + o), o >= 0,
     which is then clipped as :func:`ssm` clips; a zero-padded copy of the
     chunk's rows stands in past T.  The lower half is the upper half's
-    mirror, one column copy per offset.  Each entry is :func:`ssm`'s dot
-    product, so the band agrees with the dense matrix exactly, not merely
-    to tolerance.  Memory is O(T*h), plus O(_BAND_ROWS + h) rows of X.
+    mirror, copied through one strided view of it, ``_BAND_ROWS`` rows at
+    a time.  Each entry is :func:`ssm`'s dot product, so the band agrees
+    with the dense matrix exactly, not merely to tolerance.  Memory is
+    O(T*h), plus O(_BAND_ROWS + h) rows of X.
     """
     X = check_array(X, name="X")
     h = check_positive_int(h, "h")
@@ -111,8 +112,21 @@ def ssm_band(X, h: int) -> SelfSimilarityBand:
                   Xu[t0: t0 + n], out=rows)
         np.clip(rows, -1.0, 1.0, out=rows)
     band[:, bw] = np.einsum("td,td->t", Xu, Xu) > 0
-    for o in range(1, min(bw, T - 1) + 1):
-        band[o:, bw - o] = band[: T - o, bw + o]
+    # lower half: band[t, c] = band[t - bw + c, 2bw - c].  The first bw
+    # rows take one copy per offset; from row bw on, that is one strided
+    # view of the upper half, starting at flat element 2bw with strides
+    # (W, W - 1) elements.  It is copied in chunks because numpy buffers
+    # a source that may overlap its destination whole.
+    top = min(bw, T)
+    for o in range(1, top):
+        band[o:top, bw - o] = band[: top - o, bw + o]
+    if T > bw:
+        W, step = band.shape[1], band.strides[1]
+        mirror = as_strided(band.reshape(-1)[2 * bw:], shape=(T - bw, bw),
+                            strides=(W * step, (W - 1) * step))
+        for t0 in range(0, T - bw, _BAND_ROWS):
+            band[bw + t0: bw + t0 + _BAND_ROWS, :bw] = \
+                mirror[t0: t0 + _BAND_ROWS]
     return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 

@@ -4,12 +4,15 @@ tree classifier, and a stratified cross-validation harness.
 The booster is multiclass with a softmax link and log loss.  Each round
 fits one exact-greedy regression tree per class to the current residuals
 (one-hot minus predicted probability); leaves carry the standard Newton
-value for that loss.  Each node finds its split with one presorted
+value for that loss.  As in the exact greedy algorithm of XGBoost (Chen &
+Guestrin 2016), each feature column is sorted once per fit and every
+node reuses that order, cut to its rows; a node finds its split with one
 cumulative-sum pass over all features and positions at once (Friedman
-2001; the exact greedy algorithm of XGBoost, Chen & Guestrin 2016); equal
-gains go to the first feature, then the first position.  Training uses no
-randomness at all, so retraining with the same inputs is bit-for-bit
-reproducible.
+2001), equal gains going to the first feature, then the first position.
+Each leaf's value goes straight to its training rows, so boosting never
+walks a tree it just grew.  Training uses no randomness at all, so
+retraining with the same inputs is bit-for-bit reproducible.
+``predict`` grades any number of rows with one ``predict_proba`` call.
 """
 
 from __future__ import annotations
@@ -60,12 +63,15 @@ def skill_feature_vector(segment_summary: np.ndarray, action: ActionClass,
 # ---------------------------------------------------------------------------
 # regression tree (exact greedy, variance-reduction splits)
 #
-# Every column is stably sorted once per node; column-wise cumulative sums
-# of r and r*r give the SSE of every left/right split, so the gain of all
-# (position, feature) pairs comes out of one array expression.  The split
-# taken has the strictly highest gain above 1e-12, ties going to the first
-# feature and then the first position; its threshold is the midpoint of
-# the two distinct neighbouring values.
+# Every column is stably sorted once per fit (``_presort``), and each node
+# holds its rows' blocks of that order: a child's blocks are its parent's
+# filtered by side, which is exact because a stable sort restricted to a
+# subset of rows is that subset's stable sort.  Column-wise cumulative
+# sums of r and r*r along each block give the SSE of every left/right
+# split, so the gain of all (feature, position) pairs comes out of one
+# array expression.  The split taken has the strictly highest gain above
+# 1e-12, ties going to the first feature and then the first position; its
+# threshold is the midpoint of the two distinct neighbouring values.
 
 
 def _sse(s: float, s2: float, n: int) -> float:
@@ -78,42 +84,77 @@ def _leaf_value(residuals: np.ndarray, K: int) -> float:
     if den <= 1e-150:
         return 0.0
     v = (K - 1) / K * num / den
-    return float(np.clip(v, -LEAF_VALUE_CAP, LEAF_VALUE_CAP))
+    return min(max(v, -LEAF_VALUE_CAP), LEAF_VALUE_CAP)
+
+
+def _presort(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, xs, ties), each with one row per feature: the row ids in
+    stably sorted order, their values, and where a value equals the next."""
+    order = np.argsort(X.T, axis=1, kind="stable")
+    xs = np.take_along_axis(X.T, order, axis=1)
+    return order, xs, xs[:, :-1] == xs[:, 1:]
+
+
+def _grow(X: np.ndarray, r: np.ndarray, rows: np.ndarray, blocks: tuple,
+          keep: Optional[np.ndarray], depth_left: int, K: int,
+          gain_sink: np.ndarray, leaf_of: np.ndarray) -> dict:
+    """The tree on ``rows`` (ascending ids into X and r).  ``blocks`` is
+    the parent's ``_presort`` triple, cut to this node's rows by the mask
+    ``keep`` (None: already this node's).  Each leaf's value is also
+    written to ``leaf_of`` at its rows."""
+    rn = r[rows]
+    n = rn.shape[0]
+    if depth_left == 0 or n < 2 or np.all(rn == rn[0]):
+        leaf_of[rows] = value = _leaf_value(rn, K)
+        return {"leaf": value}
+    order, xs, ties = blocks
+    if keep is not None:
+        order = order[keep].reshape(-1, n)
+        xs = xs[keep].reshape(-1, n)
+        ties = xs[:, :-1] == xs[:, 1:]
+    parent = _sse(float(rn.sum()), float(np.dot(rn, rn)), n)
+    rs = r[order]
+    csum = np.cumsum(rs, axis=1)
+    csum2 = np.cumsum(rs * rs, axis=1)
+    # gain[f, i]: split feature f after sorted position i (left = first
+    # i+1 rows); only between distinct feature values
+    nl = np.arange(1, n)
+    left = _sse(csum[:, :-1], csum2[:, :-1], nl)
+    right = _sse(csum[:, -1:] - csum[:, :-1], csum2[:, -1:] - csum2[:, :-1],
+                 n - nl)
+    gain = parent - left - right
+    gain[ties] = -np.inf
+    # argmax over the feature-major layout returns the first feature, then
+    # the first position, holding the highest gain
+    f, i = divmod(int(np.argmax(gain)), n - 1)
+    best_gain = gain[f, i]
+    if not best_gain > 1e-12:  # require strictly useful splits
+        leaf_of[rows] = value = _leaf_value(rn, K)
+        return {"leaf": value}
+    thr = 0.5 * (xs[f, i] + xs[f, i + 1])
+    gain_sink[f] += best_gain
+    go_left = X[rows, f] <= thr
+    side = np.zeros(X.shape[0], dtype=bool)
+    side[rows[go_left]] = True
+    keep_left = side[order]
+    blocks = (order, xs, None)
+    return {
+        "feature": int(f),
+        "threshold": float(thr),
+        "left": _grow(X, r, rows[go_left], blocks, keep_left,
+                      depth_left - 1, K, gain_sink, leaf_of),
+        "right": _grow(X, r, rows[~go_left], blocks, ~keep_left,
+                       depth_left - 1, K, gain_sink, leaf_of),
+    }
 
 
 def _fit_tree(X: np.ndarray, r: np.ndarray, depth_left: int, K: int,
               gain_sink: np.ndarray) -> dict:
+    """One regression tree on residuals ``r``, its split gains added to
+    ``gain_sink`` by feature."""
     n = r.shape[0]
-    if depth_left == 0 or n < 2 or np.all(r == r[0]):
-        return {"leaf": _leaf_value(r, K)}
-    parent = _sse(float(r.sum()), float(np.dot(r, r)), n)
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    rs = r[order]
-    csum = np.cumsum(rs, axis=0)
-    csum2 = np.cumsum(rs * rs, axis=0)
-    # gain[i, f]: split feature f after sorted position i (left = first
-    # i+1 rows); only between distinct feature values
-    nl = np.arange(1, n)[:, None]
-    left = _sse(csum[:-1], csum2[:-1], nl)
-    right = _sse(csum[-1] - csum[:-1], csum2[-1] - csum2[:-1], n - nl)
-    gain = parent - left - right
-    gain[xs[:-1] == xs[1:]] = -np.inf
-    # argmax over the feature-major flattening returns the first feature,
-    # then the first position, holding the highest gain
-    f, i = divmod(int(np.argmax(gain.T)), n - 1)
-    best_gain = gain[i, f]
-    if not best_gain > 1e-12:  # require strictly useful splits
-        return {"leaf": _leaf_value(r, K)}
-    thr = 0.5 * (xs[i, f] + xs[i + 1, f])
-    gain_sink[f] += best_gain
-    go_left = X[:, f] <= thr
-    return {
-        "feature": int(f),
-        "threshold": float(thr),
-        "left": _fit_tree(X[go_left], r[go_left], depth_left - 1, K, gain_sink),
-        "right": _fit_tree(X[~go_left], r[~go_left], depth_left - 1, K, gain_sink),
-    }
+    return _grow(X, r, np.arange(n), _presort(X), None, depth_left, K,
+                 gain_sink, np.empty(n))
 
 
 def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
@@ -195,14 +236,17 @@ class SkillGradientBoosting:
         trees: list[list[dict]] = []
         losses: list[float] = []
         gains = np.zeros(X.shape[1])
+        blocks, rows, leaf_of = _presort(X), np.arange(n), np.empty(n)
         for _ in range(self.n_estimators):
             P = _softmax(F)
             round_trees = []
             for k in range(K):
                 r = onehot[:, k] - P[:, k]
-                tree = _fit_tree(X, r, self.max_depth, K, gains)
-                round_trees.append(tree)
-                F[:, k] += self.learning_rate * _tree_predict(tree, X)
+                # leaf_of[i] is the value _tree_predict(tree, X)[i] reads:
+                # the walk routes row i by the same <= to the same leaf
+                round_trees.append(_grow(X, r, rows, blocks, None,
+                                         self.max_depth, K, gains, leaf_of))
+                F[:, k] += self.learning_rate * leaf_of
             trees.append(round_trees)
             losses.append(_log_loss(_softmax(F), y_idx))
 
@@ -348,14 +392,21 @@ def _check_trees(trees, classes, n_features, path) -> None:
                           (where + ".left", node["left"])]
 
 
-def predict(model: SkillGradientBoosting, x) -> tuple[SkillLevel, np.ndarray]:
-    """Grade one feature vector; returns (level, class probabilities)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[None, :]
-    proba = model.predict_proba(x)[0]
-    label = model.classes_[int(np.argmax(proba))]
-    return SkillLevel(int(label)), proba
+def predict(model: SkillGradientBoosting, X) -> tuple:
+    """Grade feature vectors with one ``predict_proba`` call.
+
+    A 1-D vector gives (level, class probabilities); a 2-D X gives
+    (one level per row, (n, K) probabilities).  Each row's probabilities
+    are the bits grading it alone gives, since every step of
+    ``predict_proba`` works row by row.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    proba = model.predict_proba(X if X.ndim == 2 else X[None, :])
+    levels = [SkillLevel(int(c))
+              for c in model.classes_[np.argmax(proba, axis=1)]]
+    if X.ndim == 2:
+        return levels, proba
+    return levels[0], proba[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ import pytest
 from microact import cli, io, load_config, pipeline
 from microact.records import (ActionClass, InstrumentClass, Provenance,
                               RefinedTrack, TipCandidateSet)
+from microact.skill import SkillGradientBoosting
 from microact.synth import (ActionSpec, ProcedureScript, generate,
                             paper_shaped_script, write_procedure)
 from microact.tracking import iou, localize_tip
@@ -850,6 +851,22 @@ def test_malformed_model_is_a_diagnostic(tmp_path, base_proc, capsys, text,
     err = capsys.readouterr().err
     assert f"{model}{expect}" in err
     assert "Traceback" not in err
+
+
+def test_model_of_another_width_names_both_files(tmp_path, base_proc,
+                                                  capsys):
+    width = pipeline._skill_rows(base_proc, load_config())[0][3].shape[0]
+    rng = np.random.default_rng(0)
+    model = tmp_path / "m.json"
+    SkillGradientBoosting(n_estimators=2).fit(
+        rng.normal(size=(6, width + 8)), [0, 1, 2] * 2).save(model)
+    before = snapshot(base_proc)
+    assert run_cli("predict-skill", base_proc, "--model", model) == 1
+    err = capsys.readouterr().err
+    assert f"{model}: model fitted on {width + 8} features, but " \
+           f"{base_proc} has {width}" in err
+    assert "Traceback" not in err
+    assert snapshot(base_proc) == before
 
 
 def test_predict_without_model_names_trainer(tmp_path, base_proc, capsys):

@@ -1,15 +1,20 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from microact import ActionClass, SkillLevel
+from microact import ActionClass, SkillLevel, io, load_config, pipeline
 from microact.skill import (
     SkillGradientBoosting,
     _fit_tree,
     _leaf_value,
+    _log_loss,
     _softmax,
     _sse,
+    _tree_predict,
     cross_validate,
     discretize_score,
     predict,
@@ -62,6 +67,74 @@ def fit_tree_scalar(X, r, depth_left, K, gain_sink):
         "left": fit_tree_scalar(X[go_left], r[go_left], depth_left - 1, K, gain_sink),
         "right": fit_tree_scalar(X[~go_left], r[~go_left], depth_left - 1, K, gain_sink),
     }
+
+
+def fit_tree_per_node(X, r, depth_left, K, gain_sink):
+    """The tree grower before the presort: every column stably sorted
+    again at every node, and each child grown on a copy of its rows."""
+    n = r.shape[0]
+    if depth_left == 0 or n < 2 or np.all(r == r[0]):
+        return {"leaf": _leaf_value(r, K)}
+    parent = _sse(float(r.sum()), float(np.dot(r, r)), n)
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    rs = r[order]
+    csum = np.cumsum(rs, axis=0)
+    csum2 = np.cumsum(rs * rs, axis=0)
+    nl = np.arange(1, n)[:, None]
+    left = _sse(csum[:-1], csum2[:-1], nl)
+    right = _sse(csum[-1] - csum[:-1], csum2[-1] - csum2[:-1], n - nl)
+    gain = parent - left - right
+    gain[xs[:-1] == xs[1:]] = -np.inf
+    f, i = divmod(int(np.argmax(gain.T)), n - 1)
+    best_gain = gain[i, f]
+    if not best_gain > 1e-12:
+        return {"leaf": _leaf_value(r, K)}
+    thr = 0.5 * (xs[i, f] + xs[i + 1, f])
+    gain_sink[f] += best_gain
+    go_left = X[:, f] <= thr
+    return {
+        "feature": int(f),
+        "threshold": float(thr),
+        "left": fit_tree_per_node(X[go_left], r[go_left], depth_left - 1, K,
+                                  gain_sink),
+        "right": fit_tree_per_node(X[~go_left], r[~go_left], depth_left - 1,
+                                   K, gain_sink),
+    }
+
+
+def fit_per_node(X, y, **hyper):
+    """``SkillGradientBoosting.fit`` before the presort: trees from
+    ``fit_tree_per_node``, and scores updated by walking each tree."""
+    model = SkillGradientBoosting(**hyper)
+    X = np.asarray(X, dtype=np.float64)
+    classes, y_idx = np.unique(y, return_inverse=True)
+    n, K = X.shape[0], classes.shape[0]
+    onehot = np.zeros((n, K))
+    onehot[np.arange(n), y_idx] = 1.0
+    F = np.zeros((n, K))
+    trees, losses, gains = [], [], np.zeros(X.shape[1])
+    for _ in range(model.n_estimators):
+        P = _softmax(F)
+        round_trees = []
+        for k in range(K):
+            tree = fit_tree_per_node(X, onehot[:, k] - P[:, k],
+                                     model.max_depth, K, gains)
+            round_trees.append(tree)
+            F[:, k] += model.learning_rate * _tree_predict(tree, X)
+        trees.append(round_trees)
+        losses.append(_log_loss(_softmax(F), y_idx))
+    model.classes_, model.trees_ = classes, trees
+    model.train_log_loss_ = np.asarray(losses)
+    model.n_features_in_ = X.shape[1]
+    total = gains.sum()
+    model.feature_importances_ = (gains / total if total > 0 else
+                                  np.full(X.shape[1], 1.0 / X.shape[1]))
+    return model
+
+
+def model_bytes(model) -> str:
+    return json.dumps(model.to_dict(), sort_keys=True)
 
 
 def tie_heavy_case(seed):
@@ -210,6 +283,101 @@ class TestTraining:
         assert np.allclose(model.feature_importances_, 1 / 3)
 
 
+@st.composite
+def tree_cases(draw):
+    """(X, r, K): tie_heavy_case data, or random columns with ties, all-tie
+    columns, constant residuals and fewer than two rows mixed in."""
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    if draw(st.booleans()):
+        return tie_heavy_case(seed)
+    rng = np.random.default_rng(seed)
+    n, d = draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    K = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        X = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)) * 0.5
+    else:
+        X = rng.normal(size=(n, d))
+    X[:, rng.random(d) < 0.3] = draw(st.sampled_from([-1.0, 0.0, 2.5]))
+    if draw(st.booleans()):
+        r = np.full(n, draw(st.sampled_from([-0.5, 0.0, 1.0 / 3.0])))
+    else:
+        r = (rng.integers(0, K, size=n) == 0) - rng.random(n) / K
+    return X, r, K
+
+
+class TestPresortAgainstPerNode:
+    @settings(max_examples=300, deadline=None)
+    @given(case=tree_cases(), depth=st.integers(1, 4))
+    def test_tree_and_gains(self, case, depth):
+        X, r, K = case
+        sink, expect_sink = np.zeros(X.shape[1]), np.zeros(X.shape[1])
+        tree = _fit_tree(X, r, depth, K, sink)
+        assert json.dumps(tree) == json.dumps(
+            fit_tree_per_node(X, r, depth, K, expect_sink))
+        assert sink.tobytes() == expect_sink.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=tree_cases(), depth=st.integers(1, 4),
+           rounds=st.integers(0, 6))
+    def test_fit(self, case, depth, rounds):
+        X, r, K = case
+        if X.shape[0] < 2:
+            return
+        y = (np.arange(X.shape[0]) + (r > 0)) % K
+        y[:2] = 0, 1
+        hyper = {"n_estimators": rounds, "max_depth": depth}
+        assert model_bytes(SkillGradientBoosting(**hyper).fit(X, y)) == \
+            model_bytes(fit_per_node(X, y, **hyper))
+
+
+README_PROCS = ((SkillLevel.POOR, 10), (SkillLevel.POOR, 11),
+                (SkillLevel.MODERATE, 12), (SkillLevel.MODERATE, 13),
+                (SkillLevel.GOOD, 14), (SkillLevel.GOOD, 15))
+
+
+def default_config(seed, **sections):
+    return load_config(environ={}, overrides={"seed": seed, **sections})
+
+
+@pytest.fixture(scope="module")
+def readme_procs(tmp_path_factory):
+    """The README's six level-preset 5 fps procedures, every stage run."""
+    base = tmp_path_factory.mktemp("readme")
+    dirs = []
+    for level, seed in README_PROCS:
+        d = base / f"{level.name.lower()}{seed}"
+        pipeline.stage_synth(d, default_config(seed), level=level)
+        pipeline.run_all(d, default_config(0))
+        dirs.append(d)
+    return dirs
+
+
+def training_set(dirs, monkeypatch, tmp_path):
+    """The X and y ``train_skill`` fits on ``dirs``."""
+    seen = []
+    fit = SkillGradientBoosting.fit
+
+    def recording(self, X, y):
+        seen.append((X, y))
+        return fit(self, X, y)
+
+    monkeypatch.setattr(SkillGradientBoosting, "fit", recording)
+    pipeline.train_skill(dirs, default_config(0, skill={"n_estimators": 1}),
+                         tmp_path / "m.json")
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_readme_fit_at_200_rounds_is_the_per_node_model(readme_procs,
+                                                        monkeypatch,
+                                                        tmp_path):
+    X, y = training_set(readme_procs, monkeypatch, tmp_path)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    SkillGradientBoosting(n_estimators=200, random_state=0).fit(X, y).save(got)
+    fit_per_node(X, y, n_estimators=200, random_state=0).save(want)
+    assert got.read_bytes() == want.read_bytes()
+
+
 class TestPredict:
     def test_empty_ensemble_uniform_and_poor(self):
         X = np.zeros((6, 2))
@@ -243,6 +411,91 @@ class TestPredict:
     def test_unfitted_raises(self):
         with pytest.raises(AttributeError):
             SkillGradientBoosting().predict(np.zeros((1, 2)))
+
+
+def grade_per_row(proc_dir, cfg, model_path) -> dict:
+    """What ``predict_skill`` wrote when it graded one row per call."""
+    model = SkillGradientBoosting.load(model_path)
+    per_segment, by_action = [], {}
+    for index, action, rep, vec in pipeline._skill_rows(proc_dir, cfg):
+        level, proba = predict(model, vec)
+        per_segment.append({
+            "segment_index": index, "action": action.value,
+            "repetition": rep, "level": str(level),
+            "proba": {str(SkillLevel(c)): float(p)
+                      for c, p in zip(model.classes_, proba)}})
+        by_action.setdefault(action.value, []).append(int(level))
+    summary = {}
+    for action, levels in sorted(by_action.items()):
+        votes = sorted(((levels.count(v), -v) for v in set(levels)),
+                       reverse=True)
+        summary[action] = {"level": str(SkillLevel(-votes[0][1])),
+                           "n_segments": len(levels)}
+    return {"segments": per_segment, "summary": summary}
+
+
+@pytest.fixture(scope="module")
+def readme_model(readme_procs, tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    pipeline.train_skill(readme_procs,
+                         default_config(0, skill={"n_estimators": 20}), path)
+    return path
+
+
+def counted_grading(monkeypatch) -> list:
+    """The row counts of the ``skill.predict`` calls ``predict_skill``
+    makes."""
+    calls, grade = [], pipeline.skill_predict
+
+    def counting(model, X):
+        calls.append(np.shape(X)[0])
+        return grade(model, X)
+
+    monkeypatch.setattr(pipeline, "skill_predict", counting)
+    return calls
+
+
+class TestGrading:
+    def test_one_call_per_procedure_with_per_row_bytes(
+            self, readme_procs, readme_model, monkeypatch, tmp_path):
+        calls = counted_grading(monkeypatch)
+        cfg = default_config(0)
+        for i, d in enumerate(readme_procs):
+            out = pipeline.predict_skill(d, cfg, readme_model)
+            assert len(calls) == i + 1
+            assert calls[-1] == len(out["segments"]) > 0
+            want = tmp_path / f"want{i}.json"
+            io._write_json(want, grade_per_row(d, cfg, readme_model))
+            assert (d / "skill_predictions.json").read_bytes() == \
+                want.read_bytes()
+
+    def test_no_rated_segment_writes_the_empty_result(
+            self, readme_procs, readme_model, monkeypatch, tmp_path):
+        d = tmp_path / "p"
+        shutil.copytree(readme_procs[0], d)
+        # with K other than 4 the clusters get no action names
+        cfg = default_config(0, clustering={"n_clusters": 3})
+        pipeline.stage_cluster(d, cfg)
+        assert pipeline._skill_rows(d, cfg) == []
+        calls = counted_grading(monkeypatch)
+        assert pipeline.predict_skill(d, cfg, readme_model) == \
+            {"segments": [], "summary": {}}
+        assert calls == []
+        want = tmp_path / "want.json"
+        io._write_json(want, {"segments": [], "summary": {}})
+        assert (d / "skill_predictions.json").read_bytes() == \
+            want.read_bytes()
+
+    def test_rows_graded_together_as_one_by_one(self):
+        X, y = separable_dataset(gap=1.0, seed=2)
+        model = SkillGradientBoosting(n_estimators=15).fit(X, y)
+        Xq = np.random.default_rng(3).normal(size=(40, X.shape[1])) * 3
+        levels, proba = predict(model, Xq)
+        assert proba.shape == (40, 3)
+        for x, level, p in zip(Xq, levels, proba):
+            one_level, one_p = predict(model, x)
+            assert level == one_level
+            assert p.tobytes() == one_p.tobytes()
 
 
 class TestSerialization:
