@@ -101,12 +101,9 @@ def segment_features(X: np.ndarray, mask: np.ndarray,
 class ClusterModel:
     """Fitted K-means state: centroids, assignments, and the objective."""
 
-    K: int
     centroids: np.ndarray     # (K, p)
     assignments: np.ndarray   # (n,)
     inertia: float
-    seed: int
-    restarts: int
     n_iter: int
 
 
@@ -204,9 +201,8 @@ def kmeans(F, K: int, *, seed: int = 0, restarts: int = 10,
     inertia, centers, labels_sorted, n_iter = best
     labels = np.empty(n, dtype=np.int64)
     labels[order] = labels_sorted
-    return ClusterModel(K=K, centroids=centers, assignments=labels,
-                        inertia=inertia, seed=seed, restarts=restarts,
-                        n_iter=n_iter)
+    return ClusterModel(centroids=centers, assignments=labels,
+                        inertia=inertia, n_iter=n_iter)
 
 
 def frame_clusters(segments: Sequence[Segment], assignments: Sequence[int],

@@ -45,6 +45,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .records import (
+    RATED_ACTIONS,
     ActionClass,
     BBox,
     Detection,
@@ -129,9 +130,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-_json_line = json.JSONEncoder(sort_keys=True, separators=(", ", ": ")).encode
-
-
 def _not_utf8(path: PathLike, exc: UnicodeDecodeError,
               raw: Optional[bytes] = None) -> ParseError:
     """The ParseError for text file ``path`` (whose bytes are ``raw``, when
@@ -197,7 +195,7 @@ def temp_path(path: PathLike, pid: int) -> Path:
 
 def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
     with atomic_write(path) as fh:
-        fh.writelines(_json_line(rec) + "\n" for rec in records)
+        fh.writelines(_json_flat(rec) + "\n" for rec in records)
 
 
 def _text(raw: bytes) -> TextIOWrapper:
@@ -378,18 +376,12 @@ def _bbox_of(rec: dict) -> BBox:
 # detections
 
 
-def load_detections(path: PathLike, *, strict_order: bool = False) -> list[Detection]:
+def load_detections(path: PathLike) -> list[Detection]:
     """Read a line-delimited detection file.
 
     Each line is a JSON object ``{frame, class, x, y, w, h, conf,
     appearance?}``.  The returned stream is sorted by frame index with a
     stable sort, so duplicate (frame, box) records keep their file order.
-
-    Parameters
-    ----------
-    path : file to read
-    strict_order : when True, frames out of order in the file raise
-        instead of being stabilized by the sort.
 
     Raises
     ------
@@ -397,17 +389,7 @@ def load_detections(path: PathLike, *, strict_order: bool = False) -> list[Detec
         On malformed JSON, unknown class names, bound violations, or a
         non-unit appearance vector; the message carries the line number.
     """
-    prev_frame = None
-
-    def parse(rec: dict) -> Detection:
-        nonlocal prev_frame
-        det = _detection_from_record(rec)
-        if strict_order and prev_frame is not None and det.frame < prev_frame:
-            raise ValueError(f"frame {det.frame} after frame {prev_frame} (non-monotone)")
-        prev_frame = det.frame
-        return det
-
-    out = _read_jsonl(path, parse)
+    out = _read_jsonl(path, _detection_from_record)
     out.sort(key=lambda d: d.frame)  # stable: preserves in-frame order
     return out
 
@@ -453,20 +435,6 @@ class StreamReport:
     frame_range: Optional[tuple[int, int]] = None
     gaps: list[tuple[int, int]] = field(default_factory=list)  # (after_frame, length)
     anomalies: list[str] = field(default_factory=list)
-
-    def __str__(self) -> str:
-        lines = [
-            f"records: {self.n_records}",
-            f"frames with detections: {self.n_frames}",
-            f"frame range: {self.frame_range}",
-            f"gaps: {len(self.gaps)}",
-        ]
-        for after, length in self.gaps:
-            lines.append(f"  gap of {length} after frame {after}")
-        lines.append(f"anomalies: {len(self.anomalies)}")
-        for a in self.anomalies:
-            lines.append(f"  {a}")
-        return "\n".join(lines)
 
 
 def validate_stream(stream: Sequence[Detection]) -> StreamReport:
@@ -655,21 +623,24 @@ def load_labels(path: PathLike) -> list[ActionClass]:
     return [a for _, a in rows]
 
 
+SCORES_HEADER = ["procedure_id", "action_type", "score"]
+
+
 def save_scores(scores: Iterable[SkillScore], path: PathLike) -> None:
-    _write_csv(path, ["procedure_id", "action_type", "score"],
+    _write_csv(path, SCORES_HEADER,
                ([s.procedure_id, s.action_type.value, _fmt(s.score)] for s in scores))
 
 
 def load_scores(path: PathLike) -> list[SkillScore]:
     def parse(row: list[str]) -> SkillScore:
         action, score = ActionClass(row[1]), float(row[2])
-        if action not in (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING):
+        if action not in RATED_ACTIONS:
             raise ValueError(f"scores not defined for action {action}")
         if not 1.0 <= score <= 5.0:
             raise ValueError(f"score {score} outside [1, 5]")
         return SkillScore(procedure_id=row[0], action_type=action, score=score)
 
-    return _read_csv(path, ["procedure_id", "action_type", "score"], parse)[1]
+    return _read_csv(path, SCORES_HEADER, parse)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1011,18 +982,31 @@ def load_novelty(path: PathLike) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
+BOUNDARIES_HEADER = ["tau", "prominence"]
+
+
 def save_boundaries(taus: Sequence[int], prominences: Sequence[float],
                     path: PathLike) -> None:
     if len(taus) != len(prominences):
         raise ValueError("taus and prominences differ in length")
-    _write_csv(path, ["tau", "prominence"],
+    _write_csv(path, BOUNDARIES_HEADER,
                ([int(tau), _fmt(prom)] for tau, prom in zip(taus, prominences)))
 
 
 def load_boundaries(path: PathLike) -> tuple[list[int], list[float]]:
-    _, rows = _read_csv(path, ["tau", "prominence"],
-                        lambda row: (int(row[0]), float(row[1])))
-    return [tau for tau, _ in rows], [prom for _, prom in rows]
+    """(taus, prominences); each tau is >= 1 and above the tau before it."""
+    taus: list[int] = []
+    proms: list[float] = []
+
+    def parse(row: list[str]) -> None:
+        tau, prev = int(row[0]), taus[-1] if taus else 0
+        if tau <= prev:
+            raise ValueError(f"boundary {tau} is not above {prev}")
+        proms.append(float(row[1]))
+        taus.append(tau)
+
+    _read_csv(path, BOUNDARIES_HEADER, parse)
+    return taus, proms
 
 
 SEGMENTS_HEADER = ["index", "start_frame", "end_frame", "cluster", "action",
@@ -1037,10 +1021,28 @@ def save_segments(rows: Sequence[dict], path: PathLike) -> None:
 
 
 def load_segments(path: PathLike) -> list[dict]:
-    return _read_csv(path, SEGMENTS_HEADER, lambda row: {
-        "index": int(row[0]), "start_frame": int(row[1]), "end_frame": int(row[2]),
-        "cluster": int(row[3]), "action": row[4], "duration_s": float(row[5]),
-    })[1]
+    """The segments, which tile the frames from 0: row i has index i,
+    starts where row i - 1 ends (row 0 at frame 0) and ends after it starts."""
+    rows: list[dict] = []
+
+    def parse(row: list[str]) -> None:
+        seg = {"index": int(row[0]), "start_frame": int(row[1]),
+               "end_frame": int(row[2]), "cluster": int(row[3]),
+               "action": row[4], "duration_s": float(row[5])}
+        start = rows[-1]["end_frame"] if rows else 0
+        if seg["index"] != len(rows):
+            raise ValueError(f"index {seg['index']} where index {len(rows)} "
+                             f"belongs")
+        if seg["start_frame"] != start:
+            raise ValueError(f"start_frame {seg['start_frame']} where the "
+                             f"segments reach frame {start}")
+        if seg["end_frame"] <= start:
+            raise ValueError(f"end_frame {seg['end_frame']} is not after "
+                             f"start_frame {start}")
+        rows.append(seg)
+
+    _read_csv(path, SEGMENTS_HEADER, parse)
+    return rows
 
 
 # ---------------------------------------------------------------------------

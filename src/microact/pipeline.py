@@ -42,8 +42,8 @@ from .clustering import (Segment, boundaries_to_segments, frame_clusters,
 from .config import SCHEMA_VERSION, PipelineConfig
 from .kinematics import KinematicFeatureExtractor
 from .metrics import boundary_metrics, frame_metrics
-from .records import (ActionClass, InstrumentClass, Provenance,
-                      SkillLevel, TipTrajectory)
+from .records import (RATED_ACTIONS, ActionClass, InstrumentClass,
+                      Provenance, SkillLevel, TipTrajectory)
 from .segmentation import NoveltyBoundaryDetector, enhance, ssm
 from .skill import (SkillGradientBoosting, cross_validate, discretize_score,
                     predict as skill_predict, skill_feature_vector)
@@ -51,10 +51,6 @@ from .synth import (SLOPPINESS_BY_LEVEL, generate, paper_shaped_script,
                     write_procedure)
 from .tracking import (InstrumentTracker, frame_pairs, iou_pairs, localize_tip,
                        recovery_correction_rates, refine_identity)
-
-# action types that receive expert scores; skill training and prediction
-# are restricted to segments of these classes
-RATED_ACTIONS = (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING)
 
 
 class MissingInput(FileNotFoundError):
@@ -456,6 +452,11 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
 def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Feature matrix -> novelty curve -> boundary frames."""
     X, _ = _load(proc_dir, "features", memo)
+    if not len(X):
+        raise ValueError(
+            f"{_path(proc_dir, 'features')}: no feature rows, so the "
+            "'segment' stage has nothing to compute (written by the "
+            "'features' stage)")
     g = cfg.segmentation
     det = NoveltyBoundaryDetector(
         half_width=g.half_width, sigma=g.sigma,
@@ -490,6 +491,11 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     sidecar = _load(proc_dir, "features_meta", memo)
     eff_fps = float(sidecar["effective_fps"])
     c = cfg.clustering
+    if taus and taus[-1] >= X.shape[0]:
+        raise ValueError(
+            f"{_path(proc_dir, 'boundaries')}: boundary {taus[-1]} is not "
+            f"inside the {X.shape[0]} frames of features.csv (written by "
+            "the 'segment' stage)")
     segments = boundaries_to_segments(taus, X.shape[0], eff_fps)
     F = segment_features(X, mask, segments, mask_weight=c.mask_weight)
     k = min(c.n_clusters, len(segments))
@@ -780,7 +786,7 @@ def _preview_rows(S: np.ndarray) -> list:
 def _ssm_preview(X: np.ndarray, max_side: int = 256) -> dict:
     stride = max(1, math.ceil(X.shape[0] / max_side))
     S = ssm(X[::stride])
-    enhance(S, inplace=True)
+    enhance(S)
     return {"stride": stride, "values": _preview_rows(S)}
 
 

@@ -39,6 +39,11 @@ class ActionClass(str, enum.Enum):
         return self.value
 
 
+# the action types that receive expert scores; skill training and
+# prediction are restricted to segments of these classes
+RATED_ACTIONS = (ActionClass.NEEDLE_DRIVING, ActionClass.KNOT_TYING)
+
+
 class SkillLevel(enum.IntEnum):
     """Ordinal grade; lower is worse."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -130,19 +130,15 @@ def ssm_band(X, h: int) -> SelfSimilarityBand:
     return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 
-def enhance(S: Union[np.ndarray, SelfSimilarityBand], *, inplace: bool = False):
-    """Contrast enhancement: elementwise square, S' = S**2."""
-    if isinstance(S, SelfSimilarityBand):
-        data = S.band if inplace else S.band.copy()
-        np.square(data, out=data)
-        if inplace:
-            return S
-        return SelfSimilarityBand(T=S.T, half_width=S.half_width, band=data)
-    arr = np.asarray(S, dtype=np.float64)
-    if inplace and isinstance(S, np.ndarray) and S.dtype == np.float64:
-        np.square(S, out=S)
-        return S
-    return np.square(arr)
+def enhance(S: SelfSimilarityBand | np.ndarray):
+    """Contrast enhancement in place: elementwise square, S' = S**2.
+
+    Squares the values of a :class:`SelfSimilarityBand` or of a float64
+    matrix and returns its argument.
+    """
+    data = S.band if isinstance(S, SelfSimilarityBand) else S
+    np.square(data, out=data)
+    return S
 
 
 @dataclass
@@ -177,34 +173,20 @@ def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
     return CheckerboardKernel(half_width=h, sigma=sigma, w=w)
 
 
-def _as_band(S: Union[np.ndarray, SelfSimilarityBand],
-             h: int) -> SelfSimilarityBand:
-    if isinstance(S, SelfSimilarityBand):
-        return S
-    S = np.asarray(S, dtype=np.float64)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix or band, got shape {S.shape}")
-    T = S.shape[0]
-    bw = 2 * h
-    band = np.zeros((T, 2 * bw + 1), dtype=np.float64)
-    for o in range(0, min(bw, T - 1) + 1):
-        d = np.diagonal(S, offset=o)
-        band[: T - o, bw + o] = d
-        band[o:, bw - o] = np.diagonal(S, offset=-o)
-    return SelfSimilarityBand(T=T, half_width=h, band=band)
-
-
-def novelty(S_enh: Union[np.ndarray, SelfSimilarityBand],
+def novelty(band: SelfSimilarityBand,
             kernel: CheckerboardKernel) -> np.ndarray:
-    """Checkerboard novelty N(t) = sum_ij W(i,j) S'(t+i, t+j).
+    """Checkerboard novelty N(t) = sum_ij W(i,j) S'(t+i, t+j) over an
+    enhanced band, ``enhance(ssm_band(X, h))``.
 
     Computed for t in [h, T-h); exactly zero elsewhere.  The kernel is
     separable (W = w w^T), so the double sum collapses to one banded
     matrix product plus a diagonal gather, which keeps the cost at
     O(T * h^2) multiply-adds in BLAS rather than Python loops.
     """
+    if not isinstance(band, SelfSimilarityBand):
+        raise TypeError(f"novelty takes the SelfSimilarityBand of ssm_band, "
+                        f"not {type(band).__name__}")
     h = kernel.half_width
-    band = _as_band(S_enh, h)
     if band.half_width < h:
         raise ValueError(
             f"band half-width {band.half_width} narrower than kernel h={h}")
@@ -378,7 +360,7 @@ class NoveltyBoundaryDetector:
         self.sigma_ = float(self.sigma) if self.sigma is not None else h / 2.0
         kernel = make_kernel(h, self.sigma_)
         band = ssm_band(X, h)
-        enhance(band, inplace=True)
+        enhance(band)
         self.novelty_ = novelty(band, kernel)
         peak = float(np.max(np.abs(self.novelty_))) if len(self.novelty_) else 0.0
         if peak < self.novelty_floor:

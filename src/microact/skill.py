@@ -148,15 +148,6 @@ def _grow(X: np.ndarray, r: np.ndarray, rows: np.ndarray, blocks: tuple,
     }
 
 
-def _fit_tree(X: np.ndarray, r: np.ndarray, depth_left: int, K: int,
-              gain_sink: np.ndarray) -> dict:
-    """One regression tree on residuals ``r``, its split gains added to
-    ``gain_sink`` by feature."""
-    n = r.shape[0]
-    return _grow(X, r, np.arange(n), _presort(X), None, depth_left, K,
-                 gain_sink, np.empty(n))
-
-
 def _tree_predict(tree: dict, X: np.ndarray) -> np.ndarray:
     out = np.empty(X.shape[0], dtype=np.float64)
     # iterative stack walk; trees are depth <= 3 so recursion depth is no

@@ -84,7 +84,6 @@ class ProcedureScript:
     dropout_max_run: int = 5    # longest removed run, frames
     mislabel_rate: float = 0.0  # fraction of detection-frames class-flipped
     sloppiness: float = 0.0     # 0 clean .. 1 tremulous; also jitters durations
-    emit_appearance: bool = True
 
     def __post_init__(self):
         if not self.steps:
@@ -321,10 +320,8 @@ def generate(script: ProcedureScript,
                 bx += rng.normal(0, script.noise)
                 by += rng.normal(0, script.noise)
             emitted_cls = mislabel_by_slot[slot].get(f, cls)
-            app = None
-            if script.emit_appearance:
-                a = app_base[slot] + 0.05 * rng.normal(size=APPEARANCE_DIM)
-                app = a / np.linalg.norm(a)
+            a = app_base[slot] + 0.05 * rng.normal(size=APPEARANCE_DIM)
+            app = a / np.linalg.norm(a)
             detections.append(Detection(frame=f, class_id=emitted_cls,
                                         bbox=(bx, by, bw, bh),
                                         confidence=float(rng.uniform(0.6, 1.0)),

@@ -275,7 +275,6 @@ class TrackState:
     object_id: int
     class_id: InstrumentClass
     kalman: KalmanState
-    age: int = 0
     misses: int = 0
     hits: int = 0
     appearance: Optional[np.ndarray] = None
@@ -330,7 +329,6 @@ class InstrumentTracker:
              ) -> list[TrackObservation]:
         for t in self.tracks:
             t.kalman = kalman_predict(t.kalman)
-            t.age += 1
 
         det_boxes = [d.bbox for d in detections]
         det_apps = [d.appearance for d in detections]

@@ -71,7 +71,7 @@ def test_criterion_1_zero_novelty_on_constant_input(announce):
     t0 = time.perf_counter()
     worst = 0.0
     for h in (10, 30, 100):
-        band = enhance(ssm_band(X, h), inplace=True)
+        band = enhance(ssm_band(X, h))
         N = novelty(band, make_kernel(h, h / 2.0))
         worst = max(worst, float(np.max(np.abs(N))))
     dt = time.perf_counter() - t0
@@ -90,8 +90,7 @@ def test_criterion_2_banded_novelty_matches_naive(announce):
         sigma = float(rng.uniform(0.5, h)) if h > 1 else 0.5
         X = rng.normal(size=(T, d))
         expect = novelty_quadruple_loop(enhance(ssm(X)), h, sigma)
-        got = novelty(enhance(ssm_band(X, h), inplace=True),
-                      make_kernel(h, sigma))
+        got = novelty(enhance(ssm_band(X, h)), make_kernel(h, sigma))
         worst = max(worst, float(np.max(np.abs(got - expect))))
     dt = time.perf_counter() - t0
     announce(2, worst <= 1e-12 and dt < 10.0,

@@ -6,13 +6,16 @@ artifact contract rather than any one module.
 """
 
 import argparse
+import ast
 import contextlib
 import dataclasses
 import importlib.util
+import inspect
 import json
 import multiprocessing
 import os
 import shutil
+import textwrap
 import time
 from pathlib import Path
 
@@ -71,17 +74,52 @@ def test_every_loader_name_is_an_io_function():
             assert loader.startswith("load_"), key
 
 
+def hook_keys(hook, module) -> set:
+    """The argument names a tracer count hook ``hook(tr, a, res)`` reads
+    from ``a``, by ``a["name"]`` or ``a.get("name")``, and those read by
+    any hook of ``module`` it calls with ``(tr, a, res)``.  Any other use of
+    ``a`` fails the assertion inside."""
+    params = list(inspect.signature(hook).parameters)
+    a = params[1]
+    nodes = list(ast.walk(ast.parse(textwrap.dedent(inspect.getsource(hook)))))
+    keys, read = set(), set()
+    for node in nodes:
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id == a and isinstance(node.slice, ast.Constant)):
+            keys.add(node.slice.value)
+            read.add(node.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and node.func.value.id == a and node.func.attr == "get"
+              and isinstance(node.args[0], ast.Constant)):
+            keys.add(node.args[0].value)
+            read.add(node.func.value)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and [ast.unparse(x) for x in node.args] == params):
+            keys |= hook_keys(getattr(module, node.func.id), module)
+            read.add(node.args[1])
+    uses = {n for n in nodes if isinstance(n, ast.Name) and n.id == a}
+    assert uses == read, f"{hook.__name__} reads {a} another way"
+    return keys
+
+
 def test_every_tracer_patch_point_resolves():
     # perfbench's tracer wraps these names from outside the package, so a
-    # rename under src/ would leave its --trace 1 run blind
+    # rename under src/ would leave its --trace 1 run blind, and its count
+    # hooks read the wrapped call's arguments by name, so a renamed
+    # parameter would raise KeyError there
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
     assert tracer.POINTS
-    for name, (target, _) in tracer.POINTS.items():
+    for name, (target, hook) in tracer.POINTS.items():
         _, _, original = tracer.resolve(target)
         assert callable(original), name
+        if hook is not None:
+            missing = (hook_keys(hook, tracer)
+                       - set(inspect.signature(original).parameters))
+            assert not missing, (name, missing)
 
 
 def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
@@ -98,6 +136,47 @@ def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
         assert err.startswith(f"error: {d / name}:3: bad row ")
         assert err.endswith(f" (written by the '{producer}' stage)\n")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("stage", ["eval", "report"])
+@pytest.mark.parametrize("damage", ["end-before-start", "overlap"])
+def test_segments_that_do_not_tile_name_the_cluster_stage(
+        tmp_path, base_proc, capsys, stage, damage):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    lines = (d / "segments.csv").read_text().splitlines()
+    row = lines[2].split(",")
+    if damage == "end-before-start":
+        row[2] = str(int(row[1]) - 2)
+    else:
+        row[1] = str(int(row[1]) - 1)
+    lines[2] = ",".join(row)
+    (d / "segments.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli(stage, d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'segments.csv'}:3: bad row ")
+    assert err.endswith(" (written by the 'cluster' stage)\n")
+    assert "Traceback" not in err
+
+
+def test_boundaries_out_of_order_or_range_name_the_file(tmp_path, base_proc,
+                                                        capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    lines = (d / "boundaries.csv").read_text().splitlines()
+    assert len(lines) > 2
+    (d / "boundaries.csv").write_text(
+        "\n".join([lines[0], lines[2], lines[1]] + lines[3:]) + "\n")
+    assert run_cli("cluster", d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'boundaries.csv'}:3: bad row ")
+    assert err.endswith(" (written by the 'segment' stage)\n")
+    n_rows = len(io.load_matrix(d / "features.csv")[0])
+    (d / "boundaries.csv").write_text(f"{lines[0]}\n{n_rows},0.5\n")
+    assert run_cli("cluster", d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'boundaries.csv'}: boundary {n_rows} ")
+    assert "Traceback" not in err
 
 
 def test_field_over_the_csv_limit_is_a_diagnostic(tmp_path, base_proc,
@@ -723,6 +802,19 @@ def test_empty_detections_name_the_features_stage(tmp_path, capsys):
     assert run_cli("run-all", d) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {d / 'tips.csv'}: ")
+    assert "'features' stage" in err
+    assert "Traceback" not in err
+
+
+def test_empty_feature_matrix_names_the_features_stage(tmp_path, base_proc,
+                                                       capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    header = (d / "features.csv").read_text().splitlines()[0]
+    (d / "features.csv").write_text(header + "\n")
+    assert run_cli("segment", d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {d / 'features.csv'}: ")
     assert "'features' stage" in err
     assert "Traceback" not in err
 

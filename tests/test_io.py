@@ -94,15 +94,13 @@ class TestLoadDetections:
             load_detections(p)
         assert exc.value.line_no == 2
 
-    def test_strict_order_rejects_non_monotone(self, tmp_path):
+    def test_frames_out_of_order_are_sorted(self, tmp_path):
         p = tmp_path / "dets.jsonl"
         lines = [
             '{"frame": 5, "class": "needle", "x": 0, "y": 0, "w": 5, "h": 5, "conf": 0.5}',
             '{"frame": 2, "class": "needle", "x": 0, "y": 0, "w": 5, "h": 5, "conf": 0.5}',
         ]
         p.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ParseError, match="non-monotone"):
-            load_detections(p, strict_order=True)
         assert [d.frame for d in load_detections(p)] == [2, 5]
 
     def test_unknown_class_rejected(self, tmp_path):
@@ -397,6 +395,9 @@ CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
          '"descriptor": [0.0, 1.0]}, {"x": 1, "y": 1, "descriptor": [1.0, 0.0]}]}')
 
 
+SEGMENTS = "index,start_frame,end_frame,cluster,action,duration_s\n"
+
+
 @pytest.mark.parametrize("load, text, line_no", [
     (load_matrix, "a,b\n1.0,2.0\n3.0\n", 3),
     (load_matrix, "a,b\n1.0,abc\n", 2),
@@ -406,8 +407,14 @@ CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
     (load_boundaries, "tau,prominence\n" + "0" * 140_000 + "10,0.5\n", 2),
     (load_novelty, "frame,N\n0,0.5\n\n2\n", 4),
     (load_boundaries, "tau,prominence\n10,0.5\nx,0.1\n", 3),
-    (load_segments, "index,start_frame,end_frame,cluster,action,duration_s\n"
-                    "0,0,50,2\n", 2),
+    (load_segments, SEGMENTS + "0,0,50,2\n", 2),
+    (load_segments, SEGMENTS + "0,0,5,0,Cutting,1.0\n1,5,3,0,Cutting,0.4\n", 3),
+    (load_segments, SEGMENTS + "0,0,5,0,Cutting,1.0\n1,4,9,0,Cutting,1.0\n", 3),
+    (load_segments, SEGMENTS + "0,0,5,0,Cutting,1.0\n2,5,9,0,Cutting,0.8\n", 3),
+    (load_segments, SEGMENTS + "0,1,5,0,Cutting,0.8\n", 2),
+    (load_boundaries, "tau,prominence\n10,0.5\n5,0.1\n", 3),
+    (load_boundaries, "tau,prominence\n10,0.5\n10,0.1\n", 3),
+    (load_boundaries, "tau,prominence\n0,0.5\n", 2),
     (load_truth_instances, TRUTH + "\n" + TRUTH.replace('"x": 0', '"x": [0]') + "\n", 2),
     (load_track_rows, TRACK_ROW.replace('"x": 0', '"x": [0, 1]') + "\n", 1),
     (load_tip_candidates, CANDS + "\n" + CANDS.replace("[1.0, 0.0]", "[1.0]")
@@ -416,7 +423,10 @@ CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
      + "\n" + CANDS + "\n", 3),
 ], ids=["matrix-truncated", "matrix-non-numeric", "matrix-field-too-long",
         "boundaries-field-too-long", "novelty-truncated",
-        "boundaries-non-numeric", "segments-truncated", "truth-list-x",
+        "boundaries-non-numeric", "segments-truncated",
+        "segments-end-before-start", "segments-overlap", "segments-index-gap",
+        "segments-not-from-0", "boundaries-out-of-order",
+        "boundaries-repeated", "boundaries-at-0", "truth-list-x",
         "track-rows-list-x", "candidates-descriptor-length",
         "candidates-repeated-key"])
 def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):

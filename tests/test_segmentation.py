@@ -292,28 +292,27 @@ class TestEnhance:
     def test_random_equals_square_oracle(self):
         rng = np.random.default_rng(9)
         S = rng.uniform(-1, 1, size=(10, 10))
-        assert np.array_equal(enhance(S), S * S)
+        assert np.array_equal(enhance(S.copy()), S * S)
 
     def test_sign_erasing(self):
         rng = np.random.default_rng(10)
         S = rng.uniform(-1, 1, size=(6, 6))
-        assert np.array_equal(enhance(S), enhance(-S))
+        assert np.array_equal(enhance(S.copy()), enhance(-S))
 
     def test_band_inplace(self):
         X = np.random.default_rng(2).normal(size=(20, 3))
         band = ssm_band(X, 3)
         vals = band.band.copy()
-        out = enhance(band, inplace=True)
+        out = enhance(band)
         assert out is band
         assert np.array_equal(band.band, vals * vals)
 
-    def test_band_copy_leaves_original(self):
-        X = np.random.default_rng(2).normal(size=(20, 3))
-        band = ssm_band(X, 3)
-        vals = band.band.copy()
-        out = enhance(band)
-        assert out is not band
-        assert np.array_equal(band.band, vals)
+    def test_matrix_inplace(self):
+        S = ssm(np.random.default_rng(2).normal(size=(20, 3)))
+        vals = S.copy()
+        out = enhance(S)
+        assert out is S
+        assert np.array_equal(S, vals * vals)
 
 
 class TestKernel:
@@ -357,7 +356,7 @@ class TestKernel:
 class TestNovelty:
     def test_constant_rows_zero_novelty(self):
         X = np.tile([1.0, 2.0, -1.0], (200, 1))
-        band = enhance(ssm_band(X, 10), inplace=True)
+        band = enhance(ssm_band(X, 10))
         N = novelty(band, make_kernel(10, 5.0))
         assert np.max(np.abs(N)) < 1e-9
 
@@ -365,7 +364,7 @@ class TestNovelty:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 4))
         h = 7
-        band = enhance(ssm_band(X, h), inplace=True)
+        band = enhance(ssm_band(X, h))
         N = novelty(band, make_kernel(h, 3.0))
         assert np.all(N[:h] == 0.0)
         assert np.all(N[50 - h:] == 0.0)
@@ -375,7 +374,7 @@ class TestNovelty:
         X[:50, 0] = 1.0
         X[50:, 1] = 1.0
         h = 10
-        band = enhance(ssm_band(X, h), inplace=True)
+        band = enhance(ssm_band(X, h))
         N = novelty(band, make_kernel(h, 5.0))
         assert abs(int(np.argmax(N)) - 50) <= 1
 
@@ -390,18 +389,14 @@ class TestNovelty:
             X[rng.random(T) < 0.1] = 0.0
             S_enh = enhance(ssm(X))
             expect = novelty_quadruple_loop(S_enh, h, sigma)
-            band = enhance(ssm_band(X, h), inplace=True)
+            band = enhance(ssm_band(X, h))
             got = novelty(band, make_kernel(h, sigma))
             assert np.allclose(got, expect, atol=1e-12), (T, d, h)
 
-    def test_full_matrix_input_equals_band_path(self):
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(40, 3))
-        h = 5
-        kernel = make_kernel(h, 2.5)
-        from_band = novelty(enhance(ssm_band(X, h), inplace=True), kernel)
-        from_full = novelty(enhance(ssm(X)), kernel)
-        assert np.array_equal(from_band, from_full)
+    def test_dense_matrix_rejected(self):
+        X = np.random.default_rng(8).normal(size=(40, 3))
+        with pytest.raises(TypeError, match="ssm_band"):
+            novelty(enhance(ssm(X)), make_kernel(5, 2.5))
 
     def test_band_narrower_than_kernel_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
@@ -411,7 +406,7 @@ class TestNovelty:
 
     def test_short_signal_all_zero(self):
         X = np.random.default_rng(0).normal(size=(5, 2))
-        band = enhance(ssm_band(X, 4), inplace=True)
+        band = enhance(ssm_band(X, 4))
         N = novelty(band, make_kernel(4, 2.0))
         assert np.all(N == 0.0)
 

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from microact import ActionClass, SkillLevel, io, load_config, pipeline
 from microact.skill import (
     SkillGradientBoosting,
-    _fit_tree,
+    _grow,
     _leaf_value,
     _log_loss,
+    _presort,
     _softmax,
     _sse,
     _tree_predict,
@@ -30,6 +31,14 @@ def separable_dataset(n_per_class=20, gap=10.0, seed=0, d=3):
         X.append(rng.normal(size=(n_per_class, d)) + k * gap)
         y += [k] * n_per_class
     return np.vstack(X), np.asarray(y)
+
+
+def fit_tree(X, r, depth_left, K, gain_sink):
+    """One tree on residuals ``r``, grown as ``SkillGradientBoosting.fit``
+    grows each."""
+    n = r.shape[0]
+    return _grow(X, r, np.arange(n), _presort(X), None, depth_left, K,
+                 gain_sink, np.empty(n))
 
 
 def fit_tree_scalar(X, r, depth_left, K, gain_sink):
@@ -225,7 +234,7 @@ class TestTraining:
         X = rng.normal(size=(n, 2))
         model = SkillGradientBoosting(n_estimators=1, max_depth=2).fit(X, y)
         sink = np.zeros(2)
-        expect = _fit_tree(X, r[:, 0], 2, K, sink)
+        expect = fit_tree(X, r[:, 0], 2, K, sink)
         assert model.trees_[0][0] == expect
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
@@ -233,7 +242,7 @@ class TestTraining:
         for seed in range(40):
             X, r, K = tie_heavy_case(seed)
             sink, expect_sink = np.zeros(X.shape[1]), np.zeros(X.shape[1])
-            tree = _fit_tree(X, r, depth, K, sink)
+            tree = fit_tree(X, r, depth, K, sink)
             assert tree == fit_tree_scalar(X, r, depth, K, expect_sink), f"seed {seed}"
             assert np.array_equal(sink, expect_sink), f"seed {seed}"
 
@@ -311,7 +320,7 @@ class TestPresortAgainstPerNode:
     def test_tree_and_gains(self, case, depth):
         X, r, K = case
         sink, expect_sink = np.zeros(X.shape[1]), np.zeros(X.shape[1])
-        tree = _fit_tree(X, r, depth, K, sink)
+        tree = fit_tree(X, r, depth, K, sink)
         assert json.dumps(tree) == json.dumps(
             fit_tree_per_node(X, r, depth, K, expect_sink))
         assert sink.tobytes() == expect_sink.tobytes()
