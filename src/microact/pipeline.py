@@ -324,7 +324,8 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     When a candidate file and reference descriptors exist, candidates are
     matched to track boxes geometrically (tracker ids need not agree with
     the candidate producer's ids) and the best-cosine candidate becomes
-    the tip.  Frames without a usable candidate set fall back to the box
+    the tip, every matched frame in one batched ``localize_tip`` call.
+    Frames without a usable candidate set fall back to the box
     center, which is also the whole story for coasted boxes.
     """
     meta = _load(proc_dir, "meta", memo)
@@ -347,56 +348,59 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         set_frames = table.set_keys[sets, 0]
         set_boxes = table.boxes[sets]
 
-    # best[(class, frame)] = (rank, object_id, tip); detection-backed rows
-    # outrank recovered ones, then the older object wins
-    best_tip: dict[tuple[InstrumentClass, int],
-                   tuple[int, int, tuple[float, float]]] = {}
-    n_localized = 0
+    # one row per (track, confirmed frame), tracks by object id, then
+    # frames in order: the order in which a bad candidate set is reported
+    kinds = list(InstrumentClass)
+    frames, boxes, ranks, oids, cls = [], [], [], [], []
     for track in sorted(refined, key=lambda t: t.object_id):
-        ref = references.get(track.class_id)
-        frames = [f for f in _confirmed_frames(track, cfg.tracking.confirm_hits)
-                  if 0 <= f < n_frames]
-        boxes = [track.boxes[f] for f in frames]
-        cand = np.full(len(frames), -1)
-        if ref is not None and frames:
-            # each frame's candidate set: the first of its crops with the
-            # highest IoU with the box; det-backed rows carry the detection
-            # box verbatim, so the right set matches at IoU 1, and 0.5
-            # rejects overlap with a neighboring instrument's crop
-            k, j, counts = frame_pairs(np.array(frames), set_frames)
-            v = iou_pairs(np.array(boxes)[k], set_boxes[j])
-            # pairs by frame, then highest IoU first, then set order
-            order = np.lexsort((-v, k))
-            top = order[(np.cumsum(counts) - counts)[counts > 0]]
-            won = top[v[top] >= 0.5]
-            cand[k[won]] = sets[j[won]]
-        for f, box, i in zip(frames, boxes, cand.tolist()):
-            if i >= 0:
-                rows = table.rows(i)
-                tip = localize_tip(table.points[rows], table.descriptors[rows],
-                                   ref, bbox=table.crop_boxes[i])
-                n_localized += 1
-            else:
-                x, y, w, h = box
-                tip = (x + w / 2.0, y + h / 2.0)
-            rank = 1 if track.provenance[f] == Provenance.RECOVERED else 0
-            key = (track.class_id, f)
-            entry = (rank, track.object_id, tip)
-            if key not in best_tip or entry < best_tip[key]:
-                best_tip[key] = entry
+        fs = [f for f in _confirmed_frames(track, cfg.tracking.confirm_hits)
+              if 0 <= f < n_frames]
+        frames += fs
+        boxes += [track.boxes[f] for f in fs]
+        # detection-backed rows outrank recovered ones
+        ranks += [track.provenance[f] == Provenance.RECOVERED for f in fs]
+        oids += [track.object_id] * len(fs)
+        cls += [kinds.index(track.class_id)] * len(fs)
+    frames = np.array(frames, dtype=np.int64)
+    boxes = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    cls = np.array(cls, dtype=np.int64)
+    x, y, w, h = boxes.T
+    tips = np.column_stack((x + w / 2.0, y + h / 2.0))  # the box centre
 
-    classes = sorted({c for c, _ in best_tip},
-                     key=list(InstrumentClass).index)
+    present = [i for i, c in enumerate(kinds) if c in references]
+    with_ref = np.flatnonzero(np.isin(cls, present))
+    matched = with_ref[:0]
+    if len(with_ref):
+        # each row's candidate set: the first of its frame's crops with
+        # the highest IoU with the box; det-backed rows carry the detection
+        # box verbatim, so the right set matches at IoU 1, and 0.5 rejects
+        # overlap with a neighboring instrument's crop
+        k, j, counts = frame_pairs(frames[with_ref], set_frames)
+        v = iou_pairs(boxes[with_ref][k], set_boxes[j])
+        # pairs by row, then highest IoU first, then set order
+        order = np.lexsort((-v, k))
+        top = order[(np.cumsum(counts) - counts)[counts > 0]]
+        won = top[v[top] >= 0.5]
+        matched = with_ref[k[won]]
+        tips[matched] = localize_tip(
+            table.points, table.descriptors, table.offsets, sets[j[won]],
+            [references[kinds[i]] for i in present],
+            np.searchsorted(present, cls[matched]), set_boxes[j[won]])
+
+    # each (class, frame)'s tip comes from its best row: lowest rank, then
+    # the older object
+    slot = cls * n_frames + frames
+    order = np.lexsort((oids, ranks, slot))
+    win = order[np.unique(slot[order], return_index=True)[1]]
     trajectories = []
-    for cls in classes:
+    for c in np.unique(cls).tolist():
+        mine = win[cls[win] == c]
         points: list[Optional[tuple[float, float]]] = [None] * n_frames
-        for f in range(n_frames):
-            entry = best_tip.get((cls, f))
-            if entry is not None:
-                points[f] = entry[2]
+        for f, p in zip(frames[mine].tolist(), map(tuple, tips[mine].tolist())):
+            points[f] = p
         trajectories.append(TipTrajectory(
-            instrument_id=list(InstrumentClass).index(cls), points=points,
-            fps=float(meta["fps"]), class_id=cls))
+            instrument_id=c, points=points, fps=float(meta["fps"]),
+            class_id=kinds[c]))
 
     classes = {tr.instrument_id: tr.class_id for tr in trajectories}
 
@@ -405,7 +409,7 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         io.save_tips_classes(classes, _path(proc_dir, "tips_classes"))
 
     _save(memo, write, tips=trajectories, tips_classes=classes)
-    return {"n_trajectories": len(trajectories), "n_localized": n_localized}
+    return {"n_trajectories": len(trajectories), "n_localized": len(matched)}
 
 
 def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
@@ -419,6 +423,12 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             f"{_path(proc_dir, 'tips')}: no tip trajectories, so the "
             "'features' stage has nothing to compute (an empty or all-idle "
             "detection stream?)")
+    # the sidecar's frame count is what eval checks segments.csv against
+    if len(trajectories[0]) != int(meta["n_frames"]):
+        raise ValueError(
+            f"{_path(proc_dir, 'tips')}: the tips cover "
+            f"{len(trajectories[0])} frames, but meta.json has "
+            f"{meta['n_frames']} (written by the 'tips' stage)")
     f = cfg.features
     extractor = KinematicFeatureExtractor(
         downsample=f.downsample, smooth_window=f.smooth_window,
@@ -449,14 +459,30 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
 
-def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
-    """Feature matrix -> novelty curve -> boundary frames."""
+def _features(proc_dir, memo) -> np.ndarray:
+    """The feature matrix, which must have rows."""
     X, _ = _load(proc_dir, "features", memo)
     if not len(X):
+        raise ValueError(f"{_path(proc_dir, 'features')}: no feature rows "
+                         "(written by the 'features' stage)")
+    return X
+
+
+def _segments(proc_dir, memo, n_rows: int) -> list[dict]:
+    """The segments, which must tile exactly ``n_rows`` feature rows."""
+    segs = _load(proc_dir, "segments", memo)
+    end = segs[-1]["end_frame"] if segs else 0
+    if end != n_rows:
         raise ValueError(
-            f"{_path(proc_dir, 'features')}: no feature rows, so the "
-            "'segment' stage has nothing to compute (written by the "
-            "'features' stage)")
+            f"{_path(proc_dir, 'segments')}: the segments end at frame "
+            f"{end}, not at feature row {n_rows} (written by the 'cluster' "
+            "stage)")
+    return segs
+
+
+def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
+    """Feature matrix -> novelty curve -> boundary frames."""
+    X = _features(proc_dir, memo)
     g = cfg.segmentation
     det = NoveltyBoundaryDetector(
         half_width=g.half_width, sigma=g.sigma,
@@ -485,7 +511,7 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     ``n_clusters``, K is clamped to the segment count and the summary
     says ``k_clamped``.
     """
-    X, _ = _load(proc_dir, "features", memo)
+    X = _features(proc_dir, memo)
     mask, _ = _load(proc_dir, "presence", memo)
     taus, _ = _load(proc_dir, "boundaries", memo)
     sidecar = _load(proc_dir, "features_meta", memo)
@@ -548,11 +574,11 @@ def _expand_to_native(labels: Sequence, factor: int, n_native: int) -> list:
     return [labels[min(t // factor, len(labels) - 1)] for t in range(n_native)]
 
 
-def _downsample(proc_dir, memo) -> int:
-    """The feature matrix's downsampling factor; 1 without a sidecar."""
+def _sidecar(proc_dir, memo) -> dict:
+    """``features.csv.meta.json``; empty without one."""
     if not _exists(proc_dir, "features_meta", memo):
-        return 1
-    return int(_load(proc_dir, "features_meta", memo)["downsample"])
+        return {}
+    return _load(proc_dir, "features_meta", memo)
 
 
 def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
@@ -560,12 +586,16 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     meta = _load(proc_dir, "meta", memo)
     native_fps = float(meta["fps"])
     gt_labels = _load(proc_dir, "labels", memo)
-    factor = _downsample(proc_dir, memo)
+    sidecar = _sidecar(proc_dir, memo)
+    factor = int(sidecar.get("downsample", 1))
     n_native = len(gt_labels)
 
     result: dict = {"procedure_id": meta.get("procedure_id")}
 
-    segs = _load(proc_dir, "segments", memo)
+    # the feature rows are the native frames, every factor-th kept
+    segs = (_segments(proc_dir, memo,
+                      -(-int(sidecar["n_frames_native"]) // factor))
+            if sidecar else _load(proc_dir, "segments", memo))
     cluster_stream = []
     for s in segs:
         cluster_stream += [s["cluster"]] * (s["end_frame"] - s["start_frame"])
@@ -608,7 +638,7 @@ def _skill_rows(proc_dir, cfg: PipelineConfig, memo=None
                 ) -> list[tuple[int, ActionClass, int, np.ndarray]]:
     """(segment index, action, repetition ordinal, feature vector) per
     rated-action segment, in segment order."""
-    X, _ = _load(proc_dir, "features", memo)
+    X = _features(proc_dir, memo)
     mask, _ = _load(proc_dir, "presence", memo)
     seg_rows = _load(proc_dir, "segments", memo)
     segments = [Segment(index=s["index"], start=s["start_frame"],
@@ -804,9 +834,9 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     meta = _load(proc_dir, "meta", memo)
     novelty = _load(proc_dir, "novelty", memo)
     taus, proms = _load(proc_dir, "boundaries", memo)
-    segs = _load(proc_dir, "segments", memo)
-    X, _ = _load(proc_dir, "features", memo)
-    downsample = _downsample(proc_dir, memo)
+    X = _features(proc_dir, memo)
+    segs = _segments(proc_dir, memo, len(X))
+    downsample = int(_sidecar(proc_dir, memo).get("downsample", 1))
 
     eval_result = skill = None
     if _exists(proc_dir, "eval", memo):

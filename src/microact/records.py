@@ -8,9 +8,7 @@ ingested from upstream detector output.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -155,16 +153,6 @@ class TipCandidateTable:
     offsets: np.ndarray      # (n + 1,) int64
     points: np.ndarray       # (m, 2) float64
     descriptors: np.ndarray  # (m, d) float64
-
-    def rows(self, i: int) -> slice:
-        """Set ``i``'s rows of ``points`` and ``descriptors``."""
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-    @cached_property
-    def crop_boxes(self) -> list[Optional[BBox]]:
-        """``boxes`` as tuples of floats, None for a set without one."""
-        return [None if math.isnan(box[0]) else tuple(box)
-                for box in self.boxes.tolist()]
 
     def boxed_sets(self) -> np.ndarray:
         """Indices of the sets that have a crop box, sorted by frame, then

@@ -17,7 +17,9 @@ Box overlap comes in two forms with the same bits: ``iou`` for one pair,
 and ``iou_pairs``, one elementwise pass over many pairs, which the
 repair scoring and the tips stage's candidate match use.  ``associate``
 decides a lone detection and track by the IoU gate alone, since the
-solver can only pair them.
+solver can only pair them.  ``localize_tip`` matches every (candidate
+set, reference) pair of a procedure in one columnar pass, each
+similarity with the bits of a per-set match.
 
 Appearance embeddings are ingested, never computed here.
 """
@@ -544,39 +546,89 @@ def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def localize_tip(points: np.ndarray, descriptors: np.ndarray,
-                 reference: np.ndarray,
-                 bbox: Optional[BBox] = None) -> tuple[float, float]:
-    """Pick the candidate whose descriptor best matches the reference.
+                 offsets: np.ndarray, sets: np.ndarray,
+                 references: Sequence[np.ndarray], ref_of: np.ndarray,
+                 crops: np.ndarray) -> np.ndarray:
+    """The tip of every (candidate set, reference) pair, in one pass.
 
-    Row i of ``points`` (n, 2) and ``descriptors`` (n, d) is one
-    candidate.  Cosine similarity, each computed with the same float
-    operations as ``(d @ ref) / (norm(d) * norm(ref))``; exact ties keep
-    the lowest candidate index, and a NaN similarity loses to any number.
-    With a bbox the local point is shifted to image coordinates.
+    Pair k matches candidate set ``s = sets[k]``, rows
+    ``offsets[s]:offsets[s + 1]`` of ``points`` (m, 2: crop-local x, y)
+    and ``descriptors`` (m, d), against ``references[ref_of[k]]``.  Its
+    tip is the best candidate's point plus the x, y of ``crops[k]``
+    (n, 4).  Returns the (n, 2) float64 tips.
+
+    Cosine similarity, each value with the float operations of
+    ``(d @ ref) / (norm(d) * norm(ref))``; exact ties keep the lowest
+    candidate index, and a NaN similarity loses to any number.  The
+    first pair in input order with no candidates, a zero-norm reference,
+    descriptors of another width than its reference or a zero-norm
+    descriptor raises ValueError, naming the first of these faults.
     """
-    D = np.asarray(descriptors, dtype=float)
-    if len(D) == 0:
-        raise ValueError("no tip candidates")
-    ref = np.asarray(reference, dtype=float)
-    rn = math.sqrt(ref @ ref)  # np.linalg.norm's own arithmetic
-    if rn == 0.0:
-        raise ValueError("zero-norm reference descriptor")
-    if D.ndim != 2 or D.shape[1:] != ref.shape:
-        raise ValueError(f"descriptor dimension mismatch: candidates "
-                         f"{D.shape[1:]} vs reference {ref.shape}")
+    descriptors = np.asarray(descriptors, dtype=float)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    sets = np.asarray(sets, dtype=np.intp)
+    ref_of = np.asarray(ref_of, dtype=np.intp)
+    if len(sets) == 0:
+        return np.empty((0, 2))
+    refs = [np.asarray(r, dtype=float) for r in references]
+    ref_norms = np.array([math.sqrt(r @ r) for r in refs])  # norm()'s arithmetic
+    # pairs grouped by reference, so each group's candidates are one slice
+    # of D and no reference is copied per row
+    order = np.argsort(ref_of, kind="stable")
+    group = ref_of[order]
+    starts = offsets[sets[order]]
+    counts = offsets[sets[order] + 1] - starts
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    rows = np.arange(ends[-1]) + np.repeat(starts - firsts, counts)
+    D = descriptors[rows]
     dn = np.sqrt(_row_dots(D, D))
-    if np.count_nonzero(dn) < len(dn):
-        raise ValueError(f"zero-norm descriptor at candidate "
-                         f"{np.flatnonzero(dn == 0.0)[0]}")
-    sims = _row_dots(D, ref) / (dn * rn)
-    best = int(sims.argmax())
-    if math.isnan(sims[best]):  # argmax stops at the first NaN
-        best = int(np.where(np.isnan(sims), -np.inf, sims).argmax())
-    x, y = np.asarray(points, dtype=float)[best].tolist()
-    if bbox is not None:
-        x += bbox[0]
-        y += bbox[1]
-    return (x, y)
+    fault = _first_fault(order, group, counts, firsts, dn, ref_norms,
+                         descriptors.shape[1:], refs)
+    if fault is not None:
+        raise ValueError(fault)
+    sims = np.empty(len(rows))
+    # rows bounds[g]:bounds[g + 1] are reference g's
+    bounds = np.r_[0, ends][np.searchsorted(group, np.arange(len(refs) + 1))]
+    for g, ref in enumerate(refs):
+        lo, hi = bounds[g], bounds[g + 1]
+        if lo < hi:
+            sims[lo:hi] = _row_dots(D[lo:hi], ref) / (dn[lo:hi] * ref_norms[g])
+    # each pair's first maximum, NaN ranking below every number
+    sims[np.isnan(sims)] = -np.inf
+    top = np.repeat(np.maximum.reduceat(sims, firsts), counts)
+    best = np.minimum.reduceat(
+        np.where(sims == top, np.arange(len(sims)), len(sims)), firsts)
+    tips = np.empty((len(sets), 2))
+    tips[order] = (np.asarray(points, dtype=float)[rows[best]]
+                   + np.asarray(crops, dtype=float)[order, :2])
+    return tips
+
+
+def _first_fault(order, group, counts, firsts, dn, ref_norms, width, refs
+                 ) -> Optional[str]:
+    """:func:`localize_tip`'s error for the first failing pair in input
+    order, or None; the arrays are in its grouped pair order."""
+    zero_rows = np.flatnonzero(dn == 0.0)
+    zero_pairs = np.searchsorted(firsts, zero_rows, "right") - 1
+    has_zero = np.zeros(len(order), dtype=bool)
+    has_zero[zero_pairs] = True
+    fits = np.array([width == r.shape for r in refs])
+    fault = np.select([counts == 0, ref_norms[group] == 0.0, ~fits[group],
+                       has_zero], [1, 2, 3, 4], 0)
+    bad = np.flatnonzero(fault)
+    if not len(bad):
+        return None
+    j = bad[np.argmin(order[bad])]  # the first in input order
+    if fault[j] == 1:
+        return "no tip candidates"
+    if fault[j] == 2:
+        return "zero-norm reference descriptor"
+    if fault[j] == 3:
+        return (f"descriptor dimension mismatch: candidates {width} vs "
+                f"reference {refs[group[j]].shape}")
+    k = zero_rows[np.searchsorted(zero_pairs, j)] - firsts[j]
+    return f"zero-norm descriptor at candidate {k}"
 
 
 # --- Repair scoring --------------------------------------------------------

@@ -812,11 +812,58 @@ def test_empty_feature_matrix_names_the_features_stage(tmp_path, base_proc,
     shutil.copytree(base_proc, d)
     header = (d / "features.csv").read_text().splitlines()[0]
     (d / "features.csv").write_text(header + "\n")
-    assert run_cli("segment", d) == 1
+    for stage in ("segment", "cluster", "report"):
+        assert run_cli(stage, d) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {d / 'features.csv'}: no feature rows "
+                       "(written by the 'features' stage)\n"), stage
+
+
+@pytest.mark.parametrize("stage", ["eval", "report"])
+@pytest.mark.parametrize("damage", ["short", "long"])
+def test_segments_off_the_feature_rows_name_the_cluster_stage(
+        tmp_path, base_proc, capsys, stage, damage):
+    # segments that stop short of the feature rows, or run past them,
+    # used to be padded or cut to the frame count without a word
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    before = (d / f"{stage}.json").read_bytes()
+    n_rows = len(io.load_matrix(d / "features.csv")[0])
+    lines = (d / "segments.csv").read_text().splitlines()
+    if damage == "short":
+        lines.pop()
+        end = int(lines[-1].split(",")[2])
+    else:
+        row = lines[-1].split(",")
+        row[2] = str(end := int(row[2]) + 3)
+        lines[-1] = ",".join(row)
+    (d / "segments.csv").write_text("\n".join(lines) + "\n")
+    assert run_cli(stage, d) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {d / 'features.csv'}: ")
-    assert "'features' stage" in err
-    assert "Traceback" not in err
+    assert err == (f"error: {d / 'segments.csv'}: the segments end at frame "
+                   f"{end}, not at feature row {n_rows} (written by the "
+                   "'cluster' stage)\n")
+    assert (d / f"{stage}.json").read_bytes() == before
+
+
+@pytest.mark.parametrize("frames", [-30, 2])
+def test_tips_off_the_frame_count_name_the_tips_stage(tmp_path, base_proc,
+                                                      capsys, frames):
+    # features made from them would leave the sidecar's frame count,
+    # which eval checks segments.csv against, off the matrix's rows
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    n = json.loads((d / "meta.json").read_text())["n_frames"]
+    header, *rows = (d / "tips.csv").read_text().splitlines(keepends=True)
+    if frames < 0:
+        rows = [ln for ln in rows if int(ln.split(",")[0]) < n + frames]
+    else:
+        rows.append(f"{n + 1},0,0,0.0,0.0\r\n")
+    (d / "tips.csv").write_text(header + "".join(rows))
+    assert run_cli("features", d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {d / 'tips.csv'}: the tips cover {n + frames} frames, but "
+        f"meta.json has {n} (written by the 'tips' stage)\n")
 
 
 def test_missing_input_names_producer(tmp_path, capsys):
@@ -1016,15 +1063,16 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
     io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
     taken = []
 
-    def recording(points, descriptors, reference, bbox=None):
-        taken.append(tuple(int(v) for v in points[0]))
-        return localize_tip(points, descriptors, reference, bbox)
+    def recording(points, descriptors, offsets, sets, *rest):
+        taken.append([tuple(int(v) for v in points[offsets[s]]) for s in sets])
+        return localize_tip(points, descriptors, offsets, sets, *rest)
 
     monkeypatch.setattr(pipeline, "localize_tip", recording)
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
     summary = pipeline.stage_tips(tmp_path, cfg)
     want = _tip_sets_scalar(tracks, cands, n_frames, 2)
-    assert taken == want and summary["n_localized"] == len(want) > 0
+    # one batched call for the whole stage
+    assert taken == [want] and summary["n_localized"] == len(want) > 0
 
 
 @pytest.mark.parametrize("n_labels, factor, n_native", [

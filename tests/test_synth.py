@@ -247,19 +247,25 @@ class TestDeterminismAndFiles:
                        key=lambda s: (tips[(s, d.frame)][0] - cx) ** 2
                        + (tips[(s, d.frame)][1] - cy) ** 2)
             dets[(d.frame, slot)] = d
-        checked = 0
-        for (f, slot), cset in list(proc.tip_candidates.items())[:40]:
-            det = dets[(f, slot)]
-            assert cset.bbox == det.bbox
-            ref = proc.reference_descriptors[det.class_id]
-            points = np.array([c[:2] for c in cset.candidates])
-            descriptors = np.array([c[2] for c in cset.candidates])
-            x, y = localize_tip(points, descriptors, ref, bbox=cset.bbox)
-            tip = tips[(slot, f)]
-            assert x == pytest.approx(tip[0], abs=1e-9)
-            assert y == pytest.approx(tip[1], abs=1e-9)
-            checked += 1
-        assert checked == 40
+        # the first 40 sets, each against its detection's reference, in
+        # one batched call
+        keys = list(proc.tip_candidates)[:40]
+        csets = [proc.tip_candidates[key] for key in keys]
+        classes = list(proc.reference_descriptors)
+        ref_of = []
+        for key, cset in zip(keys, csets):
+            assert cset.bbox == dets[key].bbox
+            ref_of.append(classes.index(dets[key].class_id))
+        cands = [c for cset in csets for c in cset.candidates]
+        offsets = np.cumsum([0] + [len(cset.candidates) for cset in csets])
+        got = localize_tip(
+            np.array([c[:2] for c in cands]), np.array([c[2] for c in cands]),
+            offsets, np.arange(len(csets)),
+            [proc.reference_descriptors[c] for c in classes], ref_of,
+            np.array([cset.bbox for cset in csets]))
+        want = [tips[(slot, f)] for f, slot in keys]
+        assert got.shape == (40, 2)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
     def test_write_procedure_round_trips(self, tmp_path):
         proc = generate(paper_shaped_script(seed=4, dropout_rate=0.05,
@@ -281,8 +287,9 @@ class TestDeterminismAndFiles:
             set(proc.tip_candidates)
         for i, key in enumerate(cands.set_keys.tolist()):
             cset = proc.tip_candidates[tuple(key)]
-            assert cands.crop_boxes[i] == cset.bbox
-            assert cands.points[cands.rows(i)].tolist() == \
+            assert tuple(cands.boxes[i].tolist()) == cset.bbox
+            lo, hi = cands.offsets[i:i + 2]
+            assert cands.points[lo:hi].tolist() == \
                 [[x, y] for x, y, _ in cset.candidates]
         refs = io.load_reference_descriptors(paths["references"])
         assert set(refs) == set(proc.reference_descriptors)

@@ -16,12 +16,15 @@ Oracles:
     extrapolation, and the per-coordinate float filter against the 8x8
     matrix filter it replaced (``kalman_predict_matrix``,
     ``kalman_update_matrix``), byte for byte, alone and inside the tracker;
-  * tip localization against exhaustive similarity computation, and the
-    columnar ``localize_tip`` against the per-candidate loop it replaced
-    (``localize_tip_scalar``) on tie-heavy sets.
+  * tip localization against exhaustive similarity computation and the
+    per-candidate loop (``localize_tip_scalar``) on tie-heavy sets; the
+    batched ``localize_tip`` against the per-set match it replaced
+    (``localize_tip_set``), bits and errors; and the tips stage against
+    its per-frame loop (``tips_scalar``), set choice, tips and winners.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,9 +33,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from microact import tracking
+from microact import io, pipeline, tracking
+from microact.config import load_config
 from microact.records import (Detection, InstrumentClass, Provenance,
-                              RefinedTrack, TrackObservation, TruthInstance)
+                              RefinedTrack, TipCandidateSet, TrackObservation,
+                              TruthInstance)
 from microact.synth import generate, paper_shaped_script
 from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
                                KalmanState, associate, iou, iou_pairs,
@@ -669,8 +674,8 @@ def columns(cands):
 
 
 def localize_tip_scalar(candidates, reference, bbox=None):
-    """The per-candidate loop that ``localize_tip`` replaced: the oracle
-    for its arithmetic and its first-index tie rule."""
+    """The per-candidate loop that the columnar per-set match replaced:
+    the oracle for its arithmetic and its first-index tie rule."""
     if len(candidates) == 0:
         raise ValueError("no tip candidates")
     ref = np.asarray(reference, dtype=float)
@@ -699,16 +704,57 @@ def localize_tip_scalar(candidates, reference, bbox=None):
     return (float(x), float(y))
 
 
+def localize_tip_set(points, descriptors, reference, bbox=None):
+    """The per-set match that the batched ``localize_tip`` replaced, one
+    call per matched frame: the oracle for its bits, its NaN rule and its
+    errors."""
+    D = np.asarray(descriptors, dtype=float)
+    if len(D) == 0:
+        raise ValueError("no tip candidates")
+    ref = np.asarray(reference, dtype=float)
+    rn = math.sqrt(ref @ ref)
+    if rn == 0.0:
+        raise ValueError("zero-norm reference descriptor")
+    if D.ndim != 2 or D.shape[1:] != ref.shape:
+        raise ValueError(f"descriptor dimension mismatch: candidates "
+                         f"{D.shape[1:]} vs reference {ref.shape}")
+    dn = np.sqrt(tracking._row_dots(D, D))
+    if np.count_nonzero(dn) < len(dn):
+        raise ValueError(f"zero-norm descriptor at candidate "
+                         f"{np.flatnonzero(dn == 0.0)[0]}")
+    sims = tracking._row_dots(D, ref) / (dn * rn)
+    best = int(sims.argmax())
+    if math.isnan(sims[best]):  # argmax stops at the first NaN
+        best = int(np.where(np.isnan(sims), -np.inf, sims).argmax())
+    x, y = np.asarray(points, dtype=float)[best].tolist()
+    if bbox is not None:
+        x += bbox[0]
+        y += bbox[1]
+    return (x, y)
+
+
+def localize_one(points, descriptors, reference, bbox=(0.0, 0.0, 1.0, 1.0)):
+    """``localize_tip`` on one set and one reference, as a tuple."""
+    tips = localize_tip(points, descriptors, [0, len(points)], [0],
+                        [reference], [0], [bbox])
+    assert tips.shape == (1, 2)
+    return tuple(tips[0].tolist())
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).reshape(-1, 2).view(np.uint64)
+
+
 class TestLocalizeTip:
     def test_single_candidate(self):
-        p = localize_tip(*columns([(3.0, 4.0, np.array([1.0, 0.0]))]),
+        p = localize_one(*columns([(3.0, 4.0, np.array([1.0, 0.0]))]),
                          np.array([0.5, 0.5]))
         assert p == (3.0, 4.0)
 
     def test_opposite_descriptor_loses(self):
         ref = np.array([1.0, 2.0, 3.0])
         cands = [(0.0, 0.0, ref.copy()), (9.0, 9.0, -ref)]
-        assert localize_tip(*columns(cands), ref) == (0.0, 0.0)
+        assert localize_one(*columns(cands), ref) == (0.0, 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -720,7 +766,7 @@ class TestLocalizeTip:
             sims = [float(d @ ref) / (np.linalg.norm(d) * np.linalg.norm(ref))
                     for _, _, d in cands]
             best = int(np.argmax(sims))
-            assert localize_tip(*columns(cands), ref) == (float(best),
+            assert localize_one(*columns(cands), ref) == (float(best),
                                                           float(best))
 
     @settings(max_examples=40, deadline=None)
@@ -730,30 +776,39 @@ class TestLocalizeTip:
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=5)
         cands = [(float(i), 0.0, rng.normal(size=5)) for i in range(4)]
-        base = localize_tip(*columns(cands), ref)
+        base = localize_one(*columns(cands), ref)
         scaled = [(x, y, d * scale) for x, y, d in cands]
-        assert localize_tip(*columns(scaled), ref * scale) == base
+        assert localize_one(*columns(scaled), ref * scale) == base
 
     def test_tie_keeps_lowest_index(self):
         ref = np.array([1.0, 0.0])
         d = np.array([2.0, 0.0])
         cands = [(0.0, 0.0, d), (5.0, 5.0, d * 3)]  # identical similarity 1
-        assert localize_tip(*columns(cands), ref) == (0.0, 0.0)
+        assert localize_one(*columns(cands), ref) == (0.0, 0.0)
 
     def test_bbox_offset_applied(self):
-        p = localize_tip(*columns([(3.0, 4.0, np.array([1.0]))]),
+        p = localize_one(*columns([(3.0, 4.0, np.array([1.0]))]),
                          np.array([2.0]), bbox=(100.0, 200.0, 50.0, 50.0))
         assert p == (103.0, 204.0)
 
+    def test_no_pairs(self):
+        tips = localize_tip(np.empty((0, 2)), np.empty((0, 3)), [0], [], [],
+                            [], np.empty((0, 4)))
+        assert tips.shape == (0, 2)
+
     def test_errors(self):
-        with pytest.raises(ValueError, match="no tip candidates"):
-            localize_tip(*columns([]), np.array([1.0]))
-        with pytest.raises(ValueError, match="zero-norm reference"):
-            localize_tip(*columns([(0, 0, np.array([1.0]))]), np.array([0.0]))
-        with pytest.raises(ValueError, match="zero-norm descriptor"):
-            localize_tip(*columns([(0, 0, np.array([0.0]))]), np.array([1.0]))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            localize_tip(*columns([(0, 0, np.array([1.0, 2.0]))]),
+        with pytest.raises(ValueError, match="^no tip candidates$"):
+            localize_one(np.empty((0, 2)), np.empty((0, 1)), np.array([1.0]))
+        with pytest.raises(ValueError, match="^zero-norm reference"):
+            localize_one(*columns([(0, 0, np.array([1.0]))]), np.array([0.0]))
+        with pytest.raises(ValueError, match="^zero-norm descriptor at "
+                                             "candidate 1$"):
+            localize_one(*columns([(0, 0, np.array([1.0])),
+                                   (0, 0, np.array([0.0])),
+                                   (0, 0, np.array([0.0]))]), np.array([1.0]))
+        with pytest.raises(ValueError, match=r"^descriptor dimension "
+                           r"mismatch: candidates \(2,\) vs reference \(1,\)$"):
+            localize_one(*columns([(0, 0, np.array([1.0, 2.0]))]),
                          np.array([1.0]))
 
     @settings(max_examples=200, deadline=None)
@@ -775,8 +830,227 @@ class TestLocalizeTip:
         if rng.random() < 0.5:
             ref = rng.normal(size=d)
         bbox = (rng.normal(), rng.normal(), 5.0, 5.0)
-        assert localize_tip(*columns(cands), ref, bbox=bbox) == \
+        assert localize_one(*columns(cands), ref, bbox=bbox) == \
             localize_tip_scalar(cands, ref, bbox=bbox)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), d=st.sampled_from([1, 2, 3, 16]),
+           n_sets=st.integers(0, 6), n_pairs=st.integers(0, 9),
+           faults=st.booleans())
+    def test_batch_matches_per_set_oracle(self, seed, d, n_sets, n_pairs,
+                                          faults):
+        # tie-heavy sets as above, NaN and inf descriptors (a whole NaN
+        # set too), -0.0 points and crop offsets, several references and
+        # pairs in any set order with repeats; with faults, empty sets,
+        # zero-norm descriptors and references and a reference of another
+        # width: the batch must raise the first pair's error, in pair
+        # order, with the per-set text, or give the per-set bits
+        rng = np.random.default_rng(seed)
+        base = rng.normal(size=(2, d))
+        sets = []
+        for _ in range(n_sets):
+            size = int(rng.integers(0 if faults else 1, 5))
+            rows = [base[rng.integers(2)] * rng.choice([1.0, 3.0, 0.1, 1e-3])
+                    if rng.random() < 0.6 else rng.normal(size=d)
+                    for _ in range(size)]
+            for v in rows:
+                r = rng.random()
+                if r < 0.1:
+                    v[rng.integers(d)] = np.nan
+                elif r < 0.15:
+                    v[rng.integers(d)] = rng.choice([np.inf, -np.inf])
+                elif r < 0.2:
+                    v[:] = np.nan
+                elif faults and r < 0.25:
+                    v[:] = 0.0
+            if rows and rng.random() < 0.1:
+                rows = [np.full(d, np.nan) for _ in rows]
+            sets.append(rows)
+        descriptors = np.array([v for rows in sets for v in rows]
+                               ).reshape(-1, d)
+        points = rng.choice([0.0, -0.0, 1.5, -2.25, 7.0],
+                            size=(len(descriptors), 2))
+        offsets = np.cumsum([0] + [len(rows) for rows in sets])
+        refs = [base[0] * 2.5, rng.normal(size=d), np.round(base[1]) + 1.0]
+        if faults:
+            refs += [np.full(d, 1e-200), rng.normal(size=d + 1)]
+        if rng.random() < 0.1:
+            refs[1][0] = np.nan
+        n_pairs = n_pairs if n_sets else 0
+        pair_sets = rng.integers(0, max(n_sets, 1), size=n_pairs)
+        ref_of = rng.integers(0, len(refs), size=n_pairs)
+        crops = rng.choice([0.0, -0.0, 3.0, -1e-300, 1e300],
+                           size=(n_pairs, 4))
+        want, error = [], None
+        try:
+            for s, r, crop in zip(pair_sets.tolist(), ref_of.tolist(),
+                                  crops.tolist()):
+                lo, hi = offsets[s], offsets[s + 1]
+                want.append(localize_tip_set(points[lo:hi],
+                                             descriptors[lo:hi], refs[r],
+                                             bbox=tuple(crop)))
+        except ValueError as exc:
+            error = str(exc)
+        args = (points, descriptors, offsets, pair_sets, refs, ref_of, crops)
+        if error is not None:
+            with pytest.raises(ValueError) as caught:
+                localize_tip(*args)
+            assert str(caught.value) == error
+        else:
+            assert np.array_equal(bits(localize_tip(*args)), bits(want))
+
+
+def tips_dir(tmp_path, fault_sets, refs):
+    """A procedure directory for the tips stage: object 0 (needle driver
+    S) and object 1 (scissors C), both at frames 0-3 with one candidate
+    set per frame on their box, so the stage matches eight pairs, object
+    0's first, while grouping by reference puts object 1's first.
+    ``fault_sets`` maps (frame, object) to that set's descriptors."""
+    box = {0: (10.0, 10.0, 20.0, 20.0), 1: (60.0, 60.0, 20.0, 20.0)}
+    tracks = [RefinedTrack(object_id=oid, class_id=cls,
+                           boxes={f: box[oid] for f in range(4)},
+                           provenance={f: Provenance.DETECTED
+                                       for f in range(4)})
+              for oid, cls in ((0, NDS), (1, SC))]
+    cands = {}
+    for f in range(4):
+        for oid in (0, 1):
+            descs = fault_sets.get((f, oid), [[1.0, 0.0], [0.0, 1.0]])
+            cands[(f, oid)] = TipCandidateSet(
+                candidates=[(1.0, 2.0, np.array(v)) for v in descs],
+                bbox=box[oid])
+    io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
+    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
+    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": 4})
+    return tmp_path
+
+
+REFS = {NDS: np.array([1.0, 1.0]), SC: np.array([1.0, 0.5])}
+
+
+@pytest.mark.parametrize("fault_sets, refs, message", [
+    ({(2, 0): []}, REFS, "no tip candidates"),
+    ({(3, 1): [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, REFS,
+     "zero-norm descriptor at candidate 1"),
+    ({}, {**REFS, NDS: np.array([1e-200, 0.0])},
+     "zero-norm reference descriptor"),
+    ({}, {**REFS, SC: np.array([1.0, 0.5, 2.0])},
+     "descriptor dimension mismatch: candidates (2,) vs reference (3,)"),
+    # object 1's sets come first in the grouped pass, object 0's in
+    # track order, which decides
+    ({(0, 1): [], (3, 0): [[0.0, 0.0]]}, REFS,
+     "zero-norm descriptor at candidate 0"),
+    ({(1, 0): [[1.0, 0.0], [0.0, 0.0]]},
+     {**REFS, SC: np.array([1.0, 0.5, 2.0])},
+     "zero-norm descriptor at candidate 1"),
+    ({(1, 0): [], (0, 0): [[0.0, 0.0]]}, REFS,
+     "zero-norm descriptor at candidate 0"),
+    # within a pair, the first failing check decides
+    ({(0, 0): []}, {**REFS, NDS: np.array([1e-200, 0.0])},
+     "no tip candidates"),
+    ({}, {**REFS, NDS: np.array([1e-200, 0.0, 0.0])},
+     "zero-norm reference descriptor"),
+    ({(0, 1): [[0.0, 0.0]]}, {**REFS, SC: np.array([1.0, 0.5, 2.0])},
+     "descriptor dimension mismatch: candidates (2,) vs reference (3,)"),
+])
+def test_tips_stage_raises_the_first_pairs_error(tmp_path, fault_sets, refs,
+                                                  message):
+    d = tips_dir(tmp_path, fault_sets, refs)
+    cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 1}})
+    with pytest.raises(ValueError) as caught:
+        pipeline.stage_tips(d, cfg)
+    assert str(caught.value) == message
+
+
+def tips_scalar(tracks, cands, refs, n_frames, min_hits):
+    """The tips stage's per-frame loop before batching, as the oracle of
+    its set choice, its tips and each (class, frame)'s winner: the first
+    crop with the highest IoU (0.5 or more) matched by
+    ``localize_tip_set``, else the box centre; per (class, frame) the
+    least (rank, object id), recovered rows ranking 1.  Returns
+    {class: points} for each class with a row."""
+    best = {}
+    for track in sorted(tracks, key=lambda t: t.object_id):
+        ref = refs.get(track.class_id)
+        for f in pipeline._confirmed_frames(track, min_hits):
+            if not 0 <= f < n_frames:
+                continue
+            box = track.boxes[f]
+            chosen, best_iou = None, 0.0
+            for key in sorted(k for k in cands if k[0] == f):
+                cbox = cands[key].bbox
+                if (ref is not None and cbox is not None
+                        and iou(box, cbox) > best_iou):
+                    chosen, best_iou = key, iou(box, cbox)
+            if chosen is not None and best_iou >= 0.5:
+                cset = cands[chosen]
+                tip = localize_tip_set(*columns(cset.candidates), ref,
+                                       bbox=cset.bbox)
+            else:
+                x, y, w, h = box
+                tip = (x + w / 2.0, y + h / 2.0)
+            rank = 1 if track.provenance[f] == Provenance.RECOVERED else 0
+            entry = (rank, track.object_id, tip)
+            slot = (track.class_id, f)
+            if slot not in best or entry[:2] < best[slot][:2]:
+                best[slot] = entry
+    return {c: [best[(c, f)][2] if (c, f) in best else None
+                for f in range(n_frames)]
+            for c in InstrumentClass if any(k[0] == c for k in best)}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
+    # few box shapes, so crops tie and meet IoU 0.5 exactly; six tracks
+    # over three classes, so rows of one class meet at a frame and rank
+    # and object id decide; one class has no reference
+    rng = np.random.default_rng(seed)
+    grid = [(x, y, w, 10.0) for x in (0.0, 5.0, 10.0) for y in (0.0, 10.0)
+            for w in (5.0, 10.0)]
+    n_frames, classes = 12, [SC, ND, NDS]
+    tracks = []
+    for oid in range(6):
+        fs = sorted(rng.choice(np.arange(-1, n_frames + 1), size=9,
+                               replace=False).tolist())
+        tracks.append(RefinedTrack(
+            object_id=oid, class_id=classes[oid % 3],
+            boxes={f: grid[rng.integers(len(grid))] for f in fs},
+            provenance={f: list(Provenance)[rng.integers(3)] for f in fs}))
+    base = rng.normal(size=(2, 3))
+    cands = {}
+    for f in range(n_frames):
+        for oid in rng.choice(6, size=rng.integers(0, 5), replace=False):
+            cands[(f, int(oid))] = TipCandidateSet(
+                candidates=[(float(rng.integers(-3, 4)), -0.0,
+                             base[rng.integers(2)] * rng.choice([1.0, 2.0])
+                             if rng.random() < 0.5 else rng.normal(size=3))
+                            for _ in range(rng.integers(1, 4))],
+                bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
+    refs = {SC: base[0], NDS: rng.normal(size=3)}
+    io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
+    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
+    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
+    cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
+    memo = pipeline._Memo()
+    pipeline.stage_tips(tmp_path, cfg, memo=memo)
+    want = tips_scalar(tracks, cands, refs, n_frames, 2)
+    got = {tr.class_id: tr.points for tr in memo["tips"]}
+    assert list(got) == list(want)
+    for c in want:
+        assert [p is None for p in got[c]] == [p is None for p in want[c]]
+        assert np.array_equal(bits([p for p in got[c] if p is not None]),
+                              bits([p for p in want[c] if p is not None]))
+    assert [tr.instrument_id for tr in memo["tips"]] == \
+        [list(InstrumentClass).index(c) for c in want]
+
+
+def test_tips_stage_without_faults_takes_every_pair(tmp_path):
+    d = tips_dir(tmp_path, {}, REFS)
+    cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 1}})
+    assert pipeline.stage_tips(d, cfg)["n_localized"] == 8
 
 
 class TestRecoveryCorrectionRates:
