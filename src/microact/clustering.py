@@ -21,49 +21,32 @@ from .records import ActionClass, InstrumentClass
 from .validation import check_array, check_positive_int
 
 
-@dataclass
-class Segment:
-    """Half-open frame interval [start, end); partition cell of [0, T)."""
-
-    index: int
-    start: int
-    end: int
-    duration_s: float
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-
-def boundaries_to_segments(taus: Sequence[int], T: int, fps: float) -> list[Segment]:
-    """Cut [0, T) at the given boundaries.
+def segment_edges(taus: Sequence[int], T: int) -> np.ndarray:
+    """The int64 edges [0, tau_1, ..., T] that cut [0, T) at the given
+    boundaries: segment i is the half-open frame interval
+    [edges[i], edges[i + 1]).
 
     Boundaries must be strictly increasing and lie strictly inside (0, T),
     otherwise a zero-length segment would appear.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
-    if fps <= 0:
-        raise ValueError("fps must be positive")
     taus = [int(t) for t in taus]
     if any(b <= a for a, b in zip(taus, taus[1:])):
         raise ValueError("boundaries must be strictly increasing")
     if taus and (taus[0] <= 0 or taus[-1] >= T):
         raise ValueError(f"boundaries must lie strictly inside (0, {T})")
-    edges = [0] + taus + [T]
-    return [
-        Segment(index=i, start=a, end=b, duration_s=(b - a) / fps)
-        for i, (a, b) in enumerate(zip(edges, edges[1:]))
-    ]
+    return np.array([0, *taus, T], dtype=np.int64)
 
 
-def segment_features(X: np.ndarray, mask: np.ndarray,
-                     segments: Sequence[Segment],
+def segment_features(X: np.ndarray, mask: np.ndarray, edges,
                      mask_weight: float = 1.0) -> np.ndarray:
     """Per-segment summary f_i = mean ++ std ++ presence-fraction.
 
-    X is the T×d feature matrix and mask the T×m per-instrument presence
-    matrix; the result is (n_segments, 2d + m).  Standard deviations are
-    population (ddof 0), so a single-frame segment contributes zeros.
+    X is the T×d feature matrix, mask the T×m per-instrument presence
+    matrix and segment i the frames [edges[i], edges[i + 1]); the result
+    is (len(edges) - 1, 2d + m).  Standard deviations are population
+    (ddof 0), so a single-frame segment contributes zeros.
 
     mask_weight scales the presence-fraction columns.  Presence patterns
     carry most of the action identity but only span [0, 1] against
@@ -76,23 +59,24 @@ def segment_features(X: np.ndarray, mask: np.ndarray,
         raise ValueError("mask must be T×m aligned with X")
     if mask_weight <= 0:
         raise ValueError("mask_weight must be > 0")
+    edges = np.asarray(edges, dtype=np.int64).tolist()
     d = X.shape[1]
-    F = np.empty((len(segments), 2 * d + mask.shape[1]), dtype=np.float64)
+    F = np.empty((len(edges[1:]), 2 * d + mask.shape[1]), dtype=np.float64)
     # numpy's own mean and std arithmetic, written into F's rows: sum, then
     # divide by n; square the deviations from that mean, sum, divide, root
-    for row, seg in zip(F, segments):
-        if not 0 <= seg.start < seg.end <= X.shape[0]:
-            raise ValueError(f"segment {seg.index} [{seg.start}, {seg.end}) "
+    for i, (row, start, end) in enumerate(zip(F, edges, edges[1:])):
+        if not 0 <= start < end <= X.shape[0]:
+            raise ValueError(f"segment {i} [{start}, {end}) "
                              f"outside [0, {X.shape[0]})")
-        n = seg.end - seg.start
-        block = X[seg.start: seg.end]
+        n = end - start
+        block = X[start: end]
         mean, std, frac = row[:d], row[d: 2 * d], row[2 * d:]
         np.true_divide(np.add.reduce(block, axis=0, out=mean), n, out=mean)
         dev = block - mean
         np.square(dev, out=dev)
         np.true_divide(np.add.reduce(dev, axis=0, out=std), n, out=std)
         np.sqrt(std, out=std)
-        np.add.reduce(mask[seg.start: seg.end], axis=0, out=frac)
+        np.add.reduce(mask[start: end], axis=0, out=frac)
         np.multiply(mask_weight, np.true_divide(frac, n, out=frac), out=frac)
     return F
 
@@ -203,19 +187,6 @@ def kmeans(F, K: int, *, seed: int = 0, restarts: int = 10,
     labels[order] = labels_sorted
     return ClusterModel(centroids=centers, assignments=labels,
                         inertia=inertia, n_iter=n_iter)
-
-
-def frame_clusters(segments: Sequence[Segment], assignments: Sequence[int],
-                   T: int) -> np.ndarray:
-    """Expand per-segment cluster ids to a per-frame stream of length T."""
-    if len(segments) != len(assignments):
-        raise ValueError("segments and assignments differ in length")
-    out = np.full(T, -1, dtype=np.int64)
-    for seg, k in zip(segments, assignments):
-        out[seg.start: seg.end] = k
-    if (out < 0).any():
-        raise ValueError("segments do not cover [0, T)")
-    return out
 
 
 def align_clusters(cluster_stream: Sequence[int],

@@ -53,7 +53,6 @@ from .records import (
     Provenance,
     RefinedTrack,
     SkillScore,
-    TipCandidateSet,
     TipCandidateTable,
     TipTrajectory,
     TrackObservation,
@@ -733,27 +732,33 @@ def load_truth_instances(path: PathLike) -> list[TruthInstance]:
 # tip candidates and reference descriptors
 
 
-def save_tip_candidates(candidates: Mapping[tuple[int, int], TipCandidateSet],
-                        path: PathLike) -> None:
-    """One record per (frame, object_id); candidates are crop-local and
-    the crop box travels with them when known."""
-    def record(key: tuple[int, int]) -> dict:
-        cset = candidates[key]
-        rec = {"frame": key[0], "object_id": key[1], "candidates": [
-            {"x": float(x), "y": float(y), "descriptor": [float(v) for v in d]}
-            for x, y, d in cset.candidates]}
-        if cset.bbox is not None:
-            rec.update(_box_fields(cset.bbox))
+def save_tip_candidates(table: TipCandidateTable, path: PathLike) -> None:
+    """One record per candidate set, in (frame, object_id) order;
+    candidates are crop-local and the crop box travels with them when the
+    set has one."""
+    keys, boxes = table.set_keys.tolist(), table.boxes.tolist()
+    offsets = table.offsets.tolist()
+
+    def record(i: int) -> dict:
+        a, b = offsets[i], offsets[i + 1]
+        rec = {"frame": keys[i][0], "object_id": keys[i][1], "candidates": [
+            {"x": x, "y": y, "descriptor": d}
+            for (x, y), d in zip(table.points[a:b].tolist(),
+                                 table.descriptors[a:b].tolist())]}
+        if not math.isnan(boxes[i][0]):
+            rec.update(zip("xywh", boxes[i]))
         return rec
 
-    _write_jsonl(path, map(record, sorted(candidates)))
+    order = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id
+    _write_jsonl(path, map(record, order.tolist()))
 
 
 def load_tip_candidates(path: PathLike) -> TipCandidateTable:
     """Read every candidate set into one columnar table, in file order.
 
-    All descriptors share the first one's length, and a (frame,
-    object_id) pair appears once; a record without ``x`` has no crop box.
+    All descriptors share the first one's length, every candidate's x and
+    y are finite, and a (frame, object_id) pair appears once; a record
+    without ``x`` has no crop box.
     """
     keys, boxes, offsets, points, descriptors = [], [], [0], [], []
     seen: set[tuple[int, int]] = set()
@@ -770,7 +775,11 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
                 raise ValueError(f"descriptors must be nonempty flat vectors "
                                  f"of one length, got shape {desc.shape[1:]}")
             descriptors.append(desc)
-        points.extend([float(c["x"]), float(c["y"])] for c in cands)
+        xy = [(float(c["x"]), float(c["y"])) for c in cands]
+        for x, y in xy:
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ValueError(f"candidate point ({x}, {y}) is not finite")
+        points.extend(xy)
         boxes.append(_bbox_of(rec) if "x" in rec else _NO_BOX)
         keys.append(key)
         seen.add(key)

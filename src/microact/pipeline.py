@@ -36,9 +36,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import io
-from .clustering import (Segment, boundaries_to_segments, frame_clusters,
-                         align_clusters, kmeans, segment_features,
-                         semantic_label)
+from .clustering import (align_clusters, kmeans, segment_edges,
+                         segment_features, semantic_label)
 from .config import SCHEMA_VERSION, PipelineConfig
 from .kinematics import KinematicFeatureExtractor
 from .metrics import boundary_metrics, frame_metrics
@@ -468,16 +467,33 @@ def _features(proc_dir, memo) -> np.ndarray:
     return X
 
 
-def _segments(proc_dir, memo, n_rows: int) -> list[dict]:
-    """The segments, which must tile exactly ``n_rows`` feature rows."""
+def _segments(proc_dir, memo, taus: Sequence[int],
+              n_rows: Optional[int] = None) -> tuple[list[dict], np.ndarray]:
+    """The segments and their edges, which must be [0, *taus, n_rows]: cut
+    at the boundaries ``taus`` of boundaries.csv and, when ``n_rows`` is
+    given, tiling exactly that many feature rows."""
     segs = _load(proc_dir, "segments", memo)
-    end = segs[-1]["end_frame"] if segs else 0
-    if end != n_rows:
+    path = _path(proc_dir, "segments")
+    # load_segments has checked that the rows tile the frames from 0
+    edges = [0] + [s["end_frame"] for s in segs]
+    if n_rows is not None and edges[-1] != n_rows:
         raise ValueError(
-            f"{_path(proc_dir, 'segments')}: the segments end at frame "
-            f"{end}, not at feature row {n_rows} (written by the 'cluster' "
-            "stage)")
-    return segs
+            f"{path}: the segments end at frame {edges[-1]}, not at feature "
+            f"row {n_rows} (written by the 'cluster' stage)")
+    starts, taus = edges[1:-1], list(taus)
+    if starts != taus:
+        # the first cut where they differ; a None pads the shorter list
+        i = next(i for i, (a, b) in enumerate(zip(starts + [None],
+                                                  taus + [None])) if a != b)
+        have = (f"segment {i + 1} starts at frame {starts[i]}"
+                if i < len(starts) else f"there are {len(segs)} segments")
+        want = (f"boundary {i + 1} of boundaries.csv is frame {taus[i]}"
+                if i < len(taus)
+                else f"boundaries.csv has {len(taus)} boundaries")
+        raise ValueError(
+            f"{path}: {have}, but {want}, so the segments were cut at other "
+            "boundaries (written by the 'cluster' stage)")
+    return segs, np.array(edges, dtype=np.int64)
 
 
 def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
@@ -516,15 +532,19 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     taus, _ = _load(proc_dir, "boundaries", memo)
     sidecar = _load(proc_dir, "features_meta", memo)
     eff_fps = float(sidecar["effective_fps"])
+    if not eff_fps > 0:
+        raise ValueError(
+            f"{_path(proc_dir, 'features_meta')}: effective_fps {eff_fps} is "
+            "not positive (written by the 'features' stage)")
     c = cfg.clustering
     if taus and taus[-1] >= X.shape[0]:
         raise ValueError(
             f"{_path(proc_dir, 'boundaries')}: boundary {taus[-1]} is not "
             f"inside the {X.shape[0]} frames of features.csv (written by "
             "the 'segment' stage)")
-    segments = boundaries_to_segments(taus, X.shape[0], eff_fps)
-    F = segment_features(X, mask, segments, mask_weight=c.mask_weight)
-    k = min(c.n_clusters, len(segments))
+    edges = segment_edges(taus, X.shape[0])
+    F = segment_features(X, mask, edges, mask_weight=c.mask_weight)
+    k = min(c.n_clusters, len(F))
     model = kmeans(F, k, seed=cfg.seed, restarts=c.restarts,
                    max_iter=c.max_iter)
 
@@ -536,17 +556,18 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         mapping, flags = semantic_label(model.centroids, X.shape[1],
                                         mask_classes)
 
+    bounds = edges.tolist()
     rows = []
-    for seg, cluster in zip(segments, model.assignments):
-        cluster = int(cluster)
+    for i, cluster in enumerate(model.assignments.tolist()):
+        a, b = bounds[i], bounds[i + 1]
         action = mapping[cluster].value if mapping else str(cluster)
-        rows.append({"index": seg.index, "start_frame": seg.start,
-                     "end_frame": seg.end, "cluster": cluster,
-                     "action": action, "duration_s": seg.duration_s})
+        rows.append({"index": i, "start_frame": a, "end_frame": b,
+                     "cluster": cluster, "action": action,
+                     "duration_s": (b - a) / eff_fps})
     keep = {"segments": rows}
     if mapping:
-        stream = frame_clusters(segments, model.assignments, X.shape[0])
-        labels = [mapping[int(k)] for k in stream]
+        stream = np.repeat(model.assignments, np.diff(edges))
+        labels = [mapping[k] for k in stream.tolist()]
         keep["pred_labels"] = _expand_to_native(
             labels, int(sidecar["downsample"]),
             int(sidecar["n_frames_native"]))
@@ -562,7 +583,7 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             io.save_labels(keep["pred_labels"], _path(proc_dir, "pred_labels"))
 
     _save(memo, write, **keep)
-    return {"n_segments": len(segments), "inertia": model.inertia,
+    return {"n_segments": len(rows), "inertia": model.inertia,
             "semantic": mapping is not None, "tie_flags": flags,
             "k_clamped": k < c.n_clusters}
 
@@ -593,13 +614,13 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     result: dict = {"procedure_id": meta.get("procedure_id")}
 
     # the feature rows are the native frames, every factor-th kept
-    segs = (_segments(proc_dir, memo,
-                      -(-int(sidecar["n_frames_native"]) // factor))
-            if sidecar else _load(proc_dir, "segments", memo))
-    cluster_stream = []
-    for s in segs:
-        cluster_stream += [s["cluster"]] * (s["end_frame"] - s["start_frame"])
-    cluster_native = _expand_to_native(cluster_stream, factor, n_native)
+    taus, _ = _load(proc_dir, "boundaries", memo)
+    segs, edges = _segments(
+        proc_dir, memo, taus,
+        -(-int(sidecar["n_frames_native"]) // factor) if sidecar else None)
+    cluster_stream = np.repeat([s["cluster"] for s in segs], np.diff(edges))
+    cluster_native = _expand_to_native(cluster_stream.tolist(), factor,
+                                       n_native)
     _, aligned = align_clusters(cluster_native, gt_labels)
     result["frame_aligned"] = frame_metrics(aligned, gt_labels).to_dict()
 
@@ -611,7 +632,6 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                 f"{len(gt_labels)}")
         result["frame"] = frame_metrics(pred, gt_labels).to_dict()
 
-    taus, _ = _load(proc_dir, "boundaries", memo)
     gt_taus, _ = _load(proc_dir, "boundaries_truth", memo)
     tol = int(round(cfg.evaluation.boundary_tolerance_s * native_fps))
     taus_native = [t * factor for t in taus]
@@ -641,10 +661,8 @@ def _skill_rows(proc_dir, cfg: PipelineConfig, memo=None
     X = _features(proc_dir, memo)
     mask, _ = _load(proc_dir, "presence", memo)
     seg_rows = _load(proc_dir, "segments", memo)
-    segments = [Segment(index=s["index"], start=s["start_frame"],
-                        end=s["end_frame"], duration_s=s["duration_s"])
-                for s in seg_rows]
-    F = segment_features(X, mask, segments,
+    edges = [0] + [s["end_frame"] for s in seg_rows]
+    F = segment_features(X, mask, edges,
                          mask_weight=cfg.clustering.mask_weight)
     rows = []
     reps = {a: 0 for a in RATED_ACTIONS}
@@ -835,7 +853,7 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     novelty = _load(proc_dir, "novelty", memo)
     taus, proms = _load(proc_dir, "boundaries", memo)
     X = _features(proc_dir, memo)
-    segs = _segments(proc_dir, memo, len(X))
+    segs, _ = _segments(proc_dir, memo, taus, len(X))
     downsample = int(_sidecar(proc_dir, memo).get("downsample", 1))
 
     eval_result = skill = None

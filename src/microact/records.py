@@ -125,19 +125,6 @@ class TipTrajectory:
         return len(self.points)
 
 
-@dataclass
-class TipCandidateSet:
-    """Tip candidates for one (frame, object) crop.
-
-    ``candidates`` holds (x, y, descriptor) in crop-local coordinates;
-    ``bbox`` is the crop itself so a consumer holding its own object ids
-    can match candidate sets to boxes geometrically.
-    """
-
-    candidates: list
-    bbox: Optional[BBox] = None
-
-
 @dataclass(eq=False)
 class TipCandidateTable:
     """Every tip candidate set of a procedure, in columns.

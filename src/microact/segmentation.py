@@ -19,7 +19,7 @@ matrix agree bit for bit.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -141,26 +141,15 @@ def enhance(S: SelfSimilarityBand | np.ndarray):
     return S
 
 
-@dataclass
-class CheckerboardKernel:
-    """Gaussian checkerboard weights over i, j in [-h, h-1].
+def make_kernel(h: int, sigma: float) -> np.ndarray:
+    """The (2h,) factor w of the half-width-h Gaussian checkerboard kernel.
 
-    Separable: W(i, j) = w(i) * w(j) with
-    w(i) = sgn*(i) * exp(-(i + 0.5)^2 / (2 sigma^2)), sgn*(i) = +1 for
-    i >= 0 and -1 otherwise.  The half-sample offset makes the index range
-    symmetric around -0.5, so w(-1-i) = -w(i) and the weights sum to zero.
-    """
-
-    half_width: int
-    sigma: float
-    w: np.ndarray = field(repr=False)  # (2h,) 1-D factor, index i+h
-
-
-def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
-    """Build the half-width-h checkerboard kernel.
-
-    The negative half mirrors the positive half with flipped sign, so the
-    cancellation w(i) + w(-1-i) = 0 is exact in floating point.
+    The kernel over i, j in [-h, h-1] is separable: W(i, j) = w(i) * w(j)
+    with w(i) = sgn*(i) * exp(-(i + 0.5)^2 / (2 sigma^2)), sgn*(i) = +1 for
+    i >= 0 and -1 otherwise, stored at index i + h.  The half-sample offset
+    makes the index range symmetric around -0.5, so w(-1-i) = -w(i) and the
+    weights sum to zero; the negative half mirrors the positive half with
+    flipped sign, so that cancellation is exact in floating point.
     """
     h = check_positive_int(h, "h")
     sigma = float(sigma)
@@ -170,13 +159,13 @@ def make_kernel(h: int, sigma: float) -> CheckerboardKernel:
     w = np.empty(2 * h, dtype=np.float64)
     w[h:] = g
     w[:h] = -g[::-1]
-    return CheckerboardKernel(half_width=h, sigma=sigma, w=w)
+    return w
 
 
-def novelty(band: SelfSimilarityBand,
-            kernel: CheckerboardKernel) -> np.ndarray:
+def novelty(band: SelfSimilarityBand, w: np.ndarray) -> np.ndarray:
     """Checkerboard novelty N(t) = sum_ij W(i,j) S'(t+i, t+j) over an
-    enhanced band, ``enhance(ssm_band(X, h))``.
+    enhanced band, ``enhance(ssm_band(X, h))``, with W = w w^T for the
+    factor ``w = make_kernel(h, sigma)``; h is ``len(w) // 2``.
 
     Computed for t in [h, T-h); exactly zero elsewhere.  The kernel is
     separable (W = w w^T), so the double sum collapses to one banded
@@ -186,7 +175,7 @@ def novelty(band: SelfSimilarityBand,
     if not isinstance(band, SelfSimilarityBand):
         raise TypeError(f"novelty takes the SelfSimilarityBand of ssm_band, "
                         f"not {type(band).__name__}")
-    h = kernel.half_width
+    h = len(w) // 2
     if band.half_width < h:
         raise ValueError(
             f"band half-width {band.half_width} narrower than kernel h={h}")
@@ -195,7 +184,6 @@ def novelty(band: SelfSimilarityBand,
     if T < 2 * h:
         return N
     bw = band.bandwidth
-    w = kernel.w
     # M[c, a] places w(j) so that (P @ M)[u, a] = sum_j w(j) P[u, j - i + bw]
     # with i = a - h, i.e. the inner sum of the separated kernel.
     # One tap j at a time; row c = j - a + bw stays inside the band's
@@ -211,17 +199,6 @@ def novelty(band: SelfSimilarityBand,
         i = a - h
         N[valid] += w[a] * R[h + i: h + i + n_valid, a]
     return N
-
-
-@dataclass
-class Boundaries:
-    """Picked change points with their prominences."""
-
-    taus: np.ndarray          # strictly increasing frame indices
-    prominences: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.taus)
 
 
 def _local_maxima(N: np.ndarray) -> np.ndarray:
@@ -288,12 +265,14 @@ def _prominences(N: np.ndarray, peaks: np.ndarray) -> np.ndarray:
                                  window_min(peaks + 1, right))
 
 
-def peak_pick(N, prominence_threshold: float, d_min: int) -> Boundaries:
+def peak_pick(N, prominence_threshold: float, d_min: int
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Boundary selection: prominence filter then distance suppression.
 
     All interior local maxima with prominence >= threshold are candidates;
     among candidates closer than d_min the higher peak survives (height
-    ties favor the earlier index).  Output is strictly increasing.
+    ties favor the earlier index).  Returns the picked frames (int64,
+    strictly increasing) and their prominences.
     """
     N = np.asarray(N, dtype=np.float64)
     if N.ndim != 1:
@@ -314,8 +293,7 @@ def peak_pick(N, prominence_threshold: float, d_min: int) -> Boundaries:
                 and (at == len(kept) or kept[at] - t >= d_min)):
             kept.insert(at, t)
     chosen = np.searchsorted(taus, kept)
-    return Boundaries(taus=taus[chosen].astype(np.int64),
-                      prominences=proms[chosen])
+    return taus[chosen].astype(np.int64), proms[chosen]
 
 
 class NoveltyBoundaryDetector:
@@ -358,10 +336,10 @@ class NoveltyBoundaryDetector:
         h = check_positive_int(self.half_width, "half_width")
         check_fraction(self.prominence_frac, "prominence_frac")
         self.sigma_ = float(self.sigma) if self.sigma is not None else h / 2.0
-        kernel = make_kernel(h, self.sigma_)
+        w = make_kernel(h, self.sigma_)
         band = ssm_band(X, h)
         enhance(band)
-        self.novelty_ = novelty(band, kernel)
+        self.novelty_ = novelty(band, w)
         peak = float(np.max(np.abs(self.novelty_))) if len(self.novelty_) else 0.0
         if peak < self.novelty_floor:
             self.threshold_ = 0.0
@@ -369,8 +347,7 @@ class NoveltyBoundaryDetector:
             self.prominences_ = np.array([], dtype=np.float64)
             return self
         self.threshold_ = self.prominence_frac * float(np.max(self.novelty_))
-        picked = peak_pick(self.novelty_, self.threshold_,
-                           check_positive_int(self.min_distance, "min_distance"))
-        self.boundaries_ = picked.taus
-        self.prominences_ = picked.prominences
+        self.boundaries_, self.prominences_ = peak_pick(
+            self.novelty_, self.threshold_,
+            check_positive_int(self.min_distance, "min_distance"))
         return self

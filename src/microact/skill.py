@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .io import _checked, _read_json, atomic_write
+from .metrics import frame_metrics
 from .records import ActionClass, SkillLevel
 from .validation import check_array, check_positive_int
 
@@ -419,21 +420,6 @@ def stratified_fold_assignment(y: np.ndarray, folds: int,
     return assignment
 
 
-def _per_class_prf(y_true: np.ndarray, y_pred: np.ndarray,
-                   classes: np.ndarray) -> dict:
-    out = {}
-    for cls in classes:
-        tp = int(np.sum((y_pred == cls) & (y_true == cls)))
-        fp = int(np.sum((y_pred == cls) & (y_true != cls)))
-        fn = int(np.sum((y_pred != cls) & (y_true == cls)))
-        prec = tp / (tp + fp) if tp + fp else 0.0
-        rec = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
-        out[int(cls)] = {"precision": prec, "recall": rec, "f1": f1,
-                         "support": int(np.sum(y_true == cls))}
-    return out
-
-
 def cross_validate(X, y, *, folds: int = 5, seed: int = 0,
                    n_estimators: int = 200, learning_rate: float = 0.1,
                    max_depth: int = 3) -> dict:
@@ -463,10 +449,12 @@ def cross_validate(X, y, *, folds: int = 5, seed: int = 0,
         pred = model.predict(X[test])
         pooled_pred[test] = pred
         fold_acc.append(float(np.mean(pred == y[test])))
-    classes = np.unique(y)
+    scores = frame_metrics(pooled_pred.tolist(), y.tolist()).per_class
     return {
         "folds": folds,
         "fold_accuracy": fold_acc,
         "accuracy": float(np.mean(pooled_pred == y)),
-        "per_class": _per_class_prf(y, pooled_pred, classes),
+        "per_class": {c: {key: scores[c][key] for key in
+                          ("precision", "recall", "f1", "support")}
+                      for c in np.unique(y).tolist()},
     }

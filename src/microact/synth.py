@@ -26,7 +26,7 @@ import numpy as np
 
 from . import io
 from .records import (ActionClass, BBox, Detection, InstrumentClass,
-                      SkillLevel, SkillScore, TipCandidateSet, TipTrajectory,
+                      SkillLevel, SkillScore, TipCandidateTable, TipTrajectory,
                       TruthInstance)
 from .validation import check_fraction
 
@@ -133,7 +133,7 @@ class SyntheticProcedure:
     labels: list[ActionClass]
     boundaries: list[int]                      # frames where a segment starts
     segments: list[tuple[int, int, ActionClass]]  # half-open [start, end)
-    tip_candidates: dict[tuple[int, int], TipCandidateSet]
+    tip_candidates: TipCandidateTable          # sets by (frame, slot)
     reference_descriptors: dict[InstrumentClass, np.ndarray]
     scores: list[SkillScore]
     dropped: list[tuple[int, int]] = field(default_factory=list)
@@ -308,7 +308,8 @@ def generate(script: ProcedureScript,
             mislabeled.append((f, slot, wrong))
 
     detections = []
-    candidates: dict[tuple[int, int], TipCandidateSet] = {}
+    # the candidate table's columns, one set per detection
+    set_keys, set_boxes, cand_points, cand_descs = [], [], [], []
     shaft_step = np.array([6.0, 4.5])
     for f in range(n_frames):
         for slot, cls in enumerate(SLOT_CLASSES):
@@ -330,18 +331,16 @@ def generate(script: ProcedureScript,
             # local point lands back on the exact tip after the transform
             true_local = np.array([tip[0] - bx, tip[1] - by])
             true_idx = int(rng.integers(N_CANDIDATES))
-            cand = []
             for i in range(N_CANDIDATES):
-                local = true_local - (i - true_idx) * shaft_step
+                cand_points.append(true_local - (i - true_idx) * shaft_step)
                 if i == true_idx:
                     d = (REFERENCE_DESCRIPTORS[cls]
                          + 0.05 * rng.normal(size=DESCRIPTOR_DIM))
                 else:
                     d = rng.normal(size=DESCRIPTOR_DIM)
-                d = d / np.linalg.norm(d)
-                cand.append((float(local[0]), float(local[1]), d))
-            candidates[(f, slot)] = TipCandidateSet(candidates=cand,
-                                                    bbox=(bx, by, bw, bh))
+                cand_descs.append(d / np.linalg.norm(d))
+            set_keys.append((f, slot))
+            set_boxes.append((bx, by, bw, bh))
 
     # expert-style scores driven by sloppiness, one per rated action type
     proc_id = f"synth-{script.seed if seed is None else seed:06d}"
@@ -355,7 +354,14 @@ def generate(script: ProcedureScript,
         script=script, n_frames=n_frames, fps=script.fps,
         detections=detections, truth=truth, trajectories=trajectories,
         labels=labels, boundaries=boundaries, segments=segments,
-        tip_candidates=candidates,
+        tip_candidates=TipCandidateTable(
+            set_keys=np.array(set_keys, dtype=np.int64).reshape(-1, 2),
+            boxes=np.array(set_boxes, dtype=np.float64).reshape(-1, 4),
+            offsets=np.arange(0, N_CANDIDATES * len(set_keys) + 1,
+                              N_CANDIDATES, dtype=np.int64),
+            points=np.array(cand_points, dtype=np.float64).reshape(-1, 2),
+            descriptors=np.array(cand_descs, dtype=np.float64).reshape(
+                -1, DESCRIPTOR_DIM)),
         reference_descriptors=dict(REFERENCE_DESCRIPTORS),
         scores=scores, dropped=dropped, mislabeled=mislabeled)
 

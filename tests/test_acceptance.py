@@ -21,9 +21,8 @@ import microact
 from microact import TipTrajectory, load_config
 from microact.clustering import (
     align_clusters,
-    boundaries_to_segments,
-    frame_clusters,
     kmeans,
+    segment_edges,
     segment_features,
 )
 from microact.kinematics import (
@@ -107,10 +106,10 @@ def test_criterion_3_boundary_recovery_on_synthetic(announce):
         gt_taus = sorted(b for b in proc.boundaries if b > 0)
         bm = boundary_metrics(sorted(det.boundaries_), gt_taus,
                               tolerance=round(0.5 * proc.fps))
-        segs = boundaries_to_segments(det.boundaries_, km.X.shape[0], km.fps)
-        F = segment_features(km.X, km.presence_mask, segs, mask_weight=3.0)
+        edges = segment_edges(det.boundaries_, km.X.shape[0])
+        F = segment_features(km.X, km.presence_mask, edges, mask_weight=3.0)
         model = kmeans(F, 4, seed=0, restarts=10)
-        stream = frame_clusters(segs, model.assignments, km.X.shape[0])
+        stream = np.repeat(model.assignments, np.diff(edges))
         _, mapped = align_clusters(stream, proc.labels)
         recalls.append(bm.recall)
         precisions.append(bm.precision)
@@ -152,10 +151,10 @@ def test_criterion_5_peak_picking_matches_oracle(announce):
         span = float(N.max() - N.min()) or 1.0
         threshold = float(rng.uniform(0.0, 0.3)) * span
         d_min = int(rng.integers(1, 30))
-        got = peak_pick(N, threshold, d_min)
+        taus, proms = peak_pick(N, threshold, d_min)
         expect = peak_oracle(N, threshold, d_min)
-        if (list(got.taus) != [t for t, _ in expect]
-                or list(got.prominences) != [p for _, p in expect]):
+        if (list(taus) != [t for t, _ in expect]
+                or list(proms) != [p for _, p in expect]):
             agree = False
             break
     dt = time.perf_counter() - t0

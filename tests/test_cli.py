@@ -14,6 +14,7 @@ import inspect
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import textwrap
 import time
@@ -24,11 +25,13 @@ import pytest
 
 from microact import cli, io, load_config, pipeline
 from microact.records import (ActionClass, InstrumentClass, Provenance,
-                              RefinedTrack, TipCandidateSet)
+                              RefinedTrack)
 from microact.skill import SkillGradientBoosting
 from microact.synth import (ActionSpec, ProcedureScript, generate,
                             paper_shaped_script, write_procedure)
 from microact.tracking import iou, localize_tip
+
+from test_io import CandidateSet, candidate_table
 
 
 def run_cli(*argv) -> int:
@@ -846,6 +849,74 @@ def test_segments_off_the_feature_rows_name_the_cluster_stage(
     assert (d / f"{stage}.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("stage", ["eval", "report"])
+@pytest.mark.parametrize("damage", ["resegment", "last-boundary-gone"])
+def test_segments_cut_at_stale_boundaries_name_the_cluster_stage(
+        tmp_path, base_proc, capsys, monkeypatch, stage, damage):
+    # segment re-run at another half-width used to leave eval and report
+    # pairing the new boundaries with segments cut at the old ones
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    before = (d / f"{stage}.json").read_bytes()
+    starts = [int(row.split(",")[1])
+              for row in (d / "segments.csv").read_text().splitlines()[2:]]
+    if damage == "resegment":
+        monkeypatch.setenv("MICROACT_SEGMENTATION__HALF_WIDTH", "20")
+        assert run_cli("segment", d) == 0
+        monkeypatch.delenv("MICROACT_SEGMENTATION__HALF_WIDTH")
+        taus, _ = io.load_boundaries(d / "boundaries.csv")
+        i = next(i for i, (a, b) in enumerate(zip(starts, taus)) if a != b)
+        want = (f"segment {i + 1} starts at frame {starts[i]}, but boundary "
+                f"{i + 1} of boundaries.csv is frame {taus[i]}")
+    else:
+        lines = (d / "boundaries.csv").read_text().splitlines()
+        (d / "boundaries.csv").write_text("\n".join(lines[:-1]) + "\n")
+        want = (f"segment {len(starts)} starts at frame {starts[-1]}, but "
+                f"boundaries.csv has {len(starts) - 1} boundaries")
+    assert run_cli(stage, d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {d / 'segments.csv'}: {want}, so the segments were cut at "
+        "other boundaries (written by the 'cluster' stage)\n")
+    assert (d / f"{stage}.json").read_bytes() == before
+    assert run_cli("cluster", d) == 0
+    assert run_cli(stage, d) == 0
+
+
+@pytest.mark.parametrize("fps", [0.0, -5.0])
+def test_non_positive_effective_fps_names_the_features_stage(
+        tmp_path, base_proc, capsys, fps):
+    # segment durations divide by it
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    path = d / "features.csv.meta.json"
+    io._write_json(path, {**json.loads(path.read_text()),
+                          "effective_fps": fps})
+    assert run_cli("cluster", d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: effective_fps {fps} is not positive (written by "
+        "the 'features' stage)\n")
+
+
+@pytest.mark.parametrize("command", ["tips", "run-all"])
+@pytest.mark.parametrize("value", ["NaN", "-Infinity"])
+def test_non_finite_candidate_point_names_the_synth_stage(tmp_path, capsys,
+                                                          command, value):
+    # a NaN x used to reach tips.csv, or fail run-all naming no file
+    d = fresh_proc(tmp_path)
+    path = d / "tip_candidates.jsonl"
+    lines = path.read_text().splitlines()
+    # sorted keys: the line's first "x" is its first candidate's
+    lines[575] = re.sub(r'"x": [^,]+', f'"x": {value}', lines[575], count=1)
+    path.write_text("\n".join(lines) + "\n")
+    if command == "tips":
+        assert run_cli("track", d) == 0
+    assert run_cli(command, d) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:576: candidate point (")
+    assert err.endswith(" is not finite (written by the 'synth' stage)\n")
+    assert not (d / "tips.csv").exists()
+
+
 @pytest.mark.parametrize("frames", [-30, 2])
 def test_tips_off_the_frame_count_name_the_tips_stage(tmp_path, base_proc,
                                                       capsys, frames):
@@ -1053,11 +1124,12 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
     for f in range(n_frames):
         for oid in rng.choice(6, size=rng.integers(0, 5), replace=False):
             # the set's own key in its point, to tell which set was taken
-            cands[(f, int(oid))] = TipCandidateSet(
+            cands[(f, int(oid))] = CandidateSet(
                 candidates=[(float(f), float(oid), np.array([1.0, 0.5]))],
                 bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
-    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_tip_candidates(candidate_table(cands),
+                           tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors({c: np.array([1.0, 0.0]) for c in classes},
                                   tmp_path / "reference_descriptors.json")
     io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 from microact import ActionClass, InstrumentClass
 from microact.clustering import (
     ClusterModel,
-    Segment,
     align_clusters,
-    boundaries_to_segments,
-    frame_clusters,
     kmeans,
+    segment_edges,
     segment_features,
     semantic_label,
     _lloyd,
@@ -61,33 +59,32 @@ def best_mapping_overlap(table):
 
 class TestSegments:
     def test_partition_of_frame_axis(self):
-        segs = boundaries_to_segments([30, 75], 100, fps=5.0)
-        assert [(s.start, s.end) for s in segs] == [(0, 30), (30, 75), (75, 100)]
-        covered = sorted(f for s in segs for f in range(s.start, s.end))
+        edges = segment_edges([30, 75], 100)
+        assert edges.dtype == np.int64
+        assert edges.tolist() == [0, 30, 75, 100]
+        covered = sorted(f for a, b in zip(edges, edges[1:])
+                         for f in range(a, b))
         assert covered == list(range(100))
-        assert segs[1].duration_s == pytest.approx(45 / 5.0)
 
     def test_no_boundaries_single_segment(self):
-        segs = boundaries_to_segments([], 40, fps=4.0)
-        assert len(segs) == 1 and segs[0].start == 0 and segs[0].end == 40
+        assert segment_edges([], 40).tolist() == [0, 40]
 
     def test_boundary_at_edge_rejected(self):
         with pytest.raises(ValueError, match="inside"):
-            boundaries_to_segments([0, 10], 20, fps=1.0)
+            segment_edges([0, 10], 20)
         with pytest.raises(ValueError, match="inside"):
-            boundaries_to_segments([10, 20], 20, fps=1.0)
+            segment_edges([10, 20], 20)
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
-            boundaries_to_segments([10, 10], 20, fps=1.0)
+            segment_edges([10, 10], 20)
 
 
 class TestSegmentFeatures:
     def test_identical_rows_zero_std(self):
         X = np.tile([2.0, -1.0], (10, 1))
         mask = np.ones((10, 1))
-        segs = boundaries_to_segments([], 10, fps=1.0)
-        F = segment_features(X, mask, segs)
+        F = segment_features(X, mask, segment_edges([], 10))
         d = 2
         assert F.shape == (1, 2 * d + 1)
         assert np.all(F[0, d: 2 * d] == 0.0)  # std block
@@ -98,8 +95,7 @@ class TestSegmentFeatures:
         mask = np.zeros((8, 2))
         mask[:, 0] = 1.0          # instrument 0 always present
         mask[:4, 1] = 1.0         # instrument 1 present half the time
-        segs = boundaries_to_segments([], 8, fps=1.0)
-        F = segment_features(X, mask, segs)
+        F = segment_features(X, mask, segment_edges([], 8))
         assert F[0, 2] == 1.0
         assert F[0, 3] == 0.5
 
@@ -107,7 +103,7 @@ class TestSegmentFeatures:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(12, 3))
         mask = (rng.random((12, 2)) < 0.5).astype(float)
-        segs = boundaries_to_segments([6], 12, fps=1.0)
+        segs = segment_edges([6], 12)
         base = segment_features(X, mask, segs)
         scaled = segment_features(X, mask, segs, mask_weight=3.0)
         assert np.array_equal(scaled[:, :6], base[:, :6])
@@ -119,10 +115,10 @@ class TestSegmentFeatures:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 4))
         mask = (rng.random((60, 2)) < 0.7).astype(float)
-        segs = boundaries_to_segments([15, 40], 60, fps=5.0)
-        F = segment_features(X, mask, segs)
-        for si, seg in enumerate(segs):
-            rows = X[seg.start: seg.end]
+        edges = segment_edges([15, 40], 60)
+        F = segment_features(X, mask, edges)
+        for si, (start, end) in enumerate(zip(edges, edges[1:])):
+            rows = X[start: end]
             d = X.shape[1]
             for c in range(d):
                 col = rows[:, c]
@@ -131,20 +127,20 @@ class TestSegmentFeatures:
                 assert F[si, c] == pytest.approx(mu, abs=1e-12)
                 assert F[si, d + c] == pytest.approx(math.sqrt(var), abs=1e-9)
             for c in range(2):
-                frac = mask[seg.start: seg.end, c].sum() / len(rows)
+                frac = mask[start: end, c].sum() / len(rows)
                 assert F[si, 2 * d + c] == pytest.approx(frac)
 
     def test_single_frame_segment(self):
         X = np.array([[1.0], [5.0], [9.0]])
         mask = np.ones((3, 1))
-        segs = boundaries_to_segments([1, 2], 3, fps=1.0)
-        F = segment_features(X, mask, segs)
+        F = segment_features(X, mask, segment_edges([1, 2], 3))
         assert np.all(F[:, 1] == 0.0)  # std of single row
 
     def test_segment_outside_matrix_rejected(self):
         with pytest.raises(ValueError, match="outside"):
-            segment_features(np.zeros((5, 1)), np.zeros((5, 1)),
-                             [Segment(0, 0, 9, 9.0)])
+            segment_features(np.zeros((5, 1)), np.zeros((5, 1)), [0, 9])
+        with pytest.raises(ValueError, match="outside"):
+            segment_features(np.zeros((5, 1)), np.zeros((5, 1)), [0, 3, 3, 5])
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), T=st.integers(1, 90),
@@ -160,11 +156,12 @@ class TestSegmentFeatures:
         X[rng.random(T) < 0.1] = 0.0
         mask = (rng.random((T, m)) < 0.5).astype(float)
         taus = sorted(set(rng.integers(1, T, n_bounds).tolist())) if T > 1 else []
-        segs = boundaries_to_segments(taus, T, fps=5.0)
+        edges = segment_edges(taus, T)
         want = np.asarray([np.concatenate([
-            X[s.start: s.end].mean(axis=0), X[s.start: s.end].std(axis=0),
-            mask_weight * mask[s.start: s.end].mean(axis=0)]) for s in segs])
-        got = segment_features(X, mask, segs, mask_weight=mask_weight)
+            X[a: b].mean(axis=0), X[a: b].std(axis=0),
+            mask_weight * mask[a: b].mean(axis=0)])
+            for a, b in zip(edges, edges[1:])])
+        got = segment_features(X, mask, edges, mask_weight=mask_weight)
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -266,16 +263,34 @@ class TestKMeans:
 # --- alignment and naming ------------------------------------------------
 
 
+def frame_clusters_loop(edges, assignments, T):
+    """Per-segment cluster ids written into a per-frame stream of length T,
+    one segment at a time; -1 marks a frame that no segment covers."""
+    out = np.full(T, -1, dtype=np.int64)
+    for a, b, k in zip(edges, edges[1:], assignments):
+        out[a: b] = k
+    return out
+
+
 class TestFrameClusters:
     def test_expansion(self):
-        segs = boundaries_to_segments([3], 6, fps=1.0)
-        out = frame_clusters(segs, [1, 0], 6)
-        assert list(out) == [1, 1, 1, 0, 0, 0]
+        edges = segment_edges([3], 6)
+        out = np.repeat([1, 0], np.diff(edges))
+        assert out.tolist() == [1, 1, 1, 0, 0, 0]
 
-    def test_coverage_required(self):
-        segs = [Segment(0, 0, 3, 3.0)]
-        with pytest.raises(ValueError, match="cover"):
-            frame_clusters(segs, [0], 6)
+    @settings(max_examples=200, deadline=None)
+    @given(T=st.integers(1, 200), data=st.data())
+    def test_edge_expansion_matches_segment_loop(self, T, data):
+        taus = data.draw(st.lists(st.integers(1, max(1, T - 1)), unique=True,
+                                  max_size=T - 1).map(sorted))
+        edges = segment_edges(taus, T)
+        assignments = np.array(data.draw(st.lists(
+            st.integers(0, 9), min_size=len(edges) - 1,
+            max_size=len(edges) - 1)), dtype=np.int64)
+        got = np.repeat(assignments, np.diff(edges))
+        want = frame_clusters_loop(edges, assignments, T)
+        assert got.dtype == np.int64 and (want >= 0).all()
+        assert np.array_equal(got, want)
 
 
 class TestAlignClusters:

@@ -2,6 +2,7 @@ import enum
 import json
 import math
 import pickle
+from typing import NamedTuple, Optional
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ from microact.io import (
     save_truth_instances,
     validate_stream,
 )
-from microact.records import SkillLevel, TipCandidateSet, TrackObservation
+from microact.records import SkillLevel, TipCandidateTable, TrackObservation
 from microact.segmentation import enhance, ssm
 from microact.skill import SkillGradientBoosting
 
@@ -321,6 +322,55 @@ class TestTracks:
         assert load_truth_instances(p) == rows
 
 
+class CandidateSet(NamedTuple):
+    """One crop's tip candidates, (x, y, descriptor) each, and its box."""
+
+    candidates: list
+    bbox: Optional[tuple] = None
+
+
+def candidate_table(sets: dict) -> TipCandidateTable:
+    """The table of ``{(frame, object_id): CandidateSet}``, sets in the
+    dict's order."""
+    keys = list(sets)
+    cands = [c for key in keys for c in sets[key].candidates]
+    return TipCandidateTable(
+        set_keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
+        boxes=np.array([sets[k].bbox or (math.nan,) * 4 for k in keys],
+                       dtype=np.float64).reshape(-1, 4),
+        offsets=np.cumsum([0] + [len(sets[k].candidates) for k in keys],
+                          dtype=np.int64),
+        points=np.array([c[:2] for c in cands],
+                        dtype=np.float64).reshape(-1, 2),
+        descriptors=(np.array([c[2] for c in cands], dtype=np.float64)
+                     if cands else np.empty((0, 0))))
+
+
+def oracle_save_tip_candidates(sets: dict, path) -> None:
+    """The candidate writer over a dict of CandidateSets, one record per
+    key in sorted key order."""
+    def record(key):
+        cset = sets[key]
+        rec = {"frame": key[0], "object_id": key[1], "candidates": [
+            {"x": float(x), "y": float(y), "descriptor": [float(v) for v in d]}
+            for x, y, d in cset.candidates]}
+        if cset.bbox is not None:
+            rec.update(io._box_fields(cset.bbox))
+        return rec
+
+    io._write_jsonl(path, map(record, sorted(sets)))
+
+
+def same_table(a: TipCandidateTable, b: TipCandidateTable) -> bool:
+    """Whether two tables hold the same sets in the same order; NaN equals
+    NaN, so a missing box and a NaN descriptor compare equal."""
+    return all(
+        x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+        for x, y in ((a.set_keys, b.set_keys), (a.boxes, b.boxes),
+                     (a.offsets, b.offsets), (a.points, b.points),
+                     (a.descriptors, b.descriptors)))
+
+
 def crop_box(table, i):
     """Set ``i``'s crop box as a tuple of floats, None without one."""
     box = tuple(table.boxes[i].tolist())
@@ -332,18 +382,37 @@ def set_rows(table, i) -> slice:
     return slice(int(table.offsets[i]), int(table.offsets[i + 1]))
 
 
+_coord = st.floats(allow_nan=False, allow_infinity=False)
+_crop = st.tuples(_coord, _coord, st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
+
+
+@st.composite
+def candidate_sets(draw) -> dict:
+    """Random ``{(frame, object_id): CandidateSet}`` with unsorted keys,
+    empty sets, sets without a box and NaN descriptors."""
+    width = draw(st.integers(1, 4))
+    keys = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)),
+                         unique=True, max_size=12))
+    descriptor = st.lists(st.floats(allow_infinity=False), min_size=width,
+                          max_size=width).map(np.array)
+    return {key: CandidateSet(
+        candidates=draw(st.lists(st.tuples(_coord, _coord, descriptor),
+                                 max_size=4)),
+        bbox=draw(st.none() | _crop)) for key in keys}
+
+
 class TestCandidatesDescriptors:
     def test_candidates_round_trip(self, tmp_path):
         cands = {
-            (0, 1): TipCandidateSet(
+            (0, 1): CandidateSet(
                 candidates=[(1.0, 2.0, np.array([0.5, 0.5])),
                             (3.0, 4.0, np.array([1.0, 0.0]))],
                 bbox=(10.0, 20.0, 40.0, 40.0)),
-            (1, 1): TipCandidateSet(
+            (1, 1): CandidateSet(
                 candidates=[(0.0, 0.0, np.array([0.0, 1.0]))]),
         }
         p = tmp_path / "cands.jsonl"
-        save_tip_candidates(cands, p)
+        save_tip_candidates(candidate_table(cands), p)
         loaded = load_tip_candidates(p)
         keys = [tuple(key) for key in loaded.set_keys.tolist()]
         assert keys == sorted(cands)
@@ -357,18 +426,30 @@ class TestCandidatesDescriptors:
                 assert (x0, y0) == (x1, y1)
                 assert np.array_equal(d0, d1)
 
+    @settings(max_examples=200, deadline=None)
+    @given(sets=candidate_sets())
+    def test_table_round_trip_and_oracle_bytes(self, tmp_path_factory, sets):
+        d = tmp_path_factory.mktemp("cands")
+        save_tip_candidates(candidate_table(sets), d / "table.jsonl")
+        oracle_save_tip_candidates(sets, d / "oracle.jsonl")
+        assert (d / "table.jsonl").read_bytes() == \
+            (d / "oracle.jsonl").read_bytes()
+        # the sets come back in (frame, object_id) order
+        assert same_table(load_tip_candidates(d / "table.jsonl"),
+                          candidate_table(dict(sorted(sets.items()))))
+
     def test_candidates_load_as_columns(self, tmp_path):
         cands = {
-            (3, 2): TipCandidateSet(
+            (3, 2): CandidateSet(
                 candidates=[(1.0, 2.0, np.array([0.5, 0.5])),
                             (3.0, 4.0, np.array([1.0, 0.0]))],
                 bbox=(10.0, 20.0, 40.0, 40.0)),
-            (3, 1): TipCandidateSet(candidates=[]),
-            (0, 7): TipCandidateSet(
+            (3, 1): CandidateSet(candidates=[]),
+            (0, 7): CandidateSet(
                 candidates=[(0.0, 0.0, np.array([0.0, 1.0]))]),
         }
         p = tmp_path / "cands.jsonl"
-        save_tip_candidates(cands, p)
+        save_tip_candidates(candidate_table(cands), p)
         table = load_tip_candidates(p)
         # file order, which is sorted key order
         assert table.set_keys.tolist() == [[0, 7], [3, 1], [3, 2]]

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from microact import ActionClass, SkillLevel, io, load_config, pipeline
+from microact import ActionClass, SkillLevel, io, load_config, pipeline, skill
+from microact.metrics import frame_metrics
 from microact.skill import (
     SkillGradientBoosting,
     _grow,
@@ -572,6 +573,22 @@ class TestSerialization:
         assert problem in str(exc.value)
 
 
+def per_class_loop(y_true, y_pred, classes) -> dict:
+    """Precision, recall, F1 and support of each class, counted one class
+    at a time."""
+    out = {}
+    for cls in classes:
+        tp = int(np.sum((y_pred == cls) & (y_true == cls)))
+        fp = int(np.sum((y_pred == cls) & (y_true != cls)))
+        fn = int(np.sum((y_pred != cls) & (y_true == cls)))
+        prec = tp / (tp + fp) if tp + fp else 0.0
+        rec = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * prec * rec / (prec + rec) if prec + rec else 0.0
+        out[int(cls)] = {"precision": prec, "recall": rec, "f1": f1,
+                         "support": int(np.sum(y_true == cls))}
+    return out
+
+
 class TestCrossValidation:
     def test_separable_all_folds_perfect(self):
         X, y = separable_dataset(n_per_class=10, gap=10.0)
@@ -607,6 +624,26 @@ class TestCrossValidation:
         assert set(result["per_class"]) == {0, 1, 2}
         for stats in result["per_class"].values():
             assert set(stats) == {"precision", "recall", "f1", "support"}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_per_class_matches_the_confusion_loop(self, monkeypatch, seed):
+        # overlapping classes, so the pooled predictions miss and may leave
+        # out a class; the scores are frame_metrics' per class, for the
+        # true classes only
+        pooled = []
+
+        def recording(pred, gt):
+            pooled.append((np.array(pred), np.array(gt)))
+            return frame_metrics(pred, gt)
+
+        monkeypatch.setattr(skill, "frame_metrics", recording)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(40, 2))
+        y = rng.integers(0, 2 + seed % 2, size=40)
+        result = cross_validate(X, y, folds=4, seed=seed, n_estimators=5)
+        (pred, truth), = pooled
+        assert repr(result["per_class"]) == repr(
+            per_class_loop(truth, pred, np.unique(truth)))
 
     def test_empty_fold_has_no_score(self):
         # classes of 3 and 2 rows deal nothing to folds 3 and 4

@@ -16,6 +16,8 @@ from microact.synth import (ActionSpec, ProcedureScript, SLOPPINESS_BY_LEVEL,
                             write_procedure)
 from microact.tracking import localize_tip
 
+from test_io import same_table
+
 
 def one_step(action, seconds=6.0, **kw):
     return ProcedureScript(steps=[ActionSpec(action, seconds)], **kw)
@@ -221,12 +223,7 @@ class TestDeterminismAndFiles:
             assert (da.frame, da.class_id, da.bbox, da.confidence) == \
                    (db.frame, db.class_id, db.bbox, db.confidence)
             assert np.array_equal(da.appearance, db.appearance)
-        for k in a.tip_candidates:
-            assert a.tip_candidates[k].bbox == b.tip_candidates[k].bbox
-            for ca, cb in zip(a.tip_candidates[k].candidates,
-                              b.tip_candidates[k].candidates):
-                assert ca[:2] == cb[:2]
-                assert np.array_equal(ca[2], cb[2])
+        assert same_table(a.tip_candidates, b.tip_candidates)
         assert [s.score for s in a.scores] == [s.score for s in b.scores]
 
     def test_different_seed_differs(self):
@@ -249,20 +246,17 @@ class TestDeterminismAndFiles:
             dets[(d.frame, slot)] = d
         # the first 40 sets, each against its detection's reference, in
         # one batched call
-        keys = list(proc.tip_candidates)[:40]
-        csets = [proc.tip_candidates[key] for key in keys]
+        table = proc.tip_candidates
+        keys = [tuple(key) for key in table.set_keys[:40].tolist()]
+        boxes = table.boxes[:40]
         classes = list(proc.reference_descriptors)
         ref_of = []
-        for key, cset in zip(keys, csets):
-            assert cset.bbox == dets[key].bbox
+        for key, box in zip(keys, boxes.tolist()):
+            assert tuple(box) == dets[key].bbox
             ref_of.append(classes.index(dets[key].class_id))
-        cands = [c for cset in csets for c in cset.candidates]
-        offsets = np.cumsum([0] + [len(cset.candidates) for cset in csets])
         got = localize_tip(
-            np.array([c[:2] for c in cands]), np.array([c[2] for c in cands]),
-            offsets, np.arange(len(csets)),
-            [proc.reference_descriptors[c] for c in classes], ref_of,
-            np.array([cset.bbox for cset in csets]))
+            table.points, table.descriptors, table.offsets, np.arange(40),
+            [proc.reference_descriptors[c] for c in classes], ref_of, boxes)
         want = [tips[(slot, f)] for f, slot in keys]
         assert got.shape == (40, 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -282,15 +276,9 @@ class TestDeterminismAndFiles:
         for got, want in zip(tips, proc.trajectories):
             assert [p is not None for p in got.points] == \
                 [p is not None for p in want.points]
-        cands = io.load_tip_candidates(paths["candidates"])
-        assert {tuple(key) for key in cands.set_keys.tolist()} == \
-            set(proc.tip_candidates)
-        for i, key in enumerate(cands.set_keys.tolist()):
-            cset = proc.tip_candidates[tuple(key)]
-            assert tuple(cands.boxes[i].tolist()) == cset.bbox
-            lo, hi = cands.offsets[i:i + 2]
-            assert cands.points[lo:hi].tolist() == \
-                [[x, y] for x, y, _ in cset.candidates]
+        # synth makes the sets in (frame, slot) order, the file's order
+        assert same_table(io.load_tip_candidates(paths["candidates"]),
+                          proc.tip_candidates)
         refs = io.load_reference_descriptors(paths["references"])
         assert set(refs) == set(proc.reference_descriptors)
         truth = io.load_truth_instances(paths["truth"])

@@ -36,7 +36,7 @@ from scipy.optimize import linear_sum_assignment
 from microact import io, pipeline, tracking
 from microact.config import load_config
 from microact.records import (Detection, InstrumentClass, Provenance,
-                              RefinedTrack, TipCandidateSet, TrackObservation,
+                              RefinedTrack, TrackObservation,
                               TruthInstance)
 from microact.synth import generate, paper_shaped_script
 from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
@@ -45,6 +45,8 @@ from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
                                kalman_predict, kalman_update, localize_tip,
                                measurement_to_bbox, recovery_correction_rates,
                                refine_identity, state_bbox)
+
+from test_io import CandidateSet, candidate_table
 
 SC = InstrumentClass.SCISSORS_C
 ND = InstrumentClass.NEEDLE_DRIVER_C
@@ -917,11 +919,12 @@ def tips_dir(tmp_path, fault_sets, refs):
     for f in range(4):
         for oid in (0, 1):
             descs = fault_sets.get((f, oid), [[1.0, 0.0], [0.0, 1.0]])
-            cands[(f, oid)] = TipCandidateSet(
+            cands[(f, oid)] = CandidateSet(
                 candidates=[(1.0, 2.0, np.array(v)) for v in descs],
                 bbox=box[oid])
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
-    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_tip_candidates(candidate_table(cands),
+                           tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
     io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": 4})
     return tmp_path
@@ -1022,7 +1025,7 @@ def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
     cands = {}
     for f in range(n_frames):
         for oid in rng.choice(6, size=rng.integers(0, 5), replace=False):
-            cands[(f, int(oid))] = TipCandidateSet(
+            cands[(f, int(oid))] = CandidateSet(
                 candidates=[(float(rng.integers(-3, 4)), -0.0,
                              base[rng.integers(2)] * rng.choice([1.0, 2.0])
                              if rng.random() < 0.5 else rng.normal(size=3))
@@ -1030,7 +1033,8 @@ def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
                 bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
     refs = {SC: base[0], NDS: rng.normal(size=3)}
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
-    io.save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
+    io.save_tip_candidates(candidate_table(cands),
+                           tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
     io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
