@@ -746,7 +746,7 @@ def save_tip_candidates(table: TipCandidateTable, path: PathLike) -> None:
             for (x, y), d in zip(table.points[a:b].tolist(),
                                  table.descriptors[a:b].tolist())]}
         if not math.isnan(boxes[i][0]):
-            rec.update(zip("xywh", boxes[i]))
+            rec.update(_box_fields(boxes[i]))
         return rec
 
     order = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id

@@ -480,19 +480,10 @@ def _segments(proc_dir, memo, taus: Sequence[int],
         raise ValueError(
             f"{path}: the segments end at frame {edges[-1]}, not at feature "
             f"row {n_rows} (written by the 'cluster' stage)")
-    starts, taus = edges[1:-1], list(taus)
-    if starts != taus:
-        # the first cut where they differ; a None pads the shorter list
-        i = next(i for i, (a, b) in enumerate(zip(starts + [None],
-                                                  taus + [None])) if a != b)
-        have = (f"segment {i + 1} starts at frame {starts[i]}"
-                if i < len(starts) else f"there are {len(segs)} segments")
-        want = (f"boundary {i + 1} of boundaries.csv is frame {taus[i]}"
-                if i < len(taus)
-                else f"boundaries.csv has {len(taus)} boundaries")
+    if edges[1:-1] != list(taus):
         raise ValueError(
-            f"{path}: {have}, but {want}, so the segments were cut at other "
-            "boundaries (written by the 'cluster' stage)")
+            f"{path}: the segments do not start at the {len(taus)} "
+            "boundaries of boundaries.csv (written by the 'cluster' stage)")
     return segs, np.array(edges, dtype=np.int64)
 
 
@@ -660,8 +651,8 @@ def _skill_rows(proc_dir, cfg: PipelineConfig, memo=None
     rated-action segment, in segment order."""
     X = _features(proc_dir, memo)
     mask, _ = _load(proc_dir, "presence", memo)
-    seg_rows = _load(proc_dir, "segments", memo)
-    edges = [0] + [s["end_frame"] for s in seg_rows]
+    taus, _ = _load(proc_dir, "boundaries", memo)
+    seg_rows, edges = _segments(proc_dir, memo, taus, len(X))
     F = segment_features(X, mask, edges,
                          mask_weight=cfg.clustering.mask_weight)
     rows = []

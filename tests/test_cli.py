@@ -849,37 +849,53 @@ def test_segments_off_the_feature_rows_name_the_cluster_stage(
     assert (d / f"{stage}.json").read_bytes() == before
 
 
-@pytest.mark.parametrize("stage", ["eval", "report"])
+@pytest.mark.parametrize("stage", ["eval", "report", "predict-skill"])
 @pytest.mark.parametrize("damage", ["resegment", "last-boundary-gone"])
 def test_segments_cut_at_stale_boundaries_name_the_cluster_stage(
         tmp_path, base_proc, capsys, monkeypatch, stage, damage):
-    # segment re-run at another half-width used to leave eval and report
-    # pairing the new boundaries with segments cut at the old ones
+    # segment re-run at another half-width used to leave eval, report and
+    # the skill stages pairing the new boundaries with segments cut at the
+    # old ones
     d = tmp_path / "p"
     shutil.copytree(base_proc, d)
-    before = (d / f"{stage}.json").read_bytes()
-    starts = [int(row.split(",")[1])
-              for row in (d / "segments.csv").read_text().splitlines()[2:]]
+    args = []
+    if stage == "predict-skill":
+        width = pipeline._skill_rows(d, load_config())[0][3].shape[0]
+        args = ["--model", tmp_path / "m.json"]
+        SkillGradientBoosting(n_estimators=2).fit(
+            np.random.default_rng(0).normal(size=(6, width)),
+            [0, 1, 2] * 2).save(args[1])
+    out = d / ("skill_predictions.json" if stage == "predict-skill"
+               else f"{stage}.json")
+    before = out.read_bytes() if out.exists() else None
     if damage == "resegment":
         monkeypatch.setenv("MICROACT_SEGMENTATION__HALF_WIDTH", "20")
         assert run_cli("segment", d) == 0
         monkeypatch.delenv("MICROACT_SEGMENTATION__HALF_WIDTH")
-        taus, _ = io.load_boundaries(d / "boundaries.csv")
-        i = next(i for i, (a, b) in enumerate(zip(starts, taus)) if a != b)
-        want = (f"segment {i + 1} starts at frame {starts[i]}, but boundary "
-                f"{i + 1} of boundaries.csv is frame {taus[i]}")
     else:
         lines = (d / "boundaries.csv").read_text().splitlines()
         (d / "boundaries.csv").write_text("\n".join(lines[:-1]) + "\n")
-        want = (f"segment {len(starts)} starts at frame {starts[-1]}, but "
-                f"boundaries.csv has {len(starts) - 1} boundaries")
-    assert run_cli(stage, d) == 1
+    taus, _ = io.load_boundaries(d / "boundaries.csv")
+    capsys.readouterr()
+    assert run_cli(stage, d, *args) == 1
     assert capsys.readouterr().err == (
-        f"error: {d / 'segments.csv'}: {want}, so the segments were cut at "
-        "other boundaries (written by the 'cluster' stage)\n")
-    assert (d / f"{stage}.json").read_bytes() == before
+        f"error: {d / 'segments.csv'}: the segments do not start at the "
+        f"{len(taus)} boundaries of boundaries.csv (written by the 'cluster' "
+        "stage)\n")
+    assert (out.read_bytes() if out.exists() else None) == before
     assert run_cli("cluster", d) == 0
-    assert run_cli(stage, d) == 0
+    assert run_cli(stage, d, *args) == 0
+
+
+def test_segment_durations_follow_the_effective_fps(base_proc):
+    # the cluster stage writes each segment's length in seconds at the
+    # features' frame rate, which the skill stages read as a feature
+    fps = io.load_features_meta(base_proc / "features.csv.meta.json")[
+        "effective_fps"]
+    segments = io.load_segments(base_proc / "segments.csv")
+    assert fps != 1.0 and len(segments) > 1
+    for s in segments:
+        assert s["duration_s"] == (s["end_frame"] - s["start_frame"]) / fps
 
 
 @pytest.mark.parametrize("fps", [0.0, -5.0])
