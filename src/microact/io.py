@@ -4,16 +4,19 @@ All formats are line-oriented text (JSON lines or comma-delimited with a
 header) so intermediates stay auditable and diffable.  Floats are written
 with shortest round-trip repr, which makes save → load bit-exact.
 
-``ARTIFACTS`` is the one description of a procedure directory's layout
-and of the loader that reads each artifact, and each format is read and
-written here only.  A malformed record raises ``ParseError`` naming the
+``ARTIFACTS`` is the one description of a procedure directory's layout:
+the file of each artifact, the stage that writes it, and the loader and
+saver of its value, and each format is read and written here only.  A
+saver takes what its loader returns, then the path (:func:`save_artifact`
+applies that rule).  A malformed record raises ``ParseError`` naming the
 file and line; a JSON document without a key that a stage reads raises
 ``ValueError`` naming the file and the key.
 
-Loaders are pure functions of file content and never mutate their inputs.
-Writers replace a file only once its new content is complete
-(:func:`atomic_write`), so a writer that fails or dies mid-stream leaves
-the previous file, or none, and never a truncated one.
+Loaders are pure functions of their own file's content: no loader takes
+a value from another file, and none mutates its input.  Writers replace
+a file only once its new content is complete (:func:`atomic_write`), so
+a writer that fails or dies mid-stream leaves the previous file, or
+none, and never a truncated one.
 
 So :func:`load_matrix` keeps one process-wide memo, keyed by the SHA-256
 of the bytes it read: the same bytes, under any path, are parsed once per
@@ -66,38 +69,54 @@ APPEARANCE_NORM_TOL = 1e-6
 _NO_BOX = (math.nan,) * 4  # a TipCandidateTable row for a set without one
 
 # procedure-directory layout: key -> (file name, stage that writes it,
-# name of the function here that reads it, or None).  Names, not the
-# functions: a reader looks one up when it calls it, so a wrapper set on
-# this module is the function that runs.
-ARTIFACTS: dict[str, tuple[str, str, Optional[str]]] = {
-    "meta": ("meta.json", "synth", "load_meta"),
-    "detections": ("detections.jsonl", "synth", "load_detections"),
-    "truth": ("truth.jsonl", "synth", "load_truth_instances"),
-    "tips_truth": ("tips_truth.csv", "synth", "load_tips"),
-    "labels": ("labels.csv", "synth", "load_labels"),
-    "boundaries_truth": ("boundaries_truth.csv", "synth", "load_boundaries"),
-    "candidates": ("tip_candidates.jsonl", "synth", "load_tip_candidates"),
+# name of the function here that reads it, or None, and of the one that
+# writes it).  Names, not the functions: each is looked up when it is
+# called, so a wrapper set on this module is the function that runs.
+ARTIFACTS: dict[str, tuple[str, str, Optional[str], str]] = {
+    "meta": ("meta.json", "synth", "load_meta", "save_json"),
+    "detections": ("detections.jsonl", "synth", "load_detections",
+                   "save_detections"),
+    "truth": ("truth.jsonl", "synth", "load_truth_instances",
+              "save_truth_instances"),
+    "tips_truth": ("tips_truth.csv", "synth", "load_tips", "save_tips"),
+    "labels": ("labels.csv", "synth", "load_labels", "save_labels"),
+    "boundaries_truth": ("boundaries_truth.csv", "synth", "load_boundaries",
+                         "save_boundaries"),
+    "candidates": ("tip_candidates.jsonl", "synth", "load_tip_candidates",
+                   "save_tip_candidates"),
     "references": ("reference_descriptors.json", "synth",
-                   "load_reference_descriptors"),
-    "scores": ("scores.csv", "synth", "load_scores"),
-    "track_rows": ("track_rows.jsonl", "track", "load_track_rows"),
-    "refined": ("refined_tracks.jsonl", "track", "load_refined_tracks"),
-    "tips": ("tips.csv", "tips", "load_tips"),
-    "tips_classes": ("tips_classes.json", "tips", "load_tips_classes"),
-    "features": ("features.csv", "features", "load_matrix"),
+                   "load_reference_descriptors", "save_reference_descriptors"),
+    "scores": ("scores.csv", "synth", "load_scores", "save_scores"),
+    "track_rows": ("track_rows.jsonl", "track", "load_track_rows",
+                   "save_track_rows"),
+    "refined": ("refined_tracks.jsonl", "track", "load_refined_tracks",
+                "save_refined_tracks"),
+    "tips": ("tips.csv", "tips", "load_tips", "save_tips"),
+    "tips_classes": ("tips_classes.json", "tips", "load_tips_classes",
+                     "save_tips_classes"),
+    "features": ("features.csv", "features", "load_matrix", "save_matrix"),
     "features_meta": ("features.csv.meta.json", "features",
-                      "load_features_meta"),
-    "presence": ("presence.csv", "features", "load_matrix"),
-    "novelty": ("novelty.csv", "segment", "load_novelty"),
-    "boundaries": ("boundaries.csv", "segment", "load_boundaries"),
-    "segments": ("segments.csv", "cluster", "load_segments"),
-    "pred_labels": ("predicted_labels.csv", "cluster", "load_labels"),
-    "eval": ("eval.json", "eval", "load_eval"),
+                      "load_features_meta", "save_json"),
+    "presence": ("presence.csv", "features", "load_matrix", "save_matrix"),
+    "novelty": ("novelty.csv", "segment", "load_novelty", "save_novelty"),
+    "boundaries": ("boundaries.csv", "segment", "load_boundaries",
+                   "save_boundaries"),
+    "segments": ("segments.csv", "cluster", "load_segments", "save_segments"),
+    "pred_labels": ("predicted_labels.csv", "cluster", "load_labels",
+                    "save_labels"),
+    "eval": ("eval.json", "eval", "load_eval", "save_json"),
     "skill_pred": ("skill_predictions.json", "predict-skill",
-                   "load_skill_predictions"),
-    "report_txt": ("report.txt", "report", None),
-    "report_json": ("report.json", "report", None),
+                   "load_skill_predictions", "save_json"),
+    "report_txt": ("report.txt", "report", None, "save_text"),
+    "report_json": ("report.json", "report", None, "save_json"),
 }
+
+
+def save_artifact(key: str, value, path: PathLike) -> None:
+    """Write artifact ``key``'s ``value``, as its loader returns it, to
+    ``path``: ``saver(*value, path)`` for a tuple, else ``saver(value, path)``."""
+    saver = globals()[ARTIFACTS[key][3]]
+    saver(*(value if isinstance(value, tuple) else (value,)), path)
 
 
 class ParseError(ValueError):
@@ -254,7 +273,7 @@ def _write_lines(path: PathLike, header: Sequence[str],
 
 
 def _read_json(path: PathLike):
-    """One JSON document, as written by :func:`_write_json`."""
+    """One JSON document, as written by :func:`save_json`."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -264,13 +283,19 @@ def _read_json(path: PathLike):
             raise _not_utf8(path, exc) from exc
 
 
-def _write_json(path: PathLike, obj) -> None:
-    """``obj`` as the stdlib encoder writes it with sorted keys and a
+def save_json(doc, path: PathLike) -> None:
+    """``doc`` as the stdlib encoder writes it with sorted keys and a
     one-space indent, then a newline: every JSON document the pipeline
     writes."""
     with atomic_write(path) as fh:
-        fh.writelines(_json_chunks(obj, 0, set()))
+        fh.writelines(_json_chunks(doc, 0, set()))
         fh.write("\n")
+
+
+def save_text(text: str, path: PathLike) -> None:
+    """``text`` as the whole file."""
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 # json.dump always runs the pure-Python encoder, and json.dumps with an
@@ -284,7 +309,7 @@ _JSON_SCALARS = (str, int, float, type(None))  # bool is an int
 class EncodedList:
     """A nonempty JSON list already encoded on one line as the C encoder
     writes it, ``"[0.5, 1.0]"``, where each ``", "`` separates two items.
-    :func:`_write_json` lays it out as it would the list itself."""
+    :func:`save_json` lays it out as it would the list itself."""
 
     text: str
 
@@ -352,8 +377,19 @@ def _checked(doc, path: PathLike, keys: Sequence[str], within: str = ""):
 
 
 def load_meta(path: PathLike) -> dict:
-    """meta.json, checked for the keys every stage may read."""
-    return _checked(_read_json(path), path, ("fps", "n_frames"))
+    """meta.json, checked for the keys every stage may read: ``fps`` a
+    positive finite number and ``n_frames`` a non-negative integer."""
+    meta = _checked(_read_json(path), path, ("fps", "n_frames"))
+    fps, n_frames = meta["fps"], meta["n_frames"]
+    # JSON gives exactly these types; a bool is not a number here
+    if not (type(fps) in (int, float) and 0 < fps < math.inf):
+        raise ParseError(path, _line_of(path, "fps"),
+                         f"fps must be a positive finite number, got {fps!r}")
+    if not (type(n_frames) is int and n_frames >= 0):
+        raise ParseError(path, _line_of(path, "n_frames"),
+                         f"n_frames must be a non-negative integer, "
+                         f"got {n_frames!r}")
+    return meta
 
 
 def _box_fields(bbox: BBox) -> dict:
@@ -487,14 +523,9 @@ def save_tips(trajectories: Sequence[TipTrajectory], path: PathLike) -> None:
     _write_lines(path, TIPS_HEADER, lines())
 
 
-def load_tips(path: PathLike, *, fps: float,
-              class_map: Optional[dict[int, InstrumentClass]] = None) -> list[TipTrajectory]:
-    """Read a tips file back into trajectories.
-
-    fps is pipeline metadata, not a column, so it must be supplied here.
-    """
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
+def load_tips(path: PathLike) -> list[TipTrajectory]:
+    """Read a tips file back into trajectories, by instrument id; each
+    covers frames 0 to the file's last frame."""
     points: dict[int, dict[int, Optional[tuple[float, float]]]] = {}
 
     def add(row: list[str]) -> int:
@@ -512,15 +543,14 @@ def load_tips(path: PathLike, *, fps: float,
         pts: list[Optional[tuple[float, float]]] = [None] * n_frames
         for frame, p in points[inst].items():
             pts[frame] = p
-        cls = class_map.get(inst) if class_map else None
-        out.append(TipTrajectory(instrument_id=inst, points=pts, fps=fps, class_id=cls))
+        out.append(TipTrajectory(instrument_id=inst, points=pts))
     return out
 
 
 def save_tips_classes(classes: Mapping[int, InstrumentClass],
                       path: PathLike) -> None:
     """tips_classes.json: the instrument class of each tips.csv slot id."""
-    _write_json(path, {str(k): c.value for k, c in classes.items()})
+    save_json({str(k): c.value for k, c in classes.items()}, path)
 
 
 def load_tips_classes(path: PathLike) -> dict[int, InstrumentClass]:
@@ -797,16 +827,27 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
 
 def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
                                path: PathLike) -> None:
-    _write_json(path, {cls.value: [float(v) for v in vec] for cls, vec in refs.items()})
+    save_json({cls.value: [float(v) for v in vec] for cls, vec in refs.items()},
+              path)
 
 
 def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarray]:
+    """reference_descriptors.json back as {class: nonzero vector}, in the
+    file's order."""
+    doc = _read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError(path, 1, "expected an object of class -> descriptor")
     out = {}
-    for name, vec in _read_json(path).items():
-        arr = np.asarray(vec, dtype=np.float64)
-        if arr.ndim != 1 or not np.any(arr):
-            raise ValueError(f"{path}: descriptor for {name!r} must be a nonzero vector")
-        out[InstrumentClass(name)] = arr
+    for name, vec in doc.items():
+        try:
+            cls = InstrumentClass(name)
+            arr = np.asarray(vec, dtype=np.float64)
+            if arr.ndim != 1 or not np.any(arr):
+                raise ValueError("the descriptor must be a nonzero vector")
+        except (ValueError, TypeError) as exc:
+            raise ParseError(path, _line_of(path, name),
+                             f"class {name!r}: {exc}") from exc
+        out[cls] = arr
     return out
 
 
@@ -940,11 +981,6 @@ def _load_matrix_checked(path: PathLike, raw: Optional[bytes] = None
                              raw)
     X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header))
     return X, header
-
-
-def save_features_meta(meta: dict, path: PathLike) -> None:
-    """features.csv.meta.json: the feature matrix's frame rate and layout."""
-    _write_json(path, meta)
 
 
 def load_features_meta(path: PathLike) -> dict:

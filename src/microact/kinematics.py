@@ -10,7 +10,7 @@ exactly zero and are tracked in the presence mask.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,7 +98,8 @@ def _smooth_runs(pos: np.ndarray, present: np.ndarray, window: int) -> np.ndarra
     return out
 
 
-def derivatives(trajectory: TipTrajectory, *, smooth_window: int = 0) -> DerivativeSet:
+def derivatives(trajectory: TipTrajectory, fps: float, *,
+                smooth_window: int = 0) -> DerivativeSet:
     """Velocity, acceleration and jerk of one tip trajectory.
 
     Differences are taken over present frames only, so a detection gap acts
@@ -110,6 +111,7 @@ def derivatives(trajectory: TipTrajectory, *, smooth_window: int = 0) -> Derivat
     Parameters
     ----------
     trajectory : tip positions with absent frames as None
+    fps : frames per second of ``trajectory.points``
     smooth_window : centered moving-average width applied to positions
         before differencing; 0 or 1 disables (the default).
 
@@ -117,8 +119,8 @@ def derivatives(trajectory: TipTrajectory, *, smooth_window: int = 0) -> Derivat
     -------
     DerivativeSet with zeros (mask 0) at absent frames.
     """
-    if trajectory.fps <= 0:
-        raise ValueError(f"fps must be positive, got {trajectory.fps}")
+    if fps <= 0:
+        raise ValueError(f"fps must be positive, got {fps}")
     T = len(trajectory.points)
     pos = np.zeros((T, 2), dtype=np.float64)
     present = np.zeros(T, dtype=bool)
@@ -133,7 +135,6 @@ def derivatives(trajectory: TipTrajectory, *, smooth_window: int = 0) -> Derivat
             "derivatives are all zero", stacklevel=2)
     if smooth_window:
         pos = _smooth_runs(pos, present, smooth_window)
-    fps = float(trajectory.fps)
     vel = _diff_over_present(pos, present_idx, fps)
     acc = _diff_over_present(vel, present_idx, fps)
     jerk = _diff_over_present(acc, present_idx, fps)
@@ -147,9 +148,10 @@ def derivatives(trajectory: TipTrajectory, *, smooth_window: int = 0) -> Derivat
 
 
 def pairwise_features(tip_a: TipTrajectory, tip_b: TipTrajectory,
-                      deriv_a: DerivativeSet = None,
+                      fps: float, deriv_a: DerivativeSet = None,
                       deriv_b: DerivativeSet = None) -> dict[str, np.ndarray]:
-    """Inter-instrument distance, relative velocity, dot product and angle.
+    """Inter-instrument distance, relative velocity, dot product and angle
+    of two trajectories at ``fps`` frames per second.
 
     All four are zero (mask 0) at frames where either tip is absent.  The
     angle between velocity vectors lies in [0, pi]; if either velocity is
@@ -157,10 +159,8 @@ def pairwise_features(tip_a: TipTrajectory, tip_b: TipTrajectory,
     """
     if len(tip_a.points) != len(tip_b.points):
         raise ValueError("trajectories differ in length")
-    if tip_a.fps != tip_b.fps:
-        raise ValueError("trajectories differ in fps")
-    da = deriv_a if deriv_a is not None else derivatives(tip_a)
-    db = deriv_b if deriv_b is not None else derivatives(tip_b)
+    da = deriv_a if deriv_a is not None else derivatives(tip_a, fps)
+    db = deriv_b if deriv_b is not None else derivatives(tip_b, fps)
     T = len(tip_a.points)
     both = (da.mask > 0) & (db.mask > 0)
     dist = np.zeros(T)
@@ -188,19 +188,15 @@ def pairwise_features(tip_a: TipTrajectory, tip_b: TipTrajectory,
 
 
 def downsample_trajectory(trajectory: TipTrajectory, factor: int) -> TipTrajectory:
-    """Keep every `factor`-th frame; effective fps divides accordingly."""
+    """Keep every `factor`-th frame; the frame rate divides by `factor`."""
     factor = check_positive_int(factor, "downsample factor")
     if factor == 1:
         return trajectory
-    return TipTrajectory(
-        instrument_id=trajectory.instrument_id,
-        points=trajectory.points[::factor],
-        fps=trajectory.fps / factor,
-        class_id=trajectory.class_id,
-    )
+    return TipTrajectory(instrument_id=trajectory.instrument_id,
+                         points=trajectory.points[::factor])
 
 
-def build_feature_matrix(trajectories: list[TipTrajectory], *,
+def build_feature_matrix(trajectories: list[TipTrajectory], fps: float, *,
                          downsample: int = 1,
                          smooth_window: int = 0) -> KinematicMatrix:
     """Assemble the T×d kinematic matrix from a set of trajectories.
@@ -210,22 +206,21 @@ def build_feature_matrix(trajectories: list[TipTrajectory], *,
     distance, relative velocity, dot product, angle.  Two instruments give
     d = 2*3 + 4 = 10.
 
-    Downsampling keeps every k-th frame before feature computation and
-    divides the effective fps by k.
+    The trajectories are sampled at ``fps`` frames per second.
+    Downsampling keeps every k-th frame before feature computation, so
+    the matrix's effective fps is ``fps / k``.
     """
     if not trajectories:
         raise ValueError("no trajectories given")
     T0 = len(trajectories[0].points)
-    fps0 = trajectories[0].fps
     for tr in trajectories[1:]:
         if len(tr.points) != T0:
             raise ValueError(
                 f"trajectory lengths differ: {len(tr.points)} vs {T0}")
-        if tr.fps != fps0:
-            raise ValueError(f"trajectory fps differ: {tr.fps} vs {fps0}")
     trajs = sorted((downsample_trajectory(tr, downsample) for tr in trajectories),
                    key=lambda tr: tr.instrument_id)
-    derivs = [derivatives(tr, smooth_window=smooth_window) for tr in trajs]
+    fps = fps / downsample
+    derivs = [derivatives(tr, fps, smooth_window=smooth_window) for tr in trajs]
     T = len(trajs[0].points)
     m = len(trajs)
 
@@ -237,14 +232,15 @@ def build_feature_matrix(trajectories: list[TipTrajectory], *,
         names += [f"{tag}_speed", f"{tag}_acc", f"{tag}_jerk"]
     for i in range(m):
         for j in range(i + 1, m):
-            pf = pairwise_features(trajs[i], trajs[j], derivs[i], derivs[j])
+            pf = pairwise_features(trajs[i], trajs[j], fps, derivs[i],
+                                   derivs[j])
             tag = f"pair{trajs[i].instrument_id}_{trajs[j].instrument_id}"
             columns += [pf["dist"], pf["relvel"], pf["dot"], pf["angle"]]
             names += [f"{tag}_dist", f"{tag}_relvel", f"{tag}_dot", f"{tag}_angle"]
 
     X = np.column_stack(columns) if columns else np.zeros((T, 0))
     mask = np.column_stack([dv.mask for dv in derivs])
-    return KinematicMatrix(X=X, feature_names=names, fps=trajs[0].fps,
+    return KinematicMatrix(X=X, feature_names=names, fps=fps,
                            presence_mask=mask,
                            instrument_ids=[tr.instrument_id for tr in trajs])
 
@@ -287,12 +283,9 @@ class KinematicFeatureExtractor:
         self.smooth_window = smooth_window
         self.zscore = zscore
 
-    def transform(self, trajectories) -> KinematicMatrix:
-        km = build_feature_matrix(trajectories, downsample=self.downsample,
+    def transform(self, trajectories, fps: float) -> KinematicMatrix:
+        """The matrix of ``trajectories``, sampled at ``fps``."""
+        km = build_feature_matrix(trajectories, fps,
+                                  downsample=self.downsample,
                                   smooth_window=self.smooth_window)
-        if self.zscore:
-            km = KinematicMatrix(X=normalize(km.X),
-                                 feature_names=km.feature_names, fps=km.fps,
-                                 presence_mask=km.presence_mask,
-                                 instrument_ids=km.instrument_ids)
-        return km
+        return replace(km, X=normalize(km.X)) if self.zscore else km

@@ -72,13 +72,20 @@ def _path(proc_dir, key: str) -> Path:
     return Path(proc_dir) / io.ARTIFACTS[key][0]
 
 
+def _bad(proc_dir, key: str, reason: str) -> ValueError:
+    """The error for artifact ``key`` whose value fails a check: its path,
+    ``reason`` and the stage that writes it."""
+    return ValueError(f"{_path(proc_dir, key)}: {reason} (written by the "
+                      f"'{io.ARTIFACTS[key][1]}' stage)")
+
+
 def _exists(proc_dir, key: str, memo=None) -> bool:
     """Whether artifact ``key`` exists: this run holds it, or its file does."""
     return ((memo is not None and key in memo)
             or _path(proc_dir, key).exists())
 
 
-def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
+def _load(proc_dir, key: str, memo: Optional["_Memo"]):
     """Artifact ``key`` as its ``io.ARTIFACTS`` loader returns it: from
     ``memo`` when this run already holds it, else parsed from its file (and
     kept in ``memo``).  The loader is looked up by name at call time, so a
@@ -86,12 +93,12 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
     writes the file."""
     if memo is not None and key in memo:
         return memo[key]
-    _, producer, loader = io.ARTIFACTS[key]
+    _, producer, loader, _ = io.ARTIFACTS[key]
     path = _path(proc_dir, key)
     if not path.exists():
         raise MissingInput(path, key)
     try:
-        value = getattr(io, loader)(path, **kwargs)
+        value = getattr(io, loader)(path)
     except io.ParseError as exc:
         raise io.ParseError(exc.path, exc.line_no, exc.reason,
                             producer) from exc
@@ -100,16 +107,19 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"], **kwargs):
     return value
 
 
-def _save(memo: Optional["_Memo"], write: Callable[[], None], **keep) -> None:
-    """``write()`` the stage's artifacts, and leave ``keep`` in ``memo``,
-    each value exactly as its loader would read it back.  Inside run_all
-    the write joins the memo's queue, which run_all runs later; a stage
-    run on its own writes in-process."""
-    if memo is None:
-        write()
-    else:
-        memo.update(keep)
-        memo.writes.append(write)
+def _save(proc_dir, memo: Optional["_Memo"], **artifacts) -> None:
+    """Write each artifact (key=value, in order) with its ``io.ARTIFACTS``
+    saver, and keep it in ``memo``.  Each value is exactly what its loader
+    would read back.  Inside run_all the writes join the memo's queue,
+    which run_all runs later; without a memo they happen now."""
+    for key, value in artifacts.items():
+        write = functools.partial(io.save_artifact, key, value,
+                                  _path(proc_dir, key))
+        if memo is None:
+            write()
+        else:
+            memo[key] = value
+            memo.writes.append(write)
 
 
 def _usable_cpus() -> int:
@@ -238,7 +248,7 @@ def stage_synth(out_dir, cfg: PipelineConfig,
         "n_frames": proc.n_frames,
         "seed": cfg.seed,
     }
-    io._write_json(_path(out_dir, "meta"), meta)
+    _save(out_dir, None, meta=meta)
     return {"n_frames": proc.n_frames, "n_detections": len(proc.detections),
             "procedure_id": meta["procedure_id"]}
 
@@ -269,11 +279,7 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     # load_refined_tracks builds from the file
     refined = refine_identity(confirmed, max_gap=t.max_gap)
 
-    def write():
-        io.save_track_rows(rows, _path(proc_dir, "track_rows"))
-        io.save_refined_tracks(refined, _path(proc_dir, "refined"))
-
-    _save(memo, write, refined=refined)
+    _save(proc_dir, memo, track_rows=rows, refined=refined)
     report = io.validate_stream(detections)
     return {"n_rows": len(rows), "n_objects": len(refined),
             "detection_gaps": len(report.gaps),
@@ -397,17 +403,11 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         points: list[Optional[tuple[float, float]]] = [None] * n_frames
         for f, p in zip(frames[mine].tolist(), map(tuple, tips[mine].tolist())):
             points[f] = p
-        trajectories.append(TipTrajectory(
-            instrument_id=c, points=points, fps=float(meta["fps"]),
-            class_id=kinds[c]))
+        trajectories.append(TipTrajectory(instrument_id=c, points=points))
 
-    classes = {tr.instrument_id: tr.class_id for tr in trajectories}
-
-    def write():
-        io.save_tips(trajectories, _path(proc_dir, "tips"))
-        io.save_tips_classes(classes, _path(proc_dir, "tips_classes"))
-
-    _save(memo, write, tips=trajectories, tips_classes=classes)
+    _save(proc_dir, memo, tips=trajectories,
+          tips_classes={tr.instrument_id: kinds[tr.instrument_id]
+                        for tr in trajectories})
     return {"n_trajectories": len(trajectories), "n_localized": len(matched)}
 
 
@@ -415,8 +415,7 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Tip trajectories -> kinematic feature matrix + presence matrix."""
     meta = _load(proc_dir, "meta", memo)
     class_map = _load(proc_dir, "tips_classes", memo)
-    trajectories = _load(proc_dir, "tips", memo, fps=float(meta["fps"]),
-                         class_map=class_map)
+    trajectories = _load(proc_dir, "tips", memo)
     if not trajectories:
         raise ValueError(
             f"{_path(proc_dir, 'tips')}: no tip trajectories, so the "
@@ -424,15 +423,13 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
             "detection stream?)")
     # the sidecar's frame count is what eval checks segments.csv against
     if len(trajectories[0]) != int(meta["n_frames"]):
-        raise ValueError(
-            f"{_path(proc_dir, 'tips')}: the tips cover "
-            f"{len(trajectories[0])} frames, but meta.json has "
-            f"{meta['n_frames']} (written by the 'tips' stage)")
+        raise _bad(proc_dir, "tips", f"the tips cover {len(trajectories[0])} "
+                   f"frames, but meta.json has {meta['n_frames']}")
     f = cfg.features
     extractor = KinematicFeatureExtractor(
         downsample=f.downsample, smooth_window=f.smooth_window,
         zscore=f.zscore)
-    km = extractor.transform(trajectories)
+    km = extractor.transform(trajectories, float(meta["fps"]))
     sidecar = {
         "native_fps": float(meta["fps"]),
         "effective_fps": km.fps,
@@ -442,19 +439,12 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         "mask_classes": [class_map[i].value if i in class_map else None
                          for i in km.instrument_ids],
     }
-    mask_names = [f"present_{i}" for i in km.instrument_ids]
-
-    def write():
-        io.save_matrix(km.X, km.feature_names, _path(proc_dir, "features"))
-        io.save_features_meta(sidecar, _path(proc_dir, "features_meta"))
-        io.save_matrix(km.presence_mask, mask_names,
-                       _path(proc_dir, "presence"))
-
     # both matrices are float64 already and the sidecar's values are
     # JSON-native; its file holds the keys sorted
-    _save(memo, write, features=(km.X, km.feature_names),
+    _save(proc_dir, memo, features=(km.X, km.feature_names),
           features_meta=dict(sorted(sidecar.items())),
-          presence=(km.presence_mask, mask_names))
+          presence=(km.presence_mask,
+                    [f"present_{i}" for i in km.instrument_ids]))
     return {"shape": list(km.X.shape), "effective_fps": km.fps}
 
 
@@ -462,8 +452,7 @@ def _features(proc_dir, memo) -> np.ndarray:
     """The feature matrix, which must have rows."""
     X, _ = _load(proc_dir, "features", memo)
     if not len(X):
-        raise ValueError(f"{_path(proc_dir, 'features')}: no feature rows "
-                         "(written by the 'features' stage)")
+        raise _bad(proc_dir, "features", "no feature rows")
     return X
 
 
@@ -473,17 +462,14 @@ def _segments(proc_dir, memo, taus: Sequence[int],
     at the boundaries ``taus`` of boundaries.csv and, when ``n_rows`` is
     given, tiling exactly that many feature rows."""
     segs = _load(proc_dir, "segments", memo)
-    path = _path(proc_dir, "segments")
     # load_segments has checked that the rows tile the frames from 0
     edges = [0] + [s["end_frame"] for s in segs]
     if n_rows is not None and edges[-1] != n_rows:
-        raise ValueError(
-            f"{path}: the segments end at frame {edges[-1]}, not at feature "
-            f"row {n_rows} (written by the 'cluster' stage)")
+        raise _bad(proc_dir, "segments", f"the segments end at frame "
+                   f"{edges[-1]}, not at feature row {n_rows}")
     if edges[1:-1] != list(taus):
-        raise ValueError(
-            f"{path}: the segments do not start at the {len(taus)} "
-            "boundaries of boundaries.csv (written by the 'cluster' stage)")
+        raise _bad(proc_dir, "segments", f"the segments do not start at the "
+                   f"{len(taus)} boundaries of boundaries.csv")
     return segs, np.array(edges, dtype=np.int64)
 
 
@@ -496,13 +482,7 @@ def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         prominence_frac=g.prominence_frac, min_distance=g.min_distance,
         novelty_floor=g.novelty_floor)
     det.fit(X)
-
-    def write():
-        io.save_novelty(det.novelty_, _path(proc_dir, "novelty"))
-        io.save_boundaries(det.boundaries_, det.prominences_,
-                           _path(proc_dir, "boundaries"))
-
-    _save(memo, write, novelty=det.novelty_,
+    _save(proc_dir, memo, novelty=det.novelty_,
           boundaries=([int(t) for t in det.boundaries_],
                       [float(p) for p in det.prominences_]))
     return {"n_boundaries": int(len(det.boundaries_))}
@@ -524,15 +504,12 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     sidecar = _load(proc_dir, "features_meta", memo)
     eff_fps = float(sidecar["effective_fps"])
     if not eff_fps > 0:
-        raise ValueError(
-            f"{_path(proc_dir, 'features_meta')}: effective_fps {eff_fps} is "
-            "not positive (written by the 'features' stage)")
+        raise _bad(proc_dir, "features_meta",
+                   f"effective_fps {eff_fps} is not positive")
     c = cfg.clustering
     if taus and taus[-1] >= X.shape[0]:
-        raise ValueError(
-            f"{_path(proc_dir, 'boundaries')}: boundary {taus[-1]} is not "
-            f"inside the {X.shape[0]} frames of features.csv (written by "
-            "the 'segment' stage)")
+        raise _bad(proc_dir, "boundaries", f"boundary {taus[-1]} is not "
+                   f"inside the {X.shape[0]} frames of features.csv")
     edges = segment_edges(taus, X.shape[0])
     F = segment_features(X, mask, edges, mask_weight=c.mask_weight)
     k = min(c.n_clusters, len(F))
@@ -567,13 +544,7 @@ def stage_cluster(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         _path(proc_dir, "pred_labels").unlink(missing_ok=True)
         if memo is not None:
             memo.pop("pred_labels", None)
-
-    def write():
-        io.save_segments(rows, _path(proc_dir, "segments"))
-        if mapping:
-            io.save_labels(keep["pred_labels"], _path(proc_dir, "pred_labels"))
-
-    _save(memo, write, **keep)
+    _save(proc_dir, memo, **keep)
     return {"n_segments": len(rows), "inertia": model.inertia,
             "semantic": mapping is not None, "tie_flags": flags,
             "k_clamped": k < c.n_clusters}
@@ -618,9 +589,9 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     if _exists(proc_dir, "pred_labels", memo):
         pred = _load(proc_dir, "pred_labels", memo)
         if len(pred) != len(gt_labels):
-            raise ValueError(
-                f"predicted labels cover {len(pred)} frames, truth "
-                f"{len(gt_labels)}")
+            raise _bad(proc_dir, "pred_labels", f"the labels cover "
+                       f"{len(pred)} frames, but labels.csv has "
+                       f"{len(gt_labels)}")
         result["frame"] = frame_metrics(pred, gt_labels).to_dict()
 
     gt_taus, _ = _load(proc_dir, "boundaries_truth", memo)
@@ -637,7 +608,7 @@ def stage_eval(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                                            iou_threshold=cfg.tracking.iou_gate)
         result["tracking"] = {"recovery_rate": rr, "correction_rate": cr}
 
-    io._write_json(_path(proc_dir, "eval"), result)
+    _save(proc_dir, None, eval=result)
     return result
 
 
@@ -717,7 +688,7 @@ def train_skill(proc_dirs: Sequence, cfg: PipelineConfig, model_path,
         summary["cv_skipped"] = (f"{n_classes} class(es), {len(y)} rows; "
                                  f"need >= 2 classes and >= {k.folds} rows")
     if summary_path is not None:
-        io._write_json(summary_path, summary)
+        io.save_json(summary, summary_path)
     return summary
 
 
@@ -759,7 +730,7 @@ def predict_skill(proc_dir, cfg: PipelineConfig, model_path, *,
         summary[action] = {"level": str(SkillLevel(-votes[0][1])),
                            "n_segments": len(levels)}
     out = {"segments": per_segment, "summary": summary}
-    io._write_json(_path(proc_dir, "skill_pred"), out)
+    _save(proc_dir, None, skill_pred=out)
     return out
 
 
@@ -904,9 +875,6 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                  f"over {d['n_segments']} repetitions")
         push("")
 
-    with io.atomic_write(_path(proc_dir, "report_txt")) as fh:
-        fh.write("\n".join(lines) + "\n")
-
     report = {
         "procedure_id": meta.get("procedure_id"),
         "fps": meta["fps"],
@@ -920,7 +888,8 @@ def stage_report(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         "metrics": eval_result,
         "skill": skill,
     }
-    io._write_json(_path(proc_dir, "report_json"), report)
+    _save(proc_dir, None, report_txt="\n".join(lines) + "\n",
+          report_json=report)
     return {"report_txt": str(_path(proc_dir, "report_txt")),
             "report_json": str(_path(proc_dir, "report_json"))}
 

@@ -114,12 +114,11 @@ class TipTrajectory:
     """Tip position per frame for one instrument slot.
 
     ``points[t]`` is ``None`` for frames where the instrument is absent.
+    The frame rate is meta.json's, the slot's class in tips_classes.json.
     """
 
     instrument_id: int
     points: list[Optional[tuple[float, float]]]
-    fps: float
-    class_id: Optional[InstrumentClass] = None
 
     def __len__(self) -> int:
         return len(self.points)

@@ -251,8 +251,7 @@ def generate(script: ProcedureScript,
             for k in range(s1 - s0):
                 points[slot][s0 + k] = (float(path[k, 0]), float(path[k, 1]))
     trajectories = [
-        TipTrajectory(instrument_id=slot, points=points[slot],
-                      fps=script.fps, class_id=SLOT_CLASSES[slot])
+        TipTrajectory(instrument_id=slot, points=points[slot])
         for slot in range(len(SLOT_CLASSES))
     ]
 
@@ -371,17 +370,17 @@ def write_procedure(proc: SyntheticProcedure, out_dir) -> dict[str, str]:
     returns their paths by artifact key."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {key: str(out / name)
-             for key, (name, stage, _) in io.ARTIFACTS.items()
-             if stage == "synth" and key != "meta"}
-    io.save_detections(proc.detections, paths["detections"])
-    io.save_truth_instances(proc.truth, paths["truth"])
-    io.save_tips(proc.trajectories, paths["tips_truth"])
-    io.save_labels(proc.labels, paths["labels"])
-    io.save_boundaries(proc.boundaries, [0.0] * len(proc.boundaries),
-                       paths["boundaries_truth"])
-    io.save_tip_candidates(proc.tip_candidates, paths["candidates"])
-    io.save_reference_descriptors(proc.reference_descriptors,
-                                  paths["references"])
-    io.save_scores(proc.scores, paths["scores"])
+    values = {
+        "detections": proc.detections,
+        "truth": proc.truth,
+        "tips_truth": proc.trajectories,
+        "labels": proc.labels,
+        "boundaries_truth": (proc.boundaries, [0.0] * len(proc.boundaries)),
+        "candidates": proc.tip_candidates,
+        "references": proc.reference_descriptors,
+        "scores": proc.scores,
+    }
+    paths = {key: str(out / io.ARTIFACTS[key][0]) for key in values}
+    for key, value in values.items():
+        io.save_artifact(key, value, paths[key])
     return paths

@@ -101,7 +101,8 @@ def test_criterion_3_boundary_recovery_on_synthetic(announce):
     recalls, precisions, accuracies = [], [], []
     for seed in range(20):
         proc = generate(paper_shaped_script(seed=seed))
-        km = KinematicFeatureExtractor().transform(proc.trajectories)
+        km = KinematicFeatureExtractor().transform(proc.trajectories,
+                                                     proc.fps)
         det = NoveltyBoundaryDetector().fit(km.X)
         gt_taus = sorted(b for b in proc.boundaries if b > 0)
         bm = boundary_metrics(sorted(det.boundaries_), gt_taus,
@@ -211,14 +212,14 @@ def test_criterion_8_kinematics_exact_and_invariant(announce):
     ok = True
     # linear and quadratic: central differences are exact inside the stencil
     lin = derivatives(TipTrajectory(
-        instrument_id=0, points=[(3.0 * t, -2.0 * t) for t in range(20)],
-        fps=1.0))
+        instrument_id=0, points=[(3.0 * t, -2.0 * t) for t in range(20)]),
+        1.0)
     ok &= bool(np.allclose(lin.vel[1:-1], [3.0, -2.0], atol=1e-12)
                and np.allclose(lin.acc, 0.0, atol=1e-12)
                and np.allclose(lin.jerk, 0.0, atol=1e-12))
     quad = derivatives(TipTrajectory(
-        instrument_id=0, points=[(float(t * t), 0.0) for t in range(20)],
-        fps=1.0))
+        instrument_id=0, points=[(float(t * t), 0.0) for t in range(20)]),
+        1.0)
     ok &= all(abs(quad.vel[t, 0] - 2.0 * t) < 1e-12 for t in range(1, 19))
     ok &= all(abs(quad.acc[t, 0] - 2.0) < 1e-12 for t in range(2, 18))
     ok &= all(abs(quad.jerk[t, 0]) < 1e-12 for t in range(3, 17))
@@ -228,7 +229,7 @@ def test_criterion_8_kinematics_exact_and_invariant(announce):
     ts = np.arange(T) / fps
     poly = np.polynomial.Polynomial([0.3, -1.2, 0.8, 0.5])
     cub = derivatives(TipTrajectory(
-        instrument_id=0, points=[(float(poly(t)), 0.0) for t in ts], fps=fps))
+        instrument_id=0, points=[(float(poly(t)), 0.0) for t in ts]), fps)
     dpoly, dt2 = poly.deriv(), (1.0 / fps) ** 2
     bound = max(abs(float(poly.deriv(3)(t))) for t in ts) * dt2
     ok &= all(abs(cub.vel[t, 0] - float(dpoly(ts[t]))) <= bound
@@ -238,18 +239,18 @@ def test_criterion_8_kinematics_exact_and_invariant(announce):
     rng = np.random.default_rng(5)
     pts = [tuple(p) for p in rng.normal(size=(30, 2)) * 50]
     moved = [(x + 123.0, y - 77.0) for x, y in pts]
-    t_a = TipTrajectory(instrument_id=0, points=pts, fps=5.0)
-    t_b = TipTrajectory(instrument_id=0, points=moved, fps=5.0)
-    da, db = derivatives(t_a), derivatives(t_b)
+    t_a = TipTrajectory(instrument_id=0, points=pts)
+    t_b = TipTrajectory(instrument_id=0, points=moved)
+    da, db = derivatives(t_a, 5.0), derivatives(t_b, 5.0)
     ok &= bool(np.allclose(da.vel, db.vel, atol=1e-9)
                and np.allclose(da.acc, db.acc, atol=1e-9)
                and np.allclose(da.jerk, db.jerk, atol=1e-9))
     pts2 = [tuple(p) for p in rng.normal(size=(30, 2)) * 50]
-    pa = pairwise_features(t_a, TipTrajectory(instrument_id=1, points=pts2,
-                                              fps=5.0))
+    pa = pairwise_features(t_a, TipTrajectory(instrument_id=1, points=pts2),
+                           5.0)
     pb = pairwise_features(t_b, TipTrajectory(
-        instrument_id=1, points=[(x + 123.0, y - 77.0) for x, y in pts2],
-        fps=5.0))
+        instrument_id=1, points=[(x + 123.0, y - 77.0) for x, y in pts2]),
+        5.0)
     ok &= all(np.allclose(pa[k], pb[k], atol=1e-9) for k in pa)
     announce(8, bool(ok), "derivative exactness and translation invariance")
 

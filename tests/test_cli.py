@@ -71,10 +71,17 @@ def test_every_artifact_is_in_the_table(base_proc):
 
 
 def test_every_loader_name_is_an_io_function():
-    for key, (_, _, loader) in io.ARTIFACTS.items():
+    stages = {name for name, *_ in pipeline.STAGES} | {"synth"}
+    for key, (_, stage, loader, saver) in io.ARTIFACTS.items():
         if loader is not None:
             assert callable(getattr(io, loader, None)), key
             assert loader.startswith("load_"), key
+        # every row is written by a stage or by synth, through its saver
+        assert stage in stages, key
+        assert callable(getattr(io, saver, None)), key
+        assert saver.startswith("save_"), key
+        assert list(inspect.signature(getattr(io, saver)).parameters)[-1] \
+            == "path", key
 
 
 def hook_keys(hook, module) -> set:
@@ -297,10 +304,8 @@ def assert_same(a, b, where):
         assert a == b, where
 
 
-def test_run_all_memo_matches_files(tmp_path, monkeypatch):
-    d = tmp_path / "p"
-    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
-    # run_all's memo as its last stage leaves it
+def run_all_memo(d, monkeypatch, model_path=None) -> dict:
+    """run_all's memo on ``d`` as its last stage, report, leaves it."""
     seen: dict = {}
     stage_report = pipeline.stage_report
 
@@ -310,19 +315,48 @@ def test_run_all_memo_matches_files(tmp_path, monkeypatch):
         return out
 
     monkeypatch.setattr(pipeline, "stage_report", keep_memo)
-    pipeline.run_all(d, load_config(environ={}))
+    pipeline.run_all(d, load_config(environ={}), model_path)
+    monkeypatch.setattr(pipeline, "stage_report", stage_report)
+    return seen
+
+
+def test_run_all_memo_matches_files(tmp_path, monkeypatch):
+    d = tmp_path / "p"
+    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
+    seen = run_all_memo(d, monkeypatch)
 
     assert set(seen) == {
-        "meta", "detections", "refined", "tips", "tips_classes", "features",
-        "features_meta", "presence", "novelty", "boundaries", "segments",
-        "pred_labels", "labels", "boundaries_truth", "truth", "eval"}
-    tips_args = {"fps": seen["meta"]["fps"],
-                 "class_map": io.load_tips_classes(d / "tips_classes.json")}
+        "meta", "detections", "track_rows", "refined", "tips", "tips_classes",
+        "features", "features_meta", "presence", "novelty", "boundaries",
+        "segments", "pred_labels", "labels", "boundaries_truth", "truth",
+        "eval"}
     for key, value in seen.items():
         # parsed by the table's loader, as a stage run on its own reads it
-        loaded = pipeline._load(d, key, None,
-                                **(tips_args if key == "tips" else {}))
-        assert_same(value, loaded, key)
+        assert_same(value, pipeline._load(d, key, None), key)
+
+
+def test_every_artifact_round_trips_through_its_saver(tmp_path, monkeypatch):
+    # with a model, so that skill_predictions.json is written and read too
+    d = tmp_path / "p"
+    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
+    pipeline.run_all(d, load_config(environ={}))
+    width = pipeline._skill_rows(d, load_config())[0][3].shape[0]
+    model = tmp_path / "m.json"
+    SkillGradientBoosting(n_estimators=2).fit(
+        np.random.default_rng(0).normal(size=(6, width)),
+        [0, 1, 2] * 2).save(model)
+    seen = run_all_memo(d, monkeypatch, model)
+
+    out = tmp_path / "out"
+    out.mkdir()
+    for key, (name, _, loader, _) in io.ARTIFACTS.items():
+        if loader is None:
+            continue
+        # what run_all keeps, else what the loader reads from run_all's file
+        value = seen[key] if key in seen else getattr(io, loader)(d / name)
+        io.save_artifact(key, value, out / name)
+        assert (out / name).read_bytes() == (d / name).read_bytes(), key
+        assert_same(value, getattr(io, loader)(out / name), key)
 
 
 def test_stage_order():
@@ -333,7 +367,7 @@ def test_stage_order():
 
 def test_artifact_producers_are_stages():
     names = {name for name, *_ in pipeline.STAGES}
-    producers = {stage for _, stage, _ in io.ARTIFACTS.values()}
+    producers = {stage for _, stage, *_ in io.ARTIFACTS.values()}
     assert producers <= names | {"synth"}
     assert names <= producers
 
@@ -373,9 +407,8 @@ def test_stagewise_equals_run_all_messy_30fps(tmp_path):
         cut_s=2.5, drive_s=4.5, tie_s=3.5, idle_s=1.5))
     a, b = tmp_path / "a", tmp_path / "b"
     write_procedure(proc, a)
-    io._write_json(a / "meta.json", {"procedure_id": "messy-30fps",
-                                     "fps": proc.fps,
-                                     "n_frames": proc.n_frames})
+    io.save_json({"procedure_id": "messy-30fps", "fps": proc.fps,
+                  "n_frames": proc.n_frames}, a / "meta.json")
     shutil.copytree(a, b)
     pipeline.run_all(a, cfg)
     for _, stage in stages_without_model():
@@ -412,9 +445,8 @@ def test_fewer_segments_than_clusters_clamps_k(tmp_path, capsys):
     cfg = load_config(environ={})
     a, b = tmp_path / "a", tmp_path / "b"
     write_procedure(proc, a)
-    io._write_json(a / "meta.json", {"procedure_id": "short",
-                                     "fps": proc.fps,
-                                     "n_frames": proc.n_frames})
+    io.save_json({"procedure_id": "short", "fps": proc.fps,
+                  "n_frames": proc.n_frames}, a / "meta.json")
     shutil.copytree(a, b)
     out = pipeline.run_all(a, cfg)["cluster"]
     assert out["k_clamped"] is True and not out["semantic"]
@@ -905,8 +937,8 @@ def test_non_positive_effective_fps_names_the_features_stage(
     d = tmp_path / "p"
     shutil.copytree(base_proc, d)
     path = d / "features.csv.meta.json"
-    io._write_json(path, {**json.loads(path.read_text()),
-                          "effective_fps": fps})
+    io.save_json({**json.loads(path.read_text()), "effective_fps": fps},
+                 path)
     assert run_cli("cluster", d) == 1
     assert capsys.readouterr().err == (
         f"error: {path}: effective_fps {fps} is not positive (written by "
@@ -951,6 +983,65 @@ def test_tips_off_the_frame_count_name_the_tips_stage(tmp_path, base_proc,
     assert capsys.readouterr().err == (
         f"error: {d / 'tips.csv'}: the tips cover {n + frames} frames, but "
         f"meta.json has {n} (written by the 'tips' stage)\n")
+
+
+@pytest.mark.parametrize("command", ["track", "features"])
+@pytest.mark.parametrize("key, value, reason", [
+    ("fps", 0, "fps must be a positive finite number, got 0"),
+    ("fps", "x", "fps must be a positive finite number, got 'x'"),
+    ("n_frames", "abc", "n_frames must be a non-negative integer, got 'abc'"),
+], ids=["zero-fps", "text-fps", "text-n_frames"])
+def test_bad_meta_names_the_synth_stage(tmp_path, base_proc, capsys,
+                                        command, key, value, reason):
+    # track used to run on with fps 0, and features to fail naming no file
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    path = d / "meta.json"
+    io.save_json({**json.loads(path.read_text()), key: value}, path)
+    line_no = next(no for no, line in enumerate(
+        path.read_text().splitlines(), start=1) if f'"{key}"' in line)
+    before = snapshot(d)
+    assert run_cli(command, d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line_no}: {reason} (written by the 'synth' stage)\n")
+    assert snapshot(d) == before
+
+
+@pytest.mark.parametrize("doc, line_no, reason", [
+    ("[]\n", 1, "expected an object of class -> descriptor"),
+    ('{\n "needle": [1.0, 0.5],\n "bogus": [1.0, 2.0]\n}\n', 3,
+     "class 'bogus': 'bogus' is not a valid InstrumentClass"),
+    ('{\n "needle": ["a", "b"]\n}\n', 2,
+     "class 'needle': could not convert string to float: 'a'"),
+    ('{\n "needle": [0.0, 0.0]\n}\n', 2,
+     "class 'needle': the descriptor must be a nonzero vector"),
+], ids=["not-an-object", "unknown-class", "not-numbers", "zero-vector"])
+def test_bad_reference_descriptors_name_the_line(tmp_path, base_proc, capsys,
+                                                 doc, line_no, reason):
+    # a list used to end the tips stage in a traceback, and an unknown
+    # class or a text value to name no file
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    path = d / "reference_descriptors.json"
+    path.write_text(doc)
+    before = snapshot(d)
+    assert run_cli("tips", d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:{line_no}: {reason} (written by the 'synth' stage)\n")
+    assert snapshot(d) == before
+
+
+def test_short_predicted_labels_name_the_cluster_stage(tmp_path, base_proc,
+                                                       capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    path = d / "predicted_labels.csv"
+    header, *rows = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(header + b"".join(rows[:-5]))
+    assert run_cli("eval", d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: the labels cover {len(rows) - 5} frames, but "
+        f"labels.csv has {len(rows)} (written by the 'cluster' stage)\n")
 
 
 def test_missing_input_names_producer(tmp_path, capsys):
@@ -1148,7 +1239,7 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
                            tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors({c: np.array([1.0, 0.0]) for c in classes},
                                   tmp_path / "reference_descriptors.json")
-    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
+    io.save_json({"fps": 5.0, "n_frames": n_frames}, tmp_path / "meta.json")
     taken = []
 
     def recording(points, descriptors, offsets, sets, *rest):

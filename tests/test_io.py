@@ -200,32 +200,45 @@ class TestValidateStream:
         assert report.n_records == 0 and report.frame_range is None
 
 
+class TestMeta:
+    @staticmethod
+    def _rejected(tmp_path, fps, n_frames, line_no, reason):
+        p = tmp_path / "meta.json"
+        p.write_text(f'{{\n "fps": {fps},\n "n_frames": {n_frames}\n}}\n')
+        with pytest.raises(ParseError, match=reason) as exc:
+            io.load_meta(p)
+        assert str(exc.value).startswith(f"{p}:{line_no}: ")
+
+    def test_fps_required_positive(self, tmp_path):
+        for fps in ("0", "-5.0", '"x"', '"5"', "true", "NaN", "Infinity",
+                    "null", "[5]"):
+            self._rejected(tmp_path, fps, 10, 2, "fps must be a positive "
+                           "finite number")
+        p = tmp_path / "meta.json"
+        io.save_json({"fps": 5, "n_frames": 0}, p)
+        assert io.load_meta(p) == {"fps": 5, "n_frames": 0}
+
+    def test_n_frames_must_be_a_non_negative_integer(self, tmp_path):
+        for n_frames in ('"abc"', "-1", "10.0", "false", "null"):
+            self._rejected(tmp_path, 30.0, n_frames, 3, "n_frames must be "
+                           "a non-negative integer")
+
+
 class TestTips:
     def test_round_trip(self, tmp_path):
         trajs = [
-            TipTrajectory(0, [(0.0, 1.0), None, (2.5, 3.125)], fps=5.0),
-            TipTrajectory(1, [None, (7.0, 8.0), None], fps=5.0),
+            TipTrajectory(0, [(0.0, 1.0), None, (2.5, 3.125)]),
+            TipTrajectory(1, [None, (7.0, 8.0), None]),
         ]
         p = tmp_path / "tips.csv"
         save_tips(trajs, p)
-        loaded = load_tips(p, fps=5.0)
-        assert len(loaded) == 2
-        for orig, back in zip(trajs, loaded):
-            assert back.instrument_id == orig.instrument_id
-            assert back.points == orig.points
-            assert back.fps == 5.0
-
-    def test_fps_required_positive(self, tmp_path):
-        p = tmp_path / "tips.csv"
-        save_tips([TipTrajectory(0, [(0.0, 0.0)], fps=5.0)], p)
-        with pytest.raises(ValueError, match="fps"):
-            load_tips(p, fps=0)
+        assert load_tips(p) == trajs
 
     def test_bad_header(self, tmp_path):
         p = tmp_path / "tips.csv"
         p.write_text("a,b,c\n")
         with pytest.raises(ParseError):
-            load_tips(p, fps=5.0)
+            load_tips(p)
 
     def test_classes_round_trip(self, tmp_path):
         p = tmp_path / "tips_classes.json"
@@ -617,7 +630,7 @@ class TestMatrixCurves:
         meta = {"native_fps": 30.0, "effective_fps": 5.0, "downsample": 6,
                 "n_frames_native": 12, "instrument_ids": [0, 4],
                 "mask_classes": ["scissors_c", None]}
-        io.save_features_meta(meta, tmp_path / "features.csv.meta.json")
+        io.save_json(meta, tmp_path / "features.csv.meta.json")
         loaded = io.load_features_meta(tmp_path / "features.csv.meta.json")
         assert loaded == meta
         assert list(loaded) == sorted(meta)  # the file holds keys sorted
@@ -746,7 +759,7 @@ def _refined_tracks(draw):
 _tip_point = st.one_of(st.none(), st.tuples(_box_value, _box_value))
 _trajectories = st.lists(st.builds(
     TipTrajectory, instrument_id=st.integers(0, 20),
-    points=st.lists(_tip_point, max_size=8), fps=st.just(30.0)),
+    points=st.lists(_tip_point, max_size=8)),
     max_size=4)
 # header names holding what csv quotes
 _name = st.one_of(st.text(st.characters(blacklist_categories=("Cs",)),
@@ -810,7 +823,7 @@ class TestWritersMatchTheirOracles:
                 (save_refined_tracks, _oracle_save_refined_tracks, []),
                 (save_tips, _oracle_save_tips, []),
                 (save_tips, _oracle_save_tips,
-                 [TipTrajectory(0, [], 30.0)])]:
+                 [TipTrajectory(0, [])])]:
             self._same_bytes(tmp_path_factory, write, oracle, value)
         self._same_bytes(tmp_path_factory, save_matrix, _oracle_save_matrix,
                          np.zeros((0, 2)), ["a,b", 'c"d'])
@@ -1214,7 +1227,7 @@ def _save_unserializable_model(path):
 @pytest.mark.parametrize("write", [
     lambda p: io._write_jsonl(p, _dies_midway([{"a": 1}] * 5000)),
     lambda p: io._write_csv(p, ["a"], _dies_midway([[1.5]] * 5000)),
-    lambda p: io._write_json(p, {"a": list(range(5000)), "z": object()}),
+    lambda p: io.save_json({"a": list(range(5000)), "z": object()}, p),
     _save_unserializable_model,
 ], ids=["jsonl", "csv", "json", "model"])
 def test_failed_write_keeps_the_previous_file(tmp_path, write):
@@ -1263,7 +1276,7 @@ class TestJsonWriter:
     @staticmethod
     def _written(path, obj):
         try:
-            io._write_json(path, obj)
+            io.save_json(obj, path)
         except (TypeError, ValueError) as exc:
             return type(exc)
         return path.read_text(encoding="utf-8")
@@ -1338,7 +1351,7 @@ class TestSsmPreview:
         doc = {"ssm_preview": {"stride": 1, "values": rows}, "z": [0.5]}
         want = {"ssm_preview": {"stride": 1, "values": [
             [round(float(v), 4) for v in row] for row in S]}, "z": [0.5]}
-        io._write_json(tmp_path / "report.json", doc)
+        io.save_json(doc, tmp_path / "report.json")
         assert (tmp_path / "report.json").read_text(encoding="utf-8") == (
             json.dumps(want, indent=1, sort_keys=True) + "\n")
 

@@ -475,7 +475,7 @@ class TestGrading:
             assert len(calls) == i + 1
             assert calls[-1] == len(out["segments"]) > 0
             want = tmp_path / f"want{i}.json"
-            io._write_json(want, grade_per_row(d, cfg, readme_model))
+            io.save_json(grade_per_row(d, cfg, readme_model), want)
             assert (d / "skill_predictions.json").read_bytes() == \
                 want.read_bytes()
 
@@ -492,7 +492,7 @@ class TestGrading:
             {"segments": [], "summary": {}}
         assert calls == []
         want = tmp_path / "want.json"
-        io._write_json(want, {"segments": [], "summary": {}})
+        io.save_json({"segments": [], "summary": {}}, want)
         assert (d / "skill_predictions.json").read_bytes() == \
             want.read_bytes()
 

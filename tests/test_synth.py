@@ -12,8 +12,8 @@ import pytest
 from microact import io
 from microact.records import ActionClass, InstrumentClass, SkillLevel
 from microact.synth import (ActionSpec, ProcedureScript, SLOPPINESS_BY_LEVEL,
-                            SyntheticProcedure, generate, paper_shaped_script,
-                            write_procedure)
+                            SLOT_CLASSES, SyntheticProcedure, generate,
+                            paper_shaped_script, write_procedure)
 from microact.tracking import localize_tip
 
 from test_io import same_table
@@ -29,7 +29,8 @@ class TestRegimes:
         present = [tr for tr in proc.trajectories
                    if any(p is not None for p in tr.points)]
         assert [tr.instrument_id for tr in present] == [0]
-        assert present[0].class_id == InstrumentClass.SCISSORS_C
+        assert SLOT_CLASSES[present[0].instrument_id] == \
+            InstrumentClass.SCISSORS_C
         pts = np.array(present[0].points, dtype=float)
         # oscillation stays within the regime envelope around its center
         c = pts.mean(axis=0)
@@ -82,7 +83,7 @@ class TestRegimes:
 
         def mean_jerk(action, slot):
             proc = generate(one_step(action, seconds=20.0, noise=0.0))
-            d = derivatives(proc.trajectories[slot])
+            d = derivatives(proc.trajectories[slot], proc.fps)
             return d.jerk_mag[d.mask > 0].mean()
 
         cutting = mean_jerk(ActionClass.CUTTING, 0)
@@ -271,7 +272,7 @@ class TestDeterminismAndFiles:
         assert labels == proc.labels
         taus, _ = io.load_boundaries(paths["boundaries_truth"])
         assert taus == proc.boundaries
-        tips = io.load_tips(paths["tips_truth"], fps=proc.fps)
+        tips = io.load_tips(paths["tips_truth"])
         assert len(tips) == len(proc.trajectories)
         for got, want in zip(tips, proc.trajectories):
             assert [p is not None for p in got.points] == \
@@ -290,7 +291,7 @@ class TestDeterminismAndFiles:
 
     def test_write_procedure_keys_follow_artifact_table(self, tmp_path):
         paths = write_procedure(generate(one_step(ActionClass.CUTTING)), tmp_path)
-        synth_keys = [key for key, (_, stage, _) in io.ARTIFACTS.items()
+        synth_keys = [key for key, (_, stage, *_) in io.ARTIFACTS.items()
                       if stage == "synth" and key != "meta"]
         assert list(paths) == synth_keys
         for key, path in paths.items():

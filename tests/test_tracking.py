@@ -926,7 +926,7 @@ def tips_dir(tmp_path, fault_sets, refs):
     io.save_tip_candidates(candidate_table(cands),
                            tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
-    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": 4})
+    io.save_json({"fps": 5.0, "n_frames": 4}, tmp_path / "meta.json")
     return tmp_path
 
 
@@ -1036,12 +1036,13 @@ def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
     io.save_tip_candidates(candidate_table(cands),
                            tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
-    io._write_json(tmp_path / "meta.json", {"fps": 5.0, "n_frames": n_frames})
+    io.save_json({"fps": 5.0, "n_frames": n_frames}, tmp_path / "meta.json")
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
     memo = pipeline._Memo()
     pipeline.stage_tips(tmp_path, cfg, memo=memo)
     want = tips_scalar(tracks, cands, refs, n_frames, 2)
-    got = {tr.class_id: tr.points for tr in memo["tips"]}
+    got = {memo["tips_classes"][tr.instrument_id]: tr.points
+           for tr in memo["tips"]}
     assert list(got) == list(want)
     for c in want:
         assert [p is None for p in got[c]] == [p is None for p in want[c]]

@@ -8,9 +8,12 @@ package and the ``perfbench/workloads.py`` beside it are imported.  For
 each seed 1 to 20, two procedures are made under OUT_DIR: one at the
 5 fps defaults and one at ``workloads.MESSY_30FPS``.  Each gets
 ``run_all``, then segment, cluster and report at half-widths 60 and 150.
-After each pass the digest of every file in the directory is recorded.
-The output is one JSON map of ``seed/fps/pass/file`` to its digest, with
-sorted keys, where pass is ``run_all`` or ``h60``/``h150``.  Last, the
+A second directory made from the same seed and settings gets each stage
+of ``pipeline.STAGES`` that needs no model, track through report, run on
+its own, as the CLI runs them one at a time.  After each pass the digest
+of every file in the directory is recorded.  The output is one JSON map
+of ``seed/fps/pass/file`` to its digest, with sorted keys, where pass is
+``run_all``, ``h60``/``h150`` or ``stages``.  Last, the
 skill pass: the 5 fps procedures of ``SKILL_PROCS``, made at a given skill
 level so that the grades differ, get ``run_all``; one model is trained on
 them with ``SKILL_ROUNDS`` boosting rounds, and each gets
@@ -65,6 +68,13 @@ def main(argv: list[str]) -> int:
                               pipeline.stage_report):
                     stage(d, cfg_h)
                 record(d, f"{seed}/{fps}/h{h}", digests)
+            d = out / f"seed{seed}_{fps}fps_stages"
+            shutil.rmtree(d, ignore_errors=True)
+            pipeline.stage_synth(d, cfg)
+            for _, fn_name, when in pipeline.STAGES:
+                if when != "model":
+                    getattr(pipeline, fn_name)(d, cfg)
+            record(d, f"{seed}/{fps}/stages", digests)
     dirs = [out / f"skill_seed{seed}" for _, seed in SKILL_PROCS]
     for d, (level, seed) in zip(dirs, SKILL_PROCS):
         shutil.rmtree(d, ignore_errors=True)
