@@ -195,7 +195,8 @@ def atomic_write(path: PathLike, newline: Optional[str] = None):
     is removed and ``path`` stays as it was.  This guards against a
     writer that fails or a process that dies, not against power loss.
     """
-    tmp = temp_path(path, os.getpid())
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
             yield fh
@@ -203,12 +204,6 @@ def atomic_write(path: PathLike, newline: Optional[str] = None):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-
-
-def temp_path(path: PathLike, pid: int) -> Path:
-    """Where :func:`atomic_write` in process ``pid`` writes ``path`` first."""
-    path = Path(path)
-    return path.with_name(f"{path.name}.{pid}.tmp")
 
 
 def _write_jsonl(path: PathLike, records: Iterable[dict]) -> None:
@@ -399,7 +394,13 @@ def _box_fields(bbox: BBox) -> dict:
 
 def _bbox_of(rec: dict) -> BBox:
     """The record's box: finite, with positive width and height."""
-    bbox = (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"]))
+    return _valid_bbox(
+        (float(rec["x"]), float(rec["y"]), float(rec["w"]), float(rec["h"])))
+
+
+def _valid_bbox(bbox: BBox) -> BBox:
+    """``bbox``, a tuple of floats, if it is finite with positive width and
+    height; else ValueError."""
     if not all(map(math.isfinite, bbox)):
         raise ValueError(f"non-finite bbox {bbox}")
     if bbox[2] <= 0 or bbox[3] <= 0:
@@ -677,17 +678,17 @@ def load_scores(path: PathLike) -> list[SkillScore]:
 
 
 def save_track_rows(rows: Iterable[TrackObservation], path: PathLike) -> None:
-    """Raw tracker output, one observation per line."""
+    """Raw tracker output, one observation per line.  A box that
+    :func:`load_track_rows` would refuse is a ValueError, and the file
+    stays as it was."""
     with atomic_write(path) as fh:
         for r in rows:
-            x, y, w, h = map(float, r.bbox)
-            # NaN and the infinities are spelled as the JSON encoder does
-            num = repr if math.isfinite(x + y + w + h) else _json_flat
+            x, y, w, h = _valid_bbox(tuple(map(float, r.bbox)))
             cls, d = _json_flat(r.class_id.value), r.det_index
             fh.write(f'{{"class": {cls}, "det_index": '
                      f'{"null" if d is None else d}, "frame": {r.frame}, '
-                     f'"h": {num(h)}, "object_id": {r.object_id}, '
-                     f'"w": {num(w)}, "x": {num(x)}, "y": {num(y)}}}\n')
+                     f'"h": {h!r}, "object_id": {r.object_id}, '
+                     f'"w": {w!r}, "x": {x!r}, "y": {y!r}}}\n')
 
 
 def load_track_rows(path: PathLike) -> list[TrackObservation]:
@@ -705,18 +706,19 @@ def load_track_rows(path: PathLike) -> list[TrackObservation]:
 
 def save_refined_tracks(tracks: Sequence[RefinedTrack], path: PathLike) -> None:
     """Line-delimited `{frame, object_id, class, x, y, w, h, provenance}`,
-    ordered by frame, then object id."""
+    ordered by frame, then object id.  A box that
+    :func:`load_refined_tracks` would refuse is a ValueError, raised
+    before the file is opened."""
     lines = []
     for tr in tracks:
         cls, oid = _json_flat(tr.class_id.value), tr.object_id
         for frame in tr.frames():
-            x, y, w, h = map(float, tr.boxes[frame])
-            num = repr if math.isfinite(x + y + w + h) else _json_flat
+            x, y, w, h = _valid_bbox(tuple(map(float, tr.boxes[frame])))
             prov = _json_flat(tr.provenance[frame].value)
             lines.append((frame, oid, f'{{"class": {cls}, "frame": {frame}, '
-                          f'"h": {num(h)}, "object_id": {oid}, '
-                          f'"provenance": {prov}, "w": {num(w)}, '
-                          f'"x": {num(x)}, "y": {num(y)}}}\n'))
+                          f'"h": {h!r}, "object_id": {oid}, '
+                          f'"provenance": {prov}, "w": {w!r}, '
+                          f'"x": {x!r}, "y": {y!r}}}\n'))
     lines.sort(key=lambda item: item[:2])  # stable: ties keep track order
     with atomic_write(path) as fh:
         fh.writelines(line for _, _, line in lines)

@@ -12,12 +12,11 @@ its stages share one in-memory ``memo`` (artifact key -> the value its
 ``io.ARTIFACTS`` loader returns), filled by the stage that writes or
 first parses an artifact.  A value is kept exactly as its loader would return it from
 the file just written, so a stage computes the same bytes either way.
+Each stage writes its files when it ends, in `run_all` as on its own.
 
-Where the host has a second usable CPU, `run_all` also moves work off
-the stages' path into two forked children (:class:`_Child`): the parse
-of ``tip_candidates.jsonl`` and the writes of track through cluster.
-Its docstring gives the rules that keep the bytes and the errors those
-of the stage-by-stage run.
+Where the host has a second usable CPU, `run_all` parses
+``tip_candidates.jsonl`` in a forked child (:class:`_Child`) while the
+track stage runs.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import signal
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +84,7 @@ def _exists(proc_dir, key: str, memo=None) -> bool:
             or _path(proc_dir, key).exists())
 
 
-def _load(proc_dir, key: str, memo: Optional["_Memo"]):
+def _load(proc_dir, key: str, memo: Optional[dict]):
     """Artifact ``key`` as its ``io.ARTIFACTS`` loader returns it: from
     ``memo`` when this run already holds it, else parsed from its file (and
     kept in ``memo``).  The loader is looked up by name at call time, so a
@@ -107,19 +106,14 @@ def _load(proc_dir, key: str, memo: Optional["_Memo"]):
     return value
 
 
-def _save(proc_dir, memo: Optional["_Memo"], **artifacts) -> None:
+def _save(proc_dir, memo: Optional[dict], **artifacts) -> None:
     """Write each artifact (key=value, in order) with its ``io.ARTIFACTS``
-    saver, and keep it in ``memo``.  Each value is exactly what its loader
-    would read back.  Inside run_all the writes join the memo's queue,
-    which run_all runs later; without a memo they happen now."""
+    saver, then keep it in ``memo``.  Each value is exactly what its loader
+    would read back."""
     for key, value in artifacts.items():
-        write = functools.partial(io.save_artifact, key, value,
-                                  _path(proc_dir, key))
-        if memo is None:
-            write()
-        else:
+        io.save_artifact(key, value, _path(proc_dir, key))
+        if memo is not None:
             memo[key] = value
-            memo.writes.append(write)
 
 
 def _usable_cpus() -> int:
@@ -137,10 +131,9 @@ class _Child:
     the calling thread, with no result thread that would allocate in a
     malloc arena of its own.  It re-raises the child's ``ParseError`` and
     returns None when the child died without an answer, so the caller
-    does the work in-process.  :meth:`wait` joins a child whose value is
-    not wanted and says whether ``fn`` returned.  The children parse or
-    format text and build arrays: they start no thread and call no BLAS,
-    which is what makes "fork" safe here.
+    does the work in-process.  The child parses text and builds arrays:
+    it starts no thread and calls no BLAS, which is what makes "fork"
+    safe here.
     """
 
     def __init__(self, fn, *args):
@@ -149,7 +142,6 @@ class _Child:
         self._proc = ctx.Process(target=_run_child, daemon=True,
                                  args=(fn, args, send, self._conn))
         self._proc.start()
-        self.pid = self._proc.pid
         send.close()
 
     @classmethod
@@ -177,13 +169,6 @@ class _Child:
             raise error
         return value
 
-    def wait(self) -> bool:
-        """Join the child; True when ``fn`` returned in it.  A None reply
-        is a few bytes, which the pipe holds unread."""
-        self._proc.join()
-        self._conn.close()
-        return self._proc.exitcode == 0
-
     def close(self) -> None:
         """End the child.  One whose pipe was never read blocks writing to
         it, so it is terminated before the join."""
@@ -195,8 +180,8 @@ class _Child:
 def _run_child(fn, args, conn, parent_end) -> None:
     """A _Child: send (value, None) or (None, ParseError), or exit 1."""
     parent_end.close()  # a dead parent then breaks the pipe
-    # the parent ends or joins it, so a writer that Ctrl-C reaches
-    # still finishes its file
+    # Ctrl-C reaches the whole process group; the parent ends this child
+    # as it unwinds, so the child ignores it and prints no traceback
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         reply = (fn(*args), None)
@@ -206,22 +191,6 @@ def _run_child(fn, args, conn, parent_end) -> None:
         sys.exit(1)
     with contextlib.suppress(OSError):  # the caller has gone
         conn.send(reply)
-
-
-class _Memo(dict):
-    """run_all's memo (artifact key -> value, as :func:`_load` keeps it),
-    plus the writes its stages queued, in stage order."""
-
-    def __init__(self, **values):
-        super().__init__(**values)
-        self.writes: list[Callable[[], None]] = []
-
-    def flush(self) -> None:
-        """Run the queued writes in order, each once; one that raises ends
-        the run, as it ends its stage."""
-        writes, self.writes = self.writes, []
-        for write in writes:
-            write()
 
 
 # ---------------------------------------------------------------------------
@@ -913,48 +882,31 @@ STAGES = (
 )
 
 
-# the stages that write their own files in-process
-_OWN_WRITERS = ("eval", "predict-skill", "report")
-
-
 def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     """Every stage of :data:`STAGES` whose condition holds, in order,
     equivalent to running each stage; returns each one's summary under
     its name, with "_" for "-".
 
     The stages share one memo that lives for this call only, so each
-    artifact is parsed at most once, and no stage waits for a file: what
-    it reads, or checks for, comes from the memo.  Track through cluster
-    queue their writes on it.  With a second usable CPU, two forked
-    children at most take work off the stages' path: one parses the tip
-    candidates while track runs, and one runs the write queue in order
-    from the first of :data:`_OWN_WRITERS` that runs.  Where no child can
-    start (:meth:`_Child.start`), the queue runs in-process there, with
-    the same bytes.  Each file is replaced atomically.
-
-    Every child is joined before this returns or raises.  A writer child
-    that did not finish has its temp files removed and the queue run
-    again in-process; a stage that raises before the writer starts has
-    the queue run in-process first.  So a failing write raises what the
-    stage run on its own raises, though later stages' files may have
-    been written by then.
+    artifact is parsed at most once, and each stage writes its files when
+    it ends.  So a stage that fails, or a write that fails, stops the run
+    where the stage run on its own stops, with the same error and the
+    same files on disk.  With a second usable CPU, one forked child parses
+    the tip candidates while track runs; where it cannot start
+    (:meth:`_Child.start`), or dies, the tips stage parses them
+    in-process.  The child is ended before this returns or raises.
     """
     parse = None
     if (_path(proc_dir, "candidates").exists()
             and _path(proc_dir, "references").exists()):
         parse = _Child.start(_load, proc_dir, "candidates", None)
-    memo = _Memo(candidates=parse) if parse else _Memo()
-    writer = None
+    memo = {"candidates": parse} if parse else {}
     out = {}
     try:
         for name, fn_name, when in STAGES:
             if ((when == "labels" and not _path(proc_dir, "labels").exists())
                     or (when == "model" and model_path is None)):
                 continue
-            if name in _OWN_WRITERS and writer is None and memo.writes:
-                writer = _Child.start(memo.flush)
-                if writer is None:
-                    memo.flush()
             extra = {"model_path": model_path} if when == "model" else {}
             # looked up at call time, so a wrapper set on the module runs
             out[name.replace("-", "_")] = globals()[fn_name](
@@ -962,11 +914,4 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     finally:
         if parse is not None:
             parse.close()
-        if writer is not None and not writer.wait():
-            # every queued write writes into proc_dir
-            for tmp in Path(proc_dir).glob(io.temp_path("*", writer.pid).name):
-                tmp.unlink(missing_ok=True)
-            writer = None
-        if writer is None:
-            memo.flush()
     return out

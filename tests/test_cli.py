@@ -7,7 +7,6 @@ artifact contract rather than any one module.
 
 import argparse
 import ast
-import contextlib
 import dataclasses
 import importlib.util
 import inspect
@@ -17,7 +16,6 @@ import os
 import re
 import shutil
 import textwrap
-import time
 from pathlib import Path
 
 import numpy as np
@@ -113,15 +111,21 @@ def hook_keys(hook, module) -> set:
     return keys
 
 
+def load_tracer():
+    """perfbench's tracer module, which is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
 def test_every_tracer_patch_point_resolves():
     # perfbench's tracer wraps these names from outside the package, so a
     # rename under src/ would leave its --trace 1 run blind, and its count
     # hooks read the wrapped call's arguments by name, so a renamed
     # parameter would raise KeyError there
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_tracer()
     assert tracer.POINTS
     for name, (target, hook) in tracer.POINTS.items():
         _, _, original = tracer.resolve(target)
@@ -130,6 +134,25 @@ def test_every_tracer_patch_point_resolves():
             missing = (hook_keys(hook, tracer)
                        - set(inspect.signature(original).parameters))
             assert not missing, (name, missing)
+
+
+def test_tracer_sees_every_run_all_write(tmp_path, monkeypatch):
+    # the tracer records spans in its own process only, so the writes of
+    # run_all's stages must happen there, even where a child can start
+    tracer = load_tracer()
+    d = fresh_proc(tmp_path)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        t.active = True
+        pipeline.run_all(d, load_config(environ={}))
+    finally:
+        t.remove()
+    metrics = t.op_metrics()
+    for name in ("io.serialize_s", "io.bytes_written",
+                 "pipeline.tips.points"):
+        assert metrics[name] > 0, name
 
 
 def test_malformed_row_is_a_diagnostic(tmp_path, base_proc, capsys):
@@ -652,10 +675,10 @@ def test_failed_child_falls_back_to_in_process_parse(tmp_path, monkeypatch,
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus, forks", [(2, 2), (1, 0)])
-def test_run_all_forks_two_children_at_most(tmp_path, monkeypatch, base_proc,
-                                            cpus, forks):
-    # one child parses the tip candidates, one runs every queued write
+@pytest.mark.parametrize("cpus, forks", [(2, 1), (1, 0)])
+def test_run_all_forks_one_child_at_most(tmp_path, monkeypatch, base_proc,
+                                         cpus, forks):
+    # one child parses the tip candidates; every stage writes its own files
     d = fresh_proc(tmp_path)
     built = []
     init = pipeline._Child.__init__
@@ -691,34 +714,6 @@ def test_no_child_outlives_run_all(tmp_path, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-# the io writers whose files run_all writes from a child
-CHILD_WRITERS = ("save_track_rows", "save_refined_tracks", "save_tips",
-                 "save_matrix", "save_novelty", "save_boundaries",
-                 "save_segments", "save_labels")
-
-
-def patch_writers(monkeypatch, in_child=None, everywhere=None) -> list:
-    """Wrap each CHILD_WRITERS function: ``in_child()`` runs first in a
-    forked child, ``everywhere()`` in any process.  Returns the names the
-    parent process writes with; a child's calls land in its own copy."""
-    parent, calls = os.getpid(), []
-
-    def wrap(name, save):
-        def writer(*args, **kwargs):
-            if os.getpid() == parent:
-                calls.append(name)
-            elif in_child is not None:
-                in_child()
-            if everywhere is not None:
-                everywhere()
-            return save(*args, **kwargs)
-        return writer
-
-    for name in CHILD_WRITERS:
-        monkeypatch.setattr(io, name, wrap(name, getattr(io, name)))
-    return calls
-
-
 def no_children_left() -> bool:
     """This process has no child, running or unreaped, left."""
     try:
@@ -733,71 +728,6 @@ def assert_clean(*dirs):
     assert multiprocessing.active_children() == []
     for d in dirs:
         assert not list(Path(d).glob("*.tmp"))
-
-
-@pytest.mark.parametrize("k", [4, 3])
-def test_slow_writers_change_no_output(tmp_path, monkeypatch, base_proc, k):
-    # every child writer lags 0.3 s; a stage gating on a file (eval's and
-    # report's predicted_labels.csv, say) would then see it missing.  With
-    # K=3 the directory starts with a stale predicted_labels.csv of a K=4
-    # run, which cluster removes and eval must not score.
-    cfg = load_config(environ={}, overrides={"clustering": {"n_clusters": k}})
-    a, b = tmp_path / "a", tmp_path / "b"
-    if k == 4:
-        fresh_proc(tmp_path, "a")
-    else:
-        shutil.copytree(base_proc, a)
-    shutil.copytree(a, b)
-    calls = patch_writers(monkeypatch, in_child=lambda: time.sleep(0.3))
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    pipeline.run_all(a, cfg)
-    assert calls == []  # the children wrote every file
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
-    pipeline.run_all(b, cfg)
-    assert calls
-    assert snapshot(a) == snapshot(b)
-    assert (a / "predicted_labels.csv").exists() == (k == 4)
-    assert ("frame" in json.loads((a / "eval.json").read_text())) == (k == 4)
-    assert_clean(a, b)
-
-
-def test_writer_dying_in_its_child_is_redone(tmp_path, monkeypatch,
-                                             base_proc):
-    d = fresh_proc(tmp_path)
-
-    def fail():
-        raise OSError("child out of disk")
-
-    calls = patch_writers(monkeypatch, in_child=fail)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    pipeline.run_all(d, load_config(environ={}))
-    assert sorted(calls) == sorted(CHILD_WRITERS + ("save_matrix",))
-    assert snapshot(d) == snapshot(base_proc)
-    assert_clean(d)
-
-
-@pytest.mark.parametrize("name", ["novelty.csv", "features.csv.meta.json"])
-def test_writer_child_dying_mid_file_leaves_no_temp_file(
-        tmp_path, monkeypatch, base_proc, name):
-    # the child has written all of ``name``'s temp file and dies before
-    # the rename; the redo in the parent must also remove that file
-    d = fresh_proc(tmp_path)
-    parent = os.getpid()
-    atomic_write = io.atomic_write
-
-    @contextlib.contextmanager
-    def dying_write(path, *args, **kwargs):
-        with atomic_write(path, *args, **kwargs) as fh:
-            yield fh
-            if os.getpid() != parent and Path(path).name == name:
-                fh.flush()
-                os._exit(3)
-
-    monkeypatch.setattr(io, "atomic_write", dying_write)
-    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
-    pipeline.run_all(d, load_config(environ={}))
-    assert snapshot(d) == snapshot(base_proc)
-    assert_clean(d)
 
 
 @pytest.mark.parametrize("cpus", [2, 1])
@@ -821,6 +751,8 @@ def test_failing_writer_fails_like_its_stage(tmp_path, monkeypatch, cpus):
     with pytest.raises(OSError) as alone:
         pipeline.stage_segment(b, cfg)
     assert str(in_run_all.value) == str(alone.value)
+    # run_all stopped where the stage-by-stage run stops, with the same files
+    assert snapshot(a) == snapshot(b)
     assert not (a / "novelty.csv").exists()
     assert_clean(a, b)
     # the directory is whole again once the writer works

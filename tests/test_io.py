@@ -1,3 +1,4 @@
+import dataclasses
 import enum
 import json
 import math
@@ -735,22 +736,33 @@ _edge_float = st.one_of(
 _box_value = st.one_of(_edge_float, _edge_float.map(np.float64),
                        st.integers(-10 ** 6, 10 ** 6))
 _box = st.tuples(_box_value, _box_value, _box_value, _box_value)
+# a box the track loaders take: finite, with positive width and height
+_finite = _box_value.filter(math.isfinite)
+_positive = _finite.filter(lambda v: v > 0)
+_valid_box = st.tuples(_finite, _finite, _positive, _positive)
 _ids = st.integers(-5, 10 ** 9)
-_track_row = st.builds(
-    TrackObservation, frame=_ids, object_id=_ids,
-    class_id=st.sampled_from(list(InstrumentClass)), bbox=_box,
-    det_index=st.one_of(st.none(), st.just(0), st.integers(0, 10 ** 6)))
+
+
+def _track_rows(box):
+    return st.lists(st.builds(
+        TrackObservation, frame=_ids, object_id=_ids,
+        class_id=st.sampled_from(list(InstrumentClass)), bbox=box,
+        det_index=st.one_of(st.none(), st.just(0), st.integers(0, 10 ** 6))),
+        max_size=8)
 
 
 @st.composite
-def _refined_tracks(draw):
+def _refined_tracks(draw, box=_valid_box, unique_ids=False):
     tracks = []
-    # object ids repeat, so the sort's tie order is checked too
-    for oid in draw(st.lists(st.integers(0, 4), max_size=4)):
-        frames = draw(st.lists(st.integers(0, 12), unique=True, max_size=6))
+    # object ids repeat unless ``unique_ids``, so the sort's tie order is
+    # checked too
+    for oid in draw(st.lists(st.integers(0, 4), max_size=4,
+                             unique=unique_ids)):
+        frames = draw(st.lists(st.integers(0, 12), unique=True,
+                               min_size=int(unique_ids), max_size=6))
         tracks.append(RefinedTrack(
             oid, draw(st.sampled_from(list(InstrumentClass))),
-            boxes={f: draw(_box) for f in frames},
+            boxes={f: draw(box) for f in frames},
             provenance={f: draw(st.sampled_from(list(Provenance)))
                         for f in frames}))
     return tracks
@@ -784,7 +796,7 @@ class TestWritersMatchTheirOracles:
         assert (d / "got").read_bytes() == (d / "want").read_bytes()
 
     @settings(max_examples=200, deadline=None)
-    @given(rows=st.lists(_track_row, max_size=8))
+    @given(rows=_track_rows(_valid_box))
     def test_track_rows(self, tmp_path_factory, rows):
         self._same_bytes(tmp_path_factory, save_track_rows,
                          _oracle_save_track_rows, rows)
@@ -827,6 +839,54 @@ class TestWritersMatchTheirOracles:
             self._same_bytes(tmp_path_factory, write, oracle, value)
         self._same_bytes(tmp_path_factory, save_matrix, _oracle_save_matrix,
                          np.zeros((0, 2)), ["a,b", 'c"d'])
+
+
+def _loadable(box) -> bool:
+    x, y, w, h = map(float, box)
+    return all(map(math.isfinite, (x, y, w, h))) and w > 0 and h > 0
+
+
+def _floats(box) -> tuple:
+    return tuple(map(float, box))
+
+
+class TestTrackWritersRoundTrip:
+    """What a track writer writes, its loader reads back; a box the loader
+    would refuse is a ValueError, and the previous file stays."""
+
+    @staticmethod
+    def _check(tmp_path_factory, save, load, value, loadable, want):
+        p = tmp_path_factory.mktemp("tracks") / "tracks.jsonl"
+        p.write_bytes(b"previous\n")
+        if loadable:
+            save(value, p)
+            assert load(p) == want
+        else:
+            with pytest.raises(ValueError, match="bbox"):
+                save(value, p)
+            assert [q.name for q in p.parent.iterdir()] == [p.name]
+            assert p.read_bytes() == b"previous\n"
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=_track_rows(st.one_of(_valid_box, _box)))
+    def test_track_rows(self, tmp_path_factory, rows):
+        want = sorted((dataclasses.replace(r, bbox=_floats(r.bbox))
+                       for r in rows), key=lambda r: r.frame)
+        self._check(tmp_path_factory, save_track_rows, load_track_rows, rows,
+                    all(_loadable(r.bbox) for r in rows), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tracks=_refined_tracks(st.one_of(_valid_box, _box),
+                                  unique_ids=True))
+    def test_refined_tracks(self, tmp_path_factory, tracks):
+        want = [RefinedTrack(tr.object_id, tr.class_id,
+                             {f: _floats(b) for f, b in tr.boxes.items()},
+                             tr.provenance)
+                for tr in sorted(tracks, key=lambda tr: tr.object_id)]
+        self._check(tmp_path_factory, save_refined_tracks,
+                    load_refined_tracks, tracks,
+                    all(_loadable(b) for tr in tracks
+                        for b in tr.boxes.values()), want)
 
 
 # load_matrix parses with numpy's C reader and falls back to the checked

@@ -1038,7 +1038,7 @@ def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
     io.save_json({"fps": 5.0, "n_frames": n_frames}, tmp_path / "meta.json")
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})
-    memo = pipeline._Memo()
+    memo = {}
     pipeline.stage_tips(tmp_path, cfg, memo=memo)
     want = tips_scalar(tracks, cands, refs, n_frames, 2)
     got = {memo["tips_classes"][tr.instrument_id]: tr.points
