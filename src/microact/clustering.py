@@ -40,7 +40,7 @@ def segment_edges(taus: Sequence[int], T: int) -> np.ndarray:
 
 
 def segment_features(X: np.ndarray, mask: np.ndarray, edges,
-                     mask_weight: float = 1.0) -> np.ndarray:
+                     mask_weight: float = 3.0) -> np.ndarray:
     """Per-segment summary f_i = mean ++ std ++ presence-fraction.
 
     X is the T×d feature matrix, mask the T×m per-instrument presence

@@ -1,8 +1,9 @@
 """Pipeline configuration: one YAML file drives every stage.
 
-Defaults live in the dataclasses below.  A config file overrides
-defaults, environment variables override the file (prefix MICROACT_,
-double underscore between section and field, e.g.
+The dataclasses below are the one declaration of every setting: its
+name, its type (only an Optional field takes null) and its default.  A
+config file overrides defaults, environment variables override the file
+(prefix MICROACT_, double underscore between section and field, e.g.
 MICROACT_SEGMENTATION__HALF_WIDTH=20), and every value is validated
 against its consuming module's preconditions at load time so a bad
 config fails before any stage runs.
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import typing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -37,8 +39,7 @@ class SynthSection:
 
 @dataclass
 class TrackingSection:
-    iou_weight: float = 0.7
-    appearance_weight: float = 0.3
+    appearance_weight: float = 0.3   # the IoU cost weighs 1 - this
     iou_gate: float = 0.3
     cross_class_iou: float = 0.5
     # coast emission bound; ~1 s at the 5 fps working rate, scale with fps
@@ -51,8 +52,6 @@ class TrackingSection:
 @dataclass
 class FeaturesSection:
     downsample: int = 1
-    smooth_window: int = 0
-    zscore: bool = True
 
 
 @dataclass
@@ -61,7 +60,6 @@ class SegmentationSection:
     sigma: Optional[float] = None   # None -> half_width / 2
     prominence_frac: float = 0.3
     min_distance: int = 5
-    novelty_floor: float = 1e-8
 
 
 @dataclass
@@ -103,71 +101,41 @@ class PipelineConfig:
         return dataclasses.asdict(self)
 
 
-_SECTIONS = {
-    "synth": SynthSection,
-    "tracking": TrackingSection,
-    "features": FeaturesSection,
-    "segmentation": SegmentationSection,
-    "clustering": ClusteringSection,
-    "skill": SkillSection,
-    "evaluation": EvalSection,
-}
-_TOP_FIELDS = {"schema_version", "seed"}
-
-
-def _coerce(value, target, where: str):
-    """Nudge YAML scalars onto the dataclass field's type."""
-    if value is None:
-        return None
-    if target is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{where}: expected a boolean, got {value!r}")
-    if target is int:
+def _coerce(value, hint, where: str):
+    """A YAML scalar as the field's type; only an Optional field takes null."""
+    if typing.get_args(hint):   # Optional[T]
+        if value is None:
+            return None
+        hint, = (a for a in typing.get_args(hint) if a is not type(None))
+    if hint is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
         return value
-    if target is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}: expected a number, got {value!r}")
-        return float(value)
-    return value
-
-
-def _field_types(cls) -> dict:
-    out = {}
-    for f in dataclasses.fields(cls):
-        t = f.type
-        if t in ("int", int):
-            out[f.name] = int
-        elif t in ("float", float, "Optional[float]"):
-            out[f.name] = float
-        elif t in ("bool", bool):
-            out[f.name] = bool
-        else:
-            out[f.name] = None
-    return out
+    # every other field is a float
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a number, got {value!r}")
+    return float(value)
 
 
 def _apply(cfg: PipelineConfig, data: dict, origin: str) -> None:
     if not isinstance(data, dict):
         raise ConfigError(f"{origin}: top level must be a mapping")
+    hints = typing.get_type_hints(PipelineConfig)
     for key, value in data.items():
-        if key in _TOP_FIELDS:
-            setattr(cfg, key, _coerce(value, int, f"{origin}: {key}"))
-        elif key in _SECTIONS:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{origin}: section {key!r} must be a mapping")
-            section = getattr(cfg, key)
-            types = _field_types(type(section))
-            for fk, fv in value.items():
-                if fk not in types:
-                    raise ConfigError(
-                        f"{origin}: unknown field {key}.{fk!r}")
-                setattr(section, fk,
-                        _coerce(fv, types[fk], f"{origin}: {key}.{fk}"))
-        else:
+        if key not in hints:
             raise ConfigError(f"{origin}: unknown key {key!r}")
+        if not dataclasses.is_dataclass(hints[key]):
+            setattr(cfg, key, _coerce(value, hints[key], f"{origin}: {key}"))
+            continue
+        if not isinstance(value, dict):
+            raise ConfigError(f"{origin}: section {key!r} must be a mapping")
+        section = getattr(cfg, key)
+        fields = typing.get_type_hints(hints[key])
+        for fk, fv in value.items():
+            if fk not in fields:
+                raise ConfigError(f"{origin}: unknown field {key}.{fk!r}")
+            setattr(section, fk,
+                    _coerce(fv, fields[fk], f"{origin}: {key}.{fk}"))
 
 
 def _env_overrides(environ) -> dict:
@@ -204,10 +172,8 @@ def validate(cfg: PipelineConfig) -> PipelineConfig:
     need(s.dropout_max_run >= 1, "synth.dropout_max_run must be >= 1")
 
     t = cfg.tracking
-    need(t.iou_weight >= 0 and t.appearance_weight >= 0,
-         "tracking weights must be nonnegative")
-    need(abs(t.iou_weight + t.appearance_weight - 1.0) < 1e-9,
-         "tracking.iou_weight + appearance_weight must equal 1")
+    need(0.0 <= t.appearance_weight <= 1.0,
+         "tracking.appearance_weight must be in [0, 1]")
     need(0.0 <= t.iou_gate <= 1.0, "tracking.iou_gate must be in [0, 1]")
     need(0.0 <= t.cross_class_iou <= 1.0,
          "tracking.cross_class_iou must be in [0, 1]")
@@ -219,7 +185,6 @@ def validate(cfg: PipelineConfig) -> PipelineConfig:
 
     f = cfg.features
     need(f.downsample >= 1, "features.downsample must be >= 1")
-    need(f.smooth_window >= 0, "features.smooth_window must be >= 0")
 
     g = cfg.segmentation
     need(g.half_width >= 1, "segmentation.half_width must be >= 1")
@@ -228,7 +193,6 @@ def validate(cfg: PipelineConfig) -> PipelineConfig:
     need(0.0 < g.prominence_frac <= 1.0,
          "segmentation.prominence_frac must be in (0, 1]")
     need(g.min_distance >= 1, "segmentation.min_distance must be >= 1")
-    need(g.novelty_floor >= 0, "segmentation.novelty_floor must be >= 0")
 
     c = cfg.clustering
     need(c.n_clusters >= 1, "clustering.n_clusters must be >= 1")

@@ -73,33 +73,7 @@ def _diff_over_present(values: np.ndarray, present_idx: np.ndarray,
     return out
 
 
-def _smooth_runs(pos: np.ndarray, present: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average within each contiguous present run."""
-    if window <= 1:
-        return pos
-    out = pos.copy()
-    T = pos.shape[0]
-    t = 0
-    half = window // 2
-    while t < T:
-        if not present[t]:
-            t += 1
-            continue
-        start = t
-        while t < T and present[t]:
-            t += 1
-        run = pos[start:t]
-        n = run.shape[0]
-        csum = np.zeros((n + 1, run.shape[1]))
-        np.cumsum(run, axis=0, out=csum[1:])
-        lo = np.maximum(np.arange(n) - half, 0)
-        hi = np.minimum(np.arange(n) + half + 1, n)
-        out[start:t] = (csum[hi] - csum[lo]) / (hi - lo)[:, None]
-    return out
-
-
-def derivatives(trajectory: TipTrajectory, fps: float, *,
-                smooth_window: int = 0) -> DerivativeSet:
+def derivatives(trajectory: TipTrajectory, fps: float) -> DerivativeSet:
     """Velocity, acceleration and jerk of one tip trajectory.
 
     Differences are taken over present frames only, so a detection gap acts
@@ -112,8 +86,6 @@ def derivatives(trajectory: TipTrajectory, fps: float, *,
     ----------
     trajectory : tip positions with absent frames as None
     fps : frames per second of ``trajectory.points``
-    smooth_window : centered moving-average width applied to positions
-        before differencing; 0 or 1 disables (the default).
 
     Returns
     -------
@@ -133,8 +105,6 @@ def derivatives(trajectory: TipTrajectory, fps: float, *,
         warnings.warn(
             f"instrument {trajectory.instrument_id}: fewer than 2 present frames; "
             "derivatives are all zero", stacklevel=2)
-    if smooth_window:
-        pos = _smooth_runs(pos, present, smooth_window)
     vel = _diff_over_present(pos, present_idx, fps)
     acc = _diff_over_present(vel, present_idx, fps)
     jerk = _diff_over_present(acc, present_idx, fps)
@@ -197,8 +167,7 @@ def downsample_trajectory(trajectory: TipTrajectory, factor: int) -> TipTrajecto
 
 
 def build_feature_matrix(trajectories: list[TipTrajectory], fps: float, *,
-                         downsample: int = 1,
-                         smooth_window: int = 0) -> KinematicMatrix:
+                         downsample: int = 1) -> KinematicMatrix:
     """Assemble the T×d kinematic matrix from a set of trajectories.
 
     Column order is deterministic: per instrument (ascending id) speed,
@@ -220,7 +189,7 @@ def build_feature_matrix(trajectories: list[TipTrajectory], fps: float, *,
     trajs = sorted((downsample_trajectory(tr, downsample) for tr in trajectories),
                    key=lambda tr: tr.instrument_id)
     fps = fps / downsample
-    derivs = [derivatives(tr, fps, smooth_window=smooth_window) for tr in trajs]
+    derivs = [derivatives(tr, fps) for tr in trajs]
     T = len(trajs[0].points)
     m = len(trajs)
 
@@ -246,7 +215,8 @@ def build_feature_matrix(trajectories: list[TipTrajectory], fps: float, *,
 
 
 def normalize(X: np.ndarray) -> np.ndarray:
-    """Z-score each column (population std); constant columns map to zero.
+    """Z-score each column (population std); constant columns map to zero,
+    so a single row maps to zeros.
 
     Columns whose spread is pure rounding noise (std below 1e-10 relative
     to the column magnitude) are treated as constant, otherwise the
@@ -256,8 +226,6 @@ def normalize(X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"X must be 2-dimensional, got shape {X.shape}")
-    if X.shape[0] < 2:
-        raise ValueError("need at least 2 rows to normalize")
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     out = X - mean
@@ -273,19 +241,13 @@ class KinematicFeatureExtractor:
     Parameters
     ----------
     downsample : int, keep every k-th frame (default 1)
-    smooth_window : int, moving-average width, 0 disables
-    zscore : bool, z-score columns after assembly (default True)
     """
 
-    def __init__(self, downsample: int = 1, smooth_window: int = 0,
-                 zscore: bool = True):
+    def __init__(self, downsample: int = 1):
         self.downsample = downsample
-        self.smooth_window = smooth_window
-        self.zscore = zscore
 
     def transform(self, trajectories, fps: float) -> KinematicMatrix:
-        """The matrix of ``trajectories``, sampled at ``fps``."""
+        """The z-scored matrix of ``trajectories``, sampled at ``fps``."""
         km = build_feature_matrix(trajectories, fps,
-                                  downsample=self.downsample,
-                                  smooth_window=self.smooth_window)
-        return replace(km, X=normalize(km.X)) if self.zscore else km
+                                  downsample=self.downsample)
+        return replace(km, X=normalize(km.X))

@@ -28,7 +28,6 @@ import multiprocessing
 import os
 import signal
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -204,10 +203,8 @@ def stage_synth(out_dir, cfg: PipelineConfig,
     sloppiness = SLOPPINESS_BY_LEVEL[level] if level is not None else s.sloppiness
     script = paper_shaped_script(
         fps=s.fps, seed=cfg.seed, noise=s.noise,
-        dropout_rate=s.dropout_rate, mislabel_rate=s.mislabel_rate,
-        sloppiness=sloppiness)
-    if s.dropout_max_run != script.dropout_max_run:
-        script = replace(script, dropout_max_run=s.dropout_max_run)
+        dropout_rate=s.dropout_rate, dropout_max_run=s.dropout_max_run,
+        mislabel_rate=s.mislabel_rate, sloppiness=sloppiness)
     proc = generate(script)
     write_procedure(proc, out_dir)
     meta = {
@@ -228,7 +225,7 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     detections = _load(proc_dir, "detections", memo)
     t = cfg.tracking
     tracker = InstrumentTracker(
-        iou_weight=t.iou_weight, appearance_weight=t.appearance_weight,
+        appearance_weight=t.appearance_weight,
         iou_gate=t.iou_gate, max_coast=t.max_coast,
         delete_after=t.delete_after, confirm_hits=t.confirm_hits,
         cross_class_iou=t.cross_class_iou)
@@ -395,9 +392,7 @@ def stage_features(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         raise _bad(proc_dir, "tips", f"the tips cover {len(trajectories[0])} "
                    f"frames, but meta.json has {meta['n_frames']}")
     f = cfg.features
-    extractor = KinematicFeatureExtractor(
-        downsample=f.downsample, smooth_window=f.smooth_window,
-        zscore=f.zscore)
+    extractor = KinematicFeatureExtractor(downsample=f.downsample)
     km = extractor.transform(trajectories, float(meta["fps"]))
     sidecar = {
         "native_fps": float(meta["fps"]),
@@ -448,8 +443,7 @@ def stage_segment(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     g = cfg.segmentation
     det = NoveltyBoundaryDetector(
         half_width=g.half_width, sigma=g.sigma,
-        prominence_frac=g.prominence_frac, min_distance=g.min_distance,
-        novelty_floor=g.novelty_floor)
+        prominence_frac=g.prominence_frac, min_distance=g.min_distance)
     det.fit(X)
     _save(proc_dir, memo, novelty=det.novelty_,
           boundaries=([int(t) for t in det.boundaries_],

@@ -29,6 +29,9 @@ from .validation import check_array, check_fraction, check_positive_int
 
 FULL_MATRIX_CAP = 10_000  # largest T the dense ssm builds
 _BAND_ROWS = 256  # rows of the band filled per einsum call
+# below this max|N| the novelty curve counts as flat and no boundaries are
+# picked; guards constant inputs whose novelty is pure rounding noise
+NOVELTY_FLOOR = 1e-8
 
 
 @dataclass
@@ -309,9 +312,8 @@ class NoveltyBoundaryDetector:
     sigma : Gaussian width; None means h / 2
     prominence_frac : threshold as a fraction of max(N)
     min_distance : minimum frames between boundaries (d_min)
-    novelty_floor : below this max|N| the curve counts as flat and no
-        boundaries are returned; guards constant inputs whose novelty is
-        pure rounding noise
+
+    A curve whose max|N| is below ``NOVELTY_FLOOR`` yields no boundaries.
 
     Attributes (after fit)
     ----------------------
@@ -323,13 +325,11 @@ class NoveltyBoundaryDetector:
     """
 
     def __init__(self, half_width: int = 10, sigma: Optional[float] = None,
-                 prominence_frac: float = 0.3, min_distance: int = 5,
-                 novelty_floor: float = 1e-8):
+                 prominence_frac: float = 0.3, min_distance: int = 5):
         self.half_width = half_width
         self.sigma = sigma
         self.prominence_frac = prominence_frac
         self.min_distance = min_distance
-        self.novelty_floor = novelty_floor
 
     def fit(self, X):
         X = check_array(X, name="X")
@@ -341,7 +341,7 @@ class NoveltyBoundaryDetector:
         enhance(band)
         self.novelty_ = novelty(band, w)
         peak = float(np.max(np.abs(self.novelty_))) if len(self.novelty_) else 0.0
-        if peak < self.novelty_floor:
+        if peak < NOVELTY_FLOOR:
             self.threshold_ = 0.0
             self.boundaries_ = np.array([], dtype=np.int64)
             self.prominences_ = np.array([], dtype=np.float64)

@@ -100,8 +100,8 @@ class ProcedureScript:
 
 
 def paper_shaped_script(fps: float = 5.0, seed: int = 0, noise: float = 0.5,
-                        dropout_rate: float = 0.0, mislabel_rate: float = 0.0,
-                        sloppiness: float = 0.0,
+                        dropout_rate: float = 0.0, dropout_max_run: int = 5,
+                        mislabel_rate: float = 0.0, sloppiness: float = 0.0,
                         cut_s: float = 5.0, drive_s: float = 9.0,
                         tie_s: float = 7.0, idle_s: float = 3.0,
                         ) -> ProcedureScript:
@@ -119,6 +119,7 @@ def paper_shaped_script(fps: float = 5.0, seed: int = 0, noise: float = 0.5,
             steps.append(ActionSpec(ActionClass.NO_ACTION, idle_s))
     return ProcedureScript(steps=steps, fps=fps, seed=seed, noise=noise,
                            dropout_rate=dropout_rate,
+                           dropout_max_run=dropout_max_run,
                            mislabel_rate=mislabel_rate, sloppiness=sloppiness)
 
 

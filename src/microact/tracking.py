@@ -210,22 +210,21 @@ def _check_dims(da: Optional[np.ndarray], ta: Optional[np.ndarray]) -> None:
 def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
               det_apps: Optional[Sequence[Optional[np.ndarray]]] = None,
               track_apps: Optional[Sequence[Optional[np.ndarray]]] = None,
-              iou_weight: float = 0.7, appearance_weight: float = 0.3,
+              appearance_weight: float = 0.3,
               iou_gate: float = DEFAULT_IOU_GATE,
               ) -> tuple[list[tuple[int, int]], list[int], list[int]]:
     """Minimum-cost one-to-one matching of detections to predicted tracks.
 
-    Cost per pair is iou_weight*(1-IoU) + appearance_weight*(1-cosine).
+    Cost per pair is (1-appearance_weight)*(1-IoU)
+    + appearance_weight*(1-cosine).
     Pairs where either side lacks an embedding fall back to pure IoU cost.
     Matches whose IoU is below ``iou_gate`` are rejected after assignment.
 
     Returns (matches as (det_idx, track_idx), unmatched_dets,
     unmatched_tracks).
     """
-    if iou_weight < 0 or appearance_weight < 0:
-        raise ValueError("weights must be nonnegative")
-    if abs(iou_weight + appearance_weight - 1.0) > 1e-9:
-        raise ValueError("weights must sum to 1")
+    if not 0.0 <= appearance_weight <= 1.0:
+        raise ValueError("appearance_weight must lie in [0, 1]")
     nd, nt = len(det_boxes), len(track_boxes)
     if nd == 0 or nt == 0:
         return [], list(range(nd)), list(range(nt))
@@ -240,6 +239,7 @@ def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
             return [], [0], [0]
         return [(0, 0)], [], []
 
+    iou_weight = 1.0 - appearance_weight
     # each embedding is normed once, for all of its pairs; math.sqrt(a @ a)
     # is np.linalg.norm's own arithmetic on a float64 vector
     det_norms = [None if a is None else math.sqrt(a @ a) for a in det_apps]
@@ -309,15 +309,14 @@ class InstrumentTracker:
     after the object left.
     """
 
-    def __init__(self, iou_weight: float = 0.7, appearance_weight: float = 0.3,
-                 iou_gate: float = DEFAULT_IOU_GATE, max_coast: int = DEFAULT_MAX_GAP,
+    def __init__(self, appearance_weight: float = 0.3,
+                 iou_gate: float = DEFAULT_IOU_GATE, max_coast: int = 5,
                  delete_after: int = DEFAULT_DELETE_AFTER, confirm_hits: int = 3,
                  cross_class_iou: float = 0.5):
         if max_coast > delete_after:
             raise ValueError("max_coast must not exceed delete_after")
         if not 0.0 <= cross_class_iou <= 1.0:
             raise ValueError("cross_class_iou must lie in [0, 1]")
-        self.iou_weight = iou_weight
         self.appearance_weight = appearance_weight
         self.iou_gate = iou_gate
         self.max_coast = max_coast
@@ -338,7 +337,7 @@ class InstrumentTracker:
         trk_apps = [t.appearance for t in self.tracks]
         matches, unmatched_d, unmatched_t = associate(
             det_boxes, trk_boxes, det_apps, trk_apps,
-            self.iou_weight, self.appearance_weight, self.iou_gate)
+            self.appearance_weight, self.iou_gate)
 
         kept = []
         for di, tj in matches:

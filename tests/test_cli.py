@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from microact import cli, io, load_config, pipeline
 from microact.records import (ActionClass, InstrumentClass, Provenance,
@@ -484,6 +485,28 @@ def test_fewer_segments_than_clusters_clamps_k(tmp_path, capsys):
     assert snapshot(a) == snapshot(b)
     assert run_cli("cluster", b) == 0
     assert "k_clamped=True" in capsys.readouterr().out
+
+
+def test_run_all_on_one_feature_row(tmp_path):
+    # downsampling by the frame count leaves one feature row, whose
+    # constant columns z-score to zero; one segment then covers it
+    proc = generate(ProcedureScript(steps=[
+        ActionSpec(ActionClass.NO_ACTION, 3.0),
+        ActionSpec(ActionClass.CUTTING, 5.0),
+        ActionSpec(ActionClass.NO_ACTION, 3.0)], seed=2))
+    cfg = load_config(environ={}, overrides={
+        "features": {"downsample": proc.n_frames}})
+    d = tmp_path / "p"
+    write_procedure(proc, d)
+    io.save_json({"procedure_id": "short", "fps": proc.fps,
+                  "n_frames": proc.n_frames}, d / "meta.json")
+    out = pipeline.run_all(d, cfg)
+    X, _ = io.load_matrix(d / "features.csv")
+    assert X.shape[0] == 1 and not X.any()
+    assert out["segment"]["n_boundaries"] == 0
+    assert [s["end_frame"] for s in io.load_segments(d / "segments.csv")] \
+        == [1]
+    assert (d / "report.json").exists()
 
 
 def test_more_segments_than_clusters_keeps_k(tmp_path, base_proc, capsys):
@@ -1039,7 +1062,10 @@ def test_seed_flag_position_agrees(tmp_path):
 def test_init_config_roundtrip(tmp_path):
     out = tmp_path / "cfg.yaml"
     assert run_cli("init-config", "--out", out, "--seed", 3) == 0
-    assert "schema_version" in out.read_text()
+    # every dataclass field, each once, loading back to the same config
+    written = load_config(environ={}, overrides={"seed": 3})
+    assert yaml.safe_load(out.read_text()) == written.to_dict()
+    assert load_config(out, environ={}) == written
     d = tmp_path / "p"
     assert run_cli("synth", "--out-dir", d, "--config", out) == 0
     assert json.loads((d / "meta.json").read_text())["seed"] == 3

@@ -95,7 +95,7 @@ class TestSegmentFeatures:
         mask = np.zeros((8, 2))
         mask[:, 0] = 1.0          # instrument 0 always present
         mask[:4, 1] = 1.0         # instrument 1 present half the time
-        F = segment_features(X, mask, segment_edges([], 8))
+        F = segment_features(X, mask, segment_edges([], 8), mask_weight=1.0)
         assert F[0, 2] == 1.0
         assert F[0, 3] == 0.5
 
@@ -104,7 +104,7 @@ class TestSegmentFeatures:
         X = rng.normal(size=(12, 3))
         mask = (rng.random((12, 2)) < 0.5).astype(float)
         segs = segment_edges([6], 12)
-        base = segment_features(X, mask, segs)
+        base = segment_features(X, mask, segs, mask_weight=1.0)
         scaled = segment_features(X, mask, segs, mask_weight=3.0)
         assert np.array_equal(scaled[:, :6], base[:, :6])
         assert np.allclose(scaled[:, 6:], 3.0 * base[:, 6:])
@@ -116,7 +116,7 @@ class TestSegmentFeatures:
         X = rng.normal(size=(60, 4))
         mask = (rng.random((60, 2)) < 0.7).astype(float)
         edges = segment_edges([15, 40], 60)
-        F = segment_features(X, mask, edges)
+        F = segment_features(X, mask, edges, mask_weight=1.0)
         for si, (start, end) in enumerate(zip(edges, edges[1:])):
             rows = X[start: end]
             d = X.shape[1]

@@ -247,7 +247,7 @@ class TestNormalize:
 class TestExtractor:
     def test_transformer_api(self):
         trs = [linear_traj(40, inst=0), linear_traj(40, vy=1.5, inst=1)]
-        km = KinematicFeatureExtractor(zscore=True).transform(trs, 1.0)
+        km = KinematicFeatureExtractor().transform(trs, 1.0)
         assert km.X.shape == (40, 10)
         # z-scored: nonconstant columns have mean ~0
         assert np.allclose(km.X.mean(axis=0), 0.0, atol=1e-9)

@@ -133,12 +133,10 @@ class TestAssociate:
             assert got == pytest.approx(best_cost, abs=1e-12)
 
     def test_weight_validation(self):
-        with pytest.raises(ValueError, match="sum to 1"):
-            associate([(0, 0, 1, 1)], [(0, 0, 1, 1)],
-                      iou_weight=0.7, appearance_weight=0.7)
-        with pytest.raises(ValueError, match="nonnegative"):
-            associate([(0, 0, 1, 1)], [(0, 0, 1, 1)],
-                      iou_weight=1.5, appearance_weight=-0.5)
+        for weight in (-0.5, 1.5):
+            with pytest.raises(ValueError, match="appearance_weight must lie"):
+                associate([(0, 0, 1, 1)], [(0, 0, 1, 1)],
+                          appearance_weight=weight)
 
     def test_appearance_dim_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -186,8 +184,7 @@ class TestAssociate:
 
 
 def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
-                            track_apps=None, iou_weight=0.7,
-                            appearance_weight=0.3):
+                            track_apps=None, appearance_weight=0.3):
     """associate's cost matrix as the loop that normed both embeddings of
     every pair built it: the oracle for the once-per-call norms."""
     cost = np.zeros((len(det_boxes), len(track_boxes)))
@@ -200,7 +197,7 @@ def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
                 na = float(np.linalg.norm(da))
                 nb = float(np.linalg.norm(ta))
                 cos = float(da @ ta) / (na * nb) if na > 0 and nb > 0 else 0.0
-                cost[i, j] = (iou_weight * (1.0 - ov)
+                cost[i, j] = ((1.0 - appearance_weight) * (1.0 - ov)
                               + appearance_weight * (1.0 - cos))
             else:
                 cost[i, j] = 1.0 - ov
@@ -208,7 +205,7 @@ def association_cost_scalar(det_boxes, track_boxes, det_apps=None,
 
 
 def associate_scalar(det_boxes, track_boxes, det_apps=None, track_apps=None,
-                     iou_weight=0.7, appearance_weight=0.3,
+                     appearance_weight=0.3,
                      iou_gate=tracking.DEFAULT_IOU_GATE):
     """``associate`` as it was before its one-pair fast path: the solver
     on every call, a per-pair cost loop.  The oracle for ``associate``."""
@@ -216,7 +213,7 @@ def associate_scalar(det_boxes, track_boxes, det_apps=None, track_apps=None,
     if nd == 0 or nt == 0:
         return [], list(range(nd)), list(range(nt))
     cost = association_cost_scalar(det_boxes, track_boxes, det_apps,
-                                   track_apps, iou_weight, appearance_weight)
+                                   track_apps, appearance_weight)
     ious = np.array([[iou(db, tb) for tb in track_boxes] for db in det_boxes])
     rows, cols = linear_sum_assignment(cost)
     matches = [(int(i), int(j)) for i, j in zip(rows, cols)
@@ -240,10 +237,10 @@ class TestAssociateMatchesOracle:
     @given(d=st.lists(st.tuples(_grid_box, _unit), max_size=4),
            t=st.lists(st.tuples(_grid_box, _unit), max_size=4),
            gate=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
-           weights=st.sampled_from([(0.7, 0.3), (1.0, 0.0), (0.0, 1.0)]))
-    def test_tie_heavy(self, d, t, gate, weights):
+           appearance_weight=st.sampled_from([0.3, 0.0, 1.0]))
+    def test_tie_heavy(self, d, t, gate, appearance_weight):
         args = ([b for b, _ in d], [b for b, _ in t], [a for _, a in d],
-                [a for _, a in t], *weights, gate)
+                [a for _, a in t], appearance_weight, gate)
         assert associate(*args) == associate_scalar(*args)
 
     def test_random(self):
@@ -481,7 +478,7 @@ class TestInstrumentTracker:
     def test_dropout_coasts_then_resumes_same_id(self):
         dets = [det(f, SC, (100, 100, 40, 40))
                 for f in range(30) if not 10 <= f < 20]
-        obs = InstrumentTracker().run(dets)
+        obs = InstrumentTracker(max_coast=30).run(dets)
         assert {o.object_id for o in obs} == {1}
         coasted = [o for o in obs if o.det_index is None]
         assert [o.frame for o in coasted] == list(range(10, 20))
