@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import linear_assignment
 from .records import ActionClass, InstrumentClass
 from .validation import check_array, check_positive_int
 
@@ -214,9 +214,8 @@ def align_clusters(cluster_stream: Sequence[int],
     cluster_pos = {c: i for i, c in enumerate(clusters)}
     for c, a in zip(cluster_stream, gt):
         table[cluster_pos[int(c)], act_index[a]] += 1
-    row_ind, col_ind = linear_sum_assignment(table, maximize=True)
     mapping: dict[int, ActionClass] = {}
-    for r, c in zip(row_ind, col_ind):
+    for r, c in zip(*linear_assignment(table.tolist(), maximize=True)):
         mapping[clusters[r]] = actions[c]
     unmapped = [c for c in clusters if c not in mapping]
     if unmapped:

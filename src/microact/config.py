@@ -163,6 +163,7 @@ def validate(cfg: PipelineConfig) -> PipelineConfig:
 
     need(cfg.schema_version == SCHEMA_VERSION,
          f"schema_version must be {SCHEMA_VERSION}, got {cfg.schema_version}")
+    need(cfg.seed >= 0, "seed must be >= 0")
     s = cfg.synth
     need(s.fps > 0, "synth.fps must be > 0")
     need(s.noise >= 0, "synth.noise must be >= 0")

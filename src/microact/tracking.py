@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import assign_blocks, linear_assignment
 from .records import (BBox, Detection, InstrumentClass, Provenance,
                       RefinedTrack, TrackObservation, TruthInstance)
 from .validation import check_bbox
@@ -258,9 +258,8 @@ def associate(det_boxes: Sequence[BBox], track_boxes: Sequence[BBox],
             else:
                 cost[-1].append(1.0 - ov)
 
-    rows, cols = linear_sum_assignment(np.array(cost))
-    matches = [(i, j) for i, j in zip(rows.tolist(), cols.tolist())
-               if ious[i][j] >= iou_gate]
+    rows, cols = linear_assignment(cost)
+    matches = [(i, j) for i, j in zip(rows, cols) if ious[i][j] >= iou_gate]
     matched_d = {i for i, _ in matches}
     matched_t = {j for _, j in matches}
     unmatched_d = [i for i in range(nd) if i not in matched_d]
@@ -640,8 +639,8 @@ def _match_frames(truth_frames: np.ndarray, truth_boxes: np.ndarray,
     Both sides are sorted by frame, each frame's rows in the caller's
     order.  Returns, per truth row, the row of ``boxes`` it matched, or -1;
     pairs below the threshold are dropped.  Every IoU is computed in one
-    pass; a frame with one truth and one box needs no solver, larger ones
-    give their block of the gains to it.
+    pass, and the frames of one shape (truths x boxes) are solved in one
+    ``assign_blocks`` call.
     """
     ti, bj, counts = frame_pairs(truth_frames, frames)
     gains = iou_pairs(truth_boxes[ti], boxes[bj])
@@ -654,18 +653,18 @@ def _match_frames(truth_frames: np.ndarray, truth_boxes: np.ndarray,
     nb = counts[s]
     g = (np.cumsum(counts) - counts)[s]
     b = np.searchsorted(frames, truth_frames[s])
-    # (frame, truth, box) of every assignment; one truth and one box need
-    # no solver, whose only answer there is (0, 0)
-    one = nt * nb == 1
-    solve = (nb > 0) & ~one
-    solved = [linear_sum_assignment(gains[g0: g0 + t * n].reshape(t, n),
-                                    maximize=True)
-              for g0, t, n in zip(*(a[solve].tolist() for a in (g, nt, nb)))]
-    frame = np.concatenate([np.flatnonzero(one), np.repeat(
-        np.flatnonzero(solve), np.minimum(nt, nb)[solve])])
-    zeros = np.zeros(np.count_nonzero(one), dtype=np.intp)
-    rows = np.concatenate([zeros, *(r for r, _ in solved)])
-    cols = np.concatenate([zeros, *(c for _, c in solved)])
+    # (frame, truth, box) of every assignment
+    frame, rows, cols = [np.zeros(0, dtype=np.intp)] * 3
+    shape = nt * (int(nb.max(initial=0)) + 1) + nb
+    for key in np.unique(shape[nb > 0]).tolist():
+        fs = np.flatnonzero(shape == key)
+        t, n = int(nt[fs[0]]), int(nb[fs[0]])
+        r, c = assign_blocks(
+            gains[g[fs, None] + np.arange(t * n)].reshape(-1, t, n),
+            maximize=True)
+        frame = np.append(frame, np.repeat(fs, r.shape[1]))
+        rows = np.append(rows, r)
+        cols = np.append(cols, c)
     keep = gains[g[frame] + rows * nb[frame] + cols] >= threshold
     match = np.full(len(truth_frames), -1)
     match[(s[frame] + rows)[keep]] = (b[frame] + cols)[keep]

@@ -332,6 +332,21 @@ class TestAlignClusters:
                                         for c, a in mapping.items())
                     assert matched_total == best_mapping_overlap(table)
 
+    def test_tied_table_maps_by_the_tie_rule(self):
+        # two mappings overlap 16 frames: clusters 1 and 3 can trade
+        # NeedleDriving and KnotTying.  The solver's tie rule, SciPy's,
+        # picks this one; the first optimum in permutation order would not
+        table = [[0, 0, 0, 4], [4, 4, 4, 4], [4, 0, 0, 4], [0, 4, 4, 4]]
+        actions = list(ActionClass)
+        cells = [(c, actions[a]) for c, row in enumerate(table)
+                 for a, n in enumerate(row) for _ in range(n)]
+        mapping, _ = align_clusters([c for c, _ in cells],
+                                    [a for _, a in cells])
+        assert mapping == {0: ActionClass.NO_ACTION,
+                           1: ActionClass.KNOT_TYING,
+                           2: ActionClass.CUTTING,
+                           3: ActionClass.NEEDLE_DRIVING}
+
     def test_extra_clusters_warn_and_default(self):
         gt = [ActionClass.CUTTING] * 50
         stream = list(np.random.default_rng(0).integers(0, 6, size=50))

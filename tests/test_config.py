@@ -36,6 +36,7 @@ def field_names() -> set[str]:
 # the rule's message starts with
 BROKEN = [
     ({"schema_version": 2}, "schema_version"),
+    ({"seed": -1}, "seed"),
     ({"synth": {"fps": 0.0}}, "synth.fps"),
     ({"synth": {"noise": -1.0}}, "synth.noise"),
     ({"synth": {"dropout_rate": 1.5}}, "synth.dropout_rate"),
@@ -79,13 +80,23 @@ def test_validate_rule_names_its_field(override, field):
     assert str(ei.value).startswith(field)
 
 
-def test_every_field_but_the_seed_has_a_rule():
+def test_every_field_has_a_rule():
     touched = set()
     for override, _ in BROKEN:
         for key, value in override.items():
             touched |= ({f"{key}.{k}" for k in value}
                         if isinstance(value, dict) else {key})
-    assert touched == field_names() - {"seed"}
+    assert touched == field_names()
+
+
+def test_cli_synth_names_a_negative_seed(tmp_path, monkeypatch, capsys):
+    # numpy's own message for a negative seed names neither field nor stage
+    monkeypatch.setenv("MICROACT_SEED", "-1")
+    assert run_cli("synth", "--out-dir", tmp_path / "p") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be >= 0")
+    assert "Traceback" not in err
+    assert not (tmp_path / "p").exists()
 
 
 @pytest.mark.parametrize("override, where, message", [

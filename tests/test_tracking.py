@@ -147,13 +147,13 @@ class TestAssociate:
         # None and zero-norm embeddings included; the cost matrix handed
         # to the solver must equal the per-pair loop's to the bit
         seen = []
-        solve = tracking.linear_sum_assignment
+        solve = tracking.linear_assignment
 
         def recording(cost):
-            seen.append(cost.copy())
+            seen.append(np.array(cost))
             return solve(cost)
 
-        monkeypatch.setattr(tracking, "linear_sum_assignment", recording)
+        monkeypatch.setattr(tracking, "linear_assignment", recording)
         rng = np.random.default_rng(11)
 
         def embedding():
