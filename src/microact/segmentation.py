@@ -5,15 +5,19 @@ feature rows.  Correlating a Gaussian-weighted checkerboard kernel along
 its diagonal yields a novelty curve whose peaks mark transitions between
 homogeneous blocks, i.e. action boundaries.
 
-Only entries within |i - j| <= 2h of the diagonal are ever consumed by the
-kernel, so the default representation is a banded matrix with O(T*h)
-memory; the dense matrix exists for small inputs and figure export.
+The kernel only reaches offsets |i - j| < 2h of the diagonal, and the
+matrix is symmetric, so the default representation is the upper half of
+that band: O(T*h) memory.  The dense matrix exists for small inputs and
+figure export.
 
 Both are built in one pass of numpy's ``einsum`` over the unit rows, not
 one call per diagonal offset: the band from a sliding window over a few
 rows at a time, the dense matrix as one product.  Each entry is the same
 dot-product kernel over the same d products, so the band and the dense
-matrix agree bit for bit.
+matrix agree bit for bit.  Novelty correlates each band column with its
+share of the kernel in the frequency domain.  No step calls BLAS, and
+numpy's ``einsum`` loops and FFT run on one thread, so every result has
+the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .validation import check_array, check_fraction, check_positive_int
 
 FULL_MATRIX_CAP = 10_000  # largest T the dense ssm builds
 _BAND_ROWS = 256  # rows of the band filled per einsum call
+_BAND_COLS = 32  # band columns (offsets) transformed per FFT call
 # below this max|N| the novelty curve counts as flat and no boundaries are
 # picked; guards constant inputs whose novelty is pure rounding noise
 NOVELTY_FLOOR = 1e-8
@@ -36,20 +41,16 @@ NOVELTY_FLOOR = 1e-8
 
 @dataclass
 class SelfSimilarityBand:
-    """Banded cosine self-similarity.
+    """Upper half of the banded cosine self-similarity.
 
-    ``band[t, c]`` holds S(t, t + c - bw) with bw = 2*half_width, so the
-    stored offsets cover |i - j| <= 2h, exactly the reach of a half-width-h
-    checkerboard kernel.  Out-of-range entries are 0.
+    ``band[t, o]`` holds S(t, t + o) for offsets o in [0, 2*half_width),
+    exactly the reach of a half-width-h checkerboard kernel; entries past
+    T are 0.  S is symmetric, so the lower half is not stored.
     """
 
     T: int
     half_width: int
     band: np.ndarray
-
-    @property
-    def bandwidth(self) -> int:
-        return 2 * self.half_width
 
 
 def _unit_rows(X: np.ndarray) -> np.ndarray:
@@ -85,51 +86,33 @@ def ssm(X) -> np.ndarray:
 
 
 def ssm_band(X, h: int) -> SelfSimilarityBand:
-    """Banded self-similarity covering offsets |i - j| <= 2h.
+    """Upper half of the self-similarity band, offsets 0 <= o < 2h.
 
     One pass: ``_BAND_ROWS`` rows at a time, one ``einsum`` over a sliding
-    window of the rows t..t+2h fills the upper half S(t, t + o), o >= 0,
-    which is then clipped as :func:`ssm` clips; a zero-padded copy of the
-    chunk's rows stands in past T.  The lower half is the upper half's
-    mirror, copied through one strided view of it, ``_BAND_ROWS`` rows at
-    a time.  Each entry is :func:`ssm`'s dot product, so the band agrees
+    window of the rows t..t+2h-1 fills S(t, t + o), which is then clipped
+    as :func:`ssm` clips; a zero-padded copy of the chunk's rows stands in
+    past T.  Each entry is :func:`ssm`'s dot product, so the band agrees
     with the dense matrix exactly, not merely to tolerance.  Memory is
-    O(T*h), plus O(_BAND_ROWS + h) rows of X.
+    T x 2h floats, plus O(_BAND_ROWS + h) rows of X.
     """
     X = check_array(X, name="X")
     h = check_positive_int(h, "h")
     T, d = X.shape
     Xu = _unit_rows(X)
     bw = 2 * h
-    band = np.zeros((T, 2 * bw + 1), dtype=np.float64)
-    upper = band[:, bw:]
-    pad = np.zeros((min(T, _BAND_ROWS) + bw, d), dtype=np.float64)
+    band = np.zeros((T, bw), dtype=np.float64)
+    pad = np.zeros((min(T, _BAND_ROWS) + bw - 1, d), dtype=np.float64)
     for t0 in range(0, T, _BAND_ROWS):
         n = min(_BAND_ROWS, T - t0)
-        m = min(n + bw, T - t0)  # rows of Xu the window reaches
+        m = min(n + bw - 1, T - t0)  # rows of Xu the window reaches
         pad[:m] = Xu[t0: t0 + m]
         pad[m:] = 0.0
-        rows = upper[t0: t0 + n]
+        rows = band[t0: t0 + n]
         np.einsum("tkd,td->tk",
-                  sliding_window_view(pad[: n + bw], (bw + 1, d))[:, 0],
+                  sliding_window_view(pad[: n + bw - 1], (bw, d))[:, 0],
                   Xu[t0: t0 + n], out=rows)
         np.clip(rows, -1.0, 1.0, out=rows)
-    band[:, bw] = np.einsum("td,td->t", Xu, Xu) > 0
-    # lower half: band[t, c] = band[t - bw + c, 2bw - c].  The first bw
-    # rows take one copy per offset; from row bw on, that is one strided
-    # view of the upper half, starting at flat element 2bw with strides
-    # (W, W - 1) elements.  It is copied in chunks because numpy buffers
-    # a source that may overlap its destination whole.
-    top = min(bw, T)
-    for o in range(1, top):
-        band[o:top, bw - o] = band[: top - o, bw + o]
-    if T > bw:
-        W, step = band.shape[1], band.strides[1]
-        mirror = as_strided(band.reshape(-1)[2 * bw:], shape=(T - bw, bw),
-                            strides=(W * step, (W - 1) * step))
-        for t0 in range(0, T - bw, _BAND_ROWS):
-            band[bw + t0: bw + t0 + _BAND_ROWS, :bw] = \
-                mirror[t0: t0 + _BAND_ROWS]
+    band[:, 0] = np.einsum("td,td->t", Xu, Xu) > 0
     return SelfSimilarityBand(T=T, half_width=h, band=band)
 
 
@@ -170,10 +153,16 @@ def novelty(band: SelfSimilarityBand, w: np.ndarray) -> np.ndarray:
     enhanced band, ``enhance(ssm_band(X, h))``, with W = w w^T for the
     factor ``w = make_kernel(h, sigma)``; h is ``len(w) // 2``.
 
-    Computed for t in [h, T-h); exactly zero elsewhere.  The kernel is
-    separable (W = w w^T), so the double sum collapses to one banded
-    matrix product plus a diagonal gather, which keeps the cost at
-    O(T * h^2) multiply-adds in BLAS rather than Python loops.
+    Computed for t in [h, T-h); exactly zero elsewhere.  S' is symmetric,
+    so with s = t - h + a the double sum folds onto the stored upper half:
+    N(t) = sum_o c_o sum_a w(a) w(a + o) band[s, o], c_0 = 1 and c_o = 2
+    for o > 0.  For each offset o that inner sum is a 1-D correlation of
+    band column o with a kernel of length 2h - o.  The columns are
+    transformed ``_BAND_COLS`` at a time with ``rfft`` at L, the power of
+    two >= T (s + a <= T - 1, so nothing wraps), multiplied by their
+    kernels' conjugate transforms and summed over the offsets; one
+    ``irfft`` gives N.  O(T log T) per offset, and no BLAS call, so the
+    bits do not depend on the thread count.
     """
     if not isinstance(band, SelfSimilarityBand):
         raise TypeError(f"novelty takes the SelfSimilarityBand of ssm_band, "
@@ -184,23 +173,21 @@ def novelty(band: SelfSimilarityBand, w: np.ndarray) -> np.ndarray:
             f"band half-width {band.half_width} narrower than kernel h={h}")
     T = band.T
     N = np.zeros(T, dtype=np.float64)
-    if T < 2 * h:
+    if T <= 2 * h:
         return N
-    bw = band.bandwidth
-    # M[c, a] places w(j) so that (P @ M)[u, a] = sum_j w(j) P[u, j - i + bw]
-    # with i = a - h, i.e. the inner sum of the separated kernel.
-    # One tap j at a time; row c = j - a + bw stays inside the band's
-    # 2bw + 1 columns, as bw >= 2h.
-    M = np.zeros((band.band.shape[1], 2 * h), dtype=np.float64)
-    cols = np.arange(2 * h)
-    for j in range(2 * h):
-        M[j - cols + bw, cols] = w[j]
-    R = band.band @ M
-    valid = slice(h, T - h)
-    n_valid = (T - h) - h
-    for a in range(2 * h):
-        i = a - h
-        N[valid] += w[a] * R[h + i: h + i + n_valid, a]
+    L = 1 << (T - 1).bit_length()
+    acc = np.zeros(L // 2 + 1, dtype=np.complex128)
+    a = np.arange(2 * h)[:, None]
+    w_pad = np.concatenate((w, np.zeros(2 * h)))  # w(a + o) is 0 past 2h
+    for o0 in range(0, 2 * h, _BAND_COLS):
+        o = np.arange(o0, min(o0 + _BAND_COLS, 2 * h))
+        # kernels[a, k] = c_o w(a) w(a + o) for the k-th offset o of the chunk
+        kernels = w[:, None] * w_pad[a + o]
+        kernels[:, o > 0] *= 2.0
+        cols = np.fft.rfft(band.band[:, o0: o0 + len(o)], n=L, axis=0)
+        taps = np.fft.rfft(kernels, n=L, axis=0)
+        acc += np.einsum("fk,fk->f", cols, taps.conj())
+    N[h: T - h] = np.fft.irfft(acc, n=L)[: T - 2 * h]
     return N
 
 

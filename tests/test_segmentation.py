@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import microact
 from microact import segmentation
 from microact.segmentation import (
     NoveltyBoundaryDetector,
@@ -156,31 +161,34 @@ class TestSSMBand:
             X[rng.random(T) < 0.2] = 0.0  # some zero rows
             S = ssm(X)
             band = ssm_band(X, h)
-            bw = band.bandwidth
-            for o in range(-min(bw, T - 1), min(bw, T - 1) + 1):
+            assert band.band.shape == (T, 2 * h)
+            for o in range(2 * h):
+                # S(t, t+o) for t in [0, T - o), then 0 past T
+                got = band.band[:, o]
                 expect = np.diagonal(S, offset=o)
-                # S(t, t+o) for t in [max(0, -o), T - max(0, o))
-                got = band.band[max(0, -o): T - max(0, o), bw + o]
-                assert np.array_equal(got, expect), (T, h, o)
+                assert np.array_equal(got[: T - o], expect), (T, h, o)
+                assert np.all(got[max(T - o, 0):] == 0.0), (T, h, o)
 
     def test_h_at_least_T_is_full(self):
         X = np.random.default_rng(0).normal(size=(5, 3))
         band = ssm_band(X, 5)
-        # every offset of the 5x5 matrix is in the band
-        bw = band.bandwidth
-        dense = [[band.band[i, bw + j - i] for j in range(5)] for i in range(5)]
+        # every offset of the 5x5 matrix is in the upper half, which
+        # gives the lower half by symmetry
+        dense = [[band.band[min(i, j), abs(j - i)] for j in range(5)]
+                 for i in range(5)]
         assert np.array_equal(np.array(dense), ssm(X))
+        assert np.all(band.band[:, 5:] == 0.0)
 
     def test_single_frame(self):
         band = ssm_band(np.array([[3.0, 4.0]]), 1)
-        assert band.band[0, band.bandwidth] == 1.0
+        assert band.band.tolist() == [[1.0, 0.0]]
         band0 = ssm_band(np.array([[0.0, 0.0]]), 1)
-        assert band0.band[0, band0.bandwidth] == 0.0
+        assert band0.band.tolist() == [[0.0, 0.0]]
 
     def test_memory_is_banded(self):
         X = np.random.default_rng(0).normal(size=(500, 3))
         band = ssm_band(X, 4)
-        assert band.band.shape == (500, 17)
+        assert band.band.shape == (500, 8)
 
     def test_peak_memory_is_the_band_and_a_few_rows(self):
         # the resegment-sweep shape: 8010 frames, 36 features, h = 150;
@@ -195,6 +203,19 @@ class TestSSMBand:
         finally:
             tracemalloc.stop()
         assert peak <= band.band.nbytes + (4 << 20), (peak, band.band.nbytes)
+
+    def test_fit_peaks_below_the_full_band(self):
+        # the whole detector at the resegment-sweep shape holds less than
+        # a band with both halves, T x (4h + 1) floats, would alone
+        T, h = 8010, 150
+        X = np.cumsum(np.random.default_rng(3).normal(size=(T, 36)), axis=0)
+        tracemalloc.start()
+        try:
+            NoveltyBoundaryDetector(half_width=h).fit(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < T * (4 * h + 1) * 8, peak
 
 
 # --- one-pass builds against the per-offset code they replaced ------------
@@ -225,14 +246,11 @@ def per_offset_band(X, h):
     X = np.ascontiguousarray(X, dtype=np.float64)
     T = X.shape[0]
     Xu = segmentation._unit_rows(X)
-    bw = 2 * h
-    band = np.zeros((T, 2 * bw + 1), dtype=np.float64)
+    band = np.zeros((T, 2 * h), dtype=np.float64)
     nz = np.einsum("td,td->t", Xu, Xu) > 0
-    band[:, bw] = nz.astype(np.float64)
-    for o in range(1, min(bw, T - 1) + 1):
-        v = _shifted_rowdot(Xu, o)
-        band[: T - o, bw + o] = v
-        band[o:, bw - o] = v
+    band[:, 0] = nz.astype(np.float64)
+    for o in range(1, min(2 * h, T)):
+        band[: T - o, o] = _shifted_rowdot(Xu, o)
     return band
 
 
@@ -412,6 +430,26 @@ class TestNovelty:
         N = novelty(band, make_kernel(4, 2.0))
         assert np.all(N == 0.0)
 
+    @settings(max_examples=120, deadline=None)
+    @given(h=st.integers(1, 8), extra=st.integers(-16, 40),
+           d=st.integers(1, 5), sigma=st.floats(0.2, 16.0),
+           zeros=st.sampled_from([0.0, 0.2, 1.0]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(h=4, extra=-1, d=3, sigma=2.0, zeros=0.2, seed=1)  # T < 2h
+    @example(h=4, extra=0, d=3, sigma=2.0, zeros=0.2, seed=1)  # T = 2h
+    @example(h=4, extra=1, d=3, sigma=2.0, zeros=0.2, seed=1)  # T = 2h + 1
+    def test_matches_quadruple_loop_on_random_shapes(self, h, extra, d, sigma,
+                                                      zeros, seed):
+        T = max(1, 2 * h + extra)
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(T, d))
+        X[rng.random(T) < zeros] = 0.0
+        expect = novelty_quadruple_loop(enhance(ssm(X)), h, sigma)
+        got = novelty(enhance(ssm_band(X, h)), make_kernel(h, sigma))
+        assert np.max(np.abs(got - expect)) <= 1e-12
+        outside = np.r_[0: min(h, T), max(T - h, h): T]
+        assert np.all(got[outside] == 0.0)
+
 
 class TestPeakPick:
     def test_single_peak(self):
@@ -527,6 +565,30 @@ class TestDetector:
     def test_sigma_default_is_half_h(self):
         det = NoveltyBoundaryDetector(half_width=16).fit(self.three_regime_X())
         assert det.sigma_ == 8.0
+
+    def test_same_bits_on_any_thread_count(self):
+        prog = (
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from microact.segmentation import NoveltyBoundaryDetector\n"
+            "rng = np.random.default_rng(11)\n"
+            "X = np.cumsum(rng.normal(size=(8010, 36)), axis=0)\n"
+            "det = NoveltyBoundaryDetector(half_width=150).fit(X)\n"
+            "print(hashlib.sha256(det.novelty_.tobytes()).hexdigest(),\n"
+            "      det.boundaries_.tolist())\n"
+        )
+        src = str(Path(microact.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = {**os.environ,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       filter(None, (src, os.environ.get("PYTHONPATH"))))}
+            out = subprocess.run([sys.executable, "-c", prog], env=env,
+                                 capture_output=True, text=True, timeout=300)
+            assert out.returncode == 0, out.stderr
+            runs.append(out.stdout)
+        assert runs[0] == runs[1]
 
     def test_deterministic(self):
         X = np.random.default_rng(6).normal(size=(300, 5))
