@@ -6,13 +6,15 @@ its diagonal yields a novelty curve whose peaks mark transitions between
 homogeneous blocks, i.e. action boundaries.
 
 The kernel only reaches offsets |i - j| < 2h of the diagonal, and the
-matrix is symmetric, so the default representation is the upper half of
-that band: O(T*h) memory.  The dense matrix exists for small inputs and
-figure export.
+matrix is symmetric, so novelty needs only the upper half of that band,
+S(t, t + o) for 0 <= o < 2h.  It never holds that T x 2h band: it builds
+``_BAND_COLS`` offsets at a time, transforms them and drops them, so its
+memory is O(T) per block of columns.  The dense matrix exists for small
+inputs and figure export.
 
-Both are built in one pass of numpy's ``einsum`` over the unit rows, not
-one call per diagonal offset: the band from a sliding window over a few
-rows at a time, the dense matrix as one product.  Each entry is the same
+Both are built by numpy's ``einsum`` over the unit rows, not one call per
+diagonal offset: a block of band columns from a sliding window over the
+rows, the dense matrix as one product.  Each entry is the same
 dot-product kernel over the same d products, so the band and the dense
 matrix agree bit for bit.  Novelty correlates each band column with its
 share of the kernel in the frequency domain.  No step calls BLAS, and
@@ -32,8 +34,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .validation import check_array, check_fraction, check_positive_int
 
 FULL_MATRIX_CAP = 10_000  # largest T the dense ssm builds
-_BAND_ROWS = 256  # rows of the band filled per einsum call
-_BAND_COLS = 32  # band columns (offsets) transformed per FFT call
+_BAND_COLS = 32  # band columns (offsets) built and transformed per FFT call
+# a row norm outside [2**-500, 2**500] is rescaled by a power of two
+# first: its squares would leave float64's normal range
+_NORM_RANGE = (2.0 ** -500, 2.0 ** 500)
+# how far a row's squared norm may sit from 1 and still count as unit
+_UNIT_TOL = 1e-9
 # below this max|N| the novelty curve counts as flat and no boundaries are
 # picked; guards constant inputs whose novelty is pure rounding noise
 NOVELTY_FLOOR = 1e-8
@@ -41,22 +47,40 @@ NOVELTY_FLOOR = 1e-8
 
 @dataclass
 class SelfSimilarityBand:
-    """Upper half of the banded cosine self-similarity.
+    """Columns [start, start + band.shape[1]) of the upper half of the
+    banded cosine self-similarity.
 
-    ``band[t, o]`` holds S(t, t + o) for offsets o in [0, 2*half_width),
-    exactly the reach of a half-width-h checkerboard kernel; entries past
-    T are 0.  S is symmetric, so the lower half is not stored.
+    ``band[t, k]`` holds S(t, t + start + k), offsets within [0,
+    2*half_width), exactly the reach of a half-width-h checkerboard
+    kernel; entries past T are 0.  S is symmetric, so the lower half is
+    not stored.
     """
 
     T: int
     half_width: int
     band: np.ndarray
+    start: int = 0
 
 
-def _unit_rows(X: np.ndarray) -> np.ndarray:
-    """Rows scaled to unit L2 norm; all-zero rows stay zero."""
-    norms = np.linalg.norm(X, axis=1)
-    out = np.zeros_like(X, dtype=np.float64)
+def unit_rows(X) -> np.ndarray:
+    """Rows scaled to unit L2 norm; all-zero rows stay zero.
+
+    A row whose norm lies outside ``_NORM_RANGE`` is first scaled by a
+    power of two, which is exact, so its squares neither underflow nor
+    overflow and it too comes out unit.  Rows inside that range are
+    divided by their norm as they are.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    with np.errstate(over="ignore", under="ignore"):
+        norms = np.linalg.norm(X, axis=1)
+    lo, hi = _NORM_RANGE
+    far = ~((norms >= lo) & (norms <= hi)) & np.any(X != 0, axis=1)
+    if far.any():
+        X = X.copy()
+        top = np.frexp(np.max(np.abs(X[far]), axis=1))[1]
+        X[far] = np.ldexp(X[far], -top[:, None])
+        norms[far] = np.linalg.norm(X[far], axis=1)
+    out = np.zeros_like(X)
     nz = norms > 0
     out[nz] = X[nz] / norms[nz, None]
     return out
@@ -78,42 +102,49 @@ def ssm(X) -> np.ndarray:
         raise ValueError(
             f"T={T} exceeds the dense-matrix cap {FULL_MATRIX_CAP}; "
             "use ssm_band for long sequences")
-    Xu = _unit_rows(X)
+    Xu = unit_rows(X)
     S = np.einsum("id,jd->ij", Xu, Xu)
     np.clip(S, -1.0, 1.0, out=S)
     S[np.diag_indices(T)] = np.einsum("td,td->t", Xu, Xu) > 0
     return S
 
 
-def ssm_band(X, h: int) -> SelfSimilarityBand:
-    """Upper half of the self-similarity band, offsets 0 <= o < 2h.
+def ssm_band(U, h: int, start: int = 0,
+             stop: Optional[int] = None) -> SelfSimilarityBand:
+    """Columns [start, stop) of the upper half of the self-similarity
+    band, S(t, t + o) for offsets start <= o < stop <= 2h (default: all
+    2h of them).
 
-    One pass: ``_BAND_ROWS`` rows at a time, one ``einsum`` over a sliding
-    window of the rows t..t+2h-1 fills S(t, t + o), which is then clipped
-    as :func:`ssm` clips; a zero-padded copy of the chunk's rows stands in
-    past T.  Each entry is :func:`ssm`'s dot product, so the band agrees
-    with the dense matrix exactly, not merely to tolerance.  Memory is
-    T x 2h floats, plus O(_BAND_ROWS + h) rows of X.
+    ``U`` holds unit rows, as :func:`unit_rows` returns them; a row whose
+    squared norm is neither 0 nor within ``_UNIT_TOL`` of 1 is refused,
+    since its dot products would not be cosines.  One ``einsum`` over a
+    sliding window of a zero-padded copy of U fills S(t, t + o), which is
+    then clipped as :func:`ssm` clips; the padding stands in past T.
+    Each entry is :func:`ssm`'s dot product, so the band agrees with the
+    dense matrix exactly, not merely to tolerance, and a block of columns
+    has the bits of the same columns of the whole band.  Memory is
+    T x (stop - start) floats plus a padded copy of U.
     """
-    X = check_array(X, name="X")
+    U = check_array(U, name="U")
     h = check_positive_int(h, "h")
-    T, d = X.shape
-    Xu = _unit_rows(X)
-    bw = 2 * h
-    band = np.zeros((T, bw), dtype=np.float64)
-    pad = np.zeros((min(T, _BAND_ROWS) + bw - 1, d), dtype=np.float64)
-    for t0 in range(0, T, _BAND_ROWS):
-        n = min(_BAND_ROWS, T - t0)
-        m = min(n + bw - 1, T - t0)  # rows of Xu the window reaches
-        pad[:m] = Xu[t0: t0 + m]
-        pad[m:] = 0.0
-        rows = band[t0: t0 + n]
-        np.einsum("tkd,td->tk",
-                  sliding_window_view(pad[: n + bw - 1], (bw, d))[:, 0],
-                  Xu[t0: t0 + n], out=rows)
-        np.clip(rows, -1.0, 1.0, out=rows)
-    band[:, 0] = np.einsum("td,td->t", Xu, Xu) > 0
-    return SelfSimilarityBand(T=T, half_width=h, band=band)
+    stop = 2 * h if stop is None else stop
+    if not 0 <= start < stop <= 2 * h:
+        raise ValueError(f"need 0 <= start < stop <= 2h = {2 * h}, "
+                         f"got start={start}, stop={stop}")
+    T, d = U.shape
+    sq = np.einsum("td,td->t", U, U)
+    if not np.all((sq == 0.0) | (np.abs(sq - 1.0) <= _UNIT_TOL)):
+        raise ValueError("ssm_band takes unit rows; scale the features "
+                         "with unit_rows first")
+    pad = np.zeros((T + stop - 1, d), dtype=np.float64)
+    pad[:T] = U
+    n = stop - start
+    band = np.einsum("tkd,td->tk",
+                     sliding_window_view(pad[start:], (n, d))[:, 0], U)
+    np.clip(band, -1.0, 1.0, out=band)
+    if start == 0:
+        band[:, 0] = sq > 0
+    return SelfSimilarityBand(T=T, half_width=h, band=band, start=start)
 
 
 def enhance(S: SelfSimilarityBand | np.ndarray):
@@ -148,45 +179,51 @@ def make_kernel(h: int, sigma: float) -> np.ndarray:
     return w
 
 
-def novelty(band: SelfSimilarityBand, w: np.ndarray) -> np.ndarray:
-    """Checkerboard novelty N(t) = sum_ij W(i,j) S'(t+i, t+j) over an
-    enhanced band, ``enhance(ssm_band(X, h))``, with W = w w^T for the
-    factor ``w = make_kernel(h, sigma)``; h is ``len(w) // 2``.
+def novelty(X, w) -> np.ndarray:
+    """Checkerboard novelty N(t) = sum_ij W(i,j) S'(t+i, t+j) of the
+    feature rows X, where S' is the enhanced self-similarity,
+    ``enhance(ssm(X))``, and W = w w^T for the factor
+    ``w = make_kernel(h, sigma)``; h is ``len(w) // 2``.
 
     Computed for t in [h, T-h); exactly zero elsewhere.  S' is symmetric,
-    so with s = t - h + a the double sum folds onto the stored upper half:
-    N(t) = sum_o c_o sum_a w(a) w(a + o) band[s, o], c_0 = 1 and c_o = 2
-    for o > 0.  For each offset o that inner sum is a 1-D correlation of
-    band column o with a kernel of length 2h - o.  The columns are
-    transformed ``_BAND_COLS`` at a time with ``rfft`` at L, the power of
-    two >= T (s + a <= T - 1, so nothing wraps), multiplied by their
-    kernels' conjugate transforms and summed over the offsets; one
-    ``irfft`` gives N.  O(T log T) per offset, and no BLAS call, so the
+    so with s = t - h + a the double sum folds onto the upper half of its
+    band: N(t) = sum_o c_o sum_a w(a) w(a + o) S'(s, s + o), c_0 = 1 and
+    c_o = 2 for o > 0.  For each offset o that inner sum is a 1-D
+    correlation of band column o with a kernel of length 2h - o.  X is
+    scaled to unit rows once; then ``_BAND_COLS`` columns at a time are
+    built by :func:`ssm_band`, squared, transformed with ``rfft`` at L,
+    the power of two >= T (s + a <= T - 1, so nothing wraps), multiplied
+    by their kernels' conjugate transforms and summed over the offsets,
+    and dropped; one ``irfft`` gives N.  Memory is O(T) per block, never
+    the T x 2h band; time O(T log T) per offset.  No BLAS call, so the
     bits do not depend on the thread count.
     """
-    if not isinstance(band, SelfSimilarityBand):
-        raise TypeError(f"novelty takes the SelfSimilarityBand of ssm_band, "
-                        f"not {type(band).__name__}")
+    X = check_array(X, name="X")
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 1 or len(w) == 0 or len(w) % 2:
+        raise ValueError(f"w must be a 1-D kernel factor of even length 2h, "
+                         f"got shape {w.shape}")
     h = len(w) // 2
-    if band.half_width < h:
-        raise ValueError(
-            f"band half-width {band.half_width} narrower than kernel h={h}")
-    T = band.T
+    T = X.shape[0]
     N = np.zeros(T, dtype=np.float64)
     if T <= 2 * h:
         return N
+    U = unit_rows(X)
     L = 1 << (T - 1).bit_length()
     acc = np.zeros(L // 2 + 1, dtype=np.complex128)
     a = np.arange(2 * h)[:, None]
     w_pad = np.concatenate((w, np.zeros(2 * h)))  # w(a + o) is 0 past 2h
     for o0 in range(0, 2 * h, _BAND_COLS):
-        o = np.arange(o0, min(o0 + _BAND_COLS, 2 * h))
-        # kernels[a, k] = c_o w(a) w(a + o) for the k-th offset o of the chunk
+        o1 = min(o0 + _BAND_COLS, 2 * h)
+        o = np.arange(o0, o1)
+        # kernels[a, k] = c_o w(a) w(a + o) for the k-th offset o of the block
         kernels = w[:, None] * w_pad[a + o]
         kernels[:, o > 0] *= 2.0
-        cols = np.fft.rfft(band.band[:, o0: o0 + len(o)], n=L, axis=0)
-        taps = np.fft.rfft(kernels, n=L, axis=0)
-        acc += np.einsum("fk,fk->f", cols, taps.conj())
+        # one expression, so each block's arrays are freed before the next
+        acc += np.einsum(
+            "fk,fk->f",
+            np.fft.rfft(enhance(ssm_band(U, h, o0, o1)).band, n=L, axis=0),
+            np.fft.rfft(kernels, n=L, axis=0).conj())
     N[h: T - h] = np.fft.irfft(acc, n=L)[: T - 2 * h]
     return N
 
@@ -323,10 +360,7 @@ class NoveltyBoundaryDetector:
         h = check_positive_int(self.half_width, "half_width")
         check_fraction(self.prominence_frac, "prominence_frac")
         self.sigma_ = float(self.sigma) if self.sigma is not None else h / 2.0
-        w = make_kernel(h, self.sigma_)
-        band = ssm_band(X, h)
-        enhance(band)
-        self.novelty_ = novelty(band, w)
+        self.novelty_ = novelty(X, make_kernel(h, self.sigma_))
         peak = float(np.max(np.abs(self.novelty_))) if len(self.novelty_) else 0.0
         if peak < NOVELTY_FLOOR:
             self.threshold_ = 0.0

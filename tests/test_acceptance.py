@@ -39,7 +39,6 @@ from microact.segmentation import (
     novelty,
     peak_pick,
     ssm,
-    ssm_band,
 )
 from microact.skill import SkillGradientBoosting, cross_validate
 from microact.synth import generate, paper_shaped_script
@@ -70,8 +69,7 @@ def test_criterion_1_zero_novelty_on_constant_input(announce):
     t0 = time.perf_counter()
     worst = 0.0
     for h in (10, 30, 100):
-        band = enhance(ssm_band(X, h))
-        N = novelty(band, make_kernel(h, h / 2.0))
+        N = novelty(X, make_kernel(h, h / 2.0))
         worst = max(worst, float(np.max(np.abs(N))))
     dt = time.perf_counter() - t0
     announce(1, worst < 1e-9 and dt < 1.0,
@@ -89,7 +87,7 @@ def test_criterion_2_banded_novelty_matches_naive(announce):
         sigma = float(rng.uniform(0.5, h)) if h > 1 else 0.5
         X = rng.normal(size=(T, d))
         expect = novelty_quadruple_loop(enhance(ssm(X)), h, sigma)
-        got = novelty(enhance(ssm_band(X, h)), make_kernel(h, sigma))
+        got = novelty(X, make_kernel(h, sigma))
         worst = max(worst, float(np.max(np.abs(got - expect))))
     dt = time.perf_counter() - t0
     announce(2, worst <= 1e-12 and dt < 10.0,

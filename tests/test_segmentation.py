@@ -21,6 +21,7 @@ from microact.segmentation import (
     peak_pick,
     ssm,
     ssm_band,
+    unit_rows,
 )
 
 
@@ -57,6 +58,32 @@ def novelty_quadruple_loop(S_enh, h, sigma):
                 sgn = (1.0 if i >= 0 else -1.0) * (1.0 if j >= 0 else -1.0)
                 acc += g * sgn * S_enh[t + i, t + j]
         N[t] = acc
+    return N
+
+
+def novelty_from_band(band, w):
+    """Novelty from a whole enhanced band, ``enhance(ssm_band(U, h))``:
+    the same fold onto the upper half, the same kernel taps, FFT length
+    and ``_BAND_COLS`` grouping as :func:`novelty`, with every column
+    built before the first transform."""
+    h = len(w) // 2
+    T = band.T
+    N = np.zeros(T, dtype=np.float64)
+    if T <= 2 * h:
+        return N
+    L = 1 << (T - 1).bit_length()
+    acc = np.zeros(L // 2 + 1, dtype=np.complex128)
+    a = np.arange(2 * h)[:, None]
+    w_pad = np.concatenate((w, np.zeros(2 * h)))
+    step = segmentation._BAND_COLS
+    for o0 in range(0, 2 * h, step):
+        o = np.arange(o0, min(o0 + step, 2 * h))
+        kernels = w[:, None] * w_pad[a + o]
+        kernels[:, o > 0] *= 2.0
+        cols = np.fft.rfft(band.band[:, o0: o0 + len(o)], n=L, axis=0)
+        taps = np.fft.rfft(kernels, n=L, axis=0)
+        acc += np.einsum("fk,fk->f", cols, taps.conj())
+    N[h: T - h] = np.fft.irfft(acc, n=L)[: T - 2 * h]
     return N
 
 
@@ -160,7 +187,7 @@ class TestSSMBand:
             X = rng.normal(size=(T, 4))
             X[rng.random(T) < 0.2] = 0.0  # some zero rows
             S = ssm(X)
-            band = ssm_band(X, h)
+            band = ssm_band(unit_rows(X), h)
             assert band.band.shape == (T, 2 * h)
             for o in range(2 * h):
                 # S(t, t+o) for t in [0, T - o), then 0 past T
@@ -171,7 +198,7 @@ class TestSSMBand:
 
     def test_h_at_least_T_is_full(self):
         X = np.random.default_rng(0).normal(size=(5, 3))
-        band = ssm_band(X, 5)
+        band = ssm_band(unit_rows(X), 5)
         # every offset of the 5x5 matrix is in the upper half, which
         # gives the lower half by symmetry
         dense = [[band.band[min(i, j), abs(j - i)] for j in range(5)]
@@ -180,25 +207,27 @@ class TestSSMBand:
         assert np.all(band.band[:, 5:] == 0.0)
 
     def test_single_frame(self):
-        band = ssm_band(np.array([[3.0, 4.0]]), 1)
+        band = ssm_band(unit_rows(np.array([[3.0, 4.0]])), 1)
         assert band.band.tolist() == [[1.0, 0.0]]
         band0 = ssm_band(np.array([[0.0, 0.0]]), 1)
         assert band0.band.tolist() == [[0.0, 0.0]]
 
     def test_memory_is_banded(self):
-        X = np.random.default_rng(0).normal(size=(500, 3))
-        band = ssm_band(X, 4)
+        U = unit_rows(np.random.default_rng(0).normal(size=(500, 3)))
+        band = ssm_band(U, 4)
         assert band.band.shape == (500, 8)
+        block = ssm_band(U, 4, 3, 7)
+        assert block.band.shape == (500, 4) and block.start == 3
 
     def test_peak_memory_is_the_band_and_a_few_rows(self):
         # the resegment-sweep shape: 8010 frames, 36 features, h = 150;
-        # only the band, a unit-row copy of X and one chunk's window may
-        # be alive at once
-        X = np.cumsum(np.random.default_rng(3).normal(size=(8010, 36)),
-                      axis=0)
+        # only the band and a zero-padded copy of the unit rows may be
+        # alive at once
+        U = unit_rows(np.cumsum(
+            np.random.default_rng(3).normal(size=(8010, 36)), axis=0))
         tracemalloc.start()
         try:
-            band = ssm_band(X, 150)
+            band = ssm_band(U, 150)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -206,7 +235,7 @@ class TestSSMBand:
 
     def test_fit_peaks_below_the_full_band(self):
         # the whole detector at the resegment-sweep shape holds less than
-        # a band with both halves, T x (4h + 1) floats, would alone
+        # the upper half of the band, T x 2h floats, would alone
         T, h = 8010, 150
         X = np.cumsum(np.random.default_rng(3).normal(size=(T, 36)), axis=0)
         tracemalloc.start()
@@ -215,7 +244,39 @@ class TestSSMBand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < T * (4 * h + 1) * 8, peak
+        assert peak < T * 2 * h * 8, peak
+
+    def test_raw_rows_rejected(self):
+        X = np.random.default_rng(4).normal(size=(30, 3))
+        with pytest.raises(ValueError, match="unit_rows"):
+            ssm_band(X, 2)
+        U = unit_rows(X)
+        U[5] *= 1.0 + 1e-6
+        with pytest.raises(ValueError, match="unit_rows"):
+            ssm_band(U, 2)
+
+    def test_block_bounds_checked(self):
+        U = unit_rows(np.random.default_rng(4).normal(size=(30, 3)))
+        for start, stop in [(-1, 2), (2, 2), (3, 2), (0, 5)]:
+            with pytest.raises(ValueError, match="start"):
+                ssm_band(U, 2, start, stop)
+
+
+class TestUnitRows:
+    def test_unit_or_zero(self):
+        X = np.random.default_rng(2).normal(size=(40, 5))
+        X[3] = 0.0
+        U = unit_rows(X)
+        sq = np.einsum("td,td->t", U, U)
+        assert sq[3] == 0.0
+        assert np.all(np.abs(np.delete(sq, 3) - 1.0) < 1e-15)
+
+    @pytest.mark.parametrize("power", [-540, -480, 480, 540])
+    def test_far_norms_come_out_unit(self, power):
+        # squares of these rows underflow or overflow float64; scaling by
+        # a power of two is exact, so the unit rows keep their bits
+        X = np.random.default_rng(power % 7).normal(size=(20, 4))
+        assert same_bits(unit_rows(np.ldexp(X, power)), unit_rows(X))
 
 
 # --- one-pass builds against the per-offset code they replaced ------------
@@ -230,7 +291,7 @@ def _shifted_rowdot(Xu, o):
 def per_offset_ssm(X):
     X = np.ascontiguousarray(X, dtype=np.float64)
     T = X.shape[0]
-    Xu = segmentation._unit_rows(X)
+    Xu = unit_rows(X)
     S = np.zeros((T, T), dtype=np.float64)
     nz = np.einsum("td,td->t", Xu, Xu) > 0
     S[np.diag_indices(T)] = nz.astype(np.float64)
@@ -245,7 +306,7 @@ def per_offset_ssm(X):
 def per_offset_band(X, h):
     X = np.ascontiguousarray(X, dtype=np.float64)
     T = X.shape[0]
-    Xu = segmentation._unit_rows(X)
+    Xu = unit_rows(X)
     band = np.zeros((T, 2 * h), dtype=np.float64)
     nz = np.einsum("td,td->t", Xu, Xu) > 0
     band[:, 0] = nz.astype(np.float64)
@@ -260,8 +321,8 @@ def same_bits(a, b):
 
 
 @st.composite
-def feature_matrices(draw, max_T=120, max_d=12):
-    T = draw(st.integers(1, max_T))
+def feature_matrices(draw, max_T=120, max_d=12, T=None):
+    T = draw(st.integers(1, max_T)) if T is None else T
     d = draw(st.integers(0, max_d))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     X = rng.normal(size=(T, d)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
@@ -274,16 +335,16 @@ def feature_matrices(draw, max_T=120, max_d=12):
 
 class TestOnePassAgainstPerOffset:
     @settings(max_examples=150, deadline=None)
-    @given(X=feature_matrices(), h=st.integers(1, 40),
-           rows=st.integers(1, 300))
-    def test_band_bits(self, X, h, rows):
-        saved = segmentation._BAND_ROWS
-        segmentation._BAND_ROWS = rows  # chunk edges anywhere
-        try:
-            got = ssm_band(X, h).band
-        finally:
-            segmentation._BAND_ROWS = saved
-        assert same_bits(got, per_offset_band(X, h))
+    @given(X=feature_matrices(), h=st.integers(1, 40), data=st.data())
+    def test_band_bits(self, X, h, data):
+        U = unit_rows(X)
+        whole = ssm_band(U, h).band
+        assert same_bits(whole, per_offset_band(X, h))
+        # any block of columns has the bits of those columns of the band
+        start = data.draw(st.integers(0, 2 * h - 1))
+        stop = data.draw(st.integers(start + 1, 2 * h))
+        assert same_bits(ssm_band(U, h, start, stop).band,
+                         np.ascontiguousarray(whole[:, start:stop]))
 
     @settings(max_examples=100, deadline=None)
     @given(X=feature_matrices())
@@ -297,7 +358,8 @@ class TestOnePassAgainstPerOffset:
         rng = np.random.default_rng(h)
         X = np.cumsum(rng.normal(size=(1100, 36)), axis=0)
         X[rng.random(1100) < 0.05] = 0.0
-        assert same_bits(ssm_band(X, h).band, per_offset_band(X, h))
+        assert same_bits(ssm_band(unit_rows(X), h).band,
+                         per_offset_band(X, h))
 
 
 class TestEnhance:
@@ -319,7 +381,7 @@ class TestEnhance:
 
     def test_band_inplace(self):
         X = np.random.default_rng(2).normal(size=(20, 3))
-        band = ssm_band(X, 3)
+        band = ssm_band(unit_rows(X), 3)
         vals = band.band.copy()
         out = enhance(band)
         assert out is band
@@ -376,16 +438,14 @@ class TestKernel:
 class TestNovelty:
     def test_constant_rows_zero_novelty(self):
         X = np.tile([1.0, 2.0, -1.0], (200, 1))
-        band = enhance(ssm_band(X, 10))
-        N = novelty(band, make_kernel(10, 5.0))
+        N = novelty(X, make_kernel(10, 5.0))
         assert np.max(np.abs(N)) < 1e-9
 
     def test_zero_outside_valid_range(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(50, 4))
         h = 7
-        band = enhance(ssm_band(X, h))
-        N = novelty(band, make_kernel(h, 3.0))
+        N = novelty(X, make_kernel(h, 3.0))
         assert np.all(N[:h] == 0.0)
         assert np.all(N[50 - h:] == 0.0)
 
@@ -394,8 +454,7 @@ class TestNovelty:
         X[:50, 0] = 1.0
         X[50:, 1] = 1.0
         h = 10
-        band = enhance(ssm_band(X, h))
-        N = novelty(band, make_kernel(h, 5.0))
+        N = novelty(X, make_kernel(h, 5.0))
         assert abs(int(np.argmax(N)) - 50) <= 1
 
     def test_matches_quadruple_loop_oracle(self):
@@ -409,25 +468,26 @@ class TestNovelty:
             X[rng.random(T) < 0.1] = 0.0
             S_enh = enhance(ssm(X))
             expect = novelty_quadruple_loop(S_enh, h, sigma)
-            band = enhance(ssm_band(X, h))
-            got = novelty(band, make_kernel(h, sigma))
+            got = novelty(X, make_kernel(h, sigma))
             assert np.allclose(got, expect, atol=1e-12), (T, d, h)
 
-    def test_dense_matrix_rejected(self):
-        X = np.random.default_rng(8).normal(size=(40, 3))
-        with pytest.raises(TypeError, match="ssm_band"):
-            novelty(enhance(ssm(X)), make_kernel(5, 2.5))
+    def test_non_finite_X_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            X = np.random.default_rng(8).normal(size=(40, 3))
+            X[7, 1] = bad
+            with pytest.raises(ValueError, match="NaN or inf"):
+                novelty(X, make_kernel(5, 2.5))
 
-    def test_band_narrower_than_kernel_rejected(self):
+    def test_odd_length_kernel_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
-        band = ssm_band(X, 2)
-        with pytest.raises(ValueError, match="narrower"):
-            novelty(band, make_kernel(5, 2.0))
+        for w in (make_kernel(5, 2.0)[:-1], np.ones(3), np.ones((2, 2)),
+                  np.ones(0)):
+            with pytest.raises(ValueError, match="even length"):
+                novelty(X, w)
 
     def test_short_signal_all_zero(self):
         X = np.random.default_rng(0).normal(size=(5, 2))
-        band = enhance(ssm_band(X, 4))
-        N = novelty(band, make_kernel(4, 2.0))
+        N = novelty(X, make_kernel(4, 2.0))
         assert np.all(N == 0.0)
 
     @settings(max_examples=120, deadline=None)
@@ -445,10 +505,26 @@ class TestNovelty:
         X = rng.normal(size=(T, d))
         X[rng.random(T) < zeros] = 0.0
         expect = novelty_quadruple_loop(enhance(ssm(X)), h, sigma)
-        got = novelty(enhance(ssm_band(X, h)), make_kernel(h, sigma))
+        got = novelty(X, make_kernel(h, sigma))
         assert np.max(np.abs(got - expect)) <= 1e-12
         outside = np.r_[0: min(h, T), max(T - h, h): T]
         assert np.all(got[outside] == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(h=st.integers(1, 40), extra=st.integers(-20, 80),
+           sigma=st.floats(0.2, 30.0), data=st.data())
+    @example(h=17, extra=-1, sigma=8.5, data=None)  # T < 2h, 2h = 34
+    @example(h=17, extra=0, sigma=8.5, data=None)  # T = 2h
+    @example(h=17, extra=1, sigma=8.5, data=None)  # T = 2h + 1
+    @example(h=40, extra=80, sigma=20.0, data=None)  # 2h = 80: 32 + 32 + 16
+    def test_equals_band_oracle_bit_for_bit(self, h, extra, sigma, data):
+        # zero rows and scaled copies of one row come from the draw
+        T = max(1, 2 * h + extra)
+        X = (data.draw(feature_matrices(T=T)) if data is not None else
+             np.cumsum(np.random.default_rng(h).normal(size=(T, 5)), axis=0))
+        w = make_kernel(h, sigma)
+        expect = novelty_from_band(enhance(ssm_band(unit_rows(X), h)), w)
+        assert same_bits(novelty(X, w), expect)
 
 
 class TestPeakPick:
@@ -589,6 +665,27 @@ class TestDetector:
             assert out.returncode == 0, out.stderr
             runs.append(out.stdout)
         assert runs[0] == runs[1]
+
+    def test_builds_the_band_through_the_module_attribute(self, monkeypatch):
+        # perfbench's tracer times ssm_band and reads each result's width
+        # by swapping the module attribute for a wrapper, as done here;
+        # the detector must call through it, one block of columns a call
+        widths = []
+        original = segmentation.ssm_band
+
+        def traced(*args, **kwargs):
+            res = original(*args, **kwargs)
+            widths.append(res.band.shape[1])
+            return res
+
+        monkeypatch.setattr(segmentation, "ssm_band", traced)
+        T, h = 8010, 150
+        X = np.cumsum(np.random.default_rng(3).normal(size=(T, 36)), axis=0)
+        NoveltyBoundaryDetector(half_width=h).fit(X)
+        step = segmentation._BAND_COLS
+        assert widths and max(widths) <= step, widths
+        assert sum(widths) == 2 * h
+        assert len(widths) == -(-2 * h // step)
 
     def test_deterministic(self):
         X = np.random.default_rng(6).normal(size=(300, 5))
