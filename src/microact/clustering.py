@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -125,12 +125,10 @@ def _kmeans_pp_init(F: np.ndarray, K: int, rng: np.random.Generator) -> np.ndarr
     return centers
 
 
-def _lloyd(F: np.ndarray, centers: np.ndarray, max_iter: int,
-           trace: Optional[list] = None) -> tuple[np.ndarray, np.ndarray, int]:
+def _lloyd(F: np.ndarray, centers: np.ndarray,
+           max_iter: int) -> tuple[np.ndarray, np.ndarray, int]:
     K = centers.shape[0]
     labels = _nearest(F, centers)
-    if trace is not None:
-        trace.append(_inertia(F, centers, labels))
     n_iter = 0
     for n_iter in range(1, max_iter + 1):
         new_centers = centers.copy()
@@ -147,8 +145,6 @@ def _lloyd(F: np.ndarray, centers: np.ndarray, max_iter: int,
                 labels[far] = k
         centers = new_centers
         new_labels = _nearest(F, centers)
-        if trace is not None:
-            trace.append(_inertia(F, centers, new_labels))
         if np.array_equal(new_labels, labels):
             labels = new_labels
             break

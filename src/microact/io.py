@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -40,7 +41,7 @@ import sys
 import threading
 import warnings
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from io import BytesIO, TextIOWrapper
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -61,12 +62,11 @@ from .records import (
     TrackObservation,
     TruthInstance,
 )
+from .validation import row_dots
 
 PathLike = Union[str, Path]
 
 APPEARANCE_NORM_TOL = 1e-6
-
-_NO_BOX = (math.nan,) * 4  # a TipCandidateTable row for a set without one
 
 # procedure-directory layout: key -> (file name, stage that writes it,
 # name of the function here that reads it, or None, and of the one that
@@ -462,47 +462,6 @@ def save_detections(detections: Iterable[Detection], path: PathLike) -> None:
     _write_jsonl(path, map(record, detections))
 
 
-@dataclass
-class StreamReport:
-    """validate_stream output: gaps and anomalies, nothing mutated."""
-
-    n_records: int = 0
-    n_frames: int = 0
-    frame_range: Optional[tuple[int, int]] = None
-    gaps: list[tuple[int, int]] = field(default_factory=list)  # (after_frame, length)
-    anomalies: list[str] = field(default_factory=list)
-
-
-def validate_stream(stream: Sequence[Detection]) -> StreamReport:
-    """Report frame gaps and per-frame class-cardinality anomalies.
-
-    A gap is a run of frames with no detections between two frames that
-    have some.  An anomaly is more than one detection of the same
-    instrument class in a single frame (e.g. two simultaneous needles).
-    """
-    report = StreamReport(n_records=len(stream))
-    if not stream:
-        return report
-    frames = sorted({d.frame for d in stream})
-    report.n_frames = len(frames)
-    report.frame_range = (frames[0], frames[-1])
-    for a, b in zip(frames, frames[1:]):
-        if b - a > 1:
-            report.gaps.append((a, b - a - 1))
-    per_frame: dict[int, dict[InstrumentClass, int]] = {}
-    for det in stream:
-        per_frame.setdefault(det.frame, {}).setdefault(det.class_id, 0)
-        per_frame[det.frame][det.class_id] += 1
-    for frame in frames:
-        for cls, count in per_frame[frame].items():
-            if count > 1:
-                report.anomalies.append(
-                    f"frame {frame}: {count} simultaneous {cls.value} detections")
-    return report
-
-
-
-
 # ---------------------------------------------------------------------------
 # tip trajectories
 
@@ -765,32 +724,74 @@ def load_truth_instances(path: PathLike) -> list[TruthInstance]:
 
 
 def save_tip_candidates(table: TipCandidateTable, path: PathLike) -> None:
-    """One record per candidate set, in (frame, object_id) order;
-    candidates are crop-local and the crop box travels with them when the
-    set has one."""
+    """One record per candidate set, in (frame, object_id) order, with its
+    crop box; candidates are crop-local.  A table that
+    :func:`load_tip_candidates` would refuse raises ValueError before the
+    file is opened."""
+    _check_tip_sets(table)
     keys, boxes = table.set_keys.tolist(), table.boxes.tolist()
     offsets = table.offsets.tolist()
 
     def record(i: int) -> dict:
         a, b = offsets[i], offsets[i + 1]
-        rec = {"frame": keys[i][0], "object_id": keys[i][1], "candidates": [
+        return {"frame": keys[i][0], "object_id": keys[i][1], "candidates": [
             {"x": x, "y": y, "descriptor": d}
             for (x, y), d in zip(table.points[a:b].tolist(),
-                                 table.descriptors[a:b].tolist())]}
-        if not math.isnan(boxes[i][0]):
-            rec.update(_box_fields(boxes[i]))
-        return rec
+                                 table.descriptors[a:b].tolist())],
+            **_box_fields(boxes[i])}
 
     order = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id
     _write_jsonl(path, map(record, order.tolist()))
 
 
+def _zero_norm_rows(descriptors: np.ndarray) -> np.ndarray:
+    """The rows whose norm, as ``tracking.localize_tip`` computes it, is
+    zero, squares that underflow included; overflow is no fault."""
+    with np.errstate(over="ignore"):
+        dots = row_dots(descriptors, descriptors)
+    return np.flatnonzero(np.sqrt(dots) == 0.0)
+
+
+def _check_tip_sets(table: TipCandidateTable) -> None:
+    """ValueError, naming a set, if :func:`load_tip_candidates` would
+    refuse ``table`` written out; the rules are tried in this order."""
+    keys, boxes, counts = table.set_keys, table.boxes, np.diff(table.offsets)
+    set_of = np.repeat(np.arange(len(keys)), counts)  # each candidate's set
+    for sets, reason in (
+            (np.flatnonzero(~np.isfinite(boxes).all(axis=1)
+                            | (boxes[:, 2:] <= 0).any(axis=1)),
+             "no finite crop box of positive width and height"),
+            (np.flatnonzero(counts == 0), "no tip candidates"),
+            (set_of[~np.isfinite(table.points).all(axis=1)],
+             "a candidate point that is not finite"),
+            (set_of[_zero_norm_rows(table.descriptors)],
+             "a zero-norm descriptor"),
+            (np.setdiff1d(np.arange(len(keys)),
+                          np.unique(keys, axis=0, return_index=True)[1]),
+             "a repeated (frame, object_id)")):
+        if len(sets):
+            frame, oid = keys[sets[0]].tolist()
+            raise ValueError(f"tip candidate set (frame {frame}, object "
+                             f"{oid}) has {reason}")
+
+
+def _record_line(path: PathLike, i: int) -> int:
+    """The line of JSON-lines file ``path`` that holds its record ``i``
+    (0-based), as :func:`_read_jsonl` counts them."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = (no for no, line in enumerate(fh, start=1) if line.strip())
+        return next(itertools.islice(lines, i, None))
+
+
 def load_tip_candidates(path: PathLike) -> TipCandidateTable:
     """Read every candidate set into one columnar table, in file order.
 
-    All descriptors share the first one's length, every candidate's x and
-    y are finite, and a (frame, object_id) pair appears once; a record
-    without ``x`` has no crop box.
+    Each set has a (frame, object_id) of its own, a crop box (finite, of
+    positive width and height) and at least one candidate; every x and y
+    is finite, and all descriptors share the first one's length.  Once
+    the file is read, one pass refuses a descriptor of zero norm as
+    ``tracking.localize_tip`` computes it, underflow included; NaN values
+    are allowed.  Each refusal is a ParseError at the set's line.
     """
     keys, boxes, offsets, points, descriptors = [], [], [0], [], []
     seen: set[tuple[int, int]] = set()
@@ -800,31 +801,39 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
         if key in seen:
             raise ValueError(f"repeats frame {key[0]}, object {key[1]}")
         cands = rec["candidates"]
-        if cands:
-            desc = np.array([c["descriptor"] for c in cands], dtype=np.float64)
-            width = descriptors[0].shape[1] if descriptors else desc.shape[-1]
-            if desc.ndim != 2 or desc.shape[1] != width or width == 0:
-                raise ValueError(f"descriptors must be nonempty flat vectors "
-                                 f"of one length, got shape {desc.shape[1:]}")
-            descriptors.append(desc)
+        if not cands:
+            raise ValueError("no tip candidates")
+        desc = np.array([c["descriptor"] for c in cands], dtype=np.float64)
+        width = descriptors[0].shape[1] if descriptors else desc.shape[-1]
+        if desc.ndim != 2 or desc.shape[1] != width or width == 0:
+            raise ValueError(f"descriptors must be nonempty flat vectors "
+                             f"of one length, got shape {desc.shape[1:]}")
+        descriptors.append(desc)
         xy = [(float(c["x"]), float(c["y"])) for c in cands]
         for x, y in xy:
             if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"candidate point ({x}, {y}) is not finite")
         points.extend(xy)
-        boxes.append(_bbox_of(rec) if "x" in rec else _NO_BOX)
+        boxes.append(_bbox_of(rec))
         keys.append(key)
         seen.add(key)
         offsets.append(len(points))
 
     _read_jsonl(path, add)
-    return TipCandidateTable(
+    table = TipCandidateTable(
         set_keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
         boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
         offsets=np.array(offsets, dtype=np.int64),
         points=np.array(points, dtype=np.float64).reshape(-1, 2),
         descriptors=(np.concatenate(descriptors) if descriptors
                      else np.empty((0, 0))))
+    zero = _zero_norm_rows(table.descriptors)
+    if len(zero):
+        i = int(np.searchsorted(table.offsets, zero[0], "right")) - 1
+        raise ParseError(path, _record_line(path, i),
+                         f"zero-norm descriptor at candidate "
+                         f"{zero[0] - table.offsets[i]}")
+    return table
 
 
 def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
@@ -834,8 +843,10 @@ def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
 
 
 def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarray]:
-    """reference_descriptors.json back as {class: nonzero vector}, in the
-    file's order."""
+    """reference_descriptors.json back as {class: vector}, in the file's
+    order.  A vector whose norm, ``math.sqrt(r @ r)`` as
+    ``tracking.localize_tip`` computes it, is zero is refused, so one whose
+    squares underflow is too."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(path, 1, "expected an object of class -> descriptor")
@@ -844,8 +855,9 @@ def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarr
         try:
             cls = InstrumentClass(name)
             arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or not np.any(arr):
-                raise ValueError("the descriptor must be a nonzero vector")
+            if arr.ndim != 1 or math.sqrt(arr @ arr) == 0.0:
+                raise ValueError("the descriptor must be a vector of "
+                                 "nonzero norm")
         except (ValueError, TypeError) as exc:
             raise ParseError(path, _line_of(path, name),
                              f"class {name!r}: {exc}") from exc

@@ -21,6 +21,7 @@ track stage runs.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
 import math
@@ -246,10 +247,13 @@ def stage_track(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     refined = refine_identity(confirmed, max_gap=t.max_gap)
 
     _save(proc_dir, memo, track_rows=rows, refined=refined)
-    report = io.validate_stream(detections)
+    # gaps: runs of frames with no detection between frames that have
+    # some; anomalies: (frame, class) pairs detected more than once
+    frames = sorted({d.frame for d in detections})
+    pairs = collections.Counter((d.frame, d.class_id) for d in detections)
     return {"n_rows": len(rows), "n_objects": len(refined),
-            "detection_gaps": len(report.gaps),
-            "detection_anomalies": len(report.anomalies)}
+            "detection_gaps": sum(b - a > 1 for a, b in zip(frames, frames[1:])),
+            "detection_anomalies": sum(n > 1 for n in pairs.values())}
 
 
 def _confirmed_frames(track, min_hits: int = 1) -> list[int]:
@@ -296,7 +300,10 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     matched to track boxes geometrically (tracker ids need not agree with
     the candidate producer's ids) and the best-cosine candidate becomes
     the tip, every matched frame in one batched ``localize_tip`` call.
-    Frames without a usable candidate set fall back to the box
+    The loaders refuse an empty set, a set without a crop box and a
+    zero-norm descriptor or reference, each at its line; descriptors of
+    another width than a reference fail here, naming both files.
+    Frames without a matching candidate set fall back to the box
     center, which is also the whole story for coasted boxes.
     """
     meta = _load(proc_dir, "meta", memo)
@@ -315,12 +322,18 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         if table is None:
             table = _load(proc_dir, "candidates", None)
         references = _load(proc_dir, "references", None)
-        sets = table.boxed_sets()
+        width = table.descriptors.shape[1]
+        for c, ref in references.items():
+            if len(table.set_keys) and ref.shape != (width,):
+                raise _bad(proc_dir, "candidates", f"the descriptors have "
+                           f"{width} values, but class '{c}' has {len(ref)} "
+                           f"in {_path(proc_dir, 'references')}")
+        sets = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id
         set_frames = table.set_keys[sets, 0]
         set_boxes = table.boxes[sets]
 
     # one row per (track, confirmed frame), tracks by object id, then
-    # frames in order: the order in which a bad candidate set is reported
+    # frames in order
     kinds = list(InstrumentClass)
     frames, boxes, ranks, oids, cls = [], [], [], [], []
     for track in sorted(refined, key=lambda t: t.object_id):
@@ -354,9 +367,8 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
         won = top[v[top] >= 0.5]
         matched = with_ref[k[won]]
         tips[matched] = localize_tip(
-            table.points, table.descriptors, table.offsets, sets[j[won]],
-            [references[kinds[i]] for i in present],
-            np.searchsorted(present, cls[matched]), set_boxes[j[won]])
+            table, sets[j[won]], [references[kinds[i]] for i in present],
+            np.searchsorted(present, cls[matched]))
 
     # each (class, frame)'s tip comes from its best row: lowest rank, then
     # the older object

@@ -129,9 +129,11 @@ class TipCandidateTable:
     """Every tip candidate set of a procedure, in columns.
 
     Set ``i`` is ``set_keys[i]`` = (frame, object_id) with crop box
-    ``boxes[i]`` (a NaN row when the set has none); its candidates are
-    rows ``offsets[i]:offsets[i + 1]`` of ``points`` (crop-local x, y) and
-    ``descriptors``.
+    ``boxes[i]``; its candidates are rows ``offsets[i]:offsets[i + 1]`` of
+    ``points`` (crop-local x, y) and ``descriptors``.  ``io`` reads and
+    writes a table only when every set has a finite crop box of positive
+    width and height, at least one candidate and no zero-norm
+    descriptor.
     """
 
     set_keys: np.ndarray     # (n, 2) int64
@@ -139,12 +141,6 @@ class TipCandidateTable:
     offsets: np.ndarray      # (n + 1,) int64
     points: np.ndarray       # (m, 2) float64
     descriptors: np.ndarray  # (m, d) float64
-
-    def boxed_sets(self) -> np.ndarray:
-        """Indices of the sets that have a crop box, sorted by frame, then
-        object id."""
-        order = np.lexsort(self.set_keys.T[::-1])
-        return order[~np.isnan(self.boxes[order, 0])]
 
 
 @dataclass

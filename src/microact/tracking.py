@@ -19,7 +19,8 @@ repair scoring and the tips stage's candidate match use.  ``associate``
 decides a lone detection and track by the IoU gate alone, since the
 solver can only pair them.  ``localize_tip`` matches every (candidate
 set, reference) pair of a procedure in one columnar pass, each
-similarity with the bits of a per-set match.
+similarity with the bits of a per-set match, offset by the set's crop
+box; its input checks guard library callers, as ``io`` refuses the rest.
 
 Appearance embeddings are ingested, never computed here.
 """
@@ -34,8 +35,9 @@ import numpy as np
 
 from .assignment import assign_blocks, linear_assignment
 from .records import (BBox, Detection, InstrumentClass, Provenance,
-                      RefinedTrack, TrackObservation, TruthInstance)
-from .validation import check_bbox
+                      RefinedTrack, TipCandidateTable, TrackObservation,
+                      TruthInstance)
+from .validation import check_bbox, row_dots
 
 DEFAULT_IOU_GATE = 0.3
 DEFAULT_MAX_GAP = 30       # dropout length the repair pass will bridge
@@ -533,100 +535,69 @@ def refine_identity(stream: Union[Sequence[TrackObservation],
 
 # --- Tip localization ------------------------------------------------------
 
-def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[A[i] @ b for i in rows]`` as one call.
-
-    A stack of (1, d) @ (d, 1) products runs the 1-D dot kernel on every
-    row, so each value is bit-identical to ``A[i] @ b``; ``A @ b`` would
-    use a matrix-vector kernel that can round differently.
-    """
-    return np.matmul(A[:, None, :], b[..., None])[:, 0, 0]
-
-
-def localize_tip(points: np.ndarray, descriptors: np.ndarray,
-                 offsets: np.ndarray, sets: np.ndarray,
-                 references: Sequence[np.ndarray], ref_of: np.ndarray,
-                 crops: np.ndarray) -> np.ndarray:
+def localize_tip(table: TipCandidateTable, sets: np.ndarray,
+                 references: Sequence[np.ndarray],
+                 ref_of: np.ndarray) -> np.ndarray:
     """The tip of every (candidate set, reference) pair, in one pass.
 
-    Pair k matches candidate set ``s = sets[k]``, rows
-    ``offsets[s]:offsets[s + 1]`` of ``points`` (m, 2: crop-local x, y)
-    and ``descriptors`` (m, d), against ``references[ref_of[k]]``.  Its
-    tip is the best candidate's point plus the x, y of ``crops[k]``
-    (n, 4).  Returns the (n, 2) float64 tips.
+    Pair k matches set ``sets[k]`` of ``table`` against
+    ``references[ref_of[k]]``; its tip is the best candidate's crop-local
+    point plus the x, y of the set's crop box.  Returns (n, 2) float64.
 
     Cosine similarity, each value with the float operations of
     ``(d @ ref) / (norm(d) * norm(ref))``; exact ties keep the lowest
-    candidate index, and a NaN similarity loses to any number.  The
-    first pair in input order with no candidates, a zero-norm reference,
-    descriptors of another width than its reference or a zero-norm
-    descriptor raises ValueError, naming the first of these faults.
+    candidate index, and a NaN similarity loses to any number.  Raises
+    ValueError, checked in this order, when a pair's set is empty, a
+    reference some pair uses has zero norm or another width than the
+    descriptors, or a pair's set holds a zero-norm descriptor.
     """
-    descriptors = np.asarray(descriptors, dtype=float)
-    offsets = np.asarray(offsets, dtype=np.intp)
     sets = np.asarray(sets, dtype=np.intp)
     ref_of = np.asarray(ref_of, dtype=np.intp)
     if len(sets) == 0:
         return np.empty((0, 2))
     refs = [np.asarray(r, dtype=float) for r in references]
-    ref_norms = np.array([math.sqrt(r @ r) for r in refs])  # norm()'s arithmetic
+    used = np.unique(ref_of).tolist()
     # pairs grouped by reference, so each group's candidates are one slice
     # of D and no reference is copied per row
     order = np.argsort(ref_of, kind="stable")
     group = ref_of[order]
-    starts = offsets[sets[order]]
-    counts = offsets[sets[order] + 1] - starts
+    starts = table.offsets[sets[order]]
+    counts = table.offsets[sets[order] + 1] - starts
+    if not counts.all():
+        raise ValueError("no tip candidates")
+    # norm()'s arithmetic, for the references some pair uses
+    ref_norms = {g: math.sqrt(refs[g] @ refs[g]) for g in used}
+    if 0.0 in ref_norms.values():
+        raise ValueError("zero-norm reference descriptor")
+    width = table.descriptors.shape[1:]
+    for g in used:
+        if refs[g].shape != width:
+            raise ValueError(f"descriptor dimension mismatch: candidates "
+                             f"{width} vs reference {refs[g].shape}")
     ends = np.cumsum(counts)
     firsts = ends - counts
     rows = np.arange(ends[-1]) + np.repeat(starts - firsts, counts)
-    D = descriptors[rows]
-    dn = np.sqrt(_row_dots(D, D))
-    fault = _first_fault(order, group, counts, firsts, dn, ref_norms,
-                         descriptors.shape[1:], refs)
-    if fault is not None:
-        raise ValueError(fault)
+    D = table.descriptors[rows]
+    dn = np.sqrt(row_dots(D, D))
+    zero = np.flatnonzero(dn == 0.0)
+    if len(zero):
+        pair = np.searchsorted(firsts, zero[0], "right") - 1
+        raise ValueError(f"zero-norm descriptor at candidate "
+                         f"{zero[0] - firsts[pair]}")
     sims = np.empty(len(rows))
     # rows bounds[g]:bounds[g + 1] are reference g's
     bounds = np.r_[0, ends][np.searchsorted(group, np.arange(len(refs) + 1))]
-    for g, ref in enumerate(refs):
+    for g in used:
         lo, hi = bounds[g], bounds[g + 1]
-        if lo < hi:
-            sims[lo:hi] = _row_dots(D[lo:hi], ref) / (dn[lo:hi] * ref_norms[g])
+        sims[lo:hi] = row_dots(D[lo:hi], refs[g]) / (dn[lo:hi] * ref_norms[g])
     # each pair's first maximum, NaN ranking below every number
     sims[np.isnan(sims)] = -np.inf
     top = np.repeat(np.maximum.reduceat(sims, firsts), counts)
     best = np.minimum.reduceat(
         np.where(sims == top, np.arange(len(sims)), len(sims)), firsts)
     tips = np.empty((len(sets), 2))
-    tips[order] = (np.asarray(points, dtype=float)[rows[best]]
-                   + np.asarray(crops, dtype=float)[order, :2])
+    tips[order] = table.points[rows[best]] + table.boxes[sets[order], :2]
     return tips
-
-
-def _first_fault(order, group, counts, firsts, dn, ref_norms, width, refs
-                 ) -> Optional[str]:
-    """:func:`localize_tip`'s error for the first failing pair in input
-    order, or None; the arrays are in its grouped pair order."""
-    zero_rows = np.flatnonzero(dn == 0.0)
-    zero_pairs = np.searchsorted(firsts, zero_rows, "right") - 1
-    has_zero = np.zeros(len(order), dtype=bool)
-    has_zero[zero_pairs] = True
-    fits = np.array([width == r.shape for r in refs])
-    fault = np.select([counts == 0, ref_norms[group] == 0.0, ~fits[group],
-                       has_zero], [1, 2, 3, 4], 0)
-    bad = np.flatnonzero(fault)
-    if not len(bad):
-        return None
-    j = bad[np.argmin(order[bad])]  # the first in input order
-    if fault[j] == 1:
-        return "no tip candidates"
-    if fault[j] == 2:
-        return "zero-norm reference descriptor"
-    if fault[j] == 3:
-        return (f"descriptor dimension mismatch: candidates {width} vs "
-                f"reference {refs[group[j]].shape}")
-    k = zero_rows[np.searchsorted(zero_pairs, j)] - firsts[j]
-    return f"zero-norm descriptor at candidate {k}"
 
 
 # --- Repair scoring --------------------------------------------------------

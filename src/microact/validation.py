@@ -25,6 +25,13 @@ def check_array(X, *, name: str = "X") -> np.ndarray:
     return arr
 
 
+def row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[A[i] @ b for i in rows]`` (``b`` one vector, or one per row) as
+    one stack of 1-D dots, each bit-identical to ``A[i] @ b``; ``A @ b``
+    would use a matrix-vector kernel that can round differently."""
+    return np.matmul(A[:, None, :], b[..., None])[:, 0, 0]
+
+
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
     iv = int(value)
     if iv != value or iv < minimum:

@@ -920,6 +920,68 @@ def test_non_finite_candidate_point_names_the_synth_stage(tmp_path, capsys,
     assert not (d / "tips.csv").exists()
 
 
+def _emptied(rec):
+    rec["candidates"] = []
+
+
+def _zeroed(value):
+    def edit(rec):
+        desc = rec["candidates"][2]["descriptor"]
+        desc[:] = [value] * len(desc)
+    return edit
+
+
+def _unboxed(rec):
+    for k in "xywh":
+        del rec[k]
+
+
+@pytest.mark.parametrize("command", ["tips", "run-all"])
+@pytest.mark.parametrize("edit, reason", [
+    (_emptied, "no tip candidates"),
+    (_zeroed(0.0), "zero-norm descriptor at candidate 2"),
+    # nonzero, but its squares underflow, so its norm is zero
+    (_zeroed(1e-200), "zero-norm descriptor at candidate 2"),
+    # a set without a crop box used to be skipped without a word
+    (_unboxed, "missing field 'x'"),
+], ids=["empty-set", "zero-descriptor", "underflowing-descriptor", "no-box"])
+def test_refused_candidate_set_names_its_line(tmp_path, capsys, command,
+                                              edit, reason):
+    # each used to fail naming no file, or not at all
+    d = fresh_proc(tmp_path)
+    path = d / "tip_candidates.jsonl"
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[3])
+    edit(rec)
+    lines[3] = json.dumps(rec)
+    path.write_text("\n".join(lines) + "\n")
+    if command == "tips":
+        assert run_cli("track", d) == 0
+    capsys.readouterr()
+    assert run_cli(command, d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}:4: {reason} (written by the 'synth' stage)\n")
+    assert not (d / "tips.csv").exists()
+
+
+def test_descriptor_width_mismatch_names_both_files(tmp_path, base_proc,
+                                                     capsys):
+    d = tmp_path / "p"
+    shutil.copytree(base_proc, d)
+    path = d / "reference_descriptors.json"
+    refs = io.load_reference_descriptors(path)
+    width = len(refs[InstrumentClass.NEEDLE])
+    refs[InstrumentClass.NEEDLE] = np.append(refs[InstrumentClass.NEEDLE], 1.0)
+    io.save_reference_descriptors(refs, path)
+    before = snapshot(d)
+    assert run_cli("tips", d) == 1
+    assert capsys.readouterr().err == (
+        f"error: {d / 'tip_candidates.jsonl'}: the descriptors have {width} "
+        f"values, but class 'needle' has {width + 1} in {path} (written by "
+        "the 'synth' stage)\n")
+    assert snapshot(d) == before
+
+
 @pytest.mark.parametrize("frames", [-30, 2])
 def test_tips_off_the_frame_count_name_the_tips_stage(tmp_path, base_proc,
                                                       capsys, frames):
@@ -969,8 +1031,12 @@ def test_bad_meta_names_the_synth_stage(tmp_path, base_proc, capsys,
     ('{\n "needle": ["a", "b"]\n}\n', 2,
      "class 'needle': could not convert string to float: 'a'"),
     ('{\n "needle": [0.0, 0.0]\n}\n', 2,
-     "class 'needle': the descriptor must be a nonzero vector"),
-], ids=["not-an-object", "unknown-class", "not-numbers", "zero-vector"])
+     "class 'needle': the descriptor must be a vector of nonzero norm"),
+    # nonzero, but its squares underflow, so its norm is zero
+    ('{\n "needle": [1e-200, 0.0]\n}\n', 2,
+     "class 'needle': the descriptor must be a vector of nonzero norm"),
+], ids=["not-an-object", "unknown-class", "not-numbers", "zero-vector",
+        "underflowing-vector"])
 def test_bad_reference_descriptors_name_the_line(tmp_path, base_proc, capsys,
                                                  doc, line_no, reason):
     # a list used to end the tips stage in a traceback, and an unknown
@@ -1163,7 +1229,7 @@ def _tip_sets_scalar(tracks, cands, n_frames, min_hits):
             best, best_iou = None, 0.0
             for key in sorted(k for k in cands if k[0] == f):
                 cbox = cands[key].bbox
-                if cbox is not None and iou(track.boxes[f], cbox) > best_iou:
+                if iou(track.boxes[f], cbox) > best_iou:
                     best, best_iou = key, iou(track.boxes[f], cbox)
             if best is not None and best_iou >= 0.5:
                 out.append(best)
@@ -1191,7 +1257,7 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
             # the set's own key in its point, to tell which set was taken
             cands[(f, int(oid))] = CandidateSet(
                 candidates=[(float(f), float(oid), np.array([1.0, 0.5]))],
-                bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
+                bbox=grid[rng.integers(len(grid))])
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
     io.save_tip_candidates(candidate_table(cands),
                            tmp_path / "tip_candidates.jsonl")
@@ -1200,9 +1266,10 @@ def test_tip_match_agrees_with_the_scalar_loop(tmp_path, monkeypatch, seed):
     io.save_json({"fps": 5.0, "n_frames": n_frames}, tmp_path / "meta.json")
     taken = []
 
-    def recording(points, descriptors, offsets, sets, *rest):
-        taken.append([tuple(int(v) for v in points[offsets[s]]) for s in sets])
-        return localize_tip(points, descriptors, offsets, sets, *rest)
+    def recording(table, sets, *rest):
+        taken.append([tuple(int(v) for v in table.points[table.offsets[s]])
+                      for s in sets])
+        return localize_tip(table, sets, *rest)
 
     monkeypatch.setattr(pipeline, "localize_tip", recording)
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 2}})

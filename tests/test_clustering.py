@@ -14,6 +14,7 @@ from microact.clustering import (
     segment_edges,
     segment_features,
     semantic_label,
+    _inertia,
     _lloyd,
 )
 
@@ -223,8 +224,11 @@ class TestKMeans:
         rng = np.random.default_rng(11)
         F = rng.normal(size=(60, 2))
         centers0 = F[rng.choice(60, size=3, replace=False)]
-        trace = []
-        _lloyd(F, centers0.copy(), 300, trace=trace)
+        # _lloyd stopped after n iterations, from the same start, is its
+        # n-th step
+        trace = [_inertia(F, *_lloyd(F, centers0.copy(), n)[:2])
+                 for n in range(1, 31)]
+        assert len(set(trace)) > 1
         assert all(b <= a + 1e-9 for a, b in zip(trace, trace[1:]))
 
     def test_permutation_invariance(self):

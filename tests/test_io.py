@@ -20,7 +20,7 @@ from microact import (
     TipTrajectory,
     TruthInstance,
 )
-from microact import io, pipeline
+from microact import io, load_config, pipeline
 from microact.io import (
     ParseError,
     load_boundaries,
@@ -49,7 +49,6 @@ from microact.io import (
     save_tips,
     save_track_rows,
     save_truth_instances,
-    validate_stream,
 )
 from microact.records import SkillLevel, TipCandidateTable, TrackObservation
 from microact.segmentation import enhance, ssm
@@ -169,36 +168,47 @@ class TestDetectionProperties:
 
 
 class TestValidateStream:
-    def test_contiguous_frames_zero_gaps(self):
-        stream = [det(f) for f in range(10)]
-        report = validate_stream(stream)
-        assert report.gaps == []
-        assert report.frame_range == (0, 9)
+    """The detection-stream counts of the track stage's summary: a gap is
+    a run of frames with no detection between two frames that have some,
+    an anomaly a (frame, class) pair detected more than once."""
 
-    def test_gap_detected(self):
-        stream = [det(0), det(1), det(5)]
-        report = validate_stream(stream)
-        assert report.gaps == [(1, 3)]
+    @staticmethod
+    def counts(tmp_path, stream) -> tuple[int, int]:
+        # the stream as load_detections returns it, through the memo
+        stream = sorted(stream, key=lambda d: d.frame)
+        summary = pipeline.stage_track(tmp_path, load_config(environ={}), memo={
+            "meta": {"fps": 5.0, "n_frames": 12}, "detections": stream})
+        return summary["detection_gaps"], summary["detection_anomalies"]
 
-    def test_two_simultaneous_needles_flagged(self):
+    def test_contiguous_frames_zero_gaps(self, tmp_path):
+        assert self.counts(tmp_path, [det(f) for f in range(10)]) == (0, 0)
+
+    def test_gap_detected(self, tmp_path):
+        assert self.counts(tmp_path, [det(0), det(1), det(5)]) == (1, 0)
+        assert self.counts(tmp_path, [det(7), det(0), det(2), det(3)]) == (2, 0)
+
+    def test_two_simultaneous_needles_flagged(self, tmp_path):
         stream = [det(3, InstrumentClass.NEEDLE), det(3, InstrumentClass.NEEDLE)]
-        report = validate_stream(stream)
-        assert len(report.anomalies) == 1
-        assert "needle" in report.anomalies[0]
+        assert self.counts(tmp_path, stream) == (0, 1)
 
-    def test_distinct_classes_not_flagged(self):
+    def test_each_repeated_pair_counts_once(self, tmp_path):
+        sc = InstrumentClass.SCISSORS_C
+        stream = [det(3), det(3), det(3), det(4), det(4, sc), det(4, sc),
+                  det(4)]
+        assert self.counts(tmp_path, stream) == (0, 3)
+
+    def test_distinct_classes_not_flagged(self, tmp_path):
         stream = [det(3, InstrumentClass.NEEDLE), det(3, InstrumentClass.SCISSORS_C)]
-        assert validate_stream(stream).anomalies == []
+        assert self.counts(tmp_path, stream) == (0, 0)
 
-    def test_never_mutates(self):
+    def test_never_mutates(self, tmp_path):
         stream = [det(0), det(2)]
         before = [(d.frame, d.bbox) for d in stream]
-        validate_stream(stream)
+        self.counts(tmp_path, stream)
         assert [(d.frame, d.bbox) for d in stream] == before
 
-    def test_empty_stream(self):
-        report = validate_stream([])
-        assert report.n_records == 0 and report.frame_range is None
+    def test_empty_stream(self, tmp_path):
+        assert self.counts(tmp_path, []) == (0, 0)
 
 
 class TestMeta:
@@ -345,7 +355,8 @@ class CandidateSet(NamedTuple):
 
 def candidate_table(sets: dict) -> TipCandidateTable:
     """The table of ``{(frame, object_id): CandidateSet}``, sets in the
-    dict's order."""
+    dict's order; a set without a box gets a NaN row, which the writer
+    refuses."""
     keys = list(sets)
     cands = [c for key in keys for c in sets[key].candidates]
     return TipCandidateTable(
@@ -362,7 +373,8 @@ def candidate_table(sets: dict) -> TipCandidateTable:
 
 def oracle_save_tip_candidates(sets: dict, path) -> None:
     """The candidate writer over a dict of CandidateSets, one record per
-    key in sorted key order."""
+    key in sorted key order, with no checks: it writes the sets that the
+    loader refuses too, and a set without a box as a record without one."""
     def record(key):
         cset = sets[key]
         rec = {"frame": key[0], "object_id": key[1], "candidates": [
@@ -377,18 +389,12 @@ def oracle_save_tip_candidates(sets: dict, path) -> None:
 
 def same_table(a: TipCandidateTable, b: TipCandidateTable) -> bool:
     """Whether two tables hold the same sets in the same order; NaN equals
-    NaN, so a missing box and a NaN descriptor compare equal."""
+    NaN, so NaN descriptors compare equal."""
     return all(
         x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
         for x, y in ((a.set_keys, b.set_keys), (a.boxes, b.boxes),
                      (a.offsets, b.offsets), (a.points, b.points),
                      (a.descriptors, b.descriptors)))
-
-
-def crop_box(table, i):
-    """Set ``i``'s crop box as a tuple of floats, None without one."""
-    box = tuple(table.boxes[i].tolist())
-    return None if math.isnan(box[0]) else box
 
 
 def set_rows(table, i) -> slice:
@@ -400,19 +406,27 @@ _coord = st.floats(allow_nan=False, allow_infinity=False)
 _crop = st.tuples(_coord, _coord, st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
 
 
+def _nonzero_norm(d: np.ndarray) -> bool:
+    """Whether ``d``'s norm, as ``localize_tip`` computes it, is not zero
+    (NaN counts as not zero)."""
+    with np.errstate(over="ignore"):
+        return not math.sqrt(d @ d) == 0.0
+
+
 @st.composite
 def candidate_sets(draw) -> dict:
-    """Random ``{(frame, object_id): CandidateSet}`` with unsorted keys,
-    empty sets, sets without a box and NaN descriptors."""
+    """Random ``{(frame, object_id): CandidateSet}`` that the writer takes:
+    unsorted keys, every set boxed and holding one to four candidates,
+    NaN descriptor values but no zero-norm descriptor."""
     width = draw(st.integers(1, 4))
     keys = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)),
                          unique=True, max_size=12))
     descriptor = st.lists(st.floats(allow_infinity=False), min_size=width,
-                          max_size=width).map(np.array)
+                          max_size=width).map(np.array).filter(_nonzero_norm)
     return {key: CandidateSet(
         candidates=draw(st.lists(st.tuples(_coord, _coord, descriptor),
-                                 max_size=4)),
-        bbox=draw(st.none() | _crop)) for key in keys}
+                                 min_size=1, max_size=4)),
+        bbox=draw(_crop)) for key in keys}
 
 
 class TestCandidatesDescriptors:
@@ -423,7 +437,8 @@ class TestCandidatesDescriptors:
                             (3.0, 4.0, np.array([1.0, 0.0]))],
                 bbox=(10.0, 20.0, 40.0, 40.0)),
             (1, 1): CandidateSet(
-                candidates=[(0.0, 0.0, np.array([0.0, 1.0]))]),
+                candidates=[(0.0, 0.0, np.array([0.0, 1.0]))],
+                bbox=(0.5, 0.0, 8.0, 4.0)),
         }
         p = tmp_path / "cands.jsonl"
         save_tip_candidates(candidate_table(cands), p)
@@ -431,7 +446,7 @@ class TestCandidatesDescriptors:
         keys = [tuple(key) for key in loaded.set_keys.tolist()]
         assert keys == sorted(cands)
         for i, key in enumerate(keys):
-            assert crop_box(loaded, i) == cands[key].bbox
+            assert tuple(loaded.boxes[i].tolist()) == cands[key].bbox
             rows = set_rows(loaded, i)
             got = list(zip(loaded.points[rows].tolist(),
                            loaded.descriptors[rows]))
@@ -458,22 +473,68 @@ class TestCandidatesDescriptors:
                 candidates=[(1.0, 2.0, np.array([0.5, 0.5])),
                             (3.0, 4.0, np.array([1.0, 0.0]))],
                 bbox=(10.0, 20.0, 40.0, 40.0)),
-            (3, 1): CandidateSet(candidates=[]),
+            (3, 1): CandidateSet(
+                candidates=[(5.0, 6.0, np.array([0.25, 0.0]))],
+                bbox=(0.0, 0.0, 1.0, 2.0)),
             (0, 7): CandidateSet(
-                candidates=[(0.0, 0.0, np.array([0.0, 1.0]))]),
+                candidates=[(0.0, 0.0, np.array([0.0, 1.0]))],
+                bbox=(1.0, 1.0, 3.0, 3.0)),
         }
         p = tmp_path / "cands.jsonl"
         save_tip_candidates(candidate_table(cands), p)
         table = load_tip_candidates(p)
         # file order, which is sorted key order
         assert table.set_keys.tolist() == [[0, 7], [3, 1], [3, 2]]
-        assert table.offsets.tolist() == [0, 1, 1, 3]
-        assert table.points.tolist() == [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]]
-        assert table.descriptors.tolist() == [[0.0, 1.0], [0.5, 0.5],
-                                              [1.0, 0.0]]
-        assert [crop_box(table, i) for i in range(3)] == \
-            [None, None, (10.0, 20.0, 40.0, 40.0)]
-        assert table.boxed_sets().tolist() == [2]
+        assert table.offsets.tolist() == [0, 1, 2, 4]
+        assert table.points.tolist() == [[0.0, 0.0], [5.0, 6.0], [1.0, 2.0],
+                                         [3.0, 4.0]]
+        assert table.descriptors.tolist() == [[0.0, 1.0], [0.25, 0.0],
+                                              [0.5, 0.5], [1.0, 0.0]]
+        assert table.boxes.tolist() == [[1.0, 1.0, 3.0, 3.0],
+                                        [0.0, 0.0, 1.0, 2.0],
+                                        [10.0, 20.0, 40.0, 40.0]]
+
+    @pytest.mark.parametrize("fault, reason", [
+        ({"bbox": None},
+         "has no finite crop box of positive width and height"),
+        ({"bbox": (0.0, 0.0, 0.0, 2.0)},
+         "has no finite crop box of positive width and height"),
+        ({"candidates": []}, "has no tip candidates"),
+        ({"candidates": [(0.0, 0.0, np.array([1.0, 0.0])),
+                         (1.0, 1.0, np.array([0.0, 0.0]))]},
+         "has a zero-norm descriptor"),
+        ({"candidates": [(0.0, 0.0, np.array([1e-200, 0.0]))]},
+         "has a zero-norm descriptor"),
+        ({"candidates": [(math.inf, 0.0, np.array([1.0, 0.0]))]},
+         "has a candidate point that is not finite"),
+    ], ids=["no-box", "zero-width-box", "empty", "zero-descriptor",
+            "underflowing-descriptor", "infinite-point"])
+    def test_writer_refuses_what_the_loader_refuses(self, tmp_path, fault,
+                                                    reason):
+        # a good set first, so the refused one is the second written
+        good = CandidateSet(candidates=[(0.0, 0.0, np.array([1.0, 0.0]))],
+                            bbox=(0.0, 0.0, 2.0, 2.0))
+        cands = {(0, 1): good, (2, 5): good._replace(**fault)}
+        p = tmp_path / "cands.jsonl"
+        with pytest.raises(ValueError) as caught:
+            save_tip_candidates(candidate_table(cands), p)
+        assert str(caught.value) == f"tip candidate set (frame 2, object 5) {reason}"
+        assert list(tmp_path.iterdir()) == []
+        # the loader refuses the same set at its line
+        oracle_save_tip_candidates(cands, p)
+        with pytest.raises(ParseError) as caught:
+            load_tip_candidates(p)
+        assert caught.value.line_no == 2
+
+    def test_writer_refuses_a_repeated_key(self, tmp_path):
+        good = CandidateSet(candidates=[(0.0, 0.0, np.array([1.0]))],
+                            bbox=(0.0, 0.0, 2.0, 2.0))
+        table = candidate_table({(0, 1): good, (2, 5): good})
+        table.set_keys[1] = (0, 1)
+        with pytest.raises(ValueError, match=r"^tip candidate set \(frame 0, "
+                           r"object 1\) has a repeated \(frame, object_id\)$"):
+            save_tip_candidates(table, tmp_path / "cands.jsonl")
+        assert list(tmp_path.iterdir()) == []
 
     def test_descriptors_round_trip(self, tmp_path):
         refs = {
@@ -488,17 +549,25 @@ class TestCandidatesDescriptors:
             assert np.array_equal(loaded[cls], refs[cls])
 
     def test_zero_descriptor_rejected(self, tmp_path):
+        # 1e-200 is nonzero, but its square underflows to a zero norm
         p = tmp_path / "refs.json"
-        p.write_text('{"needle": [0.0, 0.0]}\n')
-        with pytest.raises(ValueError, match="nonzero"):
-            load_reference_descriptors(p)
+        for vector in ("[0.0, 0.0]", "[1e-200, 0.0]", "[]"):
+            p.write_text('{\n "needle": ' + vector + '\n}\n')
+            with pytest.raises(ParseError) as caught:
+                load_reference_descriptors(p)
+            assert str(caught.value) == (
+                f"{p}:2: class 'needle': the descriptor must be a vector of "
+                "nonzero norm")
 
 
 BOX = '"y": 0, "w": 2, "h": 2'
 TRUTH = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + '}'
 TRACK_ROW = '{"frame": 0, "object_id": 1, "class": "needle", "x": 0, ' + BOX + ', "det_index": 0}'
-CANDS = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
-         '"descriptor": [0.0, 1.0]}, {"x": 1, "y": 1, "descriptor": [1.0, 0.0]}]}')
+# a candidate set without its crop box, and with it
+CANDS_NO_BOX = ('{"frame": 0, "object_id": 1, "candidates": [{"x": 0, "y": 0, '
+                '"descriptor": [0.0, 1.0]}, {"x": 1, "y": 1, '
+                '"descriptor": [1.0, 0.0]}]}')
+CANDS = CANDS_NO_BOX[:-1] + ', "x": 0, ' + BOX + '}'
 
 
 SEGMENTS = "index,start_frame,end_frame,cluster,action,duration_s\n"
@@ -550,7 +619,7 @@ def test_malformed_row_names_file_and_line(tmp_path, load, text, line_no):
     (load_track_rows, TRACK_ROW.replace('"x": 0, ' + BOX, "BOX")),
     (load_refined_tracks, '{"frame": 0, "object_id": 1, "class": "needle", '
                           'BOX, "provenance": "detected"}'),
-    (load_tip_candidates, CANDS[:-1] + ", BOX}"),
+    (load_tip_candidates, CANDS_NO_BOX[:-1] + ", BOX}"),
 ], ids=["detections", "truth", "track-rows", "refined", "candidate-crop"])
 @pytest.mark.parametrize("box", [
     '"x": NaN, "y": 0, "w": 2, "h": 2', '"x": 0, "y": Infinity, "w": 2, "h": 2',

@@ -9,7 +9,7 @@ file round-trips.
 import numpy as np
 import pytest
 
-from microact import io
+from microact import io, load_config, pipeline
 from microact.records import ActionClass, InstrumentClass, SkillLevel
 from microact.synth import (ActionSpec, ProcedureScript, SLOPPINESS_BY_LEVEL,
                             SLOT_CLASSES, SyntheticProcedure, generate,
@@ -256,8 +256,8 @@ class TestDeterminismAndFiles:
             assert tuple(box) == dets[key].bbox
             ref_of.append(classes.index(dets[key].class_id))
         got = localize_tip(
-            table.points, table.descriptors, table.offsets, np.arange(40),
-            [proc.reference_descriptors[c] for c in classes], ref_of, boxes)
+            table, np.arange(40),
+            [proc.reference_descriptors[c] for c in classes], ref_of)
         want = [tips[(slot, f)] for f, slot in keys]
         assert got.shape == (40, 2)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
@@ -286,8 +286,23 @@ class TestDeterminismAndFiles:
         assert len(truth) == len(proc.truth)
         scores = io.load_scores(paths["scores"])
         assert len(scores) == 2
-        report = io.validate_stream(dets)
-        assert report.n_records == len(dets)
+        # the track stage counts the detector's gaps and repeated classes:
+        # runs of empty frames between frames with detections, and (frame,
+        # class) pairs detected more than once
+        io.save_json({"fps": proc.fps, "n_frames": proc.n_frames},
+                     tmp_path / "proc" / "meta.json")
+        summary = pipeline.stage_track(tmp_path / "proc",
+                                       load_config(environ={}))
+        by_frame = {}
+        for d in dets:
+            by_frame.setdefault(d.frame, []).append(d.class_id)
+        seen = [f in by_frame for f in range(min(by_frame), max(by_frame) + 1)]
+        gaps = sum(1 for a, b in zip(seen, seen[1:]) if a and not b)
+        anomalies = sum(1 for classes in by_frame.values()
+                        for c in set(classes) if classes.count(c) > 1)
+        assert gaps > 0 and anomalies > 0
+        assert (summary["detection_gaps"], summary["detection_anomalies"]) \
+            == (gaps, anomalies)
 
     def test_write_procedure_keys_follow_artifact_table(self, tmp_path):
         paths = write_procedure(generate(one_step(ActionClass.CUTTING)), tmp_path)

@@ -19,8 +19,9 @@ Oracles:
   * tip localization against exhaustive similarity computation and the
     per-candidate loop (``localize_tip_scalar``) on tie-heavy sets; the
     batched ``localize_tip`` against the per-set match it replaced
-    (``localize_tip_set``), bits and errors; and the tips stage against
-    its per-frame loop (``tips_scalar``), set choice, tips and winners.
+    (``localize_tip_set``) for its bits, and against ``batch_error`` for
+    its checks; and the tips stage against its per-frame loop
+    (``tips_scalar``), set choice, tips and winners.
 """
 
 import itertools
@@ -36,8 +37,8 @@ from scipy.optimize import linear_sum_assignment
 from microact import io, pipeline, tracking
 from microact.config import load_config
 from microact.records import (Detection, InstrumentClass, Provenance,
-                              RefinedTrack, TrackObservation,
-                              TruthInstance)
+                              RefinedTrack, TipCandidateTable,
+                              TrackObservation, TruthInstance)
 from microact.synth import generate, paper_shaped_script
 from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
                                KalmanState, associate, iou, iou_pairs,
@@ -45,8 +46,10 @@ from microact.tracking import (DEFAULT_DELETE_AFTER, InstrumentTracker,
                                kalman_predict, kalman_update, localize_tip,
                                measurement_to_bbox, recovery_correction_rates,
                                refine_identity, state_bbox)
+from microact.validation import row_dots
 
-from test_io import CandidateSet, candidate_table
+from test_io import (CandidateSet, candidate_table,
+                     oracle_save_tip_candidates, set_rows)
 
 SC = InstrumentClass.SCISSORS_C
 ND = InstrumentClass.NEEDLE_DRIVER_C
@@ -717,11 +720,11 @@ def localize_tip_set(points, descriptors, reference, bbox=None):
     if D.ndim != 2 or D.shape[1:] != ref.shape:
         raise ValueError(f"descriptor dimension mismatch: candidates "
                          f"{D.shape[1:]} vs reference {ref.shape}")
-    dn = np.sqrt(tracking._row_dots(D, D))
+    dn = np.sqrt(row_dots(D, D))
     if np.count_nonzero(dn) < len(dn):
         raise ValueError(f"zero-norm descriptor at candidate "
                          f"{np.flatnonzero(dn == 0.0)[0]}")
-    sims = tracking._row_dots(D, ref) / (dn * rn)
+    sims = row_dots(D, ref) / (dn * rn)
     best = int(sims.argmax())
     if math.isnan(sims[best]):  # argmax stops at the first NaN
         best = int(np.where(np.isnan(sims), -np.inf, sims).argmax())
@@ -732,10 +735,23 @@ def localize_tip_set(points, descriptors, reference, bbox=None):
     return (x, y)
 
 
-def localize_one(points, descriptors, reference, bbox=(0.0, 0.0, 1.0, 1.0)):
+def table_of(sets, boxes, d) -> TipCandidateTable:
+    """The table of ``sets``, each a list of (x, y, descriptor) candidates
+    of width ``d``, with crop boxes ``boxes``; keys are (set index, 0)."""
+    cands = [c for cset in sets for c in cset]
+    points, descriptors = columns(cands)
+    return TipCandidateTable(
+        set_keys=np.array([(i, 0) for i in range(len(sets))],
+                          dtype=np.int64).reshape(-1, 2),
+        boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
+        offsets=np.cumsum([0] + [len(cset) for cset in sets], dtype=np.int64),
+        points=points, descriptors=descriptors.reshape(-1, d))
+
+
+def localize_one(cands, reference, bbox=(0.0, 0.0, 1.0, 1.0)):
     """``localize_tip`` on one set and one reference, as a tuple."""
-    tips = localize_tip(points, descriptors, [0, len(points)], [0],
-                        [reference], [0], [bbox])
+    d = len(cands[0][2]) if cands else 1
+    tips = localize_tip(table_of([cands], [bbox], d), [0], [reference], [0])
     assert tips.shape == (1, 2)
     return tuple(tips[0].tolist())
 
@@ -746,14 +762,14 @@ def bits(values) -> np.ndarray:
 
 class TestLocalizeTip:
     def test_single_candidate(self):
-        p = localize_one(*columns([(3.0, 4.0, np.array([1.0, 0.0]))]),
+        p = localize_one([(3.0, 4.0, np.array([1.0, 0.0]))],
                          np.array([0.5, 0.5]))
         assert p == (3.0, 4.0)
 
     def test_opposite_descriptor_loses(self):
         ref = np.array([1.0, 2.0, 3.0])
         cands = [(0.0, 0.0, ref.copy()), (9.0, 9.0, -ref)]
-        assert localize_one(*columns(cands), ref) == (0.0, 0.0)
+        assert localize_one(cands, ref) == (0.0, 0.0)
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(5)
@@ -765,8 +781,7 @@ class TestLocalizeTip:
             sims = [float(d @ ref) / (np.linalg.norm(d) * np.linalg.norm(ref))
                     for _, _, d in cands]
             best = int(np.argmax(sims))
-            assert localize_one(*columns(cands), ref) == (float(best),
-                                                          float(best))
+            assert localize_one(cands, ref) == (float(best), float(best))
 
     @settings(max_examples=40, deadline=None)
     @given(scale=st.floats(0.001, 1000.0),
@@ -775,40 +790,49 @@ class TestLocalizeTip:
         rng = np.random.default_rng(seed)
         ref = rng.normal(size=5)
         cands = [(float(i), 0.0, rng.normal(size=5)) for i in range(4)]
-        base = localize_one(*columns(cands), ref)
+        base = localize_one(cands, ref)
         scaled = [(x, y, d * scale) for x, y, d in cands]
-        assert localize_one(*columns(scaled), ref * scale) == base
+        assert localize_one(scaled, ref * scale) == base
 
     def test_tie_keeps_lowest_index(self):
         ref = np.array([1.0, 0.0])
         d = np.array([2.0, 0.0])
         cands = [(0.0, 0.0, d), (5.0, 5.0, d * 3)]  # identical similarity 1
-        assert localize_one(*columns(cands), ref) == (0.0, 0.0)
+        assert localize_one(cands, ref) == (0.0, 0.0)
 
     def test_bbox_offset_applied(self):
-        p = localize_one(*columns([(3.0, 4.0, np.array([1.0]))]),
+        p = localize_one([(3.0, 4.0, np.array([1.0]))],
                          np.array([2.0]), bbox=(100.0, 200.0, 50.0, 50.0))
         assert p == (103.0, 204.0)
 
     def test_no_pairs(self):
-        tips = localize_tip(np.empty((0, 2)), np.empty((0, 3)), [0], [], [],
-                            [], np.empty((0, 4)))
+        tips = localize_tip(table_of([], [], 3), [], [], [])
         assert tips.shape == (0, 2)
 
     def test_errors(self):
         with pytest.raises(ValueError, match="^no tip candidates$"):
-            localize_one(np.empty((0, 2)), np.empty((0, 1)), np.array([1.0]))
+            localize_one([], np.array([1.0]))
         with pytest.raises(ValueError, match="^zero-norm reference"):
-            localize_one(*columns([(0, 0, np.array([1.0]))]), np.array([0.0]))
+            localize_one([(0, 0, np.array([1.0]))], np.array([0.0]))
         with pytest.raises(ValueError, match="^zero-norm descriptor at "
                                              "candidate 1$"):
-            localize_one(*columns([(0, 0, np.array([1.0])),
-                                   (0, 0, np.array([0.0])),
-                                   (0, 0, np.array([0.0]))]), np.array([1.0]))
+            localize_one([(0, 0, np.array([1.0])), (0, 0, np.array([0.0])),
+                          (0, 0, np.array([0.0]))], np.array([1.0]))
         with pytest.raises(ValueError, match=r"^descriptor dimension "
                            r"mismatch: candidates \(2,\) vs reference \(1,\)$"):
-            localize_one(*columns([(0, 0, np.array([1.0, 2.0]))]),
-                         np.array([1.0]))
+            localize_one([(0, 0, np.array([1.0, 2.0]))], np.array([1.0]))
+
+    def test_checks_read_only_the_references_in_use(self):
+        # an unused zero-norm reference, or one of another width, is no
+        # fault; an empty set is reported before a used zero-norm reference
+        table = table_of([[(0.0, 0.0, np.array([1.0, 0.0]))], []],
+                         [(1.0, 2.0, 3.0, 3.0)] * 2, 2)
+        refs = [np.array([1.0, 1.0]), np.zeros(2), np.ones(3)]
+        assert localize_tip(table, [0], refs, [0]).tolist() == [[1.0, 2.0]]
+        with pytest.raises(ValueError, match="^no tip candidates$"):
+            localize_tip(table, [0, 1], refs, [1, 0])
+        with pytest.raises(ValueError, match="^zero-norm reference"):
+            localize_tip(table, [0, 0], refs, [2, 1])
 
     @settings(max_examples=200, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
@@ -829,7 +853,7 @@ class TestLocalizeTip:
         if rng.random() < 0.5:
             ref = rng.normal(size=d)
         bbox = (rng.normal(), rng.normal(), 5.0, 5.0)
-        assert localize_one(*columns(cands), ref, bbox=bbox) == \
+        assert localize_one(cands, ref, bbox=bbox) == \
             localize_tip_scalar(cands, ref, bbox=bbox)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -843,8 +867,8 @@ class TestLocalizeTip:
         # set too), -0.0 points and crop offsets, several references and
         # pairs in any set order with repeats; with faults, empty sets,
         # zero-norm descriptors and references and a reference of another
-        # width: the batch must raise the first pair's error, in pair
-        # order, with the per-set text, or give the per-set bits
+        # width: the batch must raise the error of its checks in their
+        # order (``batch_error``), or give the per-set bits
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(2, d))
         sets = []
@@ -866,11 +890,11 @@ class TestLocalizeTip:
             if rows and rng.random() < 0.1:
                 rows = [np.full(d, np.nan) for _ in rows]
             sets.append(rows)
-        descriptors = np.array([v for rows in sets for v in rows]
-                               ).reshape(-1, d)
-        points = rng.choice([0.0, -0.0, 1.5, -2.25, 7.0],
-                            size=(len(descriptors), 2))
-        offsets = np.cumsum([0] + [len(rows) for rows in sets])
+        crops = rng.choice([0.0, -0.0, 3.0, -1e-300, 1e300], size=(n_sets, 4))
+        table = table_of(
+            [[(x, y, v) for (x, y), v in zip(
+                rng.choice([0.0, -0.0, 1.5, -2.25, 7.0], size=(len(rows), 2)),
+                rows)] for rows in sets], crops, d)
         refs = [base[0] * 2.5, rng.normal(size=d), np.round(base[1]) + 1.0]
         if faults:
             refs += [np.full(d, 1e-200), rng.normal(size=d + 1)]
@@ -879,33 +903,50 @@ class TestLocalizeTip:
         n_pairs = n_pairs if n_sets else 0
         pair_sets = rng.integers(0, max(n_sets, 1), size=n_pairs)
         ref_of = rng.integers(0, len(refs), size=n_pairs)
-        crops = rng.choice([0.0, -0.0, 3.0, -1e-300, 1e300],
-                           size=(n_pairs, 4))
-        want, error = [], None
-        try:
-            for s, r, crop in zip(pair_sets.tolist(), ref_of.tolist(),
-                                  crops.tolist()):
-                lo, hi = offsets[s], offsets[s + 1]
-                want.append(localize_tip_set(points[lo:hi],
-                                             descriptors[lo:hi], refs[r],
-                                             bbox=tuple(crop)))
-        except ValueError as exc:
-            error = str(exc)
-        args = (points, descriptors, offsets, pair_sets, refs, ref_of, crops)
+        error = batch_error(table, pair_sets, refs, ref_of)
         if error is not None:
             with pytest.raises(ValueError) as caught:
-                localize_tip(*args)
+                localize_tip(table, pair_sets, refs, ref_of)
             assert str(caught.value) == error
         else:
-            assert np.array_equal(bits(localize_tip(*args)), bits(want))
+            want = [localize_tip_set(table.points[set_rows(table, s)],
+                                     table.descriptors[set_rows(table, s)],
+                                     refs[r], bbox=tuple(crops[s]))
+                    for s, r in zip(pair_sets.tolist(), ref_of.tolist())]
+            got = localize_tip(table, pair_sets, refs, ref_of)
+            assert np.array_equal(bits(got), bits(want))
+
+
+def batch_error(table, pair_sets, refs, ref_of):
+    """The error of ``localize_tip``'s checks, in their order, for these
+    pairs, or None: a pair's set with no candidates, then a zero-norm
+    reference in use, then one of another width (the lowest index), then
+    a zero-norm descriptor in the first such pair by reference, then
+    input order."""
+    used = sorted(set(ref_of.tolist()))
+    width = table.descriptors.shape[1:]
+    if any(table.offsets[s] == table.offsets[s + 1] for s in pair_sets):
+        return "no tip candidates"
+    if any(math.sqrt(refs[g] @ refs[g]) == 0.0 for g in used):
+        return "zero-norm reference descriptor"
+    for g in used:
+        if refs[g].shape != width:
+            return (f"descriptor dimension mismatch: candidates {width} vs "
+                    f"reference {refs[g].shape}")
+    for k in np.argsort(ref_of, kind="stable"):
+        for i, v in enumerate(table.descriptors[set_rows(table, pair_sets[k])]):
+            if math.sqrt(v @ v) == 0.0:
+                return f"zero-norm descriptor at candidate {i}"
+    return None
 
 
 def tips_dir(tmp_path, fault_sets, refs):
     """A procedure directory for the tips stage: object 0 (needle driver
     S) and object 1 (scissors C), both at frames 0-3 with one candidate
-    set per frame on their box, so the stage matches eight pairs, object
-    0's first, while grouping by reference puts object 1's first.
-    ``fault_sets`` maps (frame, object) to that set's descriptors."""
+    set per frame on their box, so the stage matches eight pairs; set
+    (frame f, object o) is line 2f + o + 1 of the candidate file.
+    ``fault_sets`` maps (frame, object) to that set's descriptors, which
+    are written unchecked."""
     box = {0: (10.0, 10.0, 20.0, 20.0), 1: (60.0, 60.0, 20.0, 20.0)}
     tracks = [RefinedTrack(object_id=oid, class_id=cls,
                            boxes={f: box[oid] for f in range(4)},
@@ -920,48 +961,43 @@ def tips_dir(tmp_path, fault_sets, refs):
                 candidates=[(1.0, 2.0, np.array(v)) for v in descs],
                 bbox=box[oid])
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
-    io.save_tip_candidates(candidate_table(cands),
-                           tmp_path / "tip_candidates.jsonl")
+    oracle_save_tip_candidates(cands, tmp_path / "tip_candidates.jsonl")
     io.save_reference_descriptors(refs, tmp_path / "reference_descriptors.json")
     io.save_json({"fps": 5.0, "n_frames": 4}, tmp_path / "meta.json")
     return tmp_path
 
 
 REFS = {NDS: np.array([1.0, 1.0]), SC: np.array([1.0, 0.5])}
+WIDE = np.array([1.0, 0.5, 2.0])
 
 
-@pytest.mark.parametrize("fault_sets, refs, message", [
-    ({(2, 0): []}, REFS, "no tip candidates"),
-    ({(3, 1): [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, REFS,
+@pytest.mark.parametrize("fault_sets, refs, key, line_no, reason", [
+    ({(2, 0): []}, REFS, "candidates", 5, "no tip candidates"),
+    ({(3, 1): [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}, REFS, "candidates", 8,
      "zero-norm descriptor at candidate 1"),
-    ({}, {**REFS, NDS: np.array([1e-200, 0.0])},
-     "zero-norm reference descriptor"),
-    ({}, {**REFS, SC: np.array([1.0, 0.5, 2.0])},
-     "descriptor dimension mismatch: candidates (2,) vs reference (3,)"),
-    # object 1's sets come first in the grouped pass, object 0's in
-    # track order, which decides
-    ({(0, 1): [], (3, 0): [[0.0, 0.0]]}, REFS,
-     "zero-norm descriptor at candidate 0"),
-    ({(1, 0): [[1.0, 0.0], [0.0, 0.0]]},
-     {**REFS, SC: np.array([1.0, 0.5, 2.0])},
+    ({(3, 1): [[1.0, 0.0], [1e-200, 0.0]]}, REFS, "candidates", 8,
      "zero-norm descriptor at candidate 1"),
-    ({(1, 0): [], (0, 0): [[0.0, 0.0]]}, REFS,
-     "zero-norm descriptor at candidate 0"),
-    # within a pair, the first failing check decides
-    ({(0, 0): []}, {**REFS, NDS: np.array([1e-200, 0.0])},
+    ({}, {**REFS, NDS: np.array([1e-200, 0.0])}, "references", 2,
+     "class 'needle_driver_s': the descriptor must be a vector of nonzero "
+     "norm"),
+    # the first refused line decides, whatever order the pairs take
+    ({(0, 1): [], (3, 0): [[0.0, 0.0]]}, REFS, "candidates", 2,
      "no tip candidates"),
-    ({}, {**REFS, NDS: np.array([1e-200, 0.0, 0.0])},
-     "zero-norm reference descriptor"),
-    ({(0, 1): [[0.0, 0.0]]}, {**REFS, SC: np.array([1.0, 0.5, 2.0])},
-     "descriptor dimension mismatch: candidates (2,) vs reference (3,)"),
+    # the zero-norm pass runs once the whole file is read
+    ({(1, 0): [], (0, 0): [[0.0, 0.0]]}, REFS, "candidates", 3,
+     "no tip candidates"),
+    # the candidates are read, and refused, before the widths are compared
+    ({(1, 0): [[1.0, 0.0], [0.0, 0.0]]}, {**REFS, SC: WIDE}, "candidates", 3,
+     "zero-norm descriptor at candidate 1"),
 ])
-def test_tips_stage_raises_the_first_pairs_error(tmp_path, fault_sets, refs,
-                                                  message):
+def test_tips_stage_refuses_bad_candidates_at_their_line(
+        tmp_path, fault_sets, refs, key, line_no, reason):
     d = tips_dir(tmp_path, fault_sets, refs)
     cfg = load_config(environ={}, overrides={"tracking": {"confirm_hits": 1}})
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(io.ParseError) as caught:
         pipeline.stage_tips(d, cfg)
-    assert str(caught.value) == message
+    assert str(caught.value) == (f"{d / io.ARTIFACTS[key][0]}:{line_no}: "
+                                 f"{reason} (written by the 'synth' stage)")
 
 
 def tips_scalar(tracks, cands, refs, n_frames, min_hits):
@@ -981,8 +1017,7 @@ def tips_scalar(tracks, cands, refs, n_frames, min_hits):
             chosen, best_iou = None, 0.0
             for key in sorted(k for k in cands if k[0] == f):
                 cbox = cands[key].bbox
-                if (ref is not None and cbox is not None
-                        and iou(box, cbox) > best_iou):
+                if ref is not None and iou(box, cbox) > best_iou:
                     chosen, best_iou = key, iou(box, cbox)
             if chosen is not None and best_iou >= 0.5:
                 cset = cands[chosen]
@@ -1027,7 +1062,7 @@ def test_tips_stage_matches_the_per_frame_loop(tmp_path, seed):
                              base[rng.integers(2)] * rng.choice([1.0, 2.0])
                              if rng.random() < 0.5 else rng.normal(size=3))
                             for _ in range(rng.integers(1, 4))],
-                bbox=None if rng.random() < 0.2 else grid[rng.integers(len(grid))])
+                bbox=grid[rng.integers(len(grid))])
     refs = {SC: base[0], NDS: rng.normal(size=3)}
     io.save_refined_tracks(tracks, tmp_path / "refined_tracks.jsonl")
     io.save_tip_candidates(candidate_table(cands),
