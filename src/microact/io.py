@@ -33,6 +33,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -667,20 +668,27 @@ def save_refined_tracks(tracks: Sequence[RefinedTrack], path: PathLike) -> None:
     """Line-delimited `{frame, object_id, class, x, y, w, h, provenance}`,
     ordered by frame, then object id.  A box that
     :func:`load_refined_tracks` would refuse is a ValueError, raised
-    before the file is opened."""
-    lines = []
+    before the file is opened.  The lines are then merged from the tracks
+    as they are written, not held."""
     for tr in tracks:
+        for frame in tr.frames():
+            _valid_bbox(tuple(map(float, tr.boxes[frame])))
+
+    def lines(tr: RefinedTrack) -> Iterable[tuple[int, int, str]]:
         cls, oid = _json_flat(tr.class_id.value), tr.object_id
         for frame in tr.frames():
-            x, y, w, h = _valid_bbox(tuple(map(float, tr.boxes[frame])))
+            x, y, w, h = map(float, tr.boxes[frame])
             prov = _json_flat(tr.provenance[frame].value)
-            lines.append((frame, oid, f'{{"class": {cls}, "frame": {frame}, '
-                          f'"h": {h!r}, "object_id": {oid}, '
-                          f'"provenance": {prov}, "w": {w!r}, '
-                          f'"x": {x!r}, "y": {y!r}}}\n'))
-    lines.sort(key=lambda item: item[:2])  # stable: ties keep track order
+            yield frame, oid, (f'{{"class": {cls}, "frame": {frame}, '
+                               f'"h": {h!r}, "object_id": {oid}, '
+                               f'"provenance": {prov}, "w": {w!r}, '
+                               f'"x": {x!r}, "y": {y!r}}}\n')
+
+    # each track's lines are in frame order; the merge is stable, so ties
+    # keep track order
+    merged = heapq.merge(*map(lines, tracks), key=lambda item: item[:2])
     with atomic_write(path) as fh:
-        fh.writelines(line for _, _, line in lines)
+        fh.writelines(line for _, _, line in merged)
 
 
 def load_refined_tracks(path: PathLike) -> list[RefinedTrack]:
@@ -789,9 +797,11 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
     Each set has a (frame, object_id) of its own, a crop box (finite, of
     positive width and height) and at least one candidate; every x and y
     is finite, and all descriptors share the first one's length.  Once
-    the file is read, one pass refuses a descriptor of zero norm as
-    ``tracking.localize_tip`` computes it, underflow included; NaN values
-    are allowed.  Each refusal is a ParseError at the set's line.
+    the file is read, or a record is refused, one pass over the sets read
+    so far refuses a descriptor of zero norm as ``tracking.localize_tip``
+    computes it, underflow included; NaN values are allowed.  Each
+    refusal is a ParseError at the set's line, so the first bad line is
+    the one named.
     """
     keys, boxes, offsets, points, descriptors = [], [], [0], [], []
     seen: set[tuple[int, int]] = set()
@@ -819,7 +829,21 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
         seen.add(key)
         offsets.append(len(points))
 
-    _read_jsonl(path, add)
+    def refuse_zero_norm(rows: np.ndarray, offsets) -> None:
+        zero = _zero_norm_rows(rows)
+        if len(zero):
+            i = int(np.searchsorted(offsets, zero[0], "right")) - 1
+            raise ParseError(path, _record_line(path, i),
+                             f"zero-norm descriptor at candidate "
+                             f"{zero[0] - offsets[i]}")
+
+    try:
+        _read_jsonl(path, add)
+    except ParseError:
+        # a zero-norm descriptor on an earlier line is the first fault
+        if keys:
+            refuse_zero_norm(np.concatenate(descriptors[:len(keys)]), offsets)
+        raise
     table = TipCandidateTable(
         set_keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
         boxes=np.array(boxes, dtype=np.float64).reshape(-1, 4),
@@ -827,12 +851,7 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
         points=np.array(points, dtype=np.float64).reshape(-1, 2),
         descriptors=(np.concatenate(descriptors) if descriptors
                      else np.empty((0, 0))))
-    zero = _zero_norm_rows(table.descriptors)
-    if len(zero):
-        i = int(np.searchsorted(table.offsets, zero[0], "right")) - 1
-        raise ParseError(path, _record_line(path, i),
-                         f"zero-norm descriptor at candidate "
-                         f"{zero[0] - table.offsets[i]}")
+    refuse_zero_norm(table.descriptors, table.offsets)
     return table
 
 

@@ -12,11 +12,15 @@ its stages share one in-memory ``memo`` (artifact key -> the value its
 ``io.ARTIFACTS`` loader returns), filled by the stage that writes or
 first parses an artifact.  A value is kept exactly as its loader would return it from
 the file just written, so a stage computes the same bytes either way.
-Each stage writes its files when it ends, in `run_all` as on its own.
+An entry is dropped once the last stage that reads it has run
+(:data:`LAST_READER`), so no artifact outlives its last reader.  Each
+stage writes its files when it ends, in `run_all` as on its own.
 
 Where the host has a second usable CPU, `run_all` parses
 ``tip_candidates.jsonl`` in a forked child (:class:`_Child`) while the
-track stage runs.
+track stage runs.  The table's arrays cross the pipe as out-of-band
+pickle buffers (protocol 5), each read straight into the memory its
+array keeps, so the hand-over makes no copy of them.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import functools
 import math
 import multiprocessing
 import os
+import pickle
 import signal
 import sys
 from pathlib import Path
@@ -127,13 +132,17 @@ class _Child:
     """``fn(*args)`` run in a forked child while the caller works on.
 
     The fork hands the child the caller's values as they are at that
-    moment, without pickling.  :meth:`result` receives ``fn``'s value on
-    the calling thread, with no result thread that would allocate in a
-    malloc arena of its own.  It re-raises the child's ``ParseError`` and
-    returns None when the child died without an answer, so the caller
-    does the work in-process.  The child parses text and builds arrays:
-    it starts no thread and calls no BLAS, which is what makes "fork"
-    safe here.
+    moment, without pickling.  The child pickles ``fn``'s value with
+    protocol 5, sends the pickle with the size of each out-of-band buffer
+    (each contiguous numpy array), then writes the buffers' bytes raw to
+    the pipe.  :meth:`result` reads each buffer straight into the memory
+    its array keeps, so no copy of the data is made on the way in; it
+    does so on the calling thread, with no result thread that would
+    allocate in a malloc arena of its own.  It re-raises the child's
+    ``ParseError`` and returns None when the child died without a whole
+    answer, so the caller does the work in-process.  The child parses
+    text and builds arrays: it starts no thread and calls no BLAS, which
+    is what makes "fork" safe here.
     """
 
     def __init__(self, fn, *args):
@@ -160,14 +169,22 @@ class _Child:
 
     def result(self):
         try:
-            value, error = self._conn.recv()
+            header, sizes, error = self._conn.recv()
+            buffers = [bytearray(n) for n in sizes]
+            for buf in buffers:
+                view = memoryview(buf)
+                while view:
+                    got = os.readv(self._conn.fileno(), [view])
+                    if not got:
+                        raise EOFError("the child died mid-answer")
+                    view = view[got:]
         except (EOFError, OSError):
             return None
         finally:
             self.close()
         if error is not None:
             raise error
-        return value
+        return pickle.loads(header, buffers=buffers)
 
     def close(self) -> None:
         """End the child.  One whose pipe was never read blocks writing to
@@ -178,19 +195,27 @@ class _Child:
 
 
 def _run_child(fn, args, conn, parent_end) -> None:
-    """A _Child: send (value, None) or (None, ParseError), or exit 1."""
+    """A _Child: send (pickle, buffer sizes, None) and then the buffers,
+    or (None, [], ParseError); or exit 1."""
     parent_end.close()  # a dead parent then breaks the pipe
     # Ctrl-C reaches the whole process group; the parent ends this child
     # as it unwinds, so the child ignores it and prints no traceback
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    header = error = None
+    buffers: list = []
     try:
-        reply = (fn(*args), None)
+        header = pickle.dumps(fn(*args), protocol=5,
+                              buffer_callback=buffers.append)
     except io.ParseError as exc:
-        reply = (None, exc)
+        error = exc
     except Exception:  # the caller redoes the work and meets it there
         sys.exit(1)
+    views = [b.raw() for b in buffers]
     with contextlib.suppress(OSError):  # the caller has gone
-        conn.send(reply)
+        conn.send((header, [v.nbytes for v in views], error))
+        for view in views:
+            while view:
+                view = view[os.write(conn.fileno(), view):]
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +312,30 @@ def _confirmed_frames(track, min_hits: int = 1) -> list[int]:
     return out
 
 
+_PAIR_BLOCK = 4096  # (row, crop) pairs whose boxes _crops_of holds at once
+
+
+def _crops_of(table, frames: np.ndarray, boxes: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, sets): each row of (``frames``, ``boxes``) that has a
+    candidate set in ``table``, and that set: the first of its frame's
+    crops, by object id, with the highest IoU with the box.  Det-backed
+    rows carry the detection box verbatim, so the right set matches at
+    IoU 1, and an IoU below 0.5, overlap with a neighbouring instrument's
+    crop, is no match.  Its pair arrays are freed on return."""
+    sets = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id
+    k, j, counts = frame_pairs(frames, table.set_keys[sets, 0])
+    v = np.empty(len(k))
+    for lo in range(0, len(k), _PAIR_BLOCK):  # boxes gathered per block
+        hi = lo + _PAIR_BLOCK
+        v[lo:hi] = iou_pairs(boxes[k[lo:hi]], table.boxes[sets[j[lo:hi]]])
+    # pairs by row, then highest IoU first, then set order
+    order = np.lexsort((-v, k))
+    top = order[(np.cumsum(counts) - counts)[counts > 0]]
+    won = top[v[top] >= 0.5]
+    return k[won], sets[j[won]]
+
+
 def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     """Refined tracks -> one tip trajectory per instrument class.
 
@@ -328,9 +377,6 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
                 raise _bad(proc_dir, "candidates", f"the descriptors have "
                            f"{width} values, but class '{c}' has {len(ref)} "
                            f"in {_path(proc_dir, 'references')}")
-        sets = np.lexsort(table.set_keys.T[::-1])  # by frame, then object id
-        set_frames = table.set_keys[sets, 0]
-        set_boxes = table.boxes[sets]
 
     # one row per (track, confirmed frame), tracks by object id, then
     # frames in order
@@ -355,19 +401,10 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     with_ref = np.flatnonzero(np.isin(cls, present))
     matched = with_ref[:0]
     if len(with_ref):
-        # each row's candidate set: the first of its frame's crops with
-        # the highest IoU with the box; det-backed rows carry the detection
-        # box verbatim, so the right set matches at IoU 1, and 0.5 rejects
-        # overlap with a neighboring instrument's crop
-        k, j, counts = frame_pairs(frames[with_ref], set_frames)
-        v = iou_pairs(boxes[with_ref][k], set_boxes[j])
-        # pairs by row, then highest IoU first, then set order
-        order = np.lexsort((-v, k))
-        top = order[(np.cumsum(counts) - counts)[counts > 0]]
-        won = top[v[top] >= 0.5]
-        matched = with_ref[k[won]]
+        won, chosen = _crops_of(table, frames[with_ref], boxes[with_ref])
+        matched = with_ref[won]
         tips[matched] = localize_tip(
-            table, sets[j[won]], [references[kinds[i]] for i in present],
+            table, chosen, [references[kinds[i]] for i in present],
             np.searchsorted(present, cls[matched]))
 
     # each (class, frame)'s tip comes from its best row: lowest rank, then
@@ -887,6 +924,23 @@ STAGES = (
     ("report", "stage_report", None),
 )
 
+# run_all's memo entries that some stage before report reads last: artifact
+# key -> that stage.  run_all drops the entry once the stage has run, or
+# been skipped, so no entry outlives its last reader; every other entry is
+# read by report and lives until run_all returns.  Presence is graded by
+# predict-skill when a model is given; detections, refined tracks and truth
+# are scored by eval when labels.csv exists.
+LAST_READER = {
+    "track_rows": "track",
+    "tips": "features",
+    "tips_classes": "features",
+    "detections": "eval",
+    "refined": "eval",
+    "truth": "eval",
+    "boundaries_truth": "eval",
+    "presence": "predict-skill",
+}
+
 
 def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     """Every stage of :data:`STAGES` whose condition holds, in order,
@@ -895,12 +949,13 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
 
     The stages share one memo that lives for this call only, so each
     artifact is parsed at most once, and each stage writes its files when
-    it ends.  So a stage that fails, or a write that fails, stops the run
-    where the stage run on its own stops, with the same error and the
-    same files on disk.  With a second usable CPU, one forked child parses
-    the tip candidates while track runs; where it cannot start
-    (:meth:`_Child.start`), or dies, the tips stage parses them
-    in-process.  The child is ended before this returns or raises.
+    it ends; an entry is dropped once its last reader has run
+    (:data:`LAST_READER`).  So a stage that fails, or a write that fails,
+    stops the run where the stage run on its own stops, with the same
+    error and the same files on disk.  With a second usable CPU, one
+    forked child parses the tip candidates while track runs; where it
+    cannot start (:meth:`_Child.start`), or dies, the tips stage parses
+    them in-process.  The child is ended before this returns or raises.
     """
     parse = None
     if (_path(proc_dir, "candidates").exists()
@@ -910,13 +965,17 @@ def run_all(proc_dir, cfg: PipelineConfig, model_path=None) -> dict:
     out = {}
     try:
         for name, fn_name, when in STAGES:
-            if ((when == "labels" and not _path(proc_dir, "labels").exists())
-                    or (when == "model" and model_path is None)):
-                continue
-            extra = {"model_path": model_path} if when == "model" else {}
-            # looked up at call time, so a wrapper set on the module runs
-            out[name.replace("-", "_")] = globals()[fn_name](
-                proc_dir, cfg, memo=memo, **extra)
+            skip = ((when == "labels"
+                     and not _path(proc_dir, "labels").exists())
+                    or (when == "model" and model_path is None))
+            if not skip:
+                extra = {"model_path": model_path} if when == "model" else {}
+                # looked up at call time, so a wrapper set on the module runs
+                out[name.replace("-", "_")] = globals()[fn_name](
+                    proc_dir, cfg, memo=memo, **extra)
+            for key, last in LAST_READER.items():
+                if last == name:
+                    memo.pop(key, None)
     finally:
         if parse is not None:
             parse.close()

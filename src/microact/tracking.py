@@ -535,6 +535,11 @@ def refine_identity(stream: Union[Sequence[TrackObservation],
 
 # --- Tip localization ------------------------------------------------------
 
+# candidate rows gathered per block by localize_tip: 1024 rows of 16
+# descriptor values are 128 KiB
+_GATHER_ROWS = 1024
+
+
 def localize_tip(table: TipCandidateTable, sets: np.ndarray,
                  references: Sequence[np.ndarray],
                  ref_of: np.ndarray) -> np.ndarray:
@@ -557,8 +562,8 @@ def localize_tip(table: TipCandidateTable, sets: np.ndarray,
         return np.empty((0, 2))
     refs = [np.asarray(r, dtype=float) for r in references]
     used = np.unique(ref_of).tolist()
-    # pairs grouped by reference, so each group's candidates are one slice
-    # of D and no reference is copied per row
+    # pairs grouped by reference, so each group's candidates are one run of
+    # rows and no reference is copied per row
     order = np.argsort(ref_of, kind="stable")
     group = ref_of[order]
     starts = table.offsets[sets[order]]
@@ -576,27 +581,34 @@ def localize_tip(table: TipCandidateTable, sets: np.ndarray,
                              f"{width} vs reference {refs[g].shape}")
     ends = np.cumsum(counts)
     firsts = ends - counts
-    rows = np.arange(ends[-1]) + np.repeat(starts - firsts, counts)
-    D = table.descriptors[rows]
-    dn = np.sqrt(row_dots(D, D))
-    zero = np.flatnonzero(dn == 0.0)
-    if len(zero):
-        pair = np.searchsorted(firsts, zero[0], "right") - 1
-        raise ValueError(f"zero-norm descriptor at candidate "
-                         f"{zero[0] - firsts[pair]}")
-    sims = np.empty(len(rows))
-    # rows bounds[g]:bounds[g + 1] are reference g's
+    # the pairs' candidates bounds[g]:bounds[g + 1] are reference g's
     bounds = np.r_[0, ends][np.searchsorted(group, np.arange(len(refs) + 1))]
+    # the descriptors are gathered _GATHER_ROWS candidates at a time, never
+    # all at once, and each block's norms are checked before it is divided
+    # by them
+    sims = np.empty(ends[-1])
     for g in used:
-        lo, hi = bounds[g], bounds[g + 1]
-        sims[lo:hi] = row_dots(D[lo:hi], refs[g]) / (dn[lo:hi] * ref_norms[g])
-    # each pair's first maximum, NaN ranking below every number
+        for lo in range(bounds[g], bounds[g + 1], _GATHER_ROWS):
+            hi = min(lo + _GATHER_ROWS, bounds[g + 1])
+            at = np.arange(lo, hi)
+            pair = np.searchsorted(firsts, at, "right") - 1
+            index = at - firsts[pair]  # within the pair's set
+            D = table.descriptors[starts[pair] + index]
+            dn = np.sqrt(row_dots(D, D))
+            zero = np.flatnonzero(dn == 0.0)
+            if len(zero):
+                raise ValueError(f"zero-norm descriptor at candidate "
+                                 f"{index[zero[0]]}")
+            sims[lo:hi] = row_dots(D, refs[g]) / (dn * ref_norms[g])
+    # each pair's first maximum, NaN ranking below every number; every pair
+    # holds one, so its first is the first hit at or after its first row
     sims[np.isnan(sims)] = -np.inf
-    top = np.repeat(np.maximum.reduceat(sims, firsts), counts)
-    best = np.minimum.reduceat(
-        np.where(sims == top, np.arange(len(sims)), len(sims)), firsts)
+    top = np.maximum.reduceat(sims, firsts)
+    hits = np.flatnonzero(sims == np.repeat(top, counts))
+    best = hits[np.searchsorted(hits, firsts)]
     tips = np.empty((len(sets), 2))
-    tips[order] = table.points[rows[best]] + table.boxes[sets[order], :2]
+    tips[order] = (table.points[starts + (best - firsts)]
+                   + table.boxes[sets[order], :2])
     return tips
 
 

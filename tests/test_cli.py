@@ -12,10 +12,13 @@ import importlib.util
 import inspect
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
 import re
 import shutil
+import signal
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -344,19 +347,85 @@ def run_all_memo(d, monkeypatch, model_path=None) -> dict:
     return seen
 
 
-def test_run_all_memo_matches_files(tmp_path, monkeypatch):
-    d = tmp_path / "p"
-    assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
-    seen = run_all_memo(d, monkeypatch)
+def trained_model(proc_dir, path) -> Path:
+    """A two-round model fitted on random rows of ``proc_dir``'s width."""
+    width = pipeline._skill_rows(proc_dir, load_config())[0][3].shape[0]
+    SkillGradientBoosting(n_estimators=2).fit(
+        np.random.default_rng(0).normal(size=(6, width)),
+        [0, 1, 2] * 2).save(path)
+    return path
 
-    assert set(seen) == {
-        "meta", "detections", "track_rows", "refined", "tips", "tips_classes",
-        "features", "features_meta", "presence", "novelty", "boundaries",
-        "segments", "pred_labels", "labels", "boundaries_truth", "truth",
-        "eval"}
-    for key, value in seen.items():
-        # parsed by the table's loader, as a stage run on its own reads it
-        assert_same(value, pipeline._load(d, key, None), key)
+
+def run_all_drops(d, monkeypatch, model_path=None) -> dict:
+    """{key: the last stage run before run_all dropped it} of every entry
+    its memo held, "report" for those held to the end.  Each entry is
+    compared, once it is dropped, with its file as the table's loader
+    parses it, as a stage run on its own reads it."""
+    held, drops, ran = {}, {}, []
+
+    def check_drops(memo):
+        for key in [k for k in held if k not in memo]:
+            assert_same(held.pop(key), pipeline._load(d, key, None), key)
+            drops[key] = ran[-1]
+
+    with monkeypatch.context() as patch:
+        for name, fn_name, _ in pipeline.STAGES:
+            def checked(proc_dir, cfg, *, memo,
+                        stage=getattr(pipeline, fn_name), name=name,
+                        **kwargs):
+                check_drops(memo)
+                out = stage(proc_dir, cfg, memo=memo, **kwargs)
+                held.update((k, v) for k, v in memo.items()
+                            if k != "candidates")
+                ran.append(name)
+                return out
+
+            patch.setattr(pipeline, fn_name, checked)
+        pipeline.run_all(d, load_config(environ={}), model_path)
+    check_drops({})
+    return drops
+
+
+def test_run_all_memo_matches_files(tmp_path, monkeypatch, base_proc):
+    for model in (None, trained_model(base_proc, tmp_path / "m.json")):
+        d = fresh_proc(tmp_path, "p" if model is None else "q")
+        drops = run_all_drops(d, monkeypatch, model)
+
+        # no entry outlives its last reader (pipeline.LAST_READER);
+        # presence is dropped before report either way, after
+        # predict-skill with a model
+        assert drops == {
+            "track_rows": "track", "tips": "features",
+            "tips_classes": "features", "detections": "eval",
+            "refined": "eval", "truth": "eval", "boundaries_truth": "eval",
+            "presence": "eval" if model is None else "predict-skill",
+            **{key: "report" for key in (
+                "meta", "features", "features_meta", "novelty",
+                "boundaries", "segments", "pred_labels", "labels", "eval")},
+            **({} if model is None else {"skill_pred": "report"})}
+
+
+@pytest.mark.parametrize("with_model", [False, True])
+def test_run_all_parses_each_file_once(tmp_path, monkeypatch, base_proc,
+                                       with_model):
+    # a memo entry dropped before its last reader would be parsed again
+    d = fresh_proc(tmp_path)
+    model = trained_model(base_proc, tmp_path / "m.json") if with_model else None
+    parsed = []
+    for name in {loader for _, _, loader, _ in io.ARTIFACTS.values()
+                 if loader is not None}:
+        def recording(path, load=getattr(io, name)):
+            parsed.append(Path(path).name)
+            return load(path)
+
+        monkeypatch.setattr(io, name, recording)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 1)
+    pipeline.run_all(d, load_config(environ={}), model)
+    assert sorted(parsed) == sorted(
+        ["meta.json", "detections.jsonl", "tip_candidates.jsonl",
+         "reference_descriptors.json", "labels.csv", "boundaries_truth.csv",
+         "truth.jsonl", "eval.json"]
+        + ["skill_predictions.json"] * with_model)
 
 
 def test_every_artifact_round_trips_through_its_saver(tmp_path, monkeypatch):
@@ -364,12 +433,7 @@ def test_every_artifact_round_trips_through_its_saver(tmp_path, monkeypatch):
     d = tmp_path / "p"
     assert run_cli("synth", "--out-dir", d, "--seed", 5) == 0
     pipeline.run_all(d, load_config(environ={}))
-    width = pipeline._skill_rows(d, load_config())[0][3].shape[0]
-    model = tmp_path / "m.json"
-    SkillGradientBoosting(n_estimators=2).fit(
-        np.random.default_rng(0).normal(size=(6, width)),
-        [0, 1, 2] * 2).save(model)
-    seen = run_all_memo(d, monkeypatch, model)
+    seen = run_all_memo(d, monkeypatch, trained_model(d, tmp_path / "m.json"))
 
     out = tmp_path / "out"
     out.mkdir()
@@ -442,6 +506,50 @@ def test_stagewise_equals_run_all_messy_30fps(tmp_path):
     assert any(r.det_index is None for r in rows)  # the tracker coasted
     provenance = (a / "refined_tracks.jsonl").read_text()
     assert '"provenance": "corrected"' in provenance
+
+
+def test_tips_stage_and_track_writer_stay_small(tmp_path, monkeypatch):
+    # the benchmark's messy 30 fps settings on a half-length script, with
+    # the candidates parsed in the child
+    cfg = load_config(environ={}, overrides={
+        "seed": 3, "tracking": {"max_coast": 30},
+        "segmentation": {"half_width": 60, "min_distance": 30}})
+    proc = generate(paper_shaped_script(
+        fps=30.0, seed=3, dropout_rate=0.1, mislabel_rate=0.05,
+        cut_s=2.5, drive_s=4.5, tie_s=3.5, idle_s=1.5))
+    d = tmp_path / "p"
+    write_procedure(proc, d)
+    io.save_json({"procedure_id": "messy-30fps", "fps": proc.fps,
+                  "n_frames": proc.n_frames}, d / "meta.json")
+    peaks = {}
+
+    def traced(module, name):
+        fn = getattr(module, name)
+
+        def run(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+
+        monkeypatch.setattr(module, name, run)
+
+    traced(pipeline, "stage_tips")
+    traced(io, "save_refined_tracks")
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    np.unique([0])  # its first call imports numpy.ma, a one-time cost
+    pipeline.run_all(d, cfg)
+
+    # the table arrives in its final memory, and matching copies none of it
+    table = io.load_tip_candidates(d / "tip_candidates.jsonl")
+    table_bytes = sum(a.nbytes for a in vars(table).values())
+    assert peaks["stage_tips"] < 1.5 * table_bytes
+    # the refined tracks are streamed to their file, not held as lines
+    size = (d / "refined_tracks.jsonl").stat().st_size
+    assert peaks["save_refined_tracks"] < 0.25 * size
+    assert_clean(d)
 
 
 def test_stagewise_equals_run_all_after_semantic_run(tmp_path, base_proc):
@@ -669,6 +777,63 @@ def test_forked_and_in_process_parse_agree(tmp_path, monkeypatch):
     pipeline.run_all(b, cfg)
     assert calls == [os.getpid()]
     assert snapshot(a) == snapshot(b)
+
+
+def arrays_and_a_list() -> dict:
+    return {"empty": np.empty((0, 3)),
+            "fortran": np.asfortranarray(np.arange(12.0).reshape(3, 4)),
+            "ints": np.arange(-3, 4, dtype=np.int32),
+            "strided": np.arange(20.0)[::3],
+            "bits": np.array([np.nan, -0.0, np.inf, 5e-324, 1.0 / 3]),
+            "list": [1, "two", 3.0, None]}
+
+
+def test_child_hands_over_arrays_bit_for_bit():
+    got = pipeline._Child(arrays_and_a_list).result()
+    want = arrays_and_a_list()
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[key].dtype == value.dtype, key
+            assert got[key].shape == value.shape, key
+            assert got[key].tobytes() == value.tobytes(), key
+            assert got[key].flags.writeable, key
+        else:
+            assert got[key] == value
+    assert got["fortran"].flags.f_contiguous
+    assert_clean()
+
+
+def test_child_killed_between_header_and_buffers(tmp_path, monkeypatch,
+                                                 base_proc):
+    # the child sends its pickle, then dies before the first array's bytes
+    d = fresh_proc(tmp_path)
+    parent = os.getpid()
+    write = os.write
+
+    def killed_in_child(fd, data):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(fd, data)
+
+    headers = []
+    recv = multiprocessing.connection.Connection.recv
+
+    def recording(self):
+        headers.append(recv(self))
+        return headers[-1]
+
+    monkeypatch.setattr(os, "write", killed_in_child)
+    monkeypatch.setattr(multiprocessing.connection.Connection, "recv",
+                        recording)
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    calls = record_candidate_parses(monkeypatch)
+    pipeline.run_all(d, load_config(environ={}))
+    (header, sizes, error), = headers
+    assert isinstance(header, bytes) and sum(sizes) > 0 and error is None
+    assert calls == [parent]  # the tips stage parsed in-process
+    assert snapshot(d) == snapshot(base_proc)
+    assert_clean(d)
 
 
 @pytest.mark.parametrize("failure", ["child dies", "fork fails"])

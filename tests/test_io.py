@@ -526,6 +526,35 @@ class TestCandidatesDescriptors:
             load_tip_candidates(p)
         assert caught.value.line_no == 2
 
+    @pytest.mark.parametrize("lines, line_no, reason", [
+        (["good", "zero", "not json"], 2, "zero-norm descriptor at candidate 1"),
+        (["good", "not json", "zero"], 2, "invalid JSON"),
+        # a set refused while it is read is not one of the sets read
+        (["good", "zero with a bad point", "zero"], 2,
+         "candidate point (inf, 0.0) is not finite"),
+        (["good", "zero", "good again"], 2,
+         "zero-norm descriptor at candidate 1"),
+    ])
+    def test_loader_names_the_first_bad_line(self, tmp_path, lines, line_no,
+                                             reason):
+        def record(frame, descriptors, x=0.0):
+            return json.dumps({
+                "frame": frame, "object_id": 1, "x": 0.0, "y": 0.0, "w": 2.0,
+                "h": 2.0, "candidates": [{"x": x, "y": 0.0, "descriptor": d}
+                                         for d in descriptors]})
+
+        text = {"good": record(0, [[1.0, 0.0]]),
+                "zero": record(1, [[1.0, 0.0], [0.0, 0.0]]),
+                "not json": "{",
+                "zero with a bad point": record(2, [[0.0, 0.0]], math.inf),
+                "good again": record(3, [[0.0, 1.0]])}
+        p = tmp_path / "cands.jsonl"
+        p.write_text("".join(text[name] + "\n" for name in lines))
+        with pytest.raises(ParseError) as caught:
+            load_tip_candidates(p)
+        assert caught.value.line_no == line_no
+        assert caught.value.reason.startswith(reason)
+
     def test_writer_refuses_a_repeated_key(self, tmp_path):
         good = CandidateSet(candidates=[(0.0, 0.0, np.array([1.0]))],
                             bbox=(0.0, 0.0, 2.0, 2.0))

@@ -983,9 +983,9 @@ WIDE = np.array([1.0, 0.5, 2.0])
     # the first refused line decides, whatever order the pairs take
     ({(0, 1): [], (3, 0): [[0.0, 0.0]]}, REFS, "candidates", 2,
      "no tip candidates"),
-    # the zero-norm pass runs once the whole file is read
-    ({(1, 0): [], (0, 0): [[0.0, 0.0]]}, REFS, "candidates", 3,
-     "no tip candidates"),
+    # a refused record first runs the zero-norm pass over the sets before it
+    ({(1, 0): [], (0, 0): [[0.0, 0.0]]}, REFS, "candidates", 1,
+     "zero-norm descriptor at candidate 0"),
     # the candidates are read, and refused, before the widths are compared
     ({(1, 0): [[1.0, 0.0], [0.0, 0.0]]}, {**REFS, SC: WIDE}, "candidates", 3,
      "zero-norm descriptor at candidate 1"),
