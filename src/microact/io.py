@@ -63,7 +63,7 @@ from .records import (
     TrackObservation,
     TruthInstance,
 )
-from .validation import row_dots
+from .validation import descriptor_norms
 
 PathLike = Union[str, Path]
 
@@ -752,19 +752,12 @@ def save_tip_candidates(table: TipCandidateTable, path: PathLike) -> None:
     _write_jsonl(path, map(record, order.tolist()))
 
 
-def _zero_norm_rows(descriptors: np.ndarray) -> np.ndarray:
-    """The rows whose norm, as ``tracking.localize_tip`` computes it, is
-    zero, squares that underflow included; overflow is no fault."""
-    with np.errstate(over="ignore"):
-        dots = row_dots(descriptors, descriptors)
-    return np.flatnonzero(np.sqrt(dots) == 0.0)
-
-
 def _check_tip_sets(table: TipCandidateTable) -> None:
     """ValueError, naming a set, if :func:`load_tip_candidates` would
     refuse ``table`` written out; the rules are tried in this order."""
     keys, boxes, counts = table.set_keys, table.boxes, np.diff(table.offsets)
     set_of = np.repeat(np.arange(len(keys)), counts)  # each candidate's set
+    norms, bad = descriptor_norms(table.descriptors)
     for sets, reason in (
             (np.flatnonzero(~np.isfinite(boxes).all(axis=1)
                             | (boxes[:, 2:] <= 0).any(axis=1)),
@@ -772,8 +765,8 @@ def _check_tip_sets(table: TipCandidateTable) -> None:
             (np.flatnonzero(counts == 0), "no tip candidates"),
             (set_of[~np.isfinite(table.points).all(axis=1)],
              "a candidate point that is not finite"),
-            (set_of[_zero_norm_rows(table.descriptors)],
-             "a zero-norm descriptor"),
+            (set_of[bad], "an infinite-norm descriptor"
+             if len(bad) and norms[bad[0]] else "a zero-norm descriptor"),
             (np.setdiff1d(np.arange(len(keys)),
                           np.unique(keys, axis=0, return_index=True)[1]),
              "a repeated (frame, object_id)")):
@@ -798,10 +791,11 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
     positive width and height) and at least one candidate; every x and y
     is finite, and all descriptors share the first one's length.  Once
     the file is read, or a record is refused, one pass over the sets read
-    so far refuses a descriptor of zero norm as ``tracking.localize_tip``
-    computes it, underflow included; NaN values are allowed.  Each
-    refusal is a ParseError at the set's line, so the first bad line is
-    the one named.
+    so far refuses a descriptor of zero or infinite norm as
+    ``tracking.localize_tip`` computes it, underflow and overflow
+    included, and one holding an infinite value; NaN values are allowed.
+    Each refusal is a ParseError at the set's line, so the first bad line
+    is the one named.
     """
     keys, boxes, offsets, points, descriptors = [], [], [0], [], []
     seen: set[tuple[int, int]] = set()
@@ -829,20 +823,20 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
         seen.add(key)
         offsets.append(len(points))
 
-    def refuse_zero_norm(rows: np.ndarray, offsets) -> None:
-        zero = _zero_norm_rows(rows)
-        if len(zero):
-            i = int(np.searchsorted(offsets, zero[0], "right")) - 1
+    def refuse_bad_norm(rows: np.ndarray, offsets) -> None:
+        norms, bad = descriptor_norms(rows)
+        if len(bad):
+            i = int(np.searchsorted(offsets, bad[0], "right")) - 1
             raise ParseError(path, _record_line(path, i),
-                             f"zero-norm descriptor at candidate "
-                             f"{zero[0] - offsets[i]}")
+                             f"{'infinite' if norms[bad[0]] else 'zero'}-norm "
+                             f"descriptor at candidate {bad[0] - offsets[i]}")
 
     try:
         _read_jsonl(path, add)
     except ParseError:
-        # a zero-norm descriptor on an earlier line is the first fault
+        # a descriptor refused on an earlier line is the first fault
         if keys:
-            refuse_zero_norm(np.concatenate(descriptors[:len(keys)]), offsets)
+            refuse_bad_norm(np.concatenate(descriptors[:len(keys)]), offsets)
         raise
     table = TipCandidateTable(
         set_keys=np.array(keys, dtype=np.int64).reshape(-1, 2),
@@ -851,7 +845,7 @@ def load_tip_candidates(path: PathLike) -> TipCandidateTable:
         points=np.array(points, dtype=np.float64).reshape(-1, 2),
         descriptors=(np.concatenate(descriptors) if descriptors
                      else np.empty((0, 0))))
-    refuse_zero_norm(table.descriptors, table.offsets)
+    refuse_bad_norm(table.descriptors, table.offsets)
     return table
 
 
@@ -864,8 +858,9 @@ def save_reference_descriptors(refs: dict[InstrumentClass, np.ndarray],
 def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarray]:
     """reference_descriptors.json back as {class: vector}, in the file's
     order.  A vector whose norm, ``math.sqrt(r @ r)`` as
-    ``tracking.localize_tip`` computes it, is zero is refused, so one whose
-    squares underflow is too."""
+    ``tracking.localize_tip`` computes it, is zero or infinite is refused,
+    so one whose squares underflow or overflow is too, and so is one
+    holding an infinite value."""
     doc = _read_json(path)
     if not isinstance(doc, dict):
         raise ParseError(path, 1, "expected an object of class -> descriptor")
@@ -874,9 +869,14 @@ def load_reference_descriptors(path: PathLike) -> dict[InstrumentClass, np.ndarr
         try:
             cls = InstrumentClass(name)
             arr = np.asarray(vec, dtype=np.float64)
-            if arr.ndim != 1 or math.sqrt(arr @ arr) == 0.0:
+            if arr.ndim != 1:
                 raise ValueError("the descriptor must be a vector of "
                                  "nonzero norm")
+            norms, bad = descriptor_norms(arr[None])
+            if len(bad):
+                raise ValueError("the descriptor must be a vector of "
+                                 + ("finite" if norms[0] else "nonzero")
+                                 + " norm")
         except (ValueError, TypeError) as exc:
             raise ParseError(path, _line_of(path, name),
                              f"class {name!r}: {exc}") from exc

@@ -350,8 +350,9 @@ def stage_tips(proc_dir, cfg: PipelineConfig, *, memo=None) -> dict:
     the candidate producer's ids) and the best-cosine candidate becomes
     the tip, every matched frame in one batched ``localize_tip`` call.
     The loaders refuse an empty set, a set without a crop box and a
-    zero-norm descriptor or reference, each at its line; descriptors of
-    another width than a reference fail here, naming both files.
+    descriptor or reference of zero or infinite norm, each at its line;
+    descriptors of another width than a reference fail here, naming both
+    files.
     Frames without a matching candidate set fall back to the box
     center, which is also the whole story for coasted boxes.
     """

@@ -132,8 +132,8 @@ class TipCandidateTable:
     ``boxes[i]``; its candidates are rows ``offsets[i]:offsets[i + 1]`` of
     ``points`` (crop-local x, y) and ``descriptors``.  ``io`` reads and
     writes a table only when every set has a finite crop box of positive
-    width and height, at least one candidate and no zero-norm
-    descriptor.
+    width and height, at least one candidate and no descriptor of zero
+    or infinite norm.
     """
 
     set_keys: np.ndarray     # (n, 2) int64

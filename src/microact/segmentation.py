@@ -14,12 +14,14 @@ inputs and figure export.
 
 Both are built by numpy's ``einsum`` over the unit rows, not one call per
 diagonal offset: a block of band columns from a sliding window over the
-rows, the dense matrix as one product.  Each entry is the same
-dot-product kernel over the same d products, so the band and the dense
-matrix agree bit for bit.  Novelty correlates each band column with its
-share of the kernel in the frequency domain.  No step calls BLAS, and
-numpy's ``einsum`` loops and FFT run on one thread, so every result has
-the same bits on any CPU count.
+rows themselves (a short zero-padded tail stands in past T), the dense
+matrix as one product.  Each entry is the same dot-product kernel over
+the same d products, so the band and the dense matrix agree bit for
+bit.  Novelty correlates each band column with its share of the kernel
+in the frequency domain, each block's columns and kernels transformed as
+contiguous rows into two spectrum buffers reused by every block.  No
+step calls BLAS, and numpy's ``einsum`` loops and FFT run on one thread,
+so every result has the same bits on any CPU count.
 """
 
 from __future__ import annotations
@@ -117,13 +119,15 @@ def ssm_band(U, h: int, start: int = 0,
 
     ``U`` holds unit rows, as :func:`unit_rows` returns them; a row whose
     squared norm is neither 0 nor within ``_UNIT_TOL`` of 1 is refused,
-    since its dot products would not be cosines.  One ``einsum`` over a
-    sliding window of a zero-padded copy of U fills S(t, t + o), which is
-    then clipped as :func:`ssm` clips; the padding stands in past T.
-    Each entry is :func:`ssm`'s dot product, so the band agrees with the
-    dense matrix exactly, not merely to tolerance, and a block of columns
-    has the bits of the same columns of the whole band.  Memory is
-    T x (stop - start) floats plus a padded copy of U.
+    since its dot products would not be cosines.  An ``einsum`` over a
+    sliding window of U itself fills S(t, t + o) for the rows t <= T -
+    stop, whose windows stay inside U; the last rows read a zero-padded
+    tail of U, the padding standing in past T.  The band is then clipped
+    as :func:`ssm` clips.  Each entry is :func:`ssm`'s dot product, so the
+    band agrees with the dense matrix exactly, not merely to tolerance,
+    and a block of columns has the bits of the same columns of the whole
+    band.  Memory is T x (stop - start) floats plus a tail of at most
+    stop + (stop - start) - 2 rows of U.
     """
     U = check_array(U, name="U")
     h = check_positive_int(h, "h")
@@ -136,11 +140,20 @@ def ssm_band(U, h: int, start: int = 0,
     if not np.all((sq == 0.0) | (np.abs(sq - 1.0) <= _UNIT_TOL)):
         raise ValueError("ssm_band takes unit rows; scale the features "
                          "with unit_rows first")
-    pad = np.zeros((T + stop - 1, d), dtype=np.float64)
-    pad[:T] = U
     n = stop - start
-    band = np.einsum("tkd,td->tk",
-                     sliding_window_view(pad[start:], (n, d))[:, 0], U)
+    band = np.empty((T, n), dtype=np.float64)
+    # rows t <= T - stop see only rows of U: a sliding window of U itself
+    m = max(T - stop + 1, 0)
+    if m:
+        np.einsum("tkd,td->tk", sliding_window_view(U[start:], (n, d))[:, 0],
+                  U[:m], out=band[:m])
+    if m < T:
+        # the windows of the last rows run past T: a zero-padded tail of U
+        tail = np.zeros((T - m + n - 1, d), dtype=np.float64)
+        rest = U[m + start:]
+        tail[:len(rest)] = rest
+        np.einsum("tkd,td->tk", sliding_window_view(tail, (n, d))[:, 0],
+                  U[m:], out=band[m:])
     np.clip(band, -1.0, 1.0, out=band)
     if start == 0:
         band[:, 0] = sq > 0
@@ -194,9 +207,13 @@ def novelty(X, w) -> np.ndarray:
     built by :func:`ssm_band`, squared, transformed with ``rfft`` at L,
     the power of two >= T (s + a <= T - 1, so nothing wraps), multiplied
     by their kernels' conjugate transforms and summed over the offsets,
-    and dropped; one ``irfft`` gives N.  Memory is O(T) per block, never
-    the T x 2h band; time O(T log T) per offset.  No BLAS call, so the
-    bits do not depend on the thread count.
+    and dropped; one ``irfft`` gives N.  Each block's columns and kernels
+    are transformed as rows, one per offset, into two (``_BAND_COLS``,
+    L/2 + 1) complex buffers allocated once per call; pocketfft gives a
+    1-D transform the same bits along any axis, so the layout does not
+    change N.  Memory is U, one block and those two buffers, never the
+    T x 2h band; time O(T log T) per offset.  No BLAS call, so the bits
+    do not depend on the thread count.
     """
     X = check_array(X, name="X")
     w = np.asarray(w, dtype=np.float64)
@@ -211,19 +228,24 @@ def novelty(X, w) -> np.ndarray:
     U = unit_rows(X)
     L = 1 << (T - 1).bit_length()
     acc = np.zeros(L // 2 + 1, dtype=np.complex128)
-    a = np.arange(2 * h)[:, None]
+    # each block's transforms, one contiguous row per offset, into two
+    # buffers reused by every block
+    spec = np.empty((min(_BAND_COLS, 2 * h), L // 2 + 1), dtype=np.complex128)
+    kspec = np.empty_like(spec)
+    a = np.arange(2 * h)
     w_pad = np.concatenate((w, np.zeros(2 * h)))  # w(a + o) is 0 past 2h
     for o0 in range(0, 2 * h, _BAND_COLS):
         o1 = min(o0 + _BAND_COLS, 2 * h)
+        n = o1 - o0
         o = np.arange(o0, o1)
-        # kernels[a, k] = c_o w(a) w(a + o) for the k-th offset o of the block
-        kernels = w[:, None] * w_pad[a + o]
-        kernels[:, o > 0] *= 2.0
-        # one expression, so each block's arrays are freed before the next
-        acc += np.einsum(
-            "fk,fk->f",
-            np.fft.rfft(enhance(ssm_band(U, h, o0, o1)).band, n=L, axis=0),
-            np.fft.rfft(kernels, n=L, axis=0).conj())
+        np.fft.rfft(enhance(ssm_band(U, h, o0, o1)).band.T, n=L, axis=1,
+                    out=spec[:n])
+        # kernels[k, a] = c_o w(a) w(a + o) for the k-th offset o of the block
+        kernels = w_pad[a + o[:, None]] * w
+        kernels[o > 0] *= 2.0
+        np.fft.rfft(kernels, n=L, axis=1, out=kspec[:n])
+        np.conjugate(kspec[:n], out=kspec[:n])
+        acc += np.einsum("kf,kf->f", spec[:n], kspec[:n])
     N[h: T - h] = np.fft.irfft(acc, n=L)[: T - 2 * h]
     return N
 

@@ -37,7 +37,7 @@ from .assignment import assign_blocks, linear_assignment
 from .records import (BBox, Detection, InstrumentClass, Provenance,
                       RefinedTrack, TipCandidateTable, TrackObservation,
                       TruthInstance)
-from .validation import check_bbox, row_dots
+from .validation import check_bbox, descriptor_norms, row_dots
 
 DEFAULT_IOU_GATE = 0.3
 DEFAULT_MAX_GAP = 30       # dropout length the repair pass will bridge
@@ -553,8 +553,11 @@ def localize_tip(table: TipCandidateTable, sets: np.ndarray,
     ``(d @ ref) / (norm(d) * norm(ref))``; exact ties keep the lowest
     candidate index, and a NaN similarity loses to any number.  Raises
     ValueError, checked in this order, when a pair's set is empty, a
-    reference some pair uses has zero norm or another width than the
-    descriptors, or a pair's set holds a zero-norm descriptor.
+    reference some pair uses has zero norm, infinite norm or another
+    width than the descriptors, or a pair's set holds a descriptor of
+    zero or infinite norm.  A norm whose squares underflow or overflow
+    counts as zero or infinite, and so does an infinite value beside a
+    NaN; NaN values alone are allowed.
     """
     sets = np.asarray(sets, dtype=np.intp)
     ref_of = np.asarray(ref_of, dtype=np.intp)
@@ -571,9 +574,13 @@ def localize_tip(table: TipCandidateTable, sets: np.ndarray,
     if not counts.all():
         raise ValueError("no tip candidates")
     # norm()'s arithmetic, for the references some pair uses
-    ref_norms = {g: math.sqrt(refs[g] @ refs[g]) for g in used}
+    with np.errstate(over="ignore"):
+        ref_norms = {g: math.sqrt(refs[g] @ refs[g]) for g in used}
     if 0.0 in ref_norms.values():
         raise ValueError("zero-norm reference descriptor")
+    if any(ref_norms[g] == math.inf or np.isinf(refs[g]).any()
+           for g in used):
+        raise ValueError("infinite-norm reference descriptor")
     width = table.descriptors.shape[1:]
     for g in used:
         if refs[g].shape != width:
@@ -594,11 +601,11 @@ def localize_tip(table: TipCandidateTable, sets: np.ndarray,
             pair = np.searchsorted(firsts, at, "right") - 1
             index = at - firsts[pair]  # within the pair's set
             D = table.descriptors[starts[pair] + index]
-            dn = np.sqrt(row_dots(D, D))
-            zero = np.flatnonzero(dn == 0.0)
-            if len(zero):
-                raise ValueError(f"zero-norm descriptor at candidate "
-                                 f"{index[zero[0]]}")
+            dn, bad = descriptor_norms(D)
+            if len(bad):
+                kind = "infinite" if dn[bad[0]] else "zero"
+                raise ValueError(f"{kind}-norm descriptor at candidate "
+                                 f"{index[bad[0]]}")
             sims[lo:hi] = row_dots(D, refs[g]) / (dn * ref_norms[g])
     # each pair's first maximum, NaN ranking below every number; every pair
     # holds one, so its first is the first hit at or after its first row

@@ -32,6 +32,22 @@ def row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.matmul(A[:, None, :], b[..., None])[:, 0, 0]
 
 
+def descriptor_norms(D: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's norm, ``sqrt(row_dots(D, D))``, and the rows that no
+    cosine can be taken of, ascending.
+
+    A row is refused when its norm is 0 or +inf, squares that underflow
+    or overflow included, or when it holds an infinite value (beside a
+    NaN its norm is NaN).  NaN values alone are allowed.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(row_dots(D, D))
+    bad = (norms == 0.0) | (norms == np.inf)
+    nan = np.flatnonzero(np.isnan(norms))
+    bad[nan[np.isinf(D[nan]).any(axis=1)]] = True
+    return norms, np.flatnonzero(bad)
+
+
 def check_positive_int(value, name: str, minimum: int = 1) -> int:
     iv = int(value)
     if iv != value or iv < minimum:

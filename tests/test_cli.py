@@ -1107,9 +1107,13 @@ def _unboxed(rec):
     (_zeroed(0.0), "zero-norm descriptor at candidate 2"),
     # nonzero, but its squares underflow, so its norm is zero
     (_zeroed(1e-200), "zero-norm descriptor at candidate 2"),
+    # finite, but its squares overflow, so its norm is infinite: it used
+    # to score a cosine of 0
+    (_zeroed(1e200), "infinite-norm descriptor at candidate 2"),
     # a set without a crop box used to be skipped without a word
     (_unboxed, "missing field 'x'"),
-], ids=["empty-set", "zero-descriptor", "underflowing-descriptor", "no-box"])
+], ids=["empty-set", "zero-descriptor", "underflowing-descriptor",
+        "overflowing-descriptor", "no-box"])
 def test_refused_candidate_set_names_its_line(tmp_path, capsys, command,
                                               edit, reason):
     # each used to fail naming no file, or not at all
@@ -1200,8 +1204,10 @@ def test_bad_meta_names_the_synth_stage(tmp_path, base_proc, capsys,
     # nonzero, but its squares underflow, so its norm is zero
     ('{\n "needle": [1e-200, 0.0]\n}\n', 2,
      "class 'needle': the descriptor must be a vector of nonzero norm"),
+    ('{\n "needle": [Infinity, 0.0]\n}\n', 2,
+     "class 'needle': the descriptor must be a vector of finite norm"),
 ], ids=["not-an-object", "unknown-class", "not-numbers", "zero-vector",
-        "underflowing-vector"])
+        "underflowing-vector", "infinite-vector"])
 def test_bad_reference_descriptors_name_the_line(tmp_path, base_proc, capsys,
                                                  doc, line_no, reason):
     # a list used to end the tips stage in a traceback, and an unknown

@@ -406,23 +406,24 @@ _coord = st.floats(allow_nan=False, allow_infinity=False)
 _crop = st.tuples(_coord, _coord, st.floats(1e-3, 1e6), st.floats(1e-3, 1e6))
 
 
-def _nonzero_norm(d: np.ndarray) -> bool:
-    """Whether ``d``'s norm, as ``localize_tip`` computes it, is not zero
-    (NaN counts as not zero)."""
+def _nonzero_finite_norm(d: np.ndarray) -> bool:
+    """Whether ``d``'s norm, as ``localize_tip`` computes it, is neither
+    zero nor infinite (NaN counts as neither)."""
     with np.errstate(over="ignore"):
-        return not math.sqrt(d @ d) == 0.0
+        return math.sqrt(d @ d) not in (0.0, math.inf)
 
 
 @st.composite
 def candidate_sets(draw) -> dict:
     """Random ``{(frame, object_id): CandidateSet}`` that the writer takes:
     unsorted keys, every set boxed and holding one to four candidates,
-    NaN descriptor values but no zero-norm descriptor."""
+    NaN descriptor values but no descriptor of zero or infinite norm."""
     width = draw(st.integers(1, 4))
     keys = draw(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)),
                          unique=True, max_size=12))
     descriptor = st.lists(st.floats(allow_infinity=False), min_size=width,
-                          max_size=width).map(np.array).filter(_nonzero_norm)
+                          max_size=width).map(np.array).filter(
+                              _nonzero_finite_norm)
     return {key: CandidateSet(
         candidates=draw(st.lists(st.tuples(_coord, _coord, descriptor),
                                  min_size=1, max_size=4)),
@@ -507,8 +508,16 @@ class TestCandidatesDescriptors:
          "has a zero-norm descriptor"),
         ({"candidates": [(math.inf, 0.0, np.array([1.0, 0.0]))]},
          "has a candidate point that is not finite"),
+        # finite, but its squares overflow, so its norm is infinite
+        ({"candidates": [(0.0, 0.0, np.array([1e200, 1e200]))]},
+         "has an infinite-norm descriptor"),
+        # written as Infinity
+        ({"candidates": [(0.0, 0.0, np.array([1.0, 0.0])),
+                         (1.0, 1.0, np.array([math.inf, 0.0]))]},
+         "has an infinite-norm descriptor"),
     ], ids=["no-box", "zero-width-box", "empty", "zero-descriptor",
-            "underflowing-descriptor", "infinite-point"])
+            "underflowing-descriptor", "infinite-point",
+            "overflowing-descriptor", "infinite-descriptor"])
     def test_writer_refuses_what_the_loader_refuses(self, tmp_path, fault,
                                                     reason):
         # a good set first, so the refused one is the second written
@@ -534,6 +543,12 @@ class TestCandidatesDescriptors:
          "candidate point (inf, 0.0) is not finite"),
         (["good", "zero", "good again"], 2,
          "zero-norm descriptor at candidate 1"),
+        (["good", "overflow", "zero"], 2,
+         "infinite-norm descriptor at candidate 0"),
+        (["good", "infinity", "not json"], 2,
+         "infinite-norm descriptor at candidate 1"),
+        # NaN values alone are allowed
+        (["nan", "zero"], 2, "zero-norm descriptor at candidate 1"),
     ])
     def test_loader_names_the_first_bad_line(self, tmp_path, lines, line_no,
                                              reason):
@@ -547,7 +562,10 @@ class TestCandidatesDescriptors:
                 "zero": record(1, [[1.0, 0.0], [0.0, 0.0]]),
                 "not json": "{",
                 "zero with a bad point": record(2, [[0.0, 0.0]], math.inf),
-                "good again": record(3, [[0.0, 1.0]])}
+                "good again": record(3, [[0.0, 1.0]]),
+                "overflow": record(4, [[1e200, 1e200]]),
+                "infinity": record(5, [[1.0, 0.0], [math.inf, math.nan]]),
+                "nan": record(6, [[math.nan, 1.0]])}
         p = tmp_path / "cands.jsonl"
         p.write_text("".join(text[name] + "\n" for name in lines))
         with pytest.raises(ParseError) as caught:
@@ -587,6 +605,22 @@ class TestCandidatesDescriptors:
             assert str(caught.value) == (
                 f"{p}:2: class 'needle': the descriptor must be a vector of "
                 "nonzero norm")
+
+    def test_infinite_descriptor_rejected(self, tmp_path):
+        # 1e200 is finite, but its square overflows to an infinite norm
+        p = tmp_path / "refs.json"
+        for vector in ("[1e200, 1e200]", "[Infinity, 0.0]",
+                       "[-Infinity, NaN]"):
+            p.write_text('{\n "needle": [1.0, 0.5],\n "scissors_c": '
+                         + vector + '\n}\n')
+            with pytest.raises(ParseError) as caught:
+                load_reference_descriptors(p)
+            assert str(caught.value) == (
+                f"{p}:3: class 'scissors_c': the descriptor must be a vector "
+                "of finite norm")
+        p.write_text('{\n "needle": [NaN, 0.5]\n}\n')
+        assert math.isnan(load_reference_descriptors(p)[
+            InstrumentClass.NEEDLE][0])
 
 
 BOX = '"y": 0, "w": 2, "h": 2'

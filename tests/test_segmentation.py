@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 import microact
 from microact import segmentation
@@ -85,6 +86,24 @@ def novelty_from_band(band, w):
         acc += np.einsum("fk,fk->f", cols, taps.conj())
     N[h: T - h] = np.fft.irfft(acc, n=L)[: T - 2 * h]
     return N
+
+
+def ssm_band_padded(U, h, start=0, stop=None):
+    """The band as ``ssm_band`` built it before it read windows of U
+    itself: one ``einsum`` over a sliding window of a zero-padded copy of
+    all of U.  The oracle for its bits."""
+    stop = 2 * h if stop is None else stop
+    T, d = U.shape
+    sq = np.einsum("td,td->t", U, U)
+    pad = np.zeros((T + stop - 1, d), dtype=np.float64)
+    pad[:T] = U
+    n = stop - start
+    band = np.einsum("tkd,td->tk",
+                     sliding_window_view(pad[start:], (n, d))[:, 0], U)
+    np.clip(band, -1.0, 1.0, out=band)
+    if start == 0:
+        band[:, 0] = sq > 0
+    return band
 
 
 def local_maxima_loop(N):
@@ -221,8 +240,8 @@ class TestSSMBand:
 
     def test_peak_memory_is_the_band_and_a_few_rows(self):
         # the resegment-sweep shape: 8010 frames, 36 features, h = 150;
-        # only the band and a zero-padded copy of the unit rows may be
-        # alive at once
+        # besides the band only the last 2h rows' zero-padded tail may be
+        # alive, not a padded copy of all of U (2.3 MB)
         U = unit_rows(np.cumsum(
             np.random.default_rng(3).normal(size=(8010, 36)), axis=0))
         tracemalloc.start()
@@ -231,7 +250,7 @@ class TestSSMBand:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= band.band.nbytes + (4 << 20), (peak, band.band.nbytes)
+        assert peak <= band.band.nbytes + (1 << 20), (peak, band.band.nbytes)
 
     def test_fit_peaks_below_the_full_band(self):
         # the whole detector at the resegment-sweep shape holds less than
@@ -333,6 +352,18 @@ def feature_matrices(draw, max_T=120, max_d=12, T=None):
     return X
 
 
+@st.composite
+def band_cases(draw):
+    """(X, h, start, stop) for ``ssm_band``: stop = 1 among them, and T
+    below, at and just past stop as often as far past it."""
+    h = draw(st.integers(1, 40))
+    stop = draw(st.one_of(st.just(1), st.integers(1, 2 * h)))
+    start = draw(st.integers(0, stop - 1))
+    T = draw(st.one_of(st.sampled_from([stop - 1, stop, stop + 1]),
+                       st.integers(1, 3 * stop + 40)))
+    return draw(feature_matrices(T=max(T, 1))), h, start, stop
+
+
 class TestOnePassAgainstPerOffset:
     @settings(max_examples=150, deadline=None)
     @given(X=feature_matrices(), h=st.integers(1, 40), data=st.data())
@@ -350,6 +381,20 @@ class TestOnePassAgainstPerOffset:
     @given(X=feature_matrices())
     def test_dense_bits(self, X):
         assert same_bits(ssm(X), per_offset_ssm(X))
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=band_cases())
+    @example(case=(np.zeros((1, 3)), 1, 0, 1))  # stop = 1, a zero row
+    @example(case=(np.eye(3), 2, 1, 4))  # T = stop - 1, start > 0
+    @example(case=(np.eye(4), 2, 1, 4))  # T = stop
+    @example(case=(np.eye(2), 3, 4, 6))  # T < stop, start >= T
+    def test_band_equals_padded_oracle(self, case):
+        # windows of U itself, then a zero-padded tail: the bits of one
+        # window over a padded copy of all of U
+        X, h, start, stop = case
+        U = unit_rows(X)
+        assert same_bits(ssm_band(U, h, start, stop).band,
+                         ssm_band_padded(U, h, start, stop))
 
     @pytest.mark.parametrize("h", [1, 60, 150])
     def test_band_bits_over_many_chunks(self, h):
@@ -478,6 +523,25 @@ class TestNovelty:
             with pytest.raises(ValueError, match="NaN or inf"):
                 novelty(X, make_kernel(5, 2.5))
 
+    def test_peak_memory_is_one_block_and_two_spectra(self):
+        # the resegment-sweep shape: the unit rows, one block of band
+        # columns and the two reused spectrum buffers, not a spectrum per
+        # block
+        T, d, h = 8010, 36, 150
+        X = np.cumsum(np.random.default_rng(3).normal(size=(T, d)), axis=0)
+        w = make_kernel(h, h / 2.0)
+        cols = segmentation._BAND_COLS
+        L = 1 << (T - 1).bit_length()
+        tracemalloc.start()
+        try:
+            novelty(X, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (T * d * 8 + T * cols * 8 + 2 * cols * (L // 2 + 1) * 16
+                 + (1 << 20))
+        assert peak <= bound, (peak, bound)
+
     def test_odd_length_kernel_rejected(self):
         X = np.random.default_rng(0).normal(size=(30, 2))
         for w in (make_kernel(5, 2.0)[:-1], np.ones(3), np.ones((2, 2)),
@@ -517,6 +581,7 @@ class TestNovelty:
     @example(h=17, extra=0, sigma=8.5, data=None)  # T = 2h
     @example(h=17, extra=1, sigma=8.5, data=None)  # T = 2h + 1
     @example(h=40, extra=80, sigma=20.0, data=None)  # 2h = 80: 32 + 32 + 16
+    @example(h=5, extra=30, sigma=2.5, data=None)  # 2h = 10: one short block
     def test_equals_band_oracle_bit_for_bit(self, h, extra, sigma, data):
         # zero rows and scaled copies of one row come from the draw
         T = max(1, 2 * h + extra)

@@ -706,6 +706,19 @@ def localize_tip_scalar(candidates, reference, bbox=None):
     return (float(x), float(y))
 
 
+def norm_fault(v):
+    """"zero" or "infinite" when vector ``v`` has no cosine: its norm,
+    squares that underflow or overflow included, is 0 or +inf, or it
+    holds an infinite value; else None (NaN values alone are allowed)."""
+    with np.errstate(over="ignore"):
+        n = math.sqrt(v @ v)
+    if n == 0.0:
+        return "zero"
+    if n == math.inf or any(math.isinf(x) for x in v.tolist()):
+        return "infinite"
+    return None
+
+
 def localize_tip_set(points, descriptors, reference, bbox=None):
     """The per-set match that the batched ``localize_tip`` replaced, one
     call per matched frame: the oracle for its bits, its NaN rule and its
@@ -715,15 +728,15 @@ def localize_tip_set(points, descriptors, reference, bbox=None):
         raise ValueError("no tip candidates")
     ref = np.asarray(reference, dtype=float)
     rn = math.sqrt(ref @ ref)
-    if rn == 0.0:
-        raise ValueError("zero-norm reference descriptor")
+    if norm_fault(ref):
+        raise ValueError(f"{norm_fault(ref)}-norm reference descriptor")
     if D.ndim != 2 or D.shape[1:] != ref.shape:
         raise ValueError(f"descriptor dimension mismatch: candidates "
                          f"{D.shape[1:]} vs reference {ref.shape}")
+    for i, v in enumerate(D):
+        if norm_fault(v):
+            raise ValueError(f"{norm_fault(v)}-norm descriptor at candidate {i}")
     dn = np.sqrt(row_dots(D, D))
-    if np.count_nonzero(dn) < len(dn):
-        raise ValueError(f"zero-norm descriptor at candidate "
-                         f"{np.flatnonzero(dn == 0.0)[0]}")
     sims = row_dots(D, ref) / (dn * rn)
     best = int(sims.argmax())
     if math.isnan(sims[best]):  # argmax stops at the first NaN
@@ -822,6 +835,39 @@ class TestLocalizeTip:
                            r"mismatch: candidates \(2,\) vs reference \(1,\)$"):
             localize_one([(0, 0, np.array([1.0, 2.0]))], np.array([1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_norms_refused(self):
+        # [1e200, 1e200] has cosine 1 with [1, 1], but its squares
+        # overflow: scored 2e200 / inf = 0, the worse [1, 0] used to win
+        ref = np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="^infinite-norm descriptor at "
+                                             "candidate 0$"):
+            localize_one([(0, 0, np.array([1e200, 1e200])),
+                          (5, 5, np.array([1.0, 0.0]))], ref)
+        # an infinite value, beside a NaN too; NaN alone is allowed
+        for bad in ([np.inf, 0.0], [-np.inf, np.nan]):
+            with pytest.raises(ValueError, match="^infinite-norm descriptor "
+                                                 "at candidate 1$"):
+                localize_one([(0, 0, np.array([np.nan, 1.0])),
+                              (0, 0, np.array(bad))], ref)
+            with pytest.raises(ValueError, match="^infinite-norm reference"):
+                localize_one([(0, 0, np.array([1.0, 1.0]))], np.array(bad))
+        with pytest.raises(ValueError, match="^infinite-norm reference"):
+            localize_one([(0, 0, np.array([1.0, 1.0]))],
+                         np.array([1e200, 1e200]))
+        # the first refused candidate is named, of either kind, and a
+        # zero-norm reference before an infinite-norm one
+        with pytest.raises(ValueError, match="^zero-norm descriptor at "
+                                             "candidate 1$"):
+            localize_one([(0, 0, np.array([1.0, 0.0])),
+                          (0, 0, np.array([0.0, 0.0])),
+                          (0, 0, np.array([1e200, 0.0]))], ref)
+        table = table_of([[(0.0, 0.0, np.array([1.0, 0.0]))]],
+                         [(0.0, 0.0, 1.0, 1.0)], 2)
+        with pytest.raises(ValueError, match="^zero-norm reference"):
+            localize_tip(table, [0, 0], [np.full(2, np.inf), np.zeros(2)],
+                         [0, 1])
+
     def test_checks_read_only_the_references_in_use(self):
         # an unused zero-norm reference, or one of another width, is no
         # fault; an empty set is reported before a used zero-norm reference
@@ -866,9 +912,10 @@ class TestLocalizeTip:
         # tie-heavy sets as above, NaN and inf descriptors (a whole NaN
         # set too), -0.0 points and crop offsets, several references and
         # pairs in any set order with repeats; with faults, empty sets,
-        # zero-norm descriptors and references and a reference of another
-        # width: the batch must raise the error of its checks in their
-        # order (``batch_error``), or give the per-set bits
+        # zero- and infinite-norm descriptors and references and a
+        # reference of another width: the batch must raise the error of
+        # its checks in their order (``batch_error``), or give the per-set
+        # bits
         rng = np.random.default_rng(seed)
         base = rng.normal(size=(2, d))
         sets = []
@@ -887,6 +934,8 @@ class TestLocalizeTip:
                     v[:] = np.nan
                 elif faults and r < 0.25:
                     v[:] = 0.0
+                elif faults and r < 0.27:
+                    v[:] = 1e200  # its squares overflow
             if rows and rng.random() < 0.1:
                 rows = [np.full(d, np.nan) for _ in rows]
             sets.append(rows)
@@ -897,7 +946,8 @@ class TestLocalizeTip:
                 rows)] for rows in sets], crops, d)
         refs = [base[0] * 2.5, rng.normal(size=d), np.round(base[1]) + 1.0]
         if faults:
-            refs += [np.full(d, 1e-200), rng.normal(size=d + 1)]
+            refs += [np.full(d, 1e-200), rng.normal(size=d + 1),
+                     np.full(d, 1e200)]
         if rng.random() < 0.1:
             refs[1][0] = np.nan
         n_pairs = n_pairs if n_sets else 0
@@ -920,23 +970,25 @@ class TestLocalizeTip:
 def batch_error(table, pair_sets, refs, ref_of):
     """The error of ``localize_tip``'s checks, in their order, for these
     pairs, or None: a pair's set with no candidates, then a zero-norm
-    reference in use, then one of another width (the lowest index), then
-    a zero-norm descriptor in the first such pair by reference, then
-    input order."""
+    reference in use, then an infinite-norm one, then one of another width
+    (the lowest index), then a zero- or infinite-norm descriptor in the
+    first such pair by reference, then input order."""
     used = sorted(set(ref_of.tolist()))
     width = table.descriptors.shape[1:]
     if any(table.offsets[s] == table.offsets[s + 1] for s in pair_sets):
         return "no tip candidates"
-    if any(math.sqrt(refs[g] @ refs[g]) == 0.0 for g in used):
+    if any(norm_fault(refs[g]) == "zero" for g in used):
         return "zero-norm reference descriptor"
+    if any(norm_fault(refs[g]) == "infinite" for g in used):
+        return "infinite-norm reference descriptor"
     for g in used:
         if refs[g].shape != width:
             return (f"descriptor dimension mismatch: candidates {width} vs "
                     f"reference {refs[g].shape}")
     for k in np.argsort(ref_of, kind="stable"):
         for i, v in enumerate(table.descriptors[set_rows(table, pair_sets[k])]):
-            if math.sqrt(v @ v) == 0.0:
-                return f"zero-norm descriptor at candidate {i}"
+            if norm_fault(v):
+                return f"{norm_fault(v)}-norm descriptor at candidate {i}"
     return None
 
 
